@@ -589,6 +589,7 @@ func (e *Engine) clusterNeoCores(neoCores []int64) {
 			for _, c := range e.cidScratch {
 				if c != cid {
 					e.cids.UnionInto(cid, c)
+					e.strideUnions = append(e.strideUnions, CIDUnion{Into: cid, From: c})
 					e.stats.Merges++
 					absorbed = append(absorbed, c)
 				}

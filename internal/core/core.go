@@ -198,6 +198,12 @@ type Engine struct {
 	bulkPos     []geom.Vec
 	freePts     []*pstate
 
+	// Assignment delta (delta.go): the stride's cid unions and the two flags
+	// that decide whether the next delta is full.
+	strideUnions []CIDUnion
+	deltaFull    bool
+	deltaUnread  bool
+
 	// censusIdx maps cluster id -> index into the caller's ClustersInto
 	// buffer; pooled so repeated censuses allocate nothing.
 	censusIdx map[int]int32
@@ -251,6 +257,9 @@ func New(cfg model.Config, opts ...Option) *Engine {
 		useMSBFS: true,
 		useEpoch: true,
 		workers:  1,
+
+		deltaFull:   true,
+		deltaUnread: true,
 	}
 	// Method values allocate; bind the hot-path dispatchers exactly once.
 	e.collectFanFn = e.collectSearch
@@ -289,6 +298,11 @@ func (e *Engine) Advance(in, out []model.Point) {
 func (e *Engine) advance(in, out []model.Point) {
 	e.stride++
 	e.affected = e.affected[:0]
+	// A stride whose delta nobody read — or that panicked half-way — cannot
+	// be skipped over: the next delta must then cover everything.
+	e.deltaFull = e.deltaUnread
+	e.deltaUnread = true
+	e.strideUnions = e.strideUnions[:0]
 	e.strideEvents = [numEventTypes]int{}
 	e.strideMerges = 0
 	e.strideClusterWorkers = 0
@@ -609,6 +623,7 @@ func (e *Engine) compactCIDs() {
 		}
 	}
 	e.cids.Reset()
+	e.deltaFull = true
 }
 
 // Assignment implements model.Engine.
@@ -653,37 +668,35 @@ func (e *Engine) assignmentOf(id int64, st *pstate) model.Assignment {
 	case model.Core:
 		return model.Assignment{Label: model.Core, ClusterID: e.cids.FindRO(st.cid)}
 	case model.Border:
-		if h, ok := e.pts[st.hint]; ok && e.isCoreNow(h) {
+		if _, h := e.borderAnchor(id, st); h != nil {
 			return model.Assignment{Label: model.Border, ClusterID: e.cids.FindRO(h.cid)}
 		}
-		// The hint names an absent or demoted point — possible only after a
-		// corrupted checkpoint or an internal inconsistency. Degrade
-		// gracefully: re-derive the assignment from any live core ε-neighbor
-		// instead of crashing the serving process mid-query.
-		if cid, ok := e.borderCID(id, st); ok {
-			return model.Assignment{Label: model.Border, ClusterID: cid}
-		}
-		return model.Assignment{Label: model.Noise, ClusterID: model.NoCluster}
-	default:
-		return model.Assignment{Label: model.Noise, ClusterID: model.NoCluster}
 	}
+	return model.Assignment{Label: model.Noise, ClusterID: model.NoCluster}
 }
 
-// borderCID locates one live core ε-neighbor of the border point id with a
-// read-only search and returns its resolved cluster id.
-func (e *Engine) borderCID(id int64, st *pstate) (int, bool) {
-	cid, found := 0, false
+// borderAnchor returns the core through which the border point id resolves
+// its cluster: the stored hint, or — when that names an absent or demoted
+// point, possible only after a corrupted checkpoint or an internal
+// inconsistency — any live core ε-neighbor found by a read-only search, so a
+// query degrades gracefully instead of crashing the serving process. A nil
+// pstate means there is none and the point reads as noise.
+func (e *Engine) borderAnchor(id int64, st *pstate) (int64, *pstate) {
+	if h, ok := e.pts[st.hint]; ok && e.isCoreNow(h) {
+		return st.hint, h
+	}
+	hid, anchor := noHint, (*pstate)(nil)
 	e.tree.SearchBallRO(st.pos, e.cfg.Eps, func(qid int64, _ geom.Vec) bool {
 		if qid == id {
 			return true
 		}
 		if q := e.pts[qid]; e.isCoreNow(q) {
-			cid, found = e.cids.FindRO(q.cid), true
+			hid, anchor = qid, q
 			return false
 		}
 		return true
 	})
-	return cid, found
+	return hid, anchor
 }
 
 // ConcurrentReadable marks the engine's query methods (Assignment, Snapshot,

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"testing"
 
 	"disc/internal/ckpt"
+	"disc/internal/datasets"
 	"disc/internal/model"
 )
 
@@ -110,5 +112,123 @@ func benchIngest(b *testing.B, h http.Handler) {
 		if rec.Code != http.StatusOK {
 			b.Fatal(fmt.Errorf("ingest status %d: %s", rec.Code, rec.Body.String()))
 		}
+	}
+}
+
+// publishFixture is a warm server plus the rest of its stream, for measuring
+// publish alone. The stream is window/5000 copies, far apart, of one
+// high-resolution maze (the benchmark's hires settings), taking turns one
+// stride at a time: every stride at window 50 000 is then, point for point, a
+// stride of the window-5 000 stream — same arrivals, same departures, same
+// affected set — played inside ten times the state (and ten times the
+// clusters). What differs between sizes is only what the churn sits in.
+type publishFixture struct {
+	s    *Server
+	pts  []model.Point
+	next int
+}
+
+const publishStride = 50
+
+func newPublishFixture(tb testing.TB, window int) *publishFixture {
+	tb.Helper()
+	s, err := New(Config{Cluster: model.Config{Dims: 2, Eps: 0.15, MinPts: 4}, Window: window, Stride: publishStride})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	copies := window / 5000
+	base := datasets.MazeN(5000+(650/copies)*publishStride, 10, 1).Points // fill + 650 strides in all
+	f := &publishFixture{s: s, pts: make([]model.Point, 0, len(base)*copies)}
+	for lo := 0; lo < len(base); lo += publishStride {
+		for c := 0; c < copies; c++ {
+			for _, p := range base[lo : lo+publishStride] {
+				p.ID = p.ID*int64(copies) + int64(c)
+				p.Pos[0] += float64(c) * 1000
+				f.pts = append(f.pts, p)
+			}
+		}
+	}
+	for f.next < window {
+		f.advance()
+	}
+	s.publish()
+	for i := 0; i < 50; i++ {
+		f.advance()
+		s.publish()
+	}
+	return f
+}
+
+// advance pushes one stride through the slider and the engine, leaving the
+// publication to the caller. It reports false when the stream is used up.
+func (f *publishFixture) advance() bool {
+	for f.next < len(f.pts) {
+		step := f.s.slider.Push(f.pts[f.next])
+		f.next++
+		if step != nil {
+			f.s.eng.Advance(step.In, step.Out)
+			return true
+		}
+	}
+	return false
+}
+
+// BenchmarkPublish times publication alone — the engine's stride runs with
+// the timer stopped — at two windows ten times apart under identical churn.
+// CI gates the pair against each other. A publish that walked the window
+// would cost 10x at the larger size; what remains here (about 1.9x on the
+// development host) is the same work missing the cache in ten times the
+// state, plus the 16-byte-per-cluster census copy.
+func BenchmarkPublish(b *testing.B) {
+	for _, window := range []int{5000, 50000} {
+		b.Run(fmt.Sprintf("window=%d", window), func(b *testing.B) {
+			f := newPublishFixture(b, window)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				if !f.advance() {
+					f = newPublishFixture(b, window)
+					f.advance()
+				}
+				b.StartTimer()
+				f.s.publish()
+			}
+		})
+	}
+}
+
+// TestPublishAllocsBounded: the bytes a publication allocates follow the
+// stride, not the window. Ten times the window (and ten times the clusters)
+// may cost at most twice, plus the one term that is allowed to follow the
+// census: the copy of its rows, 16 bytes a cluster.
+func TestPublishAllocsBounded(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds a 50 000-point window")
+	}
+	perPublish := func(window int) (bytes, clusters float64) {
+		f := newPublishFixture(t, window)
+		const strides = 200
+		var before, after runtime.MemStats
+		for i := 0; i < strides; i++ {
+			if !f.advance() {
+				t.Fatal("stream exhausted")
+			}
+			runtime.ReadMemStats(&before)
+			f.s.publish()
+			runtime.ReadMemStats(&after)
+			bytes += float64(after.TotalAlloc - before.TotalAlloc)
+			clusters += float64(len(f.s.view.Load().census))
+		}
+		return bytes / strides, clusters / strides
+	}
+	small, smallClusters := perPublish(5000)
+	large, largeClusters := perPublish(50000)
+	const rowBytes = 16 // unsafe.Sizeof(censusRow{})
+	bound := 2*small + rowBytes*(largeClusters-smallClusters)
+	t.Logf("bytes allocated per publish: %.0f at window 5000 (%.0f clusters), %.0f at window 50000 (%.0f clusters): %.2fx, bound %.0f",
+		small, smallClusters, large, largeClusters, large/small, bound)
+	if large > bound {
+		t.Fatalf("publish allocates %.0f B at window 50000 against %.0f B at window 5000; beyond the census rows that is more than 2x, so something else scales with the window", large, small)
 	}
 }

@@ -307,6 +307,51 @@ func TestStrideETagAndConditionalGet(t *testing.T) {
 	}
 }
 
+// TestIfNoneMatchListWeakAndWildcard is the regression for serveView
+// comparing the If-None-Match field to the ETag with ==: RFC 9110 §13.1.2
+// makes the field a list of entity-tags (or "*") compared weakly, so a cache
+// that revalidates with several stored tags, with a W/ prefix, or with *
+// must get its 304 — and tags of other strides, alone or in a list, must not.
+func TestIfNoneMatchListWeakAndWildcard(t *testing.T) {
+	ts, s := newTestServer(t)
+	rng := rand.New(rand.NewSource(26))
+	postPoints(t, ts, clusteredBatch(rng, 0, 200)).Body.Close()
+	etag := s.view.Load().etag
+
+	for _, tc := range []struct {
+		fields []string
+		want   int
+	}{
+		{[]string{etag}, http.StatusNotModified},
+		{[]string{`"disc-e0-s0", ` + etag}, http.StatusNotModified},
+		{[]string{etag + `,"other"`}, http.StatusNotModified},
+		{[]string{"W/" + etag}, http.StatusNotModified},
+		{[]string{`W/"x" , W/` + etag + " "}, http.StatusNotModified},
+		{[]string{"*"}, http.StatusNotModified},
+		{[]string{`"disc-e0-s0"`, etag}, http.StatusNotModified}, // two field lines
+		{[]string{`"disc-e0-s0"`}, http.StatusOK},
+		{[]string{`"disc-e0-s0", W/"disc-e0-s7"`}, http.StatusOK},
+		{[]string{etag[:len(etag)-1]}, http.StatusOK},        // unterminated
+		{[]string{etag[1 : len(etag)-1]}, http.StatusOK},     // unquoted
+		{[]string{`"a,b", ` + etag}, http.StatusNotModified}, // comma inside a tag
+		{[]string{""}, http.StatusOK},
+	} {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/stats", nil)
+		for _, f := range tc.fields {
+			req.Header.Add("If-None-Match", f)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.want {
+			t.Errorf("If-None-Match %q: status %d, want %d", tc.fields, resp.StatusCode, tc.want)
+		}
+	}
+}
+
 // TestConcurrentReadsUnderIngest hammers all four GET endpoints from many
 // goroutines while a writer drives the stream across many stride
 // boundaries, asserting every single response is internally consistent:

@@ -136,12 +136,15 @@ type Server struct {
 	pending   atomic.Int64
 	strideCtx atomic.Pointer[trace.SpanContext]
 
-	// view is the immutable read-path snapshot, replaced wholesale after
-	// every successful stride and every restore (view.go). GET handlers
-	// only ever Load it; they never acquire mu.
+	// view is the immutable read-path snapshot, replaced after every
+	// successful stride and every restore (view.go). GET handlers only ever
+	// Load it; they never acquire mu.
 	view atomic.Pointer[publishedView]
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// vs is the writer's half of the view: the state publish folds each
+	// stride's assignment delta into.
+	vs       viewState
 	eng      *core.Engine
 	slider   *window.CountSlider
 	events   []eventRecord
@@ -771,25 +774,42 @@ func (s *Server) safeAdvance(step *window.Step, tr *trace.Trace, parent *trace.S
 	return nil
 }
 
-type clusterSummary struct {
-	ID      int `json:"id"`
-	Size    int `json:"size"`
-	Cores   int `json:"cores"`
-	Borders int `json:"borders"`
+// appendClusters renders the /clusters body byte for byte as encoding/json
+// renders a clustersResponse (a nil cluster list is null there): the body
+// runs to thousands of rows, it sits inside every ingest-to-visible sample,
+// and reflection was most of its cost.
+func (v *publishedView) appendClusters(b []byte) []byte {
+	b = append(b, `{"strides":`...)
+	b = strconv.AppendUint(b, v.strides, 10)
+	b = append(b, `,"window":`...)
+	b = strconv.AppendInt(b, int64(v.stats.Resident), 10)
+	b = append(b, `,"noise":`...)
+	b = strconv.AppendInt(b, int64(v.noise), 10)
+	b = append(b, `,"clusters":`...)
+	if len(v.census) == 0 {
+		return append(b, "null}\n"...)
+	}
+	sep := byte('[')
+	for _, r := range v.census {
+		b = append(b, sep)
+		sep = ','
+		b = append(b, `{"id":`...)
+		b = strconv.AppendInt(b, int64(r.id), 10)
+		b = append(b, `,"size":`...)
+		b = strconv.AppendInt(b, int64(r.size()), 10)
+		b = append(b, `,"cores":`...)
+		b = strconv.AppendInt(b, int64(r.cores), 10)
+		b = append(b, `,"borders":`...)
+		b = strconv.AppendInt(b, int64(r.borders), 10)
+		b = append(b, '}')
+	}
+	return append(b, "]}\n"...)
 }
 
-type clustersResponse struct {
-	Strides  uint64           `json:"strides"`
-	Window   int              `json:"window"`
-	Noise    int              `json:"noise"`
-	Clusters []clusterSummary `json:"clusters"`
-}
-
-// handleClusters serves the precomputed census of the pinned view: the
-// whole body was aggregated and sorted at publication, so this is one
-// JSON encode with no locking.
+// handleClusters serves the census of the pinned view, which is kept in
+// response order: one pass of integer formatting, no locking.
 func (s *Server) handleClusters(v *publishedView, w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, v.clusters)
+	writeBody(w, http.StatusOK, v.appendClusters(make([]byte, 0, 64+56*len(v.census))))
 }
 
 type pointResponse struct {
@@ -798,7 +818,7 @@ type pointResponse struct {
 	Cluster int    `json:"cluster"`
 }
 
-// handlePoint answers from the pinned view's assignment map — the exact
+// handlePoint answers from the pinned view's assignment table — the exact
 // per-point labels of the view's stride.
 func (s *Server) handlePoint(v *publishedView, w http.ResponseWriter, r *http.Request) {
 	id, err := strconv.ParseInt(strings.TrimSpace(r.PathValue("id")), 10, 64)
@@ -806,7 +826,7 @@ func (s *Server) handlePoint(v *publishedView, w http.ResponseWriter, r *http.Re
 		http.Error(w, "bad point id", http.StatusBadRequest)
 		return
 	}
-	a, ok := v.assign[id]
+	a, ok := v.assignment(id)
 	if !ok {
 		http.Error(w, "point not in the current window", http.StatusNotFound)
 		return
@@ -872,9 +892,14 @@ func writeJSONStatus(w http.ResponseWriter, status int, v any) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
+	writeBody(w, status, buf.Bytes())
+}
+
+// writeBody sends an already-encoded JSON body.
+func writeBody(w http.ResponseWriter, status int, body []byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	if _, err := w.Write(body); err != nil {
 		slog.Warn("server: writing response", "err", err)
 	}
 }

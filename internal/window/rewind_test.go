@@ -340,3 +340,49 @@ func TestContainsTracksResidency(t *testing.T) {
 		t.Fatal("residency not rebuilt by RestoreWindow")
 	}
 }
+
+// TestRewindAcrossCompaction: the window slides through its backing store
+// and moves back to the front every few strides. A rewind must restore the
+// exact pre-Push state whether the rewound Push slid in place, ran into the
+// end of the store and compacted, or was the first after a compaction — so
+// this rewinds at every one of a run of consecutive strides that spans
+// several compactions, and checks the stream then continues as on a slider
+// that never saw the rejected point.
+func TestRewindAcrossCompaction(t *testing.T) {
+	const window, stride = 16, 2 // slack 4: a compaction every second stride
+	var ids []int64
+	for id := int64(0); id < 200; id++ {
+		ids = append(ids, id)
+	}
+	for k := 0; k < 12; k++ {
+		a, _ := NewCountSlider(window, stride)
+		b, _ := NewCountSlider(window, stride)
+		next := int64(0)
+		for ; next < int64(window+k*stride+stride-1); next++ {
+			a.Push(pt(next))
+			b.Push(pt(next))
+		}
+		preWin, prePend, prePresent := cloneState(a, ids)
+		step := a.Push(pt(150))
+		if step == nil {
+			t.Fatalf("k=%d: push did not complete a stride", k)
+		}
+		if want := append(append([]model.Point(nil), preWin[stride:]...), step.In...); !reflect.DeepEqual(step.Window, want) {
+			t.Fatalf("k=%d: step window %v, want %v", k, step.Window, want)
+		}
+		a.Rewind(step)
+		win, pend, present := cloneState(a, ids)
+		if !reflect.DeepEqual(win, preWin) || !reflect.DeepEqual(pend, prePend) || !reflect.DeepEqual(present, prePresent) {
+			t.Fatalf("k=%d: state after rewind: win=%v pend=%v, want win=%v pend=%v", k, win, pend, preWin, prePend)
+		}
+		for ; next < int64(window+k*stride+4*window); next++ {
+			sa, sb := a.Push(pt(next)), b.Push(pt(next))
+			if (sa == nil) != (sb == nil) {
+				t.Fatalf("k=%d: stride disagreement at id %d", k, next)
+			}
+			if sa != nil && !(reflect.DeepEqual(sa.In, sb.In) && reflect.DeepEqual(sa.Out, sb.Out) && reflect.DeepEqual(sa.Window, sb.Window)) {
+				t.Fatalf("k=%d: step at id %d differs from the never-rewound slider", k, next)
+			}
+		}
+	}
+}

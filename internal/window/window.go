@@ -28,9 +28,13 @@ type Step struct {
 // (once warm) and advances whenever `stride` new points have accumulated.
 type CountSlider struct {
 	window, stride int
-	buf            []model.Point // current window contents, arrival order
-	pending        []model.Point
-	warm           bool
+	// buf is the current window in arrival order: a sub-slice of store that
+	// slides right by one stride per step and is moved back to the front
+	// only when it reaches the end of store — once every slack/stride steps,
+	// so a step costs O(stride) amortized, not a memmove of the window.
+	store, buf []model.Point
+	pending    []model.Point
+	warm       bool
 	// present counts, per id, how many resident copies (window + pending)
 	// the slider holds; Contains answers duplicate checks in O(1). A count
 	// map rather than a set so the slider itself stays agnostic to
@@ -63,8 +67,9 @@ func (s *CountSlider) Push(p model.Point) *Step {
 		if len(s.pending) < s.window {
 			return nil
 		}
-		s.buf = append(s.buf, s.pending...)
-		s.pending = s.pending[:0]
+		s.buf = s.fill(s.pending)
+		// The fill grew pending to a whole window; strides need one stride.
+		s.pending = make([]model.Point, 0, s.stride)
 		s.warm = true
 		in := make([]model.Point, len(s.buf))
 		copy(in, s.buf)
@@ -79,10 +84,13 @@ func (s *CountSlider) Push(p model.Point) *Step {
 	for _, q := range out {
 		s.forget(q.ID)
 	}
-	s.buf = append(s.buf[:0], s.buf[s.stride:]...)
+	s.buf = s.buf[s.stride:]
+	if cap(s.buf)-len(s.buf) < len(s.pending) {
+		s.buf = s.fill(s.buf)
+	}
 	in := make([]model.Point, len(s.pending))
 	copy(in, s.pending)
-	s.buf = append(s.buf, in...)
+	s.buf = append(s.buf, in...) // in place: fill left room for a stride
 	s.pending = s.pending[:0]
 	s.lastStep = &Step{In: in, Out: out, Window: s.buf}
 	return s.lastStep
@@ -111,10 +119,12 @@ func (s *CountSlider) Rewind(step *Step) {
 		s.buf = s.buf[:0]
 		s.warm = false
 	} else {
-		// Undo a steady-state stride: shift the survivors right (copy is
-		// memmove-safe for the overlap), restore the departed prefix, and
-		// return Δin minus the trigger to pending.
-		copy(s.buf[s.stride:], s.buf[:len(s.buf)-s.stride])
+		// Undo a steady-state stride: rebuild the window at the front of
+		// store — survivors after the departed prefix (copy is memmove-safe
+		// for the overlap) — and return Δin minus the trigger to pending.
+		survivors := s.buf[:len(s.buf)-len(step.In)]
+		s.buf = s.store[:s.stride+len(survivors)]
+		copy(s.buf[s.stride:], survivors)
 		copy(s.buf, step.Out)
 		s.pending = append(s.pending[:0], step.In[:len(step.In)-1]...)
 		for _, q := range step.Out {
@@ -122,6 +132,16 @@ func (s *CountSlider) Rewind(step *Step) {
 		}
 	}
 	s.forget(trigger.ID)
+}
+
+// fill moves pts (which may alias store) to the front of store, allocating
+// it on first use with slack for max(stride, window/4) points of sliding,
+// and returns the moved window.
+func (s *CountSlider) fill(pts []model.Point) []model.Point {
+	if s.store == nil {
+		s.store = make([]model.Point, s.window+max(s.stride, s.window/4))
+	}
+	return s.store[:copy(s.store, pts)]
 }
 
 // Contains reports whether a point with the given id is currently resident
@@ -159,7 +179,7 @@ func (s *CountSlider) RestoreWindow(pts []model.Point) error {
 	if len(pts) != 0 && len(pts) != s.window {
 		return fmt.Errorf("window: restore needs 0 or %d points, got %d", s.window, len(pts))
 	}
-	s.buf = append(s.buf[:0], pts...)
+	s.buf = s.fill(pts)
 	s.pending = s.pending[:0]
 	s.warm = len(pts) == s.window
 	s.lastStep = nil
