@@ -20,6 +20,7 @@ import (
 	"testing"
 
 	"disc/internal/bench"
+	"disc/internal/datasets"
 	"disc/internal/model"
 	"disc/internal/window"
 )
@@ -180,13 +181,57 @@ func BenchmarkFig8(b *testing.B) {
 	}
 }
 
-// --- Index-choice ablation (DESIGN.md: R-tree vs hash grid backend) -----------
+// --- Index-choice ablation (DESIGN §11: ε-grid vs the paper's R-tree vs a
+// k-d tree) ---------------------------------------------------------------
 
 func BenchmarkIndexAblation(b *testing.B) {
+	kinds := []string{"disc", "disc-rtree", "disc-kd"}
 	for _, dataset := range []string{"dtg", "maze"} {
-		for _, kind := range []string{"disc", "disc-grid", "disc-kd"} {
+		for _, kind := range kinds {
 			b.Run(dataset+"/"+kind, func(b *testing.B) {
 				benchStrides(b, kind, mkWorkload(b, dataset, benchScale, 0.05, nil))
+			})
+		}
+	}
+	// The stream-age axis: identical churn (the benchmark's hires stream —
+	// maze at ε 0.15, window 50 000, stride 50), measured after the index has
+	// lived through 100 and through 1500 strides. A tree fed small
+	// time-ordered batches decays with age; the grid has nothing to decay.
+	const win, stride, measured = 50000, 50, 256
+	cfg := model.Config{Dims: 2, Eps: 0.15, MinPts: 4}
+	for _, age := range []int{100, 1500} {
+		ds, err := datasets.ByName("maze", win+stride*(age+measured), 21)
+		if err != nil {
+			b.Fatal(err)
+		}
+		steps, err := window.Steps(ds.Points, win, stride)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, kind := range kinds {
+			b.Run(fmt.Sprintf("hires/%s/streamAge=%d", kind, age), func(b *testing.B) {
+				aged := func() model.Engine {
+					eng, err := bench.NewEngine(kind, cfg, win, stride)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for _, st := range steps[:1+age] {
+						eng.Advance(st.In, st.Out)
+					}
+					return eng
+				}
+				eng := aged()
+				next := 1 + age
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if next == len(steps) {
+						b.StopTimer()
+						eng, next = aged(), 1+age
+						b.StartTimer()
+					}
+					eng.Advance(steps[next].In, steps[next].Out)
+					next++
+				}
 			})
 		}
 	}

@@ -10,7 +10,8 @@
 // neo-cores, cluster evolution (split, merge, shrink, expansion, emergence,
 // dissipation) is decided by checking density-connectedness only over the
 // minimal bonding cores of each changed component, and those checks run as
-// a Multi-Starter BFS against an R-tree probed with visit epochs.
+// a Multi-Starter BFS over an ε-grid index (the paper's R-tree substrate is
+// kept as WithRTreeIndex).
 //
 // # Quick start
 //
@@ -134,13 +135,15 @@ const (
 // the persisted strategy.
 func WithConnectivity(s ConnStrategy) DISCOption { return core.WithConnectivity(s) }
 
-// WithGridIndex swaps DISC's R-tree for a hash grid with the given cell
-// side (≤ 0 selects ε/2) — an index-choice ablation; epoch probing then
-// degrades to an external visited set.
-func WithGridIndex(side float64) DISCOption { return core.WithGridIndex(side) }
+// WithRTreeIndex runs DISC on the paper's substrate, an R-tree, instead of
+// the default ε-grid — for reproducing the paper's figures and as an
+// index-choice ablation; on long streams the tree's search cost grows with
+// stream age, the grid's does not. The index is a construction choice, not
+// checkpoint state: pass the option to LoadDISC to restore onto it.
+func WithRTreeIndex() DISCOption { return core.WithRTreeIndex() }
 
-// WithKDTreeIndex swaps DISC's R-tree for a bucket k-d tree — the third
-// index-choice ablation.
+// WithKDTreeIndex runs DISC on a bucket k-d tree — the third index-choice
+// ablation. Like WithRTreeIndex it is not persisted.
 func WithKDTreeIndex() DISCOption { return core.WithKDTreeIndex() }
 
 // Event describes one cluster-evolution occurrence reported by DISC.

@@ -75,6 +75,15 @@ func TestNewEngineKinds(t *testing.T) {
 		if eng.Name() == "" {
 			t.Errorf("%s: empty name", kind)
 		}
+		// The server's engine runs on the grid; the paper's substrate and
+		// its Fig. 8 ablation variants on the R-tree.
+		wantIndex := map[string]string{
+			"disc": "grid", "disc-par": "grid", "disc-dyncon": "grid", "disc-kd": "kdtree",
+			"disc-rtree": "rtree", "disc-nomsbfs": "rtree", "disc-noepoch": "rtree", "disc-plain": "rtree",
+		}[kind]
+		if got := indexOf(eng); got != wantIndex {
+			t.Errorf("%s: index %q, want %q", kind, got, wantIndex)
+		}
 	}
 	if _, err := NewEngine("bogus", dc.Cfg, 1000, 100); err == nil {
 		t.Error("bogus engine kind accepted")
@@ -182,6 +191,11 @@ func TestFig8Shape(t *testing.T) {
 	}
 	if len(rows) != 16 {
 		t.Fatalf("Fig8 rows = %d, want 16 (4 datasets x 4 variants)", len(rows))
+	}
+	for _, r := range rows {
+		if r.Index != "rtree" {
+			t.Fatalf("paper figure row ran on index %q, want the pinned R-tree: %+v", r.Index, r)
+		}
 	}
 	// "both" must not be slower than "neither" by more than noise.
 	byKey := map[string]float64{}
@@ -302,7 +316,7 @@ func TestQualityHelper(t *testing.T) {
 
 func TestWriteRowsCSV(t *testing.T) {
 	rows := []Row{
-		{Figure: "4", Dataset: "DTG", Param: "stride=5%", Engine: "DISC", Value: 2.5, Unit: "x"},
+		{Figure: "4", Dataset: "DTG", Param: "stride=5%", Engine: "DISC", Index: "rtree", Value: 2.5, Unit: "x"},
 		{Figure: "9", Dataset: "Maze", Param: "window=8000", Engine: "DBSTREAM", Value: 0.3, Unit: "ARI",
 			Extra: map[string]float64{"latency_us": 1.6}, DNF: false},
 		{Figure: "5", Dataset: "DTG", Param: "window=80000", Engine: "EXTRA-N", Value: 0, Unit: "x",
@@ -317,10 +331,10 @@ func TestWriteRowsCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := string(data)
-	if !strings.HasPrefix(out, "figure,dataset,param,engine,value,unit,dnf,note,latency_us\n") {
+	if !strings.HasPrefix(out, "figure,dataset,param,engine,value,unit,dnf,note,index,latency_us\n") {
 		t.Fatalf("bad header: %q", strings.SplitN(out, "\n", 2)[0])
 	}
-	if !strings.Contains(out, "9,Maze,window=8000,DBSTREAM,0.3,ARI,false,,1.6") {
+	if !strings.Contains(out, "9,Maze,window=8000,DBSTREAM,0.3,ARI,false,,,1.6") {
 		t.Fatalf("missing extra column row:\n%s", out)
 	}
 	if !strings.Contains(out, "memory cap exceeded") {
@@ -400,7 +414,7 @@ func TestStrideLogger(t *testing.T) {
 			t.Fatalf("line %d: %v", lines, err)
 		}
 		lines++
-		if rec.Figure != "ext1" || rec.Engine == "" {
+		if rec.Figure != "ext1" || rec.Engine == "" || rec.Index != "grid" {
 			t.Fatalf("line %d missing context: %+v", lines, rec)
 		}
 		if rec.Stride == 0 || rec.TotalMS <= 0 || rec.Window <= 0 {

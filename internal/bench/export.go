@@ -37,7 +37,7 @@ func WriteRowsCSV(path string, rows []Row) error {
 	}
 	sort.Strings(extras)
 
-	header := []string{"figure", "dataset", "param", "engine", "value", "unit", "dnf", "note"}
+	header := []string{"figure", "dataset", "param", "engine", "value", "unit", "dnf", "note", "index"}
 	header = append(header, extras...)
 	if err := w.Write(header); err != nil {
 		return err
@@ -46,7 +46,7 @@ func WriteRowsCSV(path string, rows []Row) error {
 		rec := []string{
 			r.Figure, r.Dataset, r.Param, r.Engine,
 			strconv.FormatFloat(r.Value, 'g', -1, 64),
-			r.Unit, strconv.FormatBool(r.DNF), r.Note,
+			r.Unit, strconv.FormatBool(r.DNF), r.Note, r.Index,
 		}
 		for _, k := range extras {
 			if v, ok := r.Extra[k]; ok {

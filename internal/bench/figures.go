@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"text/tabwriter"
 	"time"
 
@@ -65,16 +66,27 @@ func (o *Options) fill() {
 
 // Row is one data point of a regenerated figure.
 type Row struct {
-	Figure  string             `json:"figure"`
-	Dataset string             `json:"dataset"`
-	Param   string             `json:"param"` // x-axis value ("stride=5%", "window=2x", "eps=0.004", ...)
-	Engine  string             `json:"engine"`
-	Value   float64            `json:"value"` // primary metric (speedup, ms, searches, ARI, µs/point)
-	Unit    string             `json:"unit"`
-	Extra   map[string]float64 `json:"extra,omitempty"`
-	DNF     bool               `json:"dnf,omitempty"`
-	Note    string             `json:"note,omitempty"`
+	Figure  string `json:"figure"`
+	Dataset string `json:"dataset"`
+	Param   string `json:"param"` // x-axis value ("stride=5%", "window=2x", "eps=0.004", ...)
+	Engine  string `json:"engine"`
+	// Index names the spatial index a DISC row ran on ("grid", "rtree",
+	// "kdtree"). Elapsed times and node-access counts taken under different
+	// indexes are different quantities; rows without the field predate it
+	// and ran on the R-tree.
+	Index string             `json:"index,omitempty"`
+	Value float64            `json:"value"` // primary metric (speedup, ms, searches, ARI, µs/point)
+	Unit  string             `json:"unit"`
+	Extra map[string]float64 `json:"extra,omitempty"`
+	DNF   bool               `json:"dnf,omitempty"`
+	Note  string             `json:"note,omitempty"`
 }
+
+// paperDISC is the engine kind the paper-reproduction figures (Figs. 4-12)
+// run DISC as: the paper's R-tree substrate, so the regenerated curves —
+// node accesses included — stay comparable with the paper's and with
+// figures_output.txt. The ext figures run the default kind, "disc".
+const paperDISC = "disc-rtree"
 
 func (o Options) config(name string) (DataConfig, error) {
 	dc, err := Defaults(name)
@@ -172,7 +184,7 @@ func Table2(o Options) error {
 func Fig4(o Options) ([]Row, error) {
 	o.fill()
 	ratios := []float64{0.001, 0.01, 0.05, 0.10, 0.25}
-	engines := []string{"disc", "incdbscan", "extran"}
+	engines := []string{paperDISC, "incdbscan", "extran"}
 	var rows []Row
 	for _, name := range EvalDatasets() {
 		dc, err := o.config(name)
@@ -202,7 +214,7 @@ func Fig4(o Options) ([]Row, error) {
 				speedup := speedupOf(base, res)
 				rows = append(rows, Row{
 					Figure: "4", Dataset: dc.Label,
-					Param: fmt.Sprintf("stride=%.1f%%", ratio*100), Engine: res.Engine,
+					Param: fmt.Sprintf("stride=%.1f%%", ratio*100), Engine: res.Engine, Index: res.Index,
 					Value: speedup, Unit: "x", DNF: res.DNF, Note: res.DNFReason,
 				})
 				if res.DNF {
@@ -224,7 +236,7 @@ func Fig4(o Options) ([]Row, error) {
 func Fig5(o Options) ([]Row, error) {
 	o.fill()
 	factors := []float64{0.5, 1, 2, 4}
-	engines := []string{"disc", "incdbscan", "extran"}
+	engines := []string{paperDISC, "incdbscan", "extran"}
 	var rows []Row
 	for _, name := range EvalDatasets() {
 		base0, err := o.config(name)
@@ -254,7 +266,7 @@ func Fig5(o Options) ([]Row, error) {
 				speedup := speedupOf(base, res)
 				rows = append(rows, Row{
 					Figure: "5", Dataset: dc.Label,
-					Param: fmt.Sprintf("window=%d", dc.Window), Engine: res.Engine,
+					Param: fmt.Sprintf("window=%d", dc.Window), Engine: res.Engine, Index: res.Index,
 					Value: speedup, Unit: "x", DNF: res.DNF, Note: res.DNFReason,
 				})
 				if res.DNF {
@@ -278,7 +290,7 @@ func Fig6(o Options) ([]Row, error) {
 	if err != nil {
 		return nil, err
 	}
-	engines := []string{"disc", "incdbscan", "extran"}
+	engines := []string{paperDISC, "incdbscan", "extran"}
 	var rows []Row
 
 	run := func(sub, param string, cfg model.Config) error {
@@ -296,7 +308,7 @@ func Fig6(o Options) ([]Row, error) {
 				return err
 			}
 			rows = append(rows, Row{
-				Figure: "6" + sub, Dataset: dc.Label, Param: param, Engine: res.Engine,
+				Figure: "6" + sub, Dataset: dc.Label, Param: param, Engine: res.Engine, Index: res.Index,
 				Value: msOf(res.PerStride), Unit: "ms", DNF: res.DNF, Note: res.DNFReason,
 			})
 			if res.DNF {
@@ -352,13 +364,13 @@ func Fig7(o Options) ([]Row, error) {
 			return nil, err
 		}
 		line := dc.Label
-		for _, kind := range []string{"dbscan", "incdbscan", "disc"} {
+		for _, kind := range []string{"dbscan", "incdbscan", paperDISC} {
 			res, err := o.runKind(kind, dc.Cfg, dc.Window, stride, steps, RunOpts{})
 			if err != nil {
 				return nil, err
 			}
 			rows = append(rows, Row{
-				Figure: "7a", Dataset: dc.Label, Param: "stride=5%", Engine: res.Engine,
+				Figure: "7a", Dataset: dc.Label, Param: "stride=5%", Engine: res.Engine, Index: res.Index,
 				Value: res.Searches, Unit: "searches/stride",
 			})
 			line += fmt.Sprintf("\t%.0f", res.Searches)
@@ -385,7 +397,7 @@ func Fig7(o Options) ([]Row, error) {
 			return nil, err
 		}
 		line := fmt.Sprintf("%.0f%%", ratio*100)
-		for _, kind := range []string{"incdbscan", "disc"} {
+		for _, kind := range []string{"incdbscan", paperDISC} {
 			res, err := o.runKind(kind, dc.Cfg, dc.Window, stride, steps, RunOpts{})
 			if err != nil {
 				return nil, err
@@ -393,7 +405,7 @@ func Fig7(o Options) ([]Row, error) {
 			rel := res.Searches / base.Searches
 			rows = append(rows, Row{
 				Figure: "7b", Dataset: dc.Label,
-				Param: fmt.Sprintf("stride=%.0f%%", ratio*100), Engine: res.Engine,
+				Param: fmt.Sprintf("stride=%.0f%%", ratio*100), Engine: res.Engine, Index: res.Index,
 				Value: rel, Unit: "rel. to DBSCAN",
 			})
 			line += fmt.Sprintf("\t%.3f", rel)
@@ -411,7 +423,7 @@ func Fig8(o Options) ([]Row, error) {
 		{"disc-plain", "neither"},
 		{"disc-nomsbfs", "epoch only"},
 		{"disc-noepoch", "MS-BFS only"},
-		{"disc", "both"},
+		{paperDISC, "both"},
 	}
 	var rows []Row
 	fmt.Fprintln(o.Out, "\n[Fig 8] DISC optimizations: elapsed ms per stride (stride=5%)")
@@ -434,7 +446,7 @@ func Fig8(o Options) ([]Row, error) {
 				return nil, err
 			}
 			rows = append(rows, Row{
-				Figure: "8", Dataset: dc.Label, Param: v.label, Engine: "DISC",
+				Figure: "8", Dataset: dc.Label, Param: v.label, Engine: "DISC", Index: res.Index,
 				Value: msOf(res.PerStride), Unit: "ms",
 			})
 			line += fmt.Sprintf("\t%.1f", msOf(res.PerStride))
@@ -445,15 +457,10 @@ func Fig8(o Options) ([]Row, error) {
 }
 
 // qualityEngines is the engine line-up of the quality/latency comparison
-// (Figs. 9 and 10) — exactly the methods the paper compares.
-func qualityEngines() []string {
-	return []string{"disc", "rho2-0.1", "rho2-0.001", "dbstream", "edmstream"}
-}
-
-// extendedQualityEngines adds the two summarization baselines this
-// repository implements beyond the paper's line-up.
-func extendedQualityEngines() []string {
-	return append(qualityEngines(), "denstream", "dstream")
+// (Figs. 9 and 10) — exactly the methods the paper compares, DISC running as
+// the given kind — followed by any extra baselines.
+func qualityEngines(disc string, extra ...string) []string {
+	return append([]string{disc, "rho2-0.1", "rho2-0.001", "dbstream", "edmstream"}, extra...)
 }
 
 // FigExt1 is an extension experiment (not in the paper): the Fig. 9 Maze
@@ -461,7 +468,9 @@ func extendedQualityEngines() []string {
 // DenStream (Cao et al. 2006) and D-Stream (Chen & Tu 2007).
 func FigExt1(o Options) ([]Row, error) {
 	o.fill()
-	return o.qualityFigureWith("ext1", "maze", []float64{0.5, 1, 2, 4}, extendedQualityEngines())
+	// The default engine kind, plus the two summarization baselines this
+	// repository implements beyond the paper's line-up.
+	return o.qualityFigureWith("ext1", "maze", []float64{0.5, 1, 2, 4}, qualityEngines("disc", "denstream", "dstream"))
 }
 
 // newQualityEngine constructs engines for the quality figures. Following the
@@ -504,7 +513,7 @@ func Fig10(o Options) ([]Row, error) {
 // qualityFigure runs the paper's quality/latency comparison on one dataset
 // over a sweep of window factors.
 func (o Options) qualityFigure(fig, dataset string, factors []float64) ([]Row, error) {
-	return o.qualityFigureWith(fig, dataset, factors, qualityEngines())
+	return o.qualityFigureWith(fig, dataset, factors, qualityEngines(paperDISC))
 }
 
 // qualityFigureWith runs the quality/latency comparison with an explicit
@@ -557,7 +566,7 @@ func (o Options) qualityFigureWith(fig, dataset string, factors []float64, engin
 			ari, _ := Quality(qeng, steps, sampleEvery, truthOf)
 			rows = append(rows, Row{
 				Figure: fig, Dataset: dc.Label,
-				Param: fmt.Sprintf("window=%d", dc.Window), Engine: res.Engine,
+				Param: fmt.Sprintf("window=%d", dc.Window), Engine: res.Engine, Index: res.Index,
 				Value: ari, Unit: "ARI",
 				Extra: map[string]float64{"latency_us": usOf(res.PerPoint)},
 				DNF:   res.DNF, Note: res.DNFReason,
@@ -606,7 +615,7 @@ func FigExt2(o Options) ([]Row, error) {
 		line := dc.Label
 		for _, ph := range phases {
 			rows = append(rows, Row{
-				Figure: "ext2", Dataset: dc.Label, Param: ph.name, Engine: "DISC",
+				Figure: "ext2", Dataset: dc.Label, Param: ph.name, Engine: "DISC", Index: res.Index,
 				Value: ph.ms, Unit: "ms",
 			})
 			line += fmt.Sprintf("\t%.1f", ph.ms)
@@ -663,7 +672,7 @@ func FigExt3(o Options) ([]Row, error) {
 		al := eng.PhaseAllocs()
 		rows = append(rows, Row{
 			Figure: "ext3", Dataset: dc.Label,
-			Param: fmt.Sprintf("workers=%d", w), Engine: "DISC",
+			Param: fmt.Sprintf("workers=%d", w), Engine: "DISC", Index: res.Index,
 			Value: collectMS, Unit: "ms",
 			Extra: map[string]float64{
 				"speedup":           speedup,
@@ -767,7 +776,7 @@ func FigExt4(o Options) ([]Row, error) {
 		al := eng.PhaseAllocs()
 		rows = append(rows, Row{
 			Figure: "ext4", Dataset: dc.Label,
-			Param: fmt.Sprintf("workers=%d", w), Engine: "DISC",
+			Param: fmt.Sprintf("workers=%d", w), Engine: "DISC", Index: res.Index,
 			Value: clusterMS, Unit: "ms",
 			Extra: map[string]float64{
 				"speedup":            speedup,
@@ -866,7 +875,7 @@ func FigExt5(o Options) ([]Row, error) {
 		forestMS := msOf(acc.forestDur) / n
 		rows = append(rows, Row{
 			Figure: "ext5", Dataset: dc.Label,
-			Param: "strategy=" + v.strategy.String(), Engine: "DISC",
+			Param: "strategy=" + v.strategy.String(), Engine: "DISC", Index: res.Index,
 			Value: connMS, Unit: "ms",
 			Extra: map[string]float64{
 				"stride_ms":        msOf(res.PerStride),
@@ -898,7 +907,7 @@ func Fig11(o Options) ([]Row, error) {
 		{"maze", []float64{0.2, 0.4, 0.8, 1.6, 3.2}},
 		{"dtg", []float64{0.002, 0.008, 0.032, 0.128, 0.512}},
 	}
-	engines := []string{"disc", "rho2-0.001"}
+	engines := []string{paperDISC, "rho2-0.001"}
 	var rows []Row
 	for _, sw := range sweeps {
 		dc, err := o.config(sw.dataset)
@@ -924,12 +933,12 @@ func Fig11(o Options) ([]Row, error) {
 					return nil, err
 				}
 				res := Run(eng, steps, RunOpts{Timeout: o.Timeout})
-				if kind == "disc" {
+				if kind == paperDISC {
 					clusters = countClusters(eng.Snapshot())
 				}
 				rows = append(rows, Row{
 					Figure: "11", Dataset: dcv.Label,
-					Param: fmt.Sprintf("eps=%g", eps), Engine: res.Engine,
+					Param: fmt.Sprintf("eps=%g", eps), Engine: res.Engine, Index: res.Index,
 					Value: usOf(res.PerPoint), Unit: "us/point",
 					Extra: map[string]float64{"clusters": float64(clusters)},
 					DNF:   res.DNF, Note: res.DNFReason,
@@ -955,7 +964,7 @@ func Fig12(o Options) ([]Row, error) {
 	if err := os.MkdirAll(o.OutDir, 0o755); err != nil {
 		return nil, err
 	}
-	engines := []string{"disc", "edmstream", "dbstream"}
+	engines := []string{paperDISC, "edmstream", "dbstream"}
 	var rows []Row
 	for _, dataset := range []string{"maze", "dtg"} {
 		dc, err := o.config(dataset)
@@ -977,13 +986,13 @@ func Fig12(o Options) ([]Row, error) {
 			}
 			snap := eng.Snapshot()
 			final := steps[len(steps)-1].Window
-			path := filepath.Join(o.OutDir, fmt.Sprintf("fig12_%s_%s.csv", dataset, kind))
+			path := filepath.Join(o.OutDir, fmt.Sprintf("fig12_%s_%s.csv", dataset, strings.ToLower(eng.Name())))
 			if err := dumpCSV(path, final, snap); err != nil {
 				return nil, err
 			}
 			n := countClusters(snap)
 			rows = append(rows, Row{
-				Figure: "12", Dataset: dc.Label, Param: "final window", Engine: eng.Name(),
+				Figure: "12", Dataset: dc.Label, Param: "final window", Engine: eng.Name(), Index: indexOf(eng),
 				Value: float64(n), Unit: "clusters", Note: path,
 			})
 			fmt.Fprintf(o.Out, "\n[Fig 12] %s / %s: %d clusters -> %s\n", dc.Label, eng.Name(), n, path)

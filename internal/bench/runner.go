@@ -19,10 +19,13 @@ import (
 	"disc/internal/window"
 )
 
-// EngineKinds lists the engine identifiers accepted by NewEngine.
+// EngineKinds lists the engine identifiers accepted by NewEngine. "disc" is
+// the engine as the server runs it (ε-grid index); "disc-rtree" is the
+// paper's substrate, which the paper-figure drivers (Figs. 4-12) pin, and
+// the Fig. 8 ablation kinds (-nomsbfs, -noepoch, -plain) are variants of it.
 func EngineKinds() []string {
 	return []string{
-		"disc", "disc-nomsbfs", "disc-noepoch", "disc-plain", "disc-grid", "disc-kd", "disc-par", "disc-dyncon",
+		"disc", "disc-rtree", "disc-nomsbfs", "disc-noepoch", "disc-plain", "disc-kd", "disc-par", "disc-dyncon",
 		"dbscan", "incdbscan", "extran",
 		"dbstream", "edmstream", "denstream", "dstream", "rho2-0.1", "rho2-0.001",
 	}
@@ -34,14 +37,14 @@ func NewEngine(kind string, cfg model.Config, win, stride int) (model.Engine, er
 	switch kind {
 	case "disc":
 		return core.New(cfg), nil
+	case "disc-rtree":
+		return core.New(cfg, core.WithRTreeIndex()), nil
 	case "disc-nomsbfs":
-		return core.New(cfg, core.WithMSBFS(false)), nil
+		return core.New(cfg, core.WithRTreeIndex(), core.WithMSBFS(false)), nil
 	case "disc-noepoch":
-		return core.New(cfg, core.WithEpochProbing(false)), nil
+		return core.New(cfg, core.WithRTreeIndex(), core.WithEpochProbing(false)), nil
 	case "disc-plain":
-		return core.New(cfg, core.WithMSBFS(false), core.WithEpochProbing(false)), nil
-	case "disc-grid":
-		return core.New(cfg, core.WithGridIndex(0)), nil
+		return core.New(cfg, core.WithRTreeIndex(), core.WithMSBFS(false), core.WithEpochProbing(false)), nil
 	case "disc-kd":
 		return core.New(cfg, core.WithKDTreeIndex()), nil
 	case "disc-par":
@@ -102,6 +105,21 @@ type observable interface {
 	SetObserver(core.Observer)
 }
 
+// indexed is implemented by engines that run on a selectable spatial index
+// (currently the DISC core engine).
+type indexed interface {
+	IndexName() string
+}
+
+// indexOf names the spatial index behind eng, "" for engines without a
+// selectable one.
+func indexOf(eng model.Engine) string {
+	if ix, ok := eng.(indexed); ok {
+		return ix.IndexName()
+	}
+	return ""
+}
+
 // traceable is implemented by engines that can record per-stride span
 // trees (currently the DISC core engine).
 type traceable interface {
@@ -111,6 +129,7 @@ type traceable interface {
 // RunResult summarizes one engine over one windowed workload.
 type RunResult struct {
 	Engine      string
+	Index       string        // spatial index of a DISC engine ("grid", "rtree", "kdtree"); "" otherwise
 	Strides     int           // measured strides (bootstrap excluded)
 	PerStride   time.Duration // mean Advance time per measured stride
 	PerPoint    time.Duration // mean Advance time per arriving point
@@ -125,7 +144,7 @@ type RunResult struct {
 // fill. It returns aggregate results; on DNF the partial averages of the
 // completed strides are retained.
 func Run(eng model.Engine, steps []window.Step, opts RunOpts) RunResult {
-	res := RunResult{Engine: eng.Name()}
+	res := RunResult{Engine: eng.Name(), Index: indexOf(eng)}
 	if len(steps) == 0 {
 		return res
 	}

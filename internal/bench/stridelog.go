@@ -52,9 +52,13 @@ type StrideLogRecord struct {
 	TotalMS    float64 `json:"total_ms"`
 
 	RangeSearches int64 `json:"range_searches"`
-	NodeAccesses  int64 `json:"node_accesses"`
-	EpochPruned   int64 `json:"epoch_pruned"`
 	MSBFSMerges   int64 `json:"msbfs_merges"`
+
+	// NodeAccesses counts non-empty cells probed when Index is "grid" and
+	// tree nodes visited otherwise, so the two are stamped side by side;
+	// logs written before the field existed ran on the R-tree.
+	NodeAccesses int64  `json:"node_accesses"`
+	Index        string `json:"index"`
 
 	Emergences   int `json:"emergences,omitempty"`
 	Expansions   int `json:"expansions,omitempty"`
@@ -141,8 +145,8 @@ func (l *StrideLogger) ObserveStride(rec core.StrideRecord) {
 		CollectMS: ms(rec.Collect), ExCoresMS: ms(rec.ExCorePhase),
 		NeoCoresMS: ms(rec.NeoCorePhase), FinalizeMS: ms(rec.Finalize),
 		TotalMS:       ms(rec.Total),
-		RangeSearches: rec.RangeSearches, NodeAccesses: rec.NodeAccesses,
-		EpochPruned: rec.EpochPruned, MSBFSMerges: rec.MSBFSMerges,
+		RangeSearches: rec.RangeSearches, MSBFSMerges: rec.MSBFSMerges,
+		NodeAccesses: rec.NodeAccesses, Index: rec.Index,
 		Emergences: rec.Emergences, Expansions: rec.Expansions,
 		Mergers: rec.Mergers, Splits: rec.Splits,
 		Shrinks: rec.Shrinks, Dissipations: rec.Dissipations,

@@ -79,10 +79,10 @@ func (e *Engine) applyHintOps(ops []hintOp) {
 		q := e.pts[op.target]
 		if op.clear {
 			if q.hint == op.arg {
-				q.hint = noHint
+				q.hasHint = false
 			}
 		} else {
-			q.hint = op.arg
+			q.hint, q.hasHint = op.arg, true
 		}
 	}
 }
@@ -550,7 +550,7 @@ func (e *Engine) clusterNeoCores(neoCores []int64) {
 			for _, qid := range cp.touched {
 				q := e.pts[qid]
 				q.coreDeg++
-				q.hint = nid
+				q.hint, q.hasHint = nid, true
 				e.markAffected(qid, q)
 			}
 			for _, bid := range cp.bondIDs {

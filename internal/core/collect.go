@@ -50,7 +50,7 @@ import (
 type collectDelta struct {
 	selfN   int32   // arrivals: surviving neighbors found (adds to own nε)
 	coreDeg int32   // arrivals: surviving cores among them
-	hint    int64   // arrivals: first surviving core in traversal order
+	hint    int64   // arrivals: first surviving core in traversal order; valid iff coreDeg > 0
 	touched []int64 // surviving neighbors whose nε this point changes
 	pairs   []int64 // arrivals: co-arriving neighbors with a larger id
 	nodes   int64   // index nodes the search traversed
@@ -64,7 +64,7 @@ func resetDeltas(buf []collectDelta, n int) []collectDelta {
 	}
 	buf = buf[:n]
 	for i := range buf {
-		buf[i].selfN, buf[i].coreDeg, buf[i].hint = 0, 0, noHint
+		buf[i].selfN, buf[i].coreDeg = 0, 0
 		buf[i].touched = buf[i].touched[:0]
 		buf[i].pairs = buf[i].pairs[:0]
 		buf[i].nodes = 0
@@ -166,10 +166,10 @@ func (c *searchCtx) onArrival(qid int64, _ geom.Vec) bool {
 	// Initialize coreDeg against cores surviving from the previous
 	// window; transitions (ex-cores, neo-cores) correct it later.
 	if q.wasCore {
-		d.coreDeg++
-		if d.hint == noHint {
+		if d.coreDeg == 0 {
 			d.hint = qid
 		}
+		d.coreDeg++
 	}
 	return true
 }

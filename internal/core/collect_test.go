@@ -37,8 +37,8 @@ func TestParallelCollectBitIdentical(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"rtree", nil},
-		{"grid", []Option{WithGridIndex(0)}},
+		{"grid", nil},
+		{"rtree", []Option{WithRTreeIndex()}},
 		{"kdtree", []Option{WithKDTreeIndex()}},
 	}
 	for _, be := range backends {
@@ -151,8 +151,8 @@ func TestSearchBallROMatchesSearchBall(t *testing.T) {
 		name string
 		opts []Option
 	}{
-		{"rtree", nil},
-		{"grid", []Option{WithGridIndex(0)}},
+		{"grid", nil},
+		{"rtree", []Option{WithRTreeIndex()}},
 		{"kdtree", []Option{WithKDTreeIndex()}},
 	}
 	rng := rand.New(rand.NewSource(14))

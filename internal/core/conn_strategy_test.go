@@ -74,18 +74,8 @@ func compareEngines(t *testing.T, ref, dyn *Engine, refEvents, dynEvents []strin
 // TestConnectivityStrategyDatasets runs the MS-BFS-vs-dynamic differential
 // over every bundled dataset generator, serial and fanned out.
 func TestConnectivityStrategyDatasets(t *testing.T) {
-	configs := map[string]struct {
-		window int
-		cfg    model.Config
-	}{
-		"dtg":     {2000, model.Config{Dims: 2, Eps: 0.002, MinPts: 4}},
-		"geolife": {800, model.Config{Dims: 3, Eps: 0.01, MinPts: 7}},
-		"covid":   {1000, model.Config{Dims: 2, Eps: 1.2, MinPts: 5}},
-		"iris":    {1000, model.Config{Dims: 4, Eps: 2, MinPts: 9}},
-		"maze":    {1200, model.Config{Dims: 2, Eps: 0.6, MinPts: 4}},
-	}
 	for _, name := range datasets.Names() {
-		dc, ok := configs[name]
+		dc, ok := diffCorpus[name]
 		if !ok {
 			t.Fatalf("dataset %q has no differential config; add one", name)
 		}

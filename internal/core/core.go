@@ -39,7 +39,6 @@ import (
 	"disc/internal/dyncon"
 	"disc/internal/geom"
 	"disc/internal/model"
-	"disc/internal/rtree"
 	"disc/internal/trace"
 )
 
@@ -47,9 +46,6 @@ import (
 // (rewriting every stored cid to its union-find representative and resetting
 // the forest, so the id space does not grow without bound).
 const compactInterval = 1024
-
-// noHint marks an absent or invalidated border hint.
-const noHint = int64(-1)
 
 // Option configures optional behaviors of the engine. The two switches
 // correspond to the ablation study in Fig. 8 of the paper.
@@ -92,9 +88,10 @@ type pstate struct {
 	n       int32       // nε: neighbors within ε, the point itself included
 	coreDeg int32       // current core points within ε, itself excluded
 	cid     int         // raw cluster id for cores; resolve through Engine.cids
-	hint    int64       // id of one core ε-neighbor justifying Border status
+	hint    int64       // id of one core ε-neighbor justifying Border status; valid iff hasHint
 	label   model.Label // finalized label as of the last completed stride
 	wasCore bool        // was a core at the end of the previous stride
+	hasHint bool        // hint names a point; every int64 is a legal id, so no id can stand for "none"
 
 	// Stride-scoped stamps; a field equals the current stride number when
 	// the mark is set, so no per-stride clearing pass is needed.
@@ -110,15 +107,13 @@ type pstate struct {
 // Engine is the DISC clustering engine. It implements model.Engine. The
 // zero value is unusable; construct with New. Not safe for concurrent use.
 type Engine struct {
-	cfg       model.Config
-	tree      spatialIndex
-	indexKind indexKind
-	gridSide  float64
-	pts       map[int64]*pstate
-	cids      *dsu.Int
-	nextCID   int
-	stride    uint64 // current stride number; stamps compare against it
-	bondTick  uint64 // per-component counter for M⁻ deduplication
+	cfg      model.Config
+	tree     spatialIndex
+	pts      map[int64]*pstate
+	cids     *dsu.Int
+	nextCID  int
+	stride   uint64 // current stride number; stamps compare against it
+	bondTick uint64 // per-component counter for M⁻ deduplication
 
 	useMSBFS bool
 	useEpoch bool
@@ -250,7 +245,7 @@ func New(cfg model.Config, opts ...Option) *Engine {
 	}
 	e := &Engine{
 		cfg:      cfg,
-		tree:     rtree.New(cfg.Dims),
+		tree:     newEpsGrid(cfg.Dims, cfg.Eps),
 		pts:      make(map[int64]*pstate),
 		cids:     dsu.NewInt(),
 		nextCID:  1,
@@ -350,7 +345,7 @@ func (e *Engine) advance(in, out []model.Point) {
 		e.syncForest(exCores, neoCores)
 	}
 	e.clusterExCores(exCores)
-	// Algorithm 2 line 8: ex-cores that exited the window stay in the R-tree
+	// Algorithm 2 line 8: ex-cores that exited the window stay in the index
 	// through the ex-core phase (retro-reachability needs them) and are
 	// removed before neo-cores are processed.
 	for _, id := range cout {
@@ -395,9 +390,7 @@ func (e *Engine) advance(in, out []model.Point) {
 
 	if e.observer != nil {
 		e.observeStride(in, out, len(exCores), len(neoCores),
-			t0, t1, t2, t3, t4, statsBefore,
-			treeAfter.EpochPruned-treeBefore.EpochPruned,
-			e.poolGrows()-poolBefore)
+			t0, t1, t2, t3, t4, statsBefore, e.poolGrows()-poolBefore)
 	}
 
 	if e.stride%compactInterval == 0 {
@@ -418,7 +411,7 @@ func (e *Engine) markAffected(id int64, st *pstate) {
 // ε-range search per point of Δout ∪ Δin — fanned over e.workers goroutines
 // into private delta buffers — and finally a deterministic single-threaded
 // merge. It returns the ex-cores, neo-cores, and the exited ex-cores C_out
-// (still resident in the R-tree).
+// (still resident in the index).
 func (e *Engine) collect(in, out []model.Point) (exCores, neoCores, cout []int64) {
 	cout = e.coutBuf[:0]
 	// Phase 1 — structural mutations, applied up front so every phase-2
@@ -429,7 +422,7 @@ func (e *Engine) collect(in, out []model.Point) (exCores, neoCores, cout []int64
 			panic(fmt.Sprintf("disc: point %d left the window but was never inserted", p.ID))
 		}
 		if st.label == model.Core {
-			cout = append(cout, p.ID) // keep in the R-tree until CLUSTER ends
+			cout = append(cout, p.ID) // keep in the index until CLUSTER ends
 		} else {
 			e.tree.Delete(p.ID, st.pos)
 		}
@@ -443,7 +436,7 @@ func (e *Engine) collect(in, out []model.Point) (exCores, neoCores, cout []int64
 			panic(fmt.Sprintf("disc: duplicate point id %d entered the window", p.ID))
 		}
 		st := e.newPstate()
-		*st = pstate{pos: p.Pos, n: 1, hint: noHint, label: model.Unclassified, enterStamp: e.stride}
+		*st = pstate{pos: p.Pos, n: 1, label: model.Unclassified, enterStamp: e.stride}
 		e.pts[p.ID] = st
 		e.bulkIDs = append(e.bulkIDs, p.ID)
 		e.bulkPos = append(e.bulkPos, p.Pos)
@@ -470,7 +463,7 @@ func (e *Engine) collect(in, out []model.Point) (exCores, neoCores, cout []int64
 		d := &e.inDeltas[i]
 		st.n += d.selfN
 		st.coreDeg = d.coreDeg
-		st.hint = d.hint
+		st.hint, st.hasHint = d.hint, d.coreDeg > 0
 		for _, qid := range d.touched {
 			q := e.pts[qid]
 			q.n++
@@ -571,18 +564,18 @@ func (e *Engine) finalize() {
 		if st.coreDeg > 0 {
 			st.label = model.Border
 			if !e.hintValid(st) {
-				st.hint = e.findHint(id, st)
+				st.hint, st.hasHint = e.findHint(id, st), true
 			}
 		} else {
 			st.label = model.Noise
-			st.hint = noHint
+			st.hasHint = false
 		}
 	}
 }
 
 // hintValid reports whether st's stored hint still names a live core.
 func (e *Engine) hintValid(st *pstate) bool {
-	if st.hint == noHint {
+	if !st.hasHint {
 		return false
 	}
 	h, ok := e.pts[st.hint]
@@ -592,11 +585,10 @@ func (e *Engine) hintValid(st *pstate) bool {
 // findHint locates one core ε-neighbor of the border point id, terminating
 // the range search as soon as one is found. finalize runs single-threaded,
 // so one engine-level parameter slot (hintSelf/hintFound) serves the
-// bound-once callback.
+// bound-once callback; the search stops early exactly when it finds one.
 func (e *Engine) findHint(id int64, st *pstate) int64 {
-	e.hintSelf, e.hintFound = id, noHint
-	e.tree.SearchBall(st.pos, e.cfg.Eps, e.hintFn)
-	if e.hintFound == noHint {
+	e.hintSelf = id
+	if e.tree.SearchBall(st.pos, e.cfg.Eps, e.hintFn) {
 		panic(fmt.Sprintf("disc: point %d has coreDeg=%d but no core ε-neighbor", id, st.coreDeg))
 	}
 	return e.hintFound
@@ -682,10 +674,10 @@ func (e *Engine) assignmentOf(id int64, st *pstate) model.Assignment {
 // query degrades gracefully instead of crashing the serving process. A nil
 // pstate means there is none and the point reads as noise.
 func (e *Engine) borderAnchor(id int64, st *pstate) (int64, *pstate) {
-	if h, ok := e.pts[st.hint]; ok && e.isCoreNow(h) {
+	if h, ok := e.pts[st.hint]; st.hasHint && ok && e.isCoreNow(h) {
 		return st.hint, h
 	}
-	hid, anchor := noHint, (*pstate)(nil)
+	hid, anchor := int64(0), (*pstate)(nil)
 	e.tree.SearchBallRO(st.pos, e.cfg.Eps, func(qid int64, _ geom.Vec) bool {
 		if qid == id {
 			return true

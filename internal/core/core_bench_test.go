@@ -47,7 +47,7 @@ func benchAdvance(b *testing.B, opts ...Option) {
 func BenchmarkAdvance(b *testing.B)        { benchAdvance(b) }
 func BenchmarkAdvanceNoMSBFS(b *testing.B) { benchAdvance(b, WithMSBFS(false)) }
 func BenchmarkAdvanceNoEpoch(b *testing.B) { benchAdvance(b, WithEpochProbing(false)) }
-func BenchmarkAdvanceGridIdx(b *testing.B) { benchAdvance(b, WithGridIndex(0)) }
+func BenchmarkAdvanceRTree(b *testing.B)   { benchAdvance(b, WithRTreeIndex()) }
 
 // BenchmarkAdvanceWorkers measures the parallel COLLECT across worker counts
 // on a large-stride (25%) workload where COLLECT dominates; speedups are

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"disc/internal/dbscan"
@@ -473,4 +475,48 @@ func TestSlidingEquivalence1D(t *testing.T) {
 	}
 	cfg := model.Config{Dims: 1, Eps: 1.5, MinPts: 4}
 	verifyAgainstDBSCAN(t, data, cfg, 200, 25)
+}
+
+// TestEveryInt64IsAPointID is the regression test for the id the engine
+// used to reserve: "no hint" was spelled as id -1, so a border whose only
+// core neighbour was a point -1 looked unhinted, and the repair search that
+// then found -1 again panicked with "no core ε-neighbor" (a 409 mid-stride
+// on the server). Point -1 is core, then border, then core again, with a
+// checkpoint taken while border 20 hints at it.
+func TestEveryInt64IsAPointID(t *testing.T) {
+	cfg := cfg2(1, 3)
+	at := func(id int64, x, y float64) model.Point { return model.Point{ID: id, Pos: geom.NewVec(x, y)} }
+	// -1, 10 and 11 are mutual neighbours (cores); 20 is within ε of -1 only.
+	var win []model.Point
+	eng := New(cfg)
+	step := func(in, out []model.Point) {
+		t.Helper()
+		eng.Advance(in, out)
+		for _, p := range out {
+			win = slices.DeleteFunc(win, func(q model.Point) bool { return q.ID == p.ID })
+		}
+		win = append(win, in...)
+		if err := metrics.SameClustering(eng.Snapshot(), dbscan.Run(win, cfg), win, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	step([]model.Point{at(-1, 0, 0), at(10, 0.5, 0), at(11, -0.5, 0), at(20, 0, 0.9)}, nil)
+	if st := eng.pts[20]; st.label != model.Border || !st.hasHint || st.hint != -1 {
+		t.Fatalf("point 20: label %v, hint %d (set: %v); want a border hinting at -1", st.label, st.hint, st.hasHint)
+	}
+	var buf bytes.Buffer
+	if err := eng.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var err error
+	if eng, err = LoadEngine(&buf); err != nil {
+		t.Fatalf("restoring a border that hints at point -1: %v", err)
+	}
+	step(nil, []model.Point{at(11, -0.5, 0)})                            // 11 leaves: -1 and 10 fall to noise, 20 with them
+	step([]model.Point{at(12, -0.4, 0.1)}, nil)                          // -1 is a core again, 20 its border
+	step([]model.Point{at(-2, 0.2, 0.8)}, []model.Point{at(10, 0.5, 0)}) // 10 leaves; 20 gains a neighbour
+	step([]model.Point{at(13, 0.1, 0.1), at(14, 5, 5)}, nil)
 }

@@ -75,16 +75,6 @@ func checkMirror(t *testing.T, m *deltaMirror, eng *Engine, step int) {
 // TestDeltaReproducesSnapshot: a consumer that only ever sees Delta() can
 // reproduce Snapshot() after every stride, on every dataset and strategy.
 func TestDeltaReproducesSnapshot(t *testing.T) {
-	configs := map[string]struct {
-		window int
-		cfg    model.Config
-	}{
-		"dtg":     {2000, model.Config{Dims: 2, Eps: 0.002, MinPts: 4}},
-		"geolife": {800, model.Config{Dims: 3, Eps: 0.01, MinPts: 7}},
-		"covid":   {1000, model.Config{Dims: 2, Eps: 1.2, MinPts: 5}},
-		"iris":    {1000, model.Config{Dims: 4, Eps: 2, MinPts: 9}},
-		"maze":    {1200, model.Config{Dims: 2, Eps: 0.6, MinPts: 4}},
-	}
 	unions := 0
 	defer func() {
 		if unions == 0 && !t.Failed() {
@@ -92,7 +82,7 @@ func TestDeltaReproducesSnapshot(t *testing.T) {
 		}
 	}()
 	for _, name := range datasets.Names() {
-		dc := configs[name]
+		dc := diffCorpus[name]
 		t.Run(name, func(t *testing.T) {
 			stride := dc.window / 20
 			ds, err := datasets.ByName(name, dc.window+stride*40, 42)

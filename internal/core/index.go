@@ -2,18 +2,18 @@ package core
 
 import (
 	"disc/internal/geom"
-	"disc/internal/grid"
 	"disc/internal/kdtree"
 	"disc/internal/rtree"
 )
 
-// spatialIndex abstracts the ε-search substrate DISC runs on. The paper's
-// DISC is R-tree based — epoch probing (Algorithm 4) is an R-tree
-// technique — but a hash grid is a natural alternative when ε is fixed and
-// the data extent is bounded; WithGridIndex exposes it as an ablation of
-// the index choice.
+// spatialIndex abstracts the ε-search substrate DISC runs on. New builds
+// the ε-grid (grid.go): ε is fixed per stream, so a grid answers a ball
+// search from a handful of cells at a cost that does not depend on how long
+// the stream has run. The paper's DISC is R-tree based; WithRTreeIndex keeps
+// that substrate for reproducing its figures, and WithKDTreeIndex is the
+// third point of the index-choice ablation. Which index an engine runs on is
+// a construction choice: it is not part of a checkpoint.
 type spatialIndex interface {
-	Insert(id int64, p geom.Vec)
 	Delete(id int64, p geom.Vec) bool
 	Len() int
 	SearchBall(c geom.Vec, eps float64, fn func(id int64, p geom.Vec) bool) bool
@@ -23,205 +23,68 @@ type spatialIndex interface {
 	// performed so callers can merge the work into their own counters —
 	// the parallel COLLECT fan-out depends on this method.
 	SearchBallRO(c geom.Vec, eps float64, fn func(id int64, p geom.Vec) bool) int64
-	// SearchBallEpoch visits points whose epoch is below tick; fn returning
-	// true stamps the point for the remainder of that tick's traversals.
-	SearchBallEpoch(c geom.Vec, eps float64, tick uint64, fn func(id int64, p geom.Vec) bool)
-	NextTick() uint64
-	Stats() rtree.Stats
+	Stats() indexStats
 	BulkLoad(ids []int64, pos []geom.Vec)
 	// BulkInsert adds a batch of points to the existing index contents. The
 	// result is observationally identical to inserting the batch point by
 	// point; backends may exploit the batch for better layout (the R-tree
 	// STR-packs it into full leaves grafted in one descent each).
 	BulkInsert(ids []int64, pos []geom.Vec)
+	// Name identifies the backend in telemetry ("grid", "rtree", "kdtree").
+	Name() string
 }
 
-// rtree.T implements spatialIndex directly.
-var _ spatialIndex = (*rtree.T)(nil)
-
-// gridIndex adapts the hash grid to the spatialIndex interface. The grid
-// has no in-index epochs; stamping is emulated with a per-tick visited set,
-// so the grid backend pays the map lookups the R-tree's epoch probing
-// avoids — which is exactly the trade-off worth measuring.
-type gridIndex struct {
-	g       *grid.Grid
-	tick    uint64
-	curTick uint64
-	stamped map[int64]bool
-	stats   rtree.Stats
+// indexStats counts the work SearchBall calls performed. What one access is
+// depends on the backend: a tree node visited, or a non-empty grid cell
+// probed.
+type indexStats struct {
+	RangeSearches int64
+	NodeAccesses  int64
 }
 
-func newGridIndex(dims int, side float64) *gridIndex {
-	return &gridIndex{g: grid.New(dims, side), stamped: make(map[int64]bool)}
+func (g *epsGrid) Name() string { return "grid" }
+
+// rtreeIndex adapts the R-tree to the spatialIndex interface.
+type rtreeIndex struct{ *rtree.T }
+
+func (ri rtreeIndex) Name() string { return "rtree" }
+
+func (ri rtreeIndex) Stats() indexStats {
+	st := ri.T.Stats()
+	return indexStats{RangeSearches: st.RangeSearches, NodeAccesses: st.NodeAccesses}
 }
 
-func (gi *gridIndex) Insert(id int64, p geom.Vec) { gi.g.Insert(id, p) }
-
-func (gi *gridIndex) Delete(id int64, p geom.Vec) bool { return gi.g.Delete(id, p) }
-
-func (gi *gridIndex) Len() int { return gi.g.Len() }
-
-func (gi *gridIndex) SearchBall(c geom.Vec, eps float64, fn func(int64, geom.Vec) bool) bool {
-	gi.stats.RangeSearches++
-	cells := 0
-	ok := true
-	gi.g.ForNeighborCells(c, eps, func(_ grid.Key, items []grid.Item) bool {
-		cells++
-		for _, it := range items {
-			if geom.WithinEps(it.Pos, c, gi.g.Dims(), eps) {
-				if !fn(it.ID, it.Pos) {
-					ok = false
-					return false
-				}
-			}
-		}
-		return true
-	})
-	gi.stats.NodeAccesses += int64(cells)
-	return ok
+// WithRTreeIndex runs the engine on the paper's substrate, a Guttman R-tree
+// with STR-packed batch inserts, instead of the ε-grid. It exists for the
+// paper-figure reproductions and as the differential reference; on long
+// streams the tree's search cost grows with stream age (EXPERIMENTS.md,
+// "Index-choice ablation").
+func WithRTreeIndex() Option {
+	return func(e *Engine) { e.tree = rtreeIndex{rtree.New(e.cfg.Dims)} }
 }
 
-func (gi *gridIndex) SearchBallRO(c geom.Vec, eps float64, fn func(int64, geom.Vec) bool) int64 {
-	cells := int64(0)
-	gi.g.ForNeighborCells(c, eps, func(_ grid.Key, items []grid.Item) bool {
-		cells++
-		for _, it := range items {
-			if geom.WithinEps(it.Pos, c, gi.g.Dims(), eps) {
-				if !fn(it.ID, it.Pos) {
-					return false
-				}
-			}
-		}
-		return true
-	})
-	return cells
+// kdIndex adapts the bucket k-d tree to the spatialIndex interface.
+type kdIndex struct{ *kdtree.T }
+
+func (ki kdIndex) Name() string { return "kdtree" }
+
+func (ki kdIndex) Stats() indexStats {
+	return indexStats{RangeSearches: ki.T.Searches(), NodeAccesses: ki.T.NodeAccesses()}
 }
 
-func (gi *gridIndex) SearchBallEpoch(c geom.Vec, eps float64, tick uint64, fn func(int64, geom.Vec) bool) {
-	if tick != gi.curTick {
-		gi.curTick = tick
-		gi.stamped = make(map[int64]bool)
-	}
-	gi.SearchBall(c, eps, func(id int64, p geom.Vec) bool {
-		if gi.stamped[id] {
-			gi.stats.EpochPruned++
-			return true
-		}
-		if fn(id, p) {
-			gi.stamped[id] = true
-		}
-		return true
-	})
-}
-
-func (gi *gridIndex) NextTick() uint64 {
-	gi.tick++
-	return gi.tick
-}
-
-func (gi *gridIndex) Stats() rtree.Stats { return gi.stats }
-
-func (gi *gridIndex) BulkLoad(ids []int64, pos []geom.Vec) {
-	gi.g = grid.New(gi.g.Dims(), gi.g.Side())
+func (ki kdIndex) BulkInsert(ids []int64, pos []geom.Vec) {
 	for i := range ids {
-		gi.g.Insert(ids[i], pos[i])
+		ki.T.Insert(ids[i], pos[i])
 	}
 }
 
-func (gi *gridIndex) BulkInsert(ids []int64, pos []geom.Vec) {
-	for i := range ids {
-		gi.g.Insert(ids[i], pos[i])
-	}
-}
-
-// WithGridIndex replaces the R-tree with a hash grid of the given cell side
-// (≤ 0 selects ε/2, a good default balancing cell occupancy against the
-// number of cells each ball search must touch). With a grid backend the
-// epoch optimization degrades to an external visited set.
-func WithGridIndex(side float64) Option {
-	return func(e *Engine) {
-		if side <= 0 {
-			side = e.cfg.Eps / 2
-		}
-		e.indexKind = indexGrid
-		e.gridSide = side
-		e.tree = newGridIndex(e.cfg.Dims, side)
-	}
-}
-
-// kdIndex adapts the bucket k-d tree to the spatialIndex interface, with
-// the same visited-set epoch emulation as the grid backend.
-type kdIndex struct {
-	t       *kdtree.T
-	tick    uint64
-	curTick uint64
-	stamped map[int64]bool
-	pruned  int64 // stamped-set skips, the emulated analog of EpochPruned
-}
-
-func newKDIndex(dims int) *kdIndex {
-	return &kdIndex{t: kdtree.New(dims), stamped: make(map[int64]bool)}
-}
-
-func (ki *kdIndex) Insert(id int64, p geom.Vec)      { ki.t.Insert(id, p) }
-func (ki *kdIndex) Delete(id int64, p geom.Vec) bool { return ki.t.Delete(id, p) }
-func (ki *kdIndex) Len() int                         { return ki.t.Len() }
-
-func (ki *kdIndex) SearchBall(c geom.Vec, eps float64, fn func(int64, geom.Vec) bool) bool {
-	return ki.t.SearchBall(c, eps, fn)
-}
-
-func (ki *kdIndex) SearchBallRO(c geom.Vec, eps float64, fn func(int64, geom.Vec) bool) int64 {
-	return ki.t.SearchBallRO(c, eps, fn)
-}
-
-func (ki *kdIndex) SearchBallEpoch(c geom.Vec, eps float64, tick uint64, fn func(int64, geom.Vec) bool) {
-	if tick != ki.curTick {
-		ki.curTick = tick
-		ki.stamped = make(map[int64]bool)
-	}
-	ki.t.SearchBall(c, eps, func(id int64, p geom.Vec) bool {
-		if ki.stamped[id] {
-			ki.pruned++
-			return true
-		}
-		if fn(id, p) {
-			ki.stamped[id] = true
-		}
-		return true
-	})
-}
-
-func (ki *kdIndex) NextTick() uint64 {
-	ki.tick++
-	return ki.tick
-}
-
-func (ki *kdIndex) Stats() rtree.Stats {
-	return rtree.Stats{RangeSearches: ki.t.Searches(), NodeAccesses: ki.t.NodeAccesses(), EpochPruned: ki.pruned}
-}
-
-func (ki *kdIndex) BulkLoad(ids []int64, pos []geom.Vec) { ki.t.BulkLoad(ids, pos) }
-
-func (ki *kdIndex) BulkInsert(ids []int64, pos []geom.Vec) {
-	for i := range ids {
-		ki.t.Insert(ids[i], pos[i])
-	}
-}
-
-// WithKDTreeIndex replaces the R-tree with a bucket k-d tree — the third
-// index-choice ablation. Epoch probing degrades to an external visited set.
+// WithKDTreeIndex runs the engine on a bucket k-d tree — the third
+// index-choice ablation.
 func WithKDTreeIndex() Option {
-	return func(e *Engine) {
-		e.indexKind = indexKDTree
-		e.tree = newKDIndex(e.cfg.Dims)
-	}
+	return func(e *Engine) { e.tree = kdIndex{kdtree.New(e.cfg.Dims)} }
 }
 
-type indexKind uint8
-
-const (
-	indexRTree indexKind = iota
-	indexGrid
-	indexKDTree
-)
+// IndexName names the spatial index the engine runs on: "grid" (the
+// default), "rtree" or "kdtree". Telemetry consumers stamp it next to node
+// access counts, whose unit depends on it.
+func (e *Engine) IndexName() string { return e.tree.Name() }

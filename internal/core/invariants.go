@@ -60,6 +60,9 @@ func (e *Engine) CheckInvariants() error {
 			if st.label != model.Border {
 				return fmt.Errorf("point %d: coreDeg=%d but labeled %v", id, coreDeg, st.label)
 			}
+			if !st.hasHint {
+				return fmt.Errorf("border point %d carries no hint", id)
+			}
 			h, ok := e.pts[st.hint]
 			if !ok {
 				return fmt.Errorf("border point %d hints at absent point %d", id, st.hint)

@@ -213,7 +213,7 @@ func TestExpandIsSideEffectFree(t *testing.T) {
 	}
 	eng := buildEngine(t, cfg, pts)
 	st := eng.pts[4]
-	st.hint = noHint // a traversal touching 4 must NOT repair this
+	st.hasHint = false // a traversal touching 4 must NOT repair this
 	statsBefore := eng.Stats()
 	eng.affected = eng.affected[:0]
 	eng.ensureScratches(1)
@@ -223,7 +223,7 @@ func TestExpandIsSideEffectFree(t *testing.T) {
 	s.begin(eng.useEpoch)
 	eng.expand(3, s, res)
 	eng.applyConnResult(res)
-	if st.hint != noHint {
+	if st.hasHint {
 		t.Fatalf("expansion wrote a border hint (%d); traversal must be side-effect-free", st.hint)
 	}
 	if len(eng.affected) != 0 {
@@ -254,13 +254,13 @@ func TestFinalizeHealsInvalidHint(t *testing.T) {
 	}
 	eng := buildEngine(t, cfg, pts)
 	st := eng.pts[4]
-	st.hint = noHint // sabotage
-	eng.stride++     // fresh stride scope for markAffected
+	st.hasHint = false // sabotage
+	eng.stride++       // fresh stride scope for markAffected
 	eng.affected = eng.affected[:0]
 	eng.markAffected(4, st)
 	eng.finalize()
-	if st.hint != 3 {
-		t.Fatalf("finalize left hint = %d, want 3", st.hint)
+	if !st.hasHint || st.hint != 3 {
+		t.Fatalf("finalize left hint = %d (set: %v), want 3", st.hint, st.hasHint)
 	}
 	if st.label != model.Border {
 		t.Fatalf("finalize left label = %v, want Border", st.label)

@@ -42,9 +42,14 @@ type StrideRecord struct {
 	Total        time.Duration
 
 	RangeSearches int64 // ε-range searches issued this stride
-	NodeAccesses  int64 // index nodes (or grid cells) touched this stride
-	EpochPruned   int64 // entries/subtrees hidden by epoch probing this stride
 	MSBFSMerges   int64 // MS-BFS thread (queue) merges this stride
+
+	// NodeAccesses is the index work behind those searches, in the unit of
+	// the index named by Index: non-empty cells probed ("grid", the
+	// default), or tree nodes visited ("rtree", "kdtree"). Numbers taken
+	// under different indexes are not comparable.
+	NodeAccesses int64
+	Index        string
 
 	// Cluster-evolution event tallies for this stride.
 	Emergences   int
@@ -111,8 +116,7 @@ func (e *Engine) SetObserver(o Observer) { e.observer = o }
 // checked e.observer != nil; statsBefore/treeBefore are the engine and
 // index counters captured at the top of Advance.
 func (e *Engine) observeStride(in, out []model.Point, exCores, neoCores int,
-	t0, t1, t2, t3, t4 time.Time, statsBefore model.Stats, epochPruned int64,
-	poolGrows int64) {
+	t0, t1, t2, t3, t4 time.Time, statsBefore model.Stats, poolGrows int64) {
 	workers := e.workers
 	if total := len(in) + len(out); workers > total {
 		workers = total
@@ -146,7 +150,7 @@ func (e *Engine) observeStride(in, out []model.Point, exCores, neoCores int,
 		Total:          t4.Sub(t0),
 		RangeSearches:  e.stats.RangeSearches - statsBefore.RangeSearches,
 		NodeAccesses:   e.stats.NodeAccesses - statsBefore.NodeAccesses,
-		EpochPruned:    epochPruned,
+		Index:          e.tree.Name(),
 		MSBFSMerges:    e.strideMerges,
 		Emergences:     e.strideEvents[Emergence],
 		Expansions:     e.strideEvents[Expansion],

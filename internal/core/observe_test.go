@@ -80,8 +80,7 @@ func TestObserverStrideRecords(t *testing.T) {
 }
 
 // TestObserverEventTalliesMatchHandler cross-checks the per-stride event
-// tallies against the event handler stream, and the epoch-prune totals
-// against the index.
+// tallies against the event handler stream.
 func TestObserverEventTalliesMatchHandler(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	data := clustered2D(rng, 3000)
@@ -91,7 +90,7 @@ func TestObserverEventTalliesMatchHandler(t *testing.T) {
 	}
 	handlerCounts := map[EventType]int{}
 	var tallies [numEventTypes]int
-	var pruned, merges int64
+	var merges int64
 	eng := New(cfg2(2.5, 5),
 		WithEventHandler(func(ev Event) { handlerCounts[ev.Type]++ }),
 		WithObserver(ObserverFunc(func(r StrideRecord) {
@@ -101,7 +100,6 @@ func TestObserverEventTalliesMatchHandler(t *testing.T) {
 			tallies[Split] += r.Splits
 			tallies[Shrink] += r.Shrinks
 			tallies[Dissipation] += r.Dissipations
-			pruned += r.EpochPruned
 			merges += r.MSBFSMerges
 		})))
 	for _, st := range steps {
@@ -111,9 +109,6 @@ func TestObserverEventTalliesMatchHandler(t *testing.T) {
 		if tallies[typ] != handlerCounts[typ] {
 			t.Fatalf("%v: observer tallied %d, handler saw %d", typ, tallies[typ], handlerCounts[typ])
 		}
-	}
-	if pruned != eng.tree.Stats().EpochPruned {
-		t.Fatalf("observer pruned %d, index counted %d", pruned, eng.tree.Stats().EpochPruned)
 	}
 	total := 0
 	for _, n := range tallies {
@@ -126,15 +121,16 @@ func TestObserverEventTalliesMatchHandler(t *testing.T) {
 }
 
 // TestObserverAcrossIndexBackends ensures the telemetry tap works for the
-// grid and k-d backends, whose epoch emulation feeds EpochPruned.
+// R-tree and k-d backends, and names the index in every record.
 func TestObserverAcrossIndexBackends(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		opts []Option
+		name  string
+		index string
+		opts  []Option
 	}{
-		{"grid", []Option{WithGridIndex(0)}},
-		{"kd", []Option{WithKDTreeIndex()}},
-		{"workers", []Option{WithWorkers(4)}},
+		{"rtree", "rtree", []Option{WithRTreeIndex()}},
+		{"kd", "kdtree", []Option{WithKDTreeIndex()}},
+		{"workers", "grid", []Option{WithWorkers(4)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			recs, eng := driveObserved(t, tc.opts...)
@@ -144,6 +140,9 @@ func TestObserverAcrossIndexBackends(t *testing.T) {
 			var searches int64
 			for _, r := range recs {
 				searches += r.RangeSearches
+				if r.Index != tc.index {
+					t.Fatalf("record names index %q, want %q", r.Index, tc.index)
+				}
 			}
 			if searches != eng.Stats().RangeSearches {
 				t.Fatalf("delta sum %d != stats %d", searches, eng.Stats().RangeSearches)

@@ -8,15 +8,15 @@ import (
 
 	"disc/internal/geom"
 	"disc/internal/model"
-	"disc/internal/rtree"
 )
 
 // This file implements checkpointing: a long-running stream processor can
 // persist the engine between strides and resume after a restart without
 // replaying the window. The snapshot stores the per-point bookkeeping with
-// cluster ids compacted to their union-find representatives; the R-tree is
-// not serialized — it is rebuilt with one STR bulk load, which is both
-// faster and smaller than persisting tree pages.
+// cluster ids compacted to their union-find representatives; the spatial
+// index is not serialized — LoadEngine refills whichever index its options
+// select with one bulk load, which is both faster and smaller than
+// persisting index pages.
 
 // snapshotVersion guards the wire format.
 const snapshotVersion = 1
@@ -32,7 +32,13 @@ type persistedPoint struct {
 	Hint    int64
 	Label   model.Label
 	WasCore bool
+	// HasHint says Hint names a point. Snapshots written before the flag
+	// existed (persistedEngine.HintFlags false) marked "no hint" as id -1.
+	HasHint bool
 }
+
+// legacyNoHint is how snapshots without hint flags spelled "no hint".
+const legacyNoHint = int64(-1)
 
 // persistedEngine is the explicit wire schema. Listing fields by hand (as
 // opposed to encoding *Engine) is what keeps runtime-only state — the
@@ -42,10 +48,14 @@ type persistedPoint struct {
 // pins this by checking snapshots taken before and after heavy scratch
 // growth decode to identical state.
 type persistedEngine struct {
-	Version   int
-	Cfg       model.Config
-	UseMSBFS  bool
-	UseEpoch  bool
+	Version  int
+	Cfg      model.Config
+	UseMSBFS bool
+	UseEpoch bool
+	// IndexKind and GridSide recorded the index choice in earlier snapshots.
+	// The index is a construction choice now (LoadEngine's options); the
+	// fields remain so those snapshots decode, and are neither read nor
+	// written.
 	IndexKind uint8
 	GridSide  float64
 	Workers   int // COLLECT search fan-out; 0 in pre-worker snapshots means 1
@@ -59,6 +69,9 @@ type persistedEngine struct {
 	// dyncon forest itself is scratch, derivable from the points, and is
 	// rebuilt by LoadEngine.
 	ConnStrategy uint8
+
+	// HintFlags marks a snapshot whose points carry HasHint.
+	HintFlags bool
 }
 
 // SaveSnapshot writes the engine's full state to w. It must not be called
@@ -74,29 +87,32 @@ type persistedEngine struct {
 // checkpoint CRCs).
 func (e *Engine) SaveSnapshot(w io.Writer) error {
 	ps := persistedEngine{
-		Version:   snapshotVersion,
-		Cfg:       e.cfg,
-		UseMSBFS:  e.useMSBFS,
-		UseEpoch:  e.useEpoch,
-		IndexKind: uint8(e.indexKind),
-		GridSide:  e.gridSide,
-		Workers:   e.workers,
-		NextCID:   e.nextCID,
-		Stride:    e.stride,
-		Stats:     e.stats,
-		Points:    make([]persistedPoint, 0, len(e.pts)),
+		Version:  snapshotVersion,
+		Cfg:      e.cfg,
+		UseMSBFS: e.useMSBFS,
+		UseEpoch: e.useEpoch,
+		Workers:  e.workers,
+		NextCID:  e.nextCID,
+		Stride:   e.stride,
+		Stats:    e.stats,
+		Points:   make([]persistedPoint, 0, len(e.pts)),
 
 		ConnStrategy: uint8(e.connStrategy),
+		HintFlags:    true,
 	}
 	for id, st := range e.pts {
 		cid := st.cid
 		if cid != 0 {
 			cid = e.cids.FindRO(cid)
 		}
-		ps.Points = append(ps.Points, persistedPoint{
+		pp := persistedPoint{
 			ID: id, Pos: st.pos, N: st.n, CoreDeg: st.coreDeg,
-			CID: cid, Hint: st.hint, Label: st.label, WasCore: st.wasCore,
-		})
+			CID: cid, Label: st.label, WasCore: st.wasCore,
+		}
+		if st.hasHint {
+			pp.Hint, pp.HasHint = st.hint, true
+		}
+		ps.Points = append(ps.Points, pp)
 	}
 	sort.Slice(ps.Points, func(i, j int) bool { return ps.Points[i].ID < ps.Points[j].ID })
 	if err := gob.NewEncoder(w).Encode(&ps); err != nil {
@@ -106,8 +122,10 @@ func (e *Engine) SaveSnapshot(w io.Writer) error {
 }
 
 // LoadEngine reconstructs an engine from a snapshot written by SaveSnapshot.
-// Options given at save time are restored; an event handler (not
-// serializable) can be re-attached via opts.
+// The persisted settings (ablation switches, workers, connectivity strategy)
+// are restored and opts run after them, so opts override; what does not
+// serialize — an event handler, an observer, the index choice — comes from
+// opts alone.
 func LoadEngine(r io.Reader, opts ...Option) (*Engine, error) {
 	var ps persistedEngine
 	if err := gob.NewDecoder(r).Decode(&ps); err != nil {
@@ -134,9 +152,12 @@ func LoadEngine(r io.Reader, opts ...Option) (*Engine, error) {
 		if _, dup := e.pts[pp.ID]; dup {
 			return nil, fmt.Errorf("disc: snapshot contains duplicate point id %d", pp.ID)
 		}
+		if !ps.HintFlags {
+			pp.HasHint = pp.Hint != legacyNoHint
+		}
 		e.pts[pp.ID] = &pstate{
 			pos: pp.Pos, n: pp.N, coreDeg: pp.CoreDeg,
-			cid: pp.CID, hint: pp.Hint, label: pp.Label, wasCore: pp.WasCore,
+			cid: pp.CID, hint: pp.Hint, label: pp.Label, wasCore: pp.WasCore, hasHint: pp.HasHint,
 		}
 		ids = append(ids, pp.ID)
 		pos = append(pos, pp.Pos)
@@ -148,31 +169,20 @@ func LoadEngine(r io.Reader, opts ...Option) (*Engine, error) {
 		if st.label != model.Border {
 			continue
 		}
-		if st.hint == noHint {
+		if !st.hasHint {
 			return nil, fmt.Errorf("disc: snapshot border point %d carries no hint", id)
 		}
 		if _, ok := e.pts[st.hint]; !ok {
 			return nil, fmt.Errorf("disc: snapshot border point %d hints at absent point %d", id, st.hint)
 		}
 	}
-	switch indexKind(ps.IndexKind) {
-	case indexGrid:
-		e.indexKind = indexGrid
-		e.gridSide = ps.GridSide
-		e.tree = newGridIndex(ps.Cfg.Dims, ps.GridSide)
-	case indexKDTree:
-		e.indexKind = indexKDTree
-		e.tree = newKDIndex(ps.Cfg.Dims)
-	default:
-		e.tree = rtree.New(ps.Cfg.Dims)
-	}
-	e.tree.BulkLoad(ids, pos)
 	// Restore the persisted strategy through its own option so the forest is
 	// allocated too; caller options run after and may override it.
 	WithConnectivity(ConnStrategy(ps.ConnStrategy))(e)
 	for _, o := range opts {
 		o(e)
 	}
+	e.tree.BulkLoad(ids, pos)
 	if e.connStrategy == ConnDynamic {
 		// The forest is never serialized; rebuild it from the restored
 		// window so the first Advance finds it in sync.

@@ -20,8 +20,7 @@ import (
 //	ex_cores_total                 counter    ex-cores identified
 //	neo_cores_total                counter    neo-cores identified
 //	range_searches_total           counter    ε-range searches issued
-//	node_accesses_total            counter    index nodes / grid cells touched
-//	epoch_pruned_total             counter    entries hidden by epoch probing
+//	node_accesses_total            counter    non-empty grid cells probed (tree nodes under the R-tree/k-d ablations)
 //	msbfs_queue_merges_total       counter    MS-BFS thread merges
 //	cluster_events_total{type}     counter    emergence|expansion|merger|split|shrink|dissipation
 //	connectivity_checks_total      counter    MS-BFS connectivity checks dispatched
@@ -38,7 +37,7 @@ import (
 //	connectivity_check_duration_seconds          histogram  phase-C connectivity query time per stride
 //	connectivity_forest_update_duration_seconds  histogram  dyncon forest sync time per stride
 //	connectivity_traversal_searches_total        counter    MS-BFS/seq expansion searches run
-//	connectivity_traversal_nodes_total           counter    index nodes those searches touched
+//	connectivity_traversal_nodes_total           counter    index cells (nodes) those searches touched
 //	connectivity_forest_ops_total                counter    forest mutations applied (amortized ns = update sum / ops)
 //	connectivity_replacement_searches_total      counter    replacement-edge searches after tree cuts
 //	connectivity_replacement_scans_total         counter    candidate edges scanned by those searches
@@ -56,7 +55,6 @@ type EngineMetrics struct {
 	neoCores      *Counter
 	rangeSearches *Counter
 	nodeAccesses  *Counter
-	epochPruned   *Counter
 	msbfsMerges   *Counter
 	connChecks    *Counter
 	poolGrows     *Counter
@@ -107,9 +105,7 @@ func NewEngineMetricsLabeled(r *Registry, base Labels) *EngineMetrics {
 		rangeSearches: r.Counter("disc_range_searches_total",
 			"Epsilon-range searches issued against the spatial index.", base),
 		nodeAccesses: r.Counter("disc_node_accesses_total",
-			"Index nodes (or grid cells) touched by range searches.", base),
-		epochPruned: r.Counter("disc_epoch_pruned_total",
-			"Entries or subtrees hidden from reachability searches by epoch probing.", base),
+			"Index work done by range searches: non-empty grid cells probed under the default index (tree nodes visited when an engine is built on the R-tree or k-d tree, which the server never does). Not comparable with values recorded before the grid became the default.", base),
 		msbfsMerges: r.Counter("disc_msbfs_queue_merges_total",
 			"Multi-Starter BFS thread merges (two search frontiers met).", base),
 		connChecks: r.Counter("disc_connectivity_checks_total",
@@ -129,7 +125,7 @@ func NewEngineMetricsLabeled(r *Registry, base Labels) *EngineMetrics {
 		connSearches: r.Counter("disc_connectivity_traversal_searches_total",
 			"Traversal expansion searches run by MS-BFS/sequential connectivity checks.", base),
 		connNodes: r.Counter("disc_connectivity_traversal_nodes_total",
-			"Index nodes touched by connectivity traversal searches.", base),
+			"Index work done by connectivity traversal searches, in the unit of disc_node_accesses_total.", base),
 		forestOps: r.Counter("disc_connectivity_forest_ops_total",
 			"Dynamic-forest mutations applied (vertices and edges); amortized update time is the update-duration sum over this.", base),
 		replSearches: r.Counter("disc_connectivity_replacement_searches_total",
@@ -174,7 +170,6 @@ func (m *EngineMetrics) ObserveStride(rec core.StrideRecord) {
 	m.neoCores.Add(int64(rec.NeoCores))
 	m.rangeSearches.Add(rec.RangeSearches)
 	m.nodeAccesses.Add(rec.NodeAccesses)
-	m.epochPruned.Add(rec.EpochPruned)
 	m.msbfsMerges.Add(rec.MSBFSMerges)
 	m.connChecks.Add(int64(rec.ConnChecks))
 	m.poolGrows.Add(rec.PoolGrows)

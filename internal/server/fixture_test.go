@@ -1,0 +1,117 @@
+package server
+
+import (
+	"bytes"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"disc/internal/dbscan"
+	"disc/internal/metrics"
+	"disc/internal/model"
+)
+
+// testdata/pre_pr13 was written by the commit before the ε-grid became the
+// engine's index (R-tree engine, IndexKind 0 in the snapshot, hints without
+// flags): a leader under fixtureConfig ingested ingestScript(seed 1313, 12
+// batches of 37) — 444 points: the 200-point window, 4 more strides, 44
+// pending; 18 borders and 20 noise points in the last window — and then
+// saved its checkpoint, its write-ahead log directory and the three bodies
+// the same commit served after restoring that checkpoint. These tests are
+// what "old data recovers on the new binary" means.
+
+func fixtureConfig() Config {
+	return Config{Cluster: model.Config{Dims: 2, Eps: 0.7, MinPts: 6}, Window: 200, Stride: 50}
+}
+
+func fixture(t *testing.T, name string) []byte {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "pre_pr13", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// assertExact holds the server's engine to from-scratch DBSCAN on its window.
+func assertExact(t *testing.T, s *Server) {
+	t.Helper()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	win := s.slider.Window()
+	if err := metrics.SameClustering(s.eng.Snapshot(), dbscan.Run(win, s.cfg.Cluster), win, s.cfg.Cluster); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestPrePRCheckpointRestores: a checkpoint taken on the R-tree engine
+// restores onto the ε-grid (the index is not checkpoint state), serves the
+// bodies the old leader served byte for byte, and stays exact over 20 more
+// strides.
+func TestPrePRCheckpointRestores(t *testing.T) {
+	s, err := New(fixtureConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := s.ReadCheckpoint(bytes.NewReader(fixture(t, "checkpoint.bin"))); err != nil || n != 200 {
+		t.Fatalf("ReadCheckpoint = %d, %v; want the 200-point window", n, err)
+	}
+	if got := s.eng.IndexName(); got != "grid" {
+		t.Fatalf("restored onto the %q index, want the default grid", got)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for _, ep := range []string{"clusters", "stats", "events"} {
+		if got, want := getBodyString(t, ts.URL+"/"+ep), string(fixture(t, ep+".json")); got != want {
+			t.Errorf("/%s after restore:\n%s\nthe pre-PR commit served:\n%s", ep, got, want)
+		}
+	}
+	assertExact(t, s)
+	rng := rand.New(rand.NewSource(1314))
+	for i := 0; i < 20; i++ {
+		// 50 points complete a stride with the 44 pending, then one a batch.
+		resp := postPoints(t, ts, clusteredBatch(rng, 1_000_000+int64(i)*1000, 50))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("stride %d after restore: status %d: %s", i, resp.StatusCode, readBody(t, resp))
+		}
+		resp.Body.Close()
+		assertExact(t, s)
+	}
+}
+
+// TestPrePRWALRecovers: a log written by the pre-PR leader replays on the
+// new binary into exactly the state a new leader reaches on the same batches
+// (replay and live ingest are one computation), and that state is exact.
+func TestPrePRWALRecovers(t *testing.T) {
+	// Recovery repairs and appends to the directory it is given: use a copy.
+	dir := t.TempDir()
+	const seg = "wal-00000000000000000000.wseg"
+	if err := os.WriteFile(filepath.Join(dir, seg), fixture(t, filepath.Join("wal", seg)), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := fixtureConfig()
+	recovered, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := recovered.RecoverWAL(dir, nil); err != nil || n != 12 {
+		t.Fatalf("RecoverWAL = %d records, %v; want 12", n, err)
+	}
+	assertExact(t, recovered)
+
+	liveTS, live, _ := newWALServer(t, cfg)
+	ingestScript(t, liveTS.URL, 1313, 12, 37)
+	if !bytes.Equal(checkpointBytes(t, recovered), checkpointBytes(t, live)) {
+		t.Fatal("state replayed from the pre-PR log differs from a live run of the same batches")
+	}
+	recTS := httptest.NewServer(recovered.Handler())
+	defer recTS.Close()
+	for _, ep := range []string{"/clusters", "/stats", "/events"} {
+		if got, want := getBodyString(t, recTS.URL+ep), getBodyString(t, liveTS.URL+ep); got != want {
+			t.Errorf("%s: replayed\n%s\nlive\n%s", ep, got, want)
+		}
+	}
+}

@@ -401,7 +401,7 @@ func (s *Server) ReadCheckpoint(r io.Reader) (int, error) {
 	}
 	// The engine snapshot has its own integrity checks; the window payload
 	// needs the same ingest-grade validation — a NaN coordinate restored
-	// here would poison R-tree MBRs and distance comparisons for the life
+	// here would poison cell keys and distance comparisons for the life
 	// of the window, and a duplicated id would abort a later stride.
 	seen := make(map[int64]struct{}, len(env.Window))
 	for i, p := range env.Window {
@@ -732,7 +732,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 
 // validateBatch checks a decoded ingest batch against everything that can
 // be known before any point is pushed: coordinate dimensionality, finite
-// values (NaN/Inf corrupt distance comparisons and R-tree bounds), and id
+// values (NaN/Inf corrupt distance comparisons and index cell keys), and id
 // uniqueness both within the batch and against points still resident in
 // the window or pending buffer. It returns "" when the batch is clean, or
 // a client-facing description of the first violation. Caller holds s.mu.

@@ -558,9 +558,9 @@ func FuzzViewDelta(f *testing.F) {
 		for i := range pts {
 			// Clusters drift and thin out so they merge, split and dissolve.
 			c := float64(rng.Intn(5))*4 + float64(i)/float64(len(pts))*3
-			// Ids go negative but stay even: -1 is the engine's "no hint"
-			// sentinel and a point carrying it breaks hint repair there.
-			pts[i] = model.Point{ID: 2*int64(i) - 40, Pos: geom.NewVec(c+rng.NormFloat64(), rng.NormFloat64()*2)}
+			// Ids run through the negatives, -1 and 0 into the positives: every
+			// int64 is a legal point id.
+			pts[i] = model.Point{ID: int64(i) - 40, Pos: geom.NewVec(c+rng.NormFloat64(), rng.NormFloat64()*2)}
 		}
 		s := newDeltaServer(t, cfg, 1+int(seed>>1&1)*3)
 		driveStream(t, s, pts, func(n int) {
