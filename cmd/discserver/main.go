@@ -125,7 +125,7 @@ func main() {
 	// typo'd -dims or a negative -eps must die here with the offending flag
 	// named, not as a downstream construction error (or, worse, a NaN that
 	// slips past a bare positivity check into distance comparisons).
-	if err := validateFlags(*dims, *eps, *minPts, *win, *stride, *maxStreams, *metricStreams); err != nil {
+	if err := validateFlags(*dims, *eps, *minPts, *win, *stride, *maxStreams, *metricStreams, *follow, *walDir); err != nil {
 		fatal("discserver: invalid flags", "err", err)
 	}
 
@@ -133,17 +133,33 @@ func main() {
 	if *traceOn {
 		tc = &server.TraceConfig{Recent: *traceRecent, Slow: *traceSlow, SlowThreshold: *traceSlowAt}
 	}
+	cfg := server.Config{
+		Cluster:            model.Config{Dims: *dims, Eps: *eps, MinPts: *minPts},
+		Window:             *win,
+		Stride:             *stride,
+		EnablePprof:        *pprofOn,
+		MaxCheckpointBytes: *ckptMax,
+		Tracing:            tc,
+		ReadyHighWater:     *readyHW,
+		IngestHighWater:    *ingestHW,
+	}
 	if *follow != "" {
-		runFollower(logger, *addr, *follow, *ckptDir, *drain, server.Config{
-			Cluster:            model.Config{Dims: *dims, Eps: *eps, MinPts: *minPts},
-			Window:             *win,
-			Stride:             *stride,
-			EnablePprof:        *pprofOn,
-			MaxCheckpointBytes: *ckptMax,
-			Tracing:            tc,
-			ReadyHighWater:     *readyHW,
-			IngestHighWater:    *ingestHW,
+		// Read-only replica mode: tail the leader's write-ahead log, serve
+		// the GET surface from replayed state, and turn into a leader on POST
+		// /promote. A definitively corrupt log is fatal (the replica must not
+		// silently serve a prefix of the stream forever); Run also returns
+		// early, with nil, when promotion stops the tailer.
+		f, err := server.NewFollower(server.FollowerConfig{
+			Server: cfg, WALDir: *follow, CheckpointDir: *ckptDir, Logger: logger,
 		})
+		if err != nil {
+			fatal("discserver: starting follower", "err", err)
+		}
+		logger.Info("discserver following", "addr", *addr, "wal", *follow,
+			"checkpoints", describeCkpt(*ckptDir, 0))
+		if err := serve(logger, *addr, f.Handler(), *drain, f.Run); err != nil {
+			fatal("discserver: follower", "err", err)
+		}
 		return
 	}
 	// NewMulti recovers the default stream from its newest valid checkpoint
@@ -151,18 +167,9 @@ func main() {
 	// restore — starting fresh would silently discard the window the
 	// operator meant to keep), so /readyz never exposes a window about to
 	// be replaced.
+	cfg.StartNotReady = *ckptDir != "" || *walDir != ""
 	m, err := server.NewMulti(server.MultiConfig{
-		Default: server.Config{
-			Cluster:            model.Config{Dims: *dims, Eps: *eps, MinPts: *minPts},
-			Window:             *win,
-			Stride:             *stride,
-			EnablePprof:        *pprofOn,
-			MaxCheckpointBytes: *ckptMax,
-			Tracing:            tc,
-			StartNotReady:      *ckptDir != "" || *walDir != "",
-			ReadyHighWater:     *readyHW,
-			IngestHighWater:    *ingestHW,
-		},
+		Default:         cfg,
 		MaxStreams:      *maxStreams,
 		MetricStreams:   *metricStreams,
 		CheckpointDir:   *ckptDir,
@@ -173,53 +180,72 @@ func main() {
 	if err != nil {
 		fatal("discserver: starting service", "err", err)
 	}
-
-	httpServer := &http.Server{
-		Addr:              *addr,
-		Handler:           m.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
 	logger.Info("discserver listening",
 		"addr", *addr, "eps", *eps, "minpts", *minPts, "window", *win, "stride", *stride,
 		"max_streams", *maxStreams, "pprof", *pprofOn, "trace", *traceOn,
 		"checkpoints", describeCkpt(*ckptDir, *ckptEvery), "wal", describeWAL(*walDir))
+	// The background task is the checkpoint scheduler (a no-op without
+	// -checkpoint-dir): waiting for it after the drain lets it write its
+	// final shutdown checkpoints — the listener is closed by then, so no new
+	// strides can arrive while they are written.
+	err = serve(logger, *addr, m.Handler(), *drain, func(ctx context.Context) error {
+		m.RunCheckpoints(ctx)
+		return nil
+	})
+	if err != nil {
+		fatal("discserver", "err", err)
+	}
+}
 
-	// Serve until SIGINT/SIGTERM, then drain: Shutdown stops the listener
-	// and waits for in-flight handlers (a checkpoint save mid-write, a
-	// scrape) up to the deadline instead of cutting them off.
+// serve listens on addr with background running beside it, both until
+// SIGINT/SIGTERM; then it drains — Shutdown stops the listener and waits for
+// in-flight handlers (a checkpoint save mid-write, a scrape) up to the
+// deadline instead of cutting them off — and waits for background to return.
+// background may return nil early and the listener keeps serving; an error
+// from it, or from the listener, ends serve at once.
+func serve(logger *slog.Logger, addr string, h http.Handler, drain time.Duration, background func(context.Context) error) error {
+	httpServer := &http.Server{Addr: addr, Handler: h, ReadHeaderTimeout: 5 * time.Second}
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	schedDone := make(chan struct{})
-	go func() {
-		defer close(schedDone)
-		m.RunCheckpoints(ctx) // no-op without -checkpoint-dir
-	}()
+	bg := make(chan error, 1)
+	go func() { bg <- background(ctx) }()
 	errc := make(chan error, 1)
 	go func() { errc <- httpServer.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		fatal("discserver: serve failed", "err", err)
-	case <-ctx.Done():
-		stop()
-		logger.Info("signal received, draining", "deadline", *drain)
-		shutCtx, cancel := context.WithTimeout(context.Background(), *drain)
-		defer cancel()
-		if err := httpServer.Shutdown(shutCtx); err != nil {
-			fatal("discserver: shutdown", "err", err)
+	for running := true; running; {
+		select {
+		case err := <-errc:
+			return fmt.Errorf("serve failed: %w", err)
+		case err := <-bg:
+			if err != nil {
+				return fmt.Errorf("background task failed: %w", err)
+			}
+			bg = nil
+		case <-ctx.Done():
+			running = false
 		}
-		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fatal("discserver: serve failed", "err", err)
-		}
-		// Wait for the scheduler's final shutdown checkpoints: the listener
-		// is closed, so no new strides can arrive while they are written.
-		<-schedDone
-		logger.Info("shut down cleanly")
 	}
+	stop()
+	logger.Info("signal received, draining", "deadline", drain)
+	shutCtx, cancel := context.WithTimeout(context.Background(), drain)
+	defer cancel()
+	if err := httpServer.Shutdown(shutCtx); err != nil {
+		return fmt.Errorf("shutdown: %w", err)
+	}
+	if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {
+		return fmt.Errorf("serve failed: %w", err)
+	}
+	if bg != nil {
+		if err := <-bg; err != nil {
+			return fmt.Errorf("background task failed: %w", err)
+		}
+	}
+	logger.Info("shut down cleanly")
+	return nil
 }
 
 // validateFlags rejects unusable clustering and registry parameters with
 // messages that name the offending flag.
-func validateFlags(dims int, eps float64, minPts, win, stride, maxStreams, metricStreams int) error {
+func validateFlags(dims int, eps float64, minPts, win, stride, maxStreams, metricStreams int, follow, walDir string) error {
 	if dims < 1 || dims > geom.MaxDims {
 		return fmt.Errorf("-dims must be 1-%d, got %d", geom.MaxDims, dims)
 	}
@@ -244,6 +270,9 @@ func validateFlags(dims int, eps float64, minPts, win, stride, maxStreams, metri
 	if metricStreams < 1 {
 		return fmt.Errorf("-metric-streams must be at least 1, got %d", metricStreams)
 	}
+	if follow != "" && walDir != "" {
+		return fmt.Errorf("-follow and -wal-dir are mutually exclusive: a follower reads the leader's log (-follow %s) and appends to that same log once promoted", follow)
+	}
 	return nil
 }
 
@@ -259,59 +288,4 @@ func describeWAL(dir string) string {
 		return "off"
 	}
 	return dir
-}
-
-// runFollower serves the read-only replica mode: tail the leader's
-// write-ahead log, serve the GET surface from replayed state, and turn
-// into a leader on POST /promote. A signal drains in-flight requests,
-// stops the tailer, and exits; a definitively corrupt log is fatal (the
-// replica must not silently serve a prefix of the stream forever).
-func runFollower(logger *slog.Logger, addr, walDir, ckptDir string, drain time.Duration, cfg server.Config) {
-	f, err := server.NewFollower(server.FollowerConfig{
-		Server:        cfg,
-		WALDir:        walDir,
-		CheckpointDir: ckptDir,
-		Logger:        logger,
-	})
-	if err != nil {
-		logger.Error("discserver: starting follower", "err", err)
-		os.Exit(1)
-	}
-	httpServer := &http.Server{
-		Addr:              addr,
-		Handler:           f.Handler(),
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	logger.Info("discserver following", "addr", addr, "wal", walDir,
-		"checkpoints", describeCkpt(ckptDir, 0))
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-	runErr := make(chan error, 1)
-	go func() { runErr <- f.Run(ctx) }()
-	errc := make(chan error, 1)
-	go func() { errc <- httpServer.ListenAndServe() }()
-	select {
-	case err := <-errc:
-		logger.Error("discserver: serve failed", "err", err)
-		os.Exit(1)
-	case err := <-runErr:
-		// Run only returns early on unrecoverable log damage (promotion
-		// stops it too, but via ctx — that path reports nil after a signal).
-		if err != nil {
-			logger.Error("discserver: follower tail failed", "err", err)
-			os.Exit(1)
-		}
-		<-ctx.Done()
-	case <-ctx.Done():
-	}
-	stop()
-	logger.Info("signal received, draining", "deadline", drain)
-	shutCtx, cancel := context.WithTimeout(context.Background(), drain)
-	defer cancel()
-	if err := httpServer.Shutdown(shutCtx); err != nil {
-		logger.Error("discserver: shutdown", "err", err)
-		os.Exit(1)
-	}
-	logger.Info("shut down cleanly")
 }

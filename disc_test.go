@@ -2,7 +2,6 @@ package disc_test
 
 import (
 	"math/rand"
-	"sync"
 	"testing"
 
 	"disc"
@@ -197,54 +196,5 @@ func TestCountAndTimeWindowsAgree(t *testing.T) {
 	}
 	if timeEng.Stats().Strides == 0 {
 		t.Fatal("time-based slider never fired")
-	}
-}
-
-// TestSynchronizedUnderRace hammers a wrapped engine from multiple
-// goroutines; run with -race to validate the locking.
-func TestSynchronizedUnderRace(t *testing.T) {
-	cfg := disc.Config{Dims: 2, Eps: 2, MinPts: 4}
-	eng := disc.Synchronized(disc.NewDISC(cfg))
-	rng := rand.New(rand.NewSource(77))
-	data := streamPoints(rng, 2000)
-	steps, err := disc.Steps(data, 400, 100)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for _, st := range steps {
-			eng.Advance(st.In, st.Out)
-		}
-	}()
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(seed int64) {
-			defer wg.Done()
-			r := rand.New(rand.NewSource(seed))
-			for {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				eng.Assignment(int64(r.Intn(2000)))
-				if r.Intn(10) == 0 {
-					eng.Snapshot()
-				}
-				eng.Stats()
-			}
-		}(int64(g))
-	}
-	<-done
-	wg.Wait()
-	if eng.Name() != "DISC" {
-		t.Fatal("wrapper changed the name")
-	}
-	if eng.Stats().Strides != int64(len(steps)) {
-		t.Fatalf("strides %d, want %d", eng.Stats().Strides, len(steps))
 	}
 }

@@ -80,20 +80,8 @@ func WithObserver(o Observer) RunnerOption {
 	return func(r *Runner) { r.obs = o }
 }
 
-// WithRunnerLogf sets the destination for the runner's log lines
-// (default: discard).
-func WithRunnerLogf(logf func(format string, args ...any)) RunnerOption {
-	return func(r *Runner) {
-		if logf != nil {
-			r.logf = logf
-		}
-	}
-}
-
 // WithRunnerLogger attaches a structured logger. Every runner log line is
-// emitted through it with stride / generation / trace_id attributes, in
-// addition to whatever WithRunnerLogf destination is set — the two seams
-// are independent so existing logf-based tests and callers keep working.
+// emitted through it with stride / generation / trace_id attributes.
 func WithRunnerLogger(l *slog.Logger) RunnerOption {
 	return func(r *Runner) { r.slogger = l }
 }
@@ -119,7 +107,6 @@ type Runner struct {
 	backoff    time.Duration
 	maxBackoff time.Duration
 	obs        Observer
-	logf       func(format string, args ...any)
 	slogger    *slog.Logger
 	tracer     *trace.Tracer
 
@@ -147,7 +134,6 @@ func NewRunner(store *Store, src Source, every uint64, opts ...RunnerOption) *Ru
 		poll:       DefaultPoll,
 		backoff:    DefaultBackoff,
 		maxBackoff: DefaultMaxBackoff,
-		logf:       func(string, ...any) {},
 	}
 	for _, o := range opts {
 		o(r)
@@ -242,7 +228,6 @@ func (r *Runner) tick(now time.Time) {
 			r.curBackoff = min(2*r.curBackoff, r.maxBackoff)
 		}
 		r.notBefore = now.Add(r.curBackoff)
-		r.logf("ckpt: checkpoint at stride %d failed (retry in %v): %v", strides, r.curBackoff, err)
 		if r.slogger != nil {
 			r.slogger.Error("checkpoint failed",
 				"stride", strides, "retry_in", r.curBackoff, "trace_id", r.lastTraceID, "err", err)
@@ -250,7 +235,6 @@ func (r *Runner) tick(now time.Time) {
 		return
 	}
 	r.curBackoff = 0
-	r.logf("ckpt: wrote generation %d at stride %d", gen, strides)
 	if r.slogger != nil {
 		r.slogger.Info("checkpoint written",
 			"generation", gen, "stride", strides, "trace_id", r.lastTraceID)
@@ -265,14 +249,12 @@ func (r *Runner) final() {
 	}
 	gen, err := r.CheckpointNow()
 	if err != nil {
-		r.logf("ckpt: final checkpoint on shutdown failed: %v", err)
 		if r.slogger != nil {
 			r.slogger.Error("final checkpoint on shutdown failed",
 				"stride", r.src.Strides(), "trace_id", r.lastTraceID, "err", err)
 		}
 		return
 	}
-	r.logf("ckpt: wrote final generation %d on shutdown", gen)
 	if r.slogger != nil {
 		r.slogger.Info("final checkpoint written on shutdown",
 			"generation", gen, "stride", r.lastSaved, "trace_id", r.lastTraceID)

@@ -51,19 +51,8 @@ func WithMaxPayload(n int64) StoreOption {
 	return func(s *Store) { s.maxPayload = n }
 }
 
-// WithStoreLogf sets the destination for the store's recovery/pruning log
-// lines (default: discard).
-func WithStoreLogf(logf func(format string, args ...any)) StoreOption {
-	return func(s *Store) {
-		if logf != nil {
-			s.logf = logf
-		}
-	}
-}
-
 // WithStoreLogger attaches a structured logger; the store's recovery and
-// pruning events are also emitted through it with generation attributes.
-// Independent of the WithStoreLogf seam, which keeps working.
+// pruning events are emitted through it with generation attributes.
 func WithStoreLogger(l *slog.Logger) StoreOption {
 	return func(s *Store) { s.slogger = l }
 }
@@ -81,7 +70,6 @@ type Store struct {
 	keep       int
 	maxPayload int64
 	seq        uint64 // highest generation present (0 = none)
-	logf       func(format string, args ...any)
 	slogger    *slog.Logger
 
 	// wrapWriter, when set, wraps the temp-file writer during Save. Test
@@ -93,7 +81,7 @@ type Store struct {
 // Open prepares dir (creating it if needed), removes stale temp files left
 // by a crash mid-write, and scans existing generations.
 func Open(dir string, opts ...StoreOption) (*Store, error) {
-	s := &Store{dir: dir, keep: DefaultKeep, logf: func(string, ...any) {}}
+	s := &Store{dir: dir, keep: DefaultKeep}
 	for _, o := range opts {
 		o(s)
 	}
@@ -112,7 +100,6 @@ func Open(dir string, opts ...StoreOption) (*Store, error) {
 			if err := os.Remove(filepath.Join(dir, name)); err != nil {
 				return nil, fmt.Errorf("ckpt: removing stale temp %s: %w", name, err)
 			}
-			s.logf("ckpt: removed stale temp file %s (crash mid-write)", name)
 			if s.slogger != nil {
 				s.slogger.Warn("removed stale temp checkpoint (crash mid-write)", "file", name)
 			}
@@ -231,7 +218,6 @@ func syncDir(dir string) error {
 func (s *Store) prune() {
 	gens, err := s.Generations()
 	if err != nil {
-		s.logf("ckpt: prune scan failed: %v", err)
 		if s.slogger != nil {
 			s.slogger.Warn("checkpoint prune scan failed", "err", err)
 		}
@@ -242,7 +228,6 @@ func (s *Store) prune() {
 	}
 	for _, gen := range gens[:len(gens)-s.keep] {
 		if err := os.Remove(s.genPath(gen)); err != nil {
-			s.logf("ckpt: pruning generation %d failed: %v", gen, err)
 			if s.slogger != nil {
 				s.slogger.Warn("pruning checkpoint generation failed", "generation", gen, "err", err)
 			}
@@ -288,7 +273,6 @@ func (s *Store) Recover() (payload []byte, gen uint64, err error) {
 	for i := len(gens) - 1; i >= 0; i-- {
 		payload, err := s.Load(gens[i])
 		if err != nil {
-			s.logf("ckpt: skipping generation %d: %v", gens[i], err)
 			if s.slogger != nil {
 				s.slogger.Warn("skipping corrupt checkpoint generation", "generation", gens[i], "err", err)
 			}
@@ -296,7 +280,6 @@ func (s *Store) Recover() (payload []byte, gen uint64, err error) {
 			continue
 		}
 		if i != len(gens)-1 {
-			s.logf("ckpt: recovered from fallback generation %d (newest is %d)", gens[i], gens[len(gens)-1])
 			if s.slogger != nil {
 				s.slogger.Warn("recovered from fallback checkpoint generation",
 					"generation", gens[i], "newest", gens[len(gens)-1])

@@ -72,7 +72,8 @@ func TestPrePRCheckpointRestores(t *testing.T) {
 	assertExact(t, s)
 	rng := rand.New(rand.NewSource(1314))
 	for i := 0; i < 20; i++ {
-		// 50 points complete a stride with the 44 pending, then one a batch.
+		// A checkpoint holds the last stride boundary — the leader's 44 pending
+		// points are not in it — so each 50-point batch is exactly one stride.
 		resp := postPoints(t, ts, clusteredBatch(rng, 1_000_000+int64(i)*1000, 50))
 		if resp.StatusCode != http.StatusOK {
 			t.Fatalf("stride %d after restore: status %d: %s", i, resp.StatusCode, readBody(t, resp))

@@ -10,7 +10,6 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -83,23 +82,8 @@ func NewFollower(fc FollowerConfig) (*Follower, error) {
 		if err != nil {
 			return nil, fmt.Errorf("follower: opening checkpoint store: %w", err)
 		}
-		payload, gen, err := store.Recover()
-		switch {
-		case err == nil:
-			restored, err := srv.ReadCheckpoint(bytes.NewReader(payload))
-			if err != nil {
-				return nil, fmt.Errorf("follower: checkpoint generation %d does not restore: %w", gen, err)
-			}
-			if fc.Logger != nil {
-				fc.Logger.Info("follower restored from checkpoint",
-					"generation", gen, "window_points", restored, "stride", srv.Strides())
-			}
-		case errors.Is(err, ckpt.ErrNoCheckpoint), errors.Is(err, ckpt.ErrNoValidCheckpoint):
-			if fc.Logger != nil {
-				fc.Logger.Info("follower starting from the log's beginning", "reason", err)
-			}
-		default:
-			return nil, fmt.Errorf("follower: checkpoint recovery: %w", err)
+		if err := srv.recoverFromStore(store, fc.Logger); err != nil {
+			return nil, fmt.Errorf("follower: %w", err)
 		}
 	}
 	srv.SetReady(true)
@@ -125,11 +109,7 @@ func (f *Follower) Run(ctx context.Context) error {
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	done := make(chan struct{})
-	s := f.srv
-	s.mu.Lock()
-	pos := s.beginWALReplay()
-	s.mu.Unlock()
-	r := ckpt.OpenWALReader(f.cfg.WALDir, pos, s.walRecordMaxPayload())
+	r := f.srv.openReplay(f.cfg.WALDir)
 	f.reader, f.cancel, f.done, f.running = r, cancel, done, true
 	f.mu.Unlock()
 	defer func() {
@@ -147,11 +127,17 @@ func (f *Follower) Run(ctx context.Context) error {
 			return nil
 		default:
 		}
-		applied, err := f.drain(r)
+		// Corruption while the leader is alive is fatal for the replica — it
+		// must not guess past damage the leader may still be extending the
+		// log beyond.
+		applied, err := f.srv.replay(r, f.applyRecord)
 		if applied > 0 {
 			continue // keep draining while records flow
 		}
 		if err != nil {
+			if f.logger != nil {
+				f.logger.Error("follower: wal tail failed", "err", err)
+			}
 			return err
 		}
 		select {
@@ -162,51 +148,21 @@ func (f *Follower) Run(ctx context.Context) error {
 	}
 }
 
-// drain applies records until the log is exhausted (nil error) or
-// definitively corrupt. Corruption while the leader is alive is fatal
-// for the replica — it must not guess past damage the leader may still
-// be extending the log beyond.
-func (f *Follower) drain(r *ckpt.WALReader) (int, error) {
-	applied := 0
-	for {
-		_, payload, err := r.Next()
-		if err != nil {
-			if errors.Is(err, ckpt.ErrWALWait) {
-				return applied, nil
-			}
-			if f.logger != nil {
-				f.logger.Error("follower: wal tail failed", "err", err)
-			}
-			return applied, err
-		}
-		rec, err := decodeWALRecord(payload)
-		if err != nil {
-			if f.logger != nil {
-				f.logger.Error("follower: undecodable wal record", "err", err)
-			}
-			return applied, err
-		}
-		s := f.srv
-		s.mu.Lock()
-		recEnd := rec.Start + uint64(len(rec.Points))
-		if s.cfg.Stride > 0 && recEnd > s.ingested {
-			f.rep.Lag.Set(float64(recEnd-s.ingested) / float64(s.cfg.Stride))
-		}
-		aerr := s.applyRecord(rec)
-		if aerr == nil {
-			f.rep.Lag.Set(0)
-		}
-		s.mu.Unlock()
-		if aerr != nil {
-			if f.logger != nil {
-				f.logger.Error("follower: replaying wal record", "err", aerr)
-			}
-			return applied, aerr
-		}
-		applied++
-		f.rep.Records.Inc()
-		f.rep.Points.Add(int64(len(rec.Points)))
+// applyRecord is the server's applyRecord with the disc_replica_* instruments
+// around it: while a record is being applied the lag gauge shows how far it
+// reaches past the replica. Caller holds the server's mutex.
+func (f *Follower) applyRecord(rec *walRecord) error {
+	s := f.srv
+	if end := rec.end(); end > s.ingested {
+		f.rep.Lag.Set(float64(end-s.ingested) / float64(s.cfg.Stride))
 	}
+	if err := s.applyRecord(rec); err != nil {
+		return err
+	}
+	f.rep.Lag.Set(0)
+	f.rep.Records.Inc()
+	f.rep.Points.Add(int64(len(rec.Points)))
+	return nil
 }
 
 // Promote turns the follower into a leader: stop tailing, drain whatever
@@ -224,24 +180,17 @@ func (f *Follower) Promote() error {
 		f.cancel()
 		<-f.done
 	}
+	s := f.srv
 	if f.reader == nil {
 		// Run never started; position the replay cursor now.
-		s := f.srv
-		s.mu.Lock()
-		pos := s.beginWALReplay()
-		s.mu.Unlock()
-		f.reader = ckpt.OpenWALReader(f.cfg.WALDir, pos, s.walRecordMaxPayload())
+		f.reader = s.openReplay(f.cfg.WALDir)
 	}
 	// Final drain: everything completely framed gets applied; a torn or
 	// corrupt tail stops the drain at exactly the boundary OpenWAL will
 	// repair the log to.
-	s := f.srv
-	s.mu.Lock()
-	if _, err := s.replayWAL(f.reader, f.logger); err != nil {
-		s.mu.Unlock()
+	if _, err := s.replayToDamage(f.reader, f.applyRecord, f.logger); err != nil {
 		return fmt.Errorf("follower: draining log for promotion: %w", err)
 	}
-	s.mu.Unlock()
 	f.reader.Close()
 	w, err := ckpt.OpenWAL(f.cfg.WALDir,
 		ckpt.WithWALObserver(s.sm.WAL), ckpt.WithWALLogger(f.logger),

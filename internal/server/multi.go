@@ -20,15 +20,12 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
-	"expvar"
 	"fmt"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -119,17 +116,13 @@ type Multi struct {
 	streams map[string]*stream
 }
 
-// stream is one registered tenant: its server plus the request handlers
-// and durability hooks built once at registration.
+// stream is one registered tenant: its server plus the durability hooks
+// built once at registration.
 type stream struct {
 	name  string
 	srv   *Server
 	store *ckpt.Store // nil when durability is off
 	wal   *ckpt.WAL   // nil when write-ahead logging is off
-
-	// Prebuilt serveView adapters (they close over the per-stream query
-	// metrics, so they are made once, not per request).
-	clusters, point, events, stats http.HandlerFunc
 }
 
 // NewMulti returns a registry hosting the default stream built from
@@ -220,10 +213,10 @@ func (m *Multi) CreateStream(name string, cfg Config) (*Server, error) {
 		return nil, err
 	}
 	st := &stream{name: name, srv: srv}
-	st.clusters = srv.serveView("clusters", srv.handleClusters)
-	st.point = srv.serveView("point", srv.handlePoint)
-	st.events = srv.serveView("events", srv.handleEvents)
-	st.stats = srv.serveView("stats", srv.handleStats)
+	logger := m.logger
+	if logger != nil {
+		logger = logger.With("stream", name)
+	}
 
 	if m.cfg.CheckpointDir != "" {
 		store, err := ckpt.Open(m.streamDir(m.cfg.CheckpointDir, name),
@@ -231,8 +224,8 @@ func (m *Multi) CreateStream(name string, cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("stream %q: opening checkpoint store: %w", name, err)
 		}
-		if err := m.recoverStream(st, store); err != nil {
-			return nil, err
+		if err := srv.recoverFromStore(store, logger); err != nil {
+			return nil, fmt.Errorf("stream %q: %w", name, err)
 		}
 		st.store = store
 	}
@@ -251,20 +244,18 @@ func (m *Multi) CreateStream(name string, cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("stream %q: opening write-ahead log: %w", name, err)
 		}
-		replayed, err := srv.RecoverWAL(wdir, m.logger)
+		replayed, err := srv.RecoverWAL(wdir, logger)
 		if err != nil {
 			wal.Close()
 			return nil, fmt.Errorf("stream %q: replaying write-ahead log: %w", name, err)
 		}
-		if replayed > 0 && m.logger != nil {
-			m.logger.Info("stream replayed write-ahead log", "stream", name,
-				"records", replayed, "stride", srv.Strides())
+		if replayed > 0 && logger != nil {
+			logger.Info("stream replayed write-ahead log", "records", replayed, "stride", srv.Strides())
 		}
 		srv.AttachWAL(wal)
 		st.wal = wal
 		if st.store != nil {
-			ckptObs = &walTruncatingObserver{inner: ckptObs, wal: wal, logger: m.logger,
-				window: uint64(cfg.Window), stride: uint64(cfg.Stride)}
+			ckptObs = &walTruncatingObserver{inner: ckptObs, wal: wal, logger: logger, cfg: cfg}
 		}
 	}
 
@@ -294,8 +285,8 @@ func (m *Multi) CreateStream(name string, cfg Config) (*Server, error) {
 	if m.sched != nil && runner != nil {
 		m.sched.Add(name, runner)
 	}
-	if m.logger != nil {
-		m.logger.Info("stream registered", "stream", name,
+	if logger != nil {
+		logger.Info("stream registered",
 			"dims", cfg.Cluster.Dims, "eps", cfg.Cluster.Eps, "minpts", cfg.Cluster.MinPts,
 			"window", cfg.Window, "stride", cfg.Stride, "connectivity", cfg.Connectivity.String())
 	}
@@ -320,10 +311,10 @@ func (m *Multi) streamDir(root, name string) string {
 // log must stay replayable from there. Until a second checkpoint
 // succeeds nothing is pruned.
 type walTruncatingObserver struct {
-	inner          ckpt.Observer
-	wal            *ckpt.WAL
-	logger         *slog.Logger
-	window, stride uint64
+	inner  ckpt.Observer
+	wal    *ckpt.WAL
+	logger *slog.Logger
+	cfg    Config
 
 	mu       sync.Mutex
 	prevPos  uint64
@@ -337,10 +328,7 @@ func (o *walTruncatingObserver) ObserveCheckpoint(rec ckpt.Record) {
 	if rec.Err != nil {
 		return
 	}
-	var pos uint64
-	if rec.Strides > 0 {
-		pos = o.window + (rec.Strides-1)*o.stride
-	}
+	pos := o.cfg.boundaryPos(rec.Strides)
 	o.mu.Lock()
 	prev, have := o.prevPos, o.havePrev
 	o.prevPos, o.havePrev = pos, true
@@ -352,38 +340,6 @@ func (o *walTruncatingObserver) ObserveCheckpoint(rec ckpt.Record) {
 			o.logger.Warn("wal truncation failed", "keep_from", prev, "err", err)
 		}
 	}
-}
-
-// recoverStream restores st from the newest valid generation in store,
-// mirroring the single-stream startup policy: no checkpoint → fresh, no
-// valid checkpoint → warn and fresh, a checkpoint that fails to restore →
-// hard error (starting fresh would silently discard the window the
-// operator meant to keep).
-func (m *Multi) recoverStream(st *stream, store *ckpt.Store) error {
-	payload, gen, err := store.Recover()
-	switch {
-	case err == nil:
-		restored, err := st.srv.ReadCheckpoint(bytes.NewReader(payload))
-		if err != nil {
-			return fmt.Errorf("stream %q: checkpoint generation %d does not restore: %w", st.name, gen, err)
-		}
-		if m.logger != nil {
-			m.logger.Info("stream recovered from checkpoint", "stream", st.name,
-				"generation", gen, "bytes", len(payload), "window_points", restored, "stride", st.srv.Strides())
-		}
-	case errors.Is(err, ckpt.ErrNoCheckpoint):
-		if m.logger != nil {
-			m.logger.Info("no checkpoint found, stream starting fresh", "stream", st.name)
-		}
-	case errors.Is(err, ckpt.ErrNoValidCheckpoint):
-		if m.logger != nil {
-			m.logger.Warn("checkpoints exist but none is valid, stream starting fresh",
-				"stream", st.name, "err", err)
-		}
-	default:
-		return fmt.Errorf("stream %q: checkpoint recovery: %w", st.name, err)
-	}
-	return nil
 }
 
 // DeleteStream unregisters a stream and removes its durable state — the
@@ -567,11 +523,9 @@ func (m *Multi) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, err.Error(), http.StatusConflict)
 		case errors.Is(err, ErrTooManyStreams):
 			http.Error(w, err.Error(), http.StatusTooManyRequests)
-		case errors.Is(err, ErrBadStreamName):
-			http.Error(w, err.Error(), http.StatusBadRequest)
 		default:
-			// newServer validation (dims/eps/minpts/window/stride) lands
-			// here: the same rules discserver enforces at startup, as 400s.
+			// A bad name, and newServer validation (dims/eps/minpts/window/
+			// stride): the same rules discserver enforces at startup, as 400s.
 			http.Error(w, err.Error(), http.StatusBadRequest)
 		}
 		return
@@ -621,57 +575,19 @@ func (m *Multi) Handler() http.Handler {
 	mux.HandleFunc("GET /streams", m.handleStreamList)
 	mux.HandleFunc("DELETE /streams/{stream}", m.handleStreamDelete)
 
-	mux.Handle("POST /streams/{stream}/ingest",
-		m.withStream(func(st *stream, w http.ResponseWriter, r *http.Request) { st.srv.handleIngest(w, r) }))
-	mux.Handle("GET /streams/{stream}/clusters",
-		m.withStream(func(st *stream, w http.ResponseWriter, r *http.Request) { st.clusters(w, r) }))
-	mux.Handle("GET /streams/{stream}/points/{id}",
-		m.withStream(func(st *stream, w http.ResponseWriter, r *http.Request) { st.point(w, r) }))
-	mux.Handle("GET /streams/{stream}/events",
-		m.withStream(func(st *stream, w http.ResponseWriter, r *http.Request) { st.events(w, r) }))
-	mux.Handle("GET /streams/{stream}/stats",
-		m.withStream(func(st *stream, w http.ResponseWriter, r *http.Request) { st.stats(w, r) }))
-	mux.Handle("GET /streams/{stream}/checkpoint",
-		m.withStream(func(st *stream, w http.ResponseWriter, r *http.Request) { st.srv.handleCheckpointSave(w, r) }))
-	mux.Handle("POST /streams/{stream}/checkpoint",
-		m.withStream(func(st *stream, w http.ResponseWriter, r *http.Request) { st.srv.handleCheckpointLoad(w, r) }))
-	mux.Handle("GET /streams/{stream}/readyz",
-		m.withStream(func(st *stream, w http.ResponseWriter, r *http.Request) { st.srv.handleReady(w, r) }))
-	mux.Handle("GET /streams/{stream}/debug/traces",
-		m.withStream(func(st *stream, w http.ResponseWriter, r *http.Request) {
-			if st.srv.tracer == nil {
-				http.Error(w, "tracing disabled", http.StatusNotFound)
-				return
-			}
-			st.srv.tracer.Handler().ServeHTTP(w, r)
-		}))
-
+	for i, rt := range streamRoutes {
+		mux.Handle(rt.method+" /streams/{stream}"+rt.path,
+			m.withStream(func(st *stream, w http.ResponseWriter, r *http.Request) {
+				h := st.srv.handlers[i]
+				if h == nil { // only /debug/traces is optional
+					http.Error(w, "tracing disabled", http.StatusNotFound)
+					return
+				}
+				h(w, r)
+			}))
+	}
 	// Legacy single-stream aliases → the default stream.
-	mux.HandleFunc("POST /ingest", def.srv.handleIngest)
-	mux.Handle("GET /clusters", def.clusters)
-	mux.Handle("GET /points/{id}", def.point)
-	mux.Handle("GET /events", def.events)
-	mux.Handle("GET /stats", def.stats)
-	mux.HandleFunc("GET /checkpoint", def.srv.handleCheckpointSave)
-	mux.HandleFunc("POST /checkpoint", def.srv.handleCheckpointLoad)
-	mux.HandleFunc("GET /readyz", def.srv.handleReady)
-	if def.srv.tracer != nil {
-		mux.Handle("GET /debug/traces", def.srv.tracer.Handler())
-	}
-
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusOK)
-		fmt.Fprintln(w, "ok")
-	})
-	mux.Handle("GET /metrics", m.reg.Handler())
-	m.reg.PublishExpvar("disc")
-	mux.Handle("GET /debug/vars", expvar.Handler())
-	if m.cfg.Default.EnablePprof {
-		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
-		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
-	}
+	def.srv.mount(mux)
+	mountProcessRoutes(mux, m.reg, m.cfg.Default.EnablePprof)
 	return mux
 }

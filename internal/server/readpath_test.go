@@ -124,15 +124,15 @@ func TestDuplicateIngestRejectedUpFront(t *testing.T) {
 // JSON itself cannot carry them, so the wire-level check is the raw-body
 // decode rejection; the validator is exercised directly for the values.
 func TestIngestRejectsNonFiniteCoords(t *testing.T) {
-	ts, s := newTestServer(t)
+	ts, _ := newTestServer(t)
 	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
 		batch := []ingestPoint{{ID: 1, Coords: []float64{bad, 0}}}
-		if msg := s.validateBatch(batch); msg == "" {
+		if _, err := toPoints(batch, 2); err == nil {
 			t.Fatalf("coordinate %v passed validation", bad)
 		}
 	}
-	if msg := s.validateBatch([]ingestPoint{{ID: 1, Coords: []float64{1, 2}}}); msg != "" {
-		t.Fatalf("finite point rejected: %s", msg)
+	if _, err := toPoints([]ingestPoint{{ID: 1, Coords: []float64{1, 2}}}, 2); err != nil {
+		t.Fatalf("finite point rejected: %v", err)
 	}
 	// Over the wire, an out-of-range literal must die at decode with 400.
 	resp, err := http.Post(ts.URL+"/ingest", "application/json",

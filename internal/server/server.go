@@ -24,6 +24,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -90,14 +91,6 @@ type Config struct {
 	// while the slider backlog exceeds this many points, instead of
 	// queueing writes without bound; 0 disables backpressure.
 	IngestHighWater int
-	// SeqWindow is how many recent X-Disc-Seq sequence numbers (with
-	// their original responses) are remembered per client for idempotent
-	// ingest; 0 selects DefaultSeqWindow.
-	SeqWindow int
-	// SeqClients caps how many distinct clients the dedup table tracks
-	// before evicting the least recently used; 0 selects
-	// DefaultSeqClients.
-	SeqClients int
 }
 
 // TraceConfig sizes the server's trace recorder.
@@ -163,8 +156,12 @@ type Server struct {
 	// differs from what a client cached under the same stride number.
 	viewEpoch uint64
 
+	// handlers holds the stream's handler for each streamRoutes entry, built
+	// once: the serveView adapters close over the per-stream query metrics.
+	handlers []http.HandlerFunc
+
 	// testAdvanceErr, when non-nil, replaces the engine advance inside
-	// handleIngest. Test seam for the 409 rollback path: up-front batch
+	// apply. Test seam for the 409 rollback path: up-front batch
 	// validation leaves it with no organic trigger, but it must stay
 	// correct against engine-internal failures.
 	testAdvanceErr func(*window.Step) error
@@ -208,7 +205,7 @@ func newServer(cfg Config, reg *obs.Registry, sm *obs.StreamMetrics) (*Server, e
 		cfg.MaxCheckpointBytes = DefaultMaxCheckpointBytes
 	}
 	s := &Server{cfg: cfg, slider: slider, reg: reg, sm: sm,
-		seqs: newSeqTable(cfg.SeqWindow, cfg.SeqClients)}
+		seqs: newSeqTable(seqWindow, seqClients)}
 	if tc := cfg.Tracing; tc != nil {
 		s.tracer = trace.NewTracer(trace.Config{
 			Recent: tc.Recent, Slow: tc.Slow, SlowThreshold: tc.SlowThreshold,
@@ -221,6 +218,9 @@ func newServer(cfg Config, reg *obs.Registry, sm *obs.StreamMetrics) (*Server, e
 	s.eng = core.New(cfg.Cluster,
 		core.WithEventHandler(s.recordEvent), core.WithObserver(s.metrics),
 		core.WithConnectivity(cfg.Connectivity))
+	for _, rt := range streamRoutes {
+		s.handlers = append(s.handlers, rt.handler(s))
+	}
 	// Publish the empty stride-0 view so the read path serves (vacuously
 	// consistent) answers before the first stride completes.
 	s.publish()
@@ -252,37 +252,67 @@ func (s *Server) recordEvent(ev core.Event) {
 	}
 }
 
-// Handler returns the route multiplexer.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /ingest", s.handleIngest)
-	mux.HandleFunc("GET /clusters", s.serveView("clusters", s.handleClusters))
-	mux.HandleFunc("GET /points/{id}", s.serveView("point", s.handlePoint))
-	mux.HandleFunc("GET /events", s.serveView("events", s.handleEvents))
-	mux.HandleFunc("GET /stats", s.serveView("stats", s.handleStats))
-	mux.HandleFunc("GET /checkpoint", s.handleCheckpointSave)
-	mux.HandleFunc("POST /checkpoint", s.handleCheckpointLoad)
+// streamRoutes is the per-stream HTTP surface, declared once and mounted
+// three ways: bare by Server.Handler, bare on the default stream by
+// Multi.Handler (the legacy aliases), and under /streams/{stream} by
+// Multi.Handler. handler builds the route's handler for one stream; nil means
+// that stream does not serve the route.
+var streamRoutes = []struct {
+	method, path string
+	handler      func(*Server) http.HandlerFunc
+}{
+	{"POST", "/ingest", func(s *Server) http.HandlerFunc { return s.handleIngest }},
+	{"GET", "/clusters", func(s *Server) http.HandlerFunc { return s.serveView("clusters", s.handleClusters) }},
+	{"GET", "/points/{id}", func(s *Server) http.HandlerFunc { return s.serveView("point", s.handlePoint) }},
+	{"GET", "/events", func(s *Server) http.HandlerFunc { return s.serveView("events", s.handleEvents) }},
+	{"GET", "/stats", func(s *Server) http.HandlerFunc { return s.serveView("stats", s.handleStats) }},
+	{"GET", "/checkpoint", func(s *Server) http.HandlerFunc { return s.handleCheckpointSave }},
+	{"POST", "/checkpoint", func(s *Server) http.HandlerFunc { return s.handleCheckpointLoad }},
+	{"GET", "/readyz", func(s *Server) http.HandlerFunc { return s.handleReady }},
+	{"GET", "/debug/traces", func(s *Server) http.HandlerFunc {
+		if s.tracer == nil {
+			return nil
+		}
+		return s.tracer.Handler().ServeHTTP
+	}},
+}
+
+// mount registers the stream's routes on mux without a prefix.
+func (s *Server) mount(mux *http.ServeMux) {
+	for i, rt := range streamRoutes {
+		if h := s.handlers[i]; h != nil {
+			mux.Handle(rt.method+" "+rt.path, h)
+		}
+	}
+}
+
+// mountProcessRoutes registers the routes that belong to the process rather
+// than to a stream: liveness, the metrics scrape, expvar and (opt-in) pprof.
+func mountProcessRoutes(mux *http.ServeMux, reg *obs.Registry, enablePprof bool) {
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
 	})
-	mux.HandleFunc("GET /readyz", s.handleReady)
-	if s.tracer != nil {
-		mux.Handle("GET /debug/traces", s.tracer.Handler())
-	}
-	mux.Handle("GET /metrics", s.reg.Handler())
+	mux.Handle("GET /metrics", reg.Handler())
 	// expvar: the registry is published process-wide under "disc"
 	// (first server wins — expvar names cannot be unpublished), alongside
 	// the standard cmdline/memstats vars.
-	s.reg.PublishExpvar("disc")
+	reg.PublishExpvar("disc")
 	mux.Handle("GET /debug/vars", expvar.Handler())
-	if s.cfg.EnablePprof {
+	if enablePprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
 		mux.HandleFunc("GET /debug/pprof/profile", pprof.Profile)
 		mux.HandleFunc("GET /debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("GET /debug/pprof/trace", pprof.Trace)
 	}
+}
+
+// Handler returns the route multiplexer.
+func (s *Server) Handler() http.Handler {
+	mux := http.NewServeMux()
+	s.mount(mux)
+	mountProcessRoutes(mux, s.reg, s.cfg.EnablePprof)
 	return mux
 }
 
@@ -349,6 +379,13 @@ var ErrCheckpointMismatch = errors.New("checkpoint/config mismatch")
 // structurally (HTTP 400).
 var errBadCheckpoint = errors.New("bad checkpoint")
 
+// errLogAttached refuses a restore on a write-ahead-logged stream (HTTP 409).
+// A restore rewinds the stream position while the attached log keeps its
+// records, so batches acknowledged afterwards would be appended at positions
+// the log already covers and skipped by every later replay. Start-up recovery
+// restores before it attaches the log and never meets this.
+var errLogAttached = errors.New("stream has a write-ahead log attached: restoring a checkpoint under it would fork the log (later batches would land at positions it already covers and be lost on replay); stop the process, replace the checkpoint directory (and remove the log if the checkpoint predates it), and restart")
+
 // Strides returns the number of window advances processed. Together with
 // WriteCheckpoint this makes the server a ckpt.Source for the durable
 // auto-checkpointer. It reads the published view, so polling it (the
@@ -380,7 +417,8 @@ func (s *Server) WriteCheckpoint(w io.Writer) error {
 // checkpoint read from r; ingestion then resumes exactly where the
 // checkpoint was taken. It returns the restored window size. Errors wrap
 // errBadCheckpoint for undecodable input and ErrCheckpointMismatch for a
-// checkpoint taken under a different clustering configuration.
+// checkpoint taken under a different clustering configuration; a stream with
+// a write-ahead log attached refuses with errLogAttached.
 func (s *Server) ReadCheckpoint(r io.Reader) (int, error) {
 	var env checkpointEnvelope
 	if err := gob.NewDecoder(r).Decode(&env); err != nil {
@@ -425,6 +463,9 @@ func (s *Server) ReadCheckpoint(r io.Reader) (int, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.wal != nil {
+		return 0, errLogAttached
+	}
 	s.eng = eng
 	s.slider = slider
 	s.ingested = env.Ingested
@@ -455,6 +496,37 @@ func (s *Server) ReadCheckpoint(r io.Reader) (int, error) {
 	return eng.WindowSize(), nil
 }
 
+// recoverFromStore restores the server from the newest valid generation in
+// store — the start-up policy of a stream and of a follower alike: no
+// checkpoint → fresh, no valid checkpoint → warn and fresh, a checkpoint that
+// fails to restore → hard error (starting fresh would silently discard the
+// window the operator meant to keep).
+func (s *Server) recoverFromStore(store *ckpt.Store, logger *slog.Logger) error {
+	payload, gen, err := store.Recover()
+	switch {
+	case err == nil:
+		restored, err := s.ReadCheckpoint(bytes.NewReader(payload))
+		if err != nil {
+			return fmt.Errorf("checkpoint generation %d does not restore: %w", gen, err)
+		}
+		if logger != nil {
+			logger.Info("recovered from checkpoint",
+				"generation", gen, "bytes", len(payload), "window_points", restored, "stride", s.Strides())
+		}
+	case errors.Is(err, ckpt.ErrNoCheckpoint):
+		if logger != nil {
+			logger.Info("no checkpoint found, starting fresh")
+		}
+	case errors.Is(err, ckpt.ErrNoValidCheckpoint):
+		if logger != nil {
+			logger.Warn("checkpoints exist but none is valid, starting fresh", "err", err)
+		}
+	default:
+		return fmt.Errorf("checkpoint recovery: %w", err)
+	}
+	return nil
+}
+
 // handleCheckpointSave streams a binary service checkpoint. The body is
 // buffered first so Content-Length names the complete encoding: without
 // it a client whose connection dropped mid-download would hold a
@@ -476,8 +548,8 @@ func (s *Server) handleCheckpointSave(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleCheckpointLoad restores the service from a posted checkpoint:
-// 400 for undecodable input, 409 for a configuration mismatch, 413 for a
-// body over the configured limit.
+// 400 for undecodable input, 409 for a configuration mismatch or a stream
+// with a write-ahead log attached, 413 for a body over the configured limit.
 func (s *Server) handleCheckpointLoad(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxCheckpointBytes))
 	if err != nil {
@@ -491,7 +563,7 @@ func (s *Server) handleCheckpointLoad(w http.ResponseWriter, r *http.Request) {
 	}
 	restored, err := s.ReadCheckpoint(bytes.NewReader(body))
 	switch {
-	case errors.Is(err, ErrCheckpointMismatch):
+	case errors.Is(err, ErrCheckpointMismatch), errors.Is(err, errLogAttached):
 		http.Error(w, err.Error(), http.StatusConflict)
 	case errors.Is(err, errBadCheckpoint):
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -523,6 +595,10 @@ type ingestError struct {
 	Applied int    `json:"applied"`
 }
 
+// maxClientName bounds X-Disc-Client: the name is stored verbatim in the
+// dedup table, in every WAL record of the client and in every checkpoint.
+const maxClientName = 128
+
 // handleIngest accepts a JSON array of points and pushes them through the
 // sliding window, advancing the engine whenever a stride completes and
 // publishing a fresh read view after each successful advance. The batch is
@@ -530,9 +606,13 @@ type ingestError struct {
 // pushed — wrong dimensionality, non-finite coordinates, ids duplicated
 // within the batch or against the resident window all reject the whole
 // batch with 400 and zero side effects. If the engine itself rejects an
-// advance mid-batch, the triggering point is rolled out of the slider
-// (keeping slider and engine in lockstep) and the 409 body reports how
-// many points were applied so the client knows where to resume.
+// advance mid-batch, the 409 body reports how many points were applied so
+// the client knows where to resume.
+//
+// The request passes through two stages: decodeIngest, which needs nothing
+// but the request and runs before the stream's mutex is taken, and
+// commitIngest, which holds it.
+//
 // When tracing is enabled each request records a span tree — ingest →
 // decode/validate → one advance (with engine phase and worker children)
 // and publish per completed stride — into a trace whose id either came
@@ -564,198 +644,205 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			s.tracer.Finish(tr)
 		}()
 	}
+	spDecode := tr.StartSpan("decode", root)
+	rec, status, msg := s.decodeIngest(w, r)
+	spDecode.SetInt("batch", len(rec.Points))
+	spDecode.EndNow()
+	if status != 0 {
+		http.Error(w, msg, status)
+		return
+	}
+	root.SetInt("batch", len(rec.Points))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.commitIngest(w, &rec, tr, root)
+}
+
+// decodeIngest turns a request into the batch it asks to apply — the
+// idempotency headers and the points — deciding everything that can be decided
+// without looking at the stream. A non-zero status rejects the request.
+func (s *Server) decodeIngest(w http.ResponseWriter, r *http.Request) (rec walRecord, status int, msg string) {
 	// Idempotency headers: an optional client-chosen sequence number per
 	// batch. A batch re-sent under the same (client, seq) after a lost
 	// response is answered from the dedup window with its original 200
 	// instead of being re-applied (or 400-rejected as a duplicate).
-	client := r.Header.Get("X-Disc-Client")
-	var seq uint64
-	hasSeq := false
+	rec.Client = r.Header.Get("X-Disc-Client")
+	if len(rec.Client) > maxClientName {
+		return rec, http.StatusBadRequest, fmt.Sprintf("X-Disc-Client must be at most %d bytes, got %d", maxClientName, len(rec.Client))
+	}
 	if h := r.Header.Get("X-Disc-Seq"); h != "" {
 		v, err := strconv.ParseUint(h, 10, 64)
 		if err != nil {
-			http.Error(w, "X-Disc-Seq must be an unsigned integer: "+err.Error(), http.StatusBadRequest)
-			return
+			return rec, http.StatusBadRequest, "X-Disc-Seq must be an unsigned integer: " + err.Error()
 		}
-		seq, hasSeq = v, true
-		if client == "" {
-			client = "default"
+		rec.Seq, rec.HasSeq = v, true
+		if rec.Client == "" {
+			rec.Client = "default"
 		}
 	}
-	spDecode := tr.StartSpan("decode", root)
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxIngestBytes))
 	if err != nil {
-		spDecode.EndNow()
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			http.Error(w, fmt.Sprintf("ingest body exceeds %d bytes", mbe.Limit), http.StatusRequestEntityTooLarge)
-			return
+			return rec, http.StatusRequestEntityTooLarge, fmt.Sprintf("ingest body exceeds %d bytes", mbe.Limit)
 		}
-		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
-		return
+		return rec, http.StatusBadRequest, "reading body: " + err.Error()
 	}
+	if rec.Points, err = decodeBatch(body, s.cfg.Cluster.Dims); err != nil {
+		return rec, http.StatusBadRequest, err.Error()
+	}
+	return rec, 0, ""
+}
+
+// decodeBatch parses an ingest body and checks everything about the batch
+// that does not depend on the stream's state.
+func decodeBatch(body []byte, dims int) ([]model.Point, error) {
 	var batch []ingestPoint
 	if err := json.Unmarshal(body, &batch); err != nil {
-		spDecode.EndNow()
-		http.Error(w, "body must be a JSON array of {id,time,coords}: "+err.Error(), http.StatusBadRequest)
-		return
+		return nil, fmt.Errorf("body must be a JSON array of {id,time,coords}: %w", err)
 	}
-	spDecode.SetInt("batch", len(batch))
-	spDecode.EndNow()
-	root.SetInt("batch", len(batch))
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// The probe gauge tracks the slider backlog across every exit path.
-	defer func() { s.pending.Store(int64(s.slider.PendingLen())) }()
+	pts, err := toPoints(batch, dims)
+	if err != nil {
+		return nil, fmt.Errorf("%w (no points applied)", err)
+	}
+	return pts, nil
+}
+
+// toPoints converts wire points to model points — the one conversion, so the
+// slider and the log see the same values — rejecting a wrong coordinate
+// count, non-finite values (NaN/Inf corrupt distance comparisons and index
+// cell keys) and an id that occurs twice in the batch.
+func toPoints(batch []ingestPoint, dims int) ([]model.Point, error) {
+	pts := make([]model.Point, len(batch))
+	seen := make(map[int64]int, len(batch))
+	for i, ip := range batch {
+		if len(ip.Coords) != dims {
+			return nil, fmt.Errorf("point %d: got %d coords, want %d", i, len(ip.Coords), dims)
+		}
+		for d, c := range ip.Coords {
+			if math.IsNaN(c) || math.IsInf(c, 0) {
+				return nil, fmt.Errorf("point %d (id %d): coordinate %d is non-finite (%v)", i, ip.ID, d, c)
+			}
+		}
+		if j, dup := seen[ip.ID]; dup {
+			return nil, fmt.Errorf("point %d duplicates id %d of point %d in the same batch (intra-batch duplicate: the batch itself is malformed; fix it and resend)", i, ip.ID, j)
+		}
+		seen[ip.ID] = i
+		pts[i] = model.Point{ID: ip.ID, Time: ip.Time, Pos: geom.NewVec(ip.Coords...)}
+	}
+	return pts, nil
+}
+
+// commitIngest is the stage under s.mu: look the batch up in the dedup
+// window, check it against the resident window, apply it, and make it durable
+// before acknowledging it. rec arrives with Client, Seq, HasSeq and Points
+// set; Start and Resp are filled in here.
+func (s *Server) commitIngest(w http.ResponseWriter, rec *walRecord, tr *trace.Trace, root *trace.Span) {
+	const logFailed = "write-ahead log failed; stream is read-only until repaired"
 	if s.walBroken {
-		http.Error(w, "write-ahead log failed; stream is read-only until repaired", http.StatusServiceUnavailable)
+		http.Error(w, logFailed, http.StatusServiceUnavailable)
 		return
 	}
-	if hasSeq {
-		if resp, hit, tooOld := s.seqs.lookup(client, seq); hit {
+	if rec.HasSeq {
+		if resp, hit, tooOld := s.seqs.lookup(rec.Client, rec.Seq); hit {
 			// Exactly-once apply under at-least-once delivery: the batch was
 			// already applied and acknowledged; replay the original body.
 			w.Header().Set("X-Disc-Deduped", "1")
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusOK)
-			if _, err := w.Write(resp); err != nil {
-				slog.Warn("server: writing deduplicated response", "err", err)
-			}
+			writeBody(w, http.StatusOK, resp)
 			return
 		} else if tooOld {
 			writeJSONStatus(w, http.StatusConflict, ingestError{
 				Error: fmt.Sprintf("seq %d for client %q is below the dedup window (last %d sequence numbers kept): cannot prove whether the batch was applied",
-					seq, client, s.seqs.window),
+					rec.Seq, rec.Client, s.seqs.window),
 			})
 			return
 		}
 	}
 	spValidate := tr.StartSpan("validate", root)
-	msg := s.validateBatch(batch)
+	resident := slices.IndexFunc(rec.Points, func(p model.Point) bool { return s.slider.Contains(p.ID) })
 	spValidate.EndNow()
-	if msg != "" {
-		http.Error(w, msg+" (no points applied)", http.StatusBadRequest)
+	if resident >= 0 {
+		http.Error(w, fmt.Sprintf("point %d: id %d is still resident in the window (window-resident duplicate: if this is a retry of a batch whose response was lost, the batch may already be fully applied and retrying it is unsafe; send an X-Disc-Seq header to make retries idempotent) (no points applied)",
+			resident, rec.Points[resident].ID), http.StatusBadRequest)
 		return
 	}
-	// With a WAL attached, materialize the batch once up front: the same
-	// slice feeds the slider and becomes the record's Points, so the log
-	// carries exactly what the engine saw.
-	var logPts []model.Point
-	if s.wal != nil {
-		logPts = make([]model.Point, len(batch))
-		for i, ip := range batch {
-			logPts[i] = model.Point{ID: ip.ID, Time: ip.Time, Pos: geom.NewVec(ip.Coords...)}
+	rec.Start = s.ingested
+	applied, err := s.apply(rec.Points, tr, root)
+	if err != nil {
+		// The applied prefix is in the stream, so it must be in the log too,
+		// or a replica replaying past this point diverges. No sequence
+		// number: a partial apply must not be dedup-replayed as if it had
+		// succeeded.
+		if applied > 0 && s.walAppend(&walRecord{Start: rec.Start, Points: rec.Points[:applied]}) != nil {
+			http.Error(w, logFailed, http.StatusServiceUnavailable)
+			return
 		}
+		writeJSONStatus(w, http.StatusConflict, ingestError{Error: err.Error(), Applied: applied})
+		return
 	}
-	start := s.ingested
-	applied := 0
-	for i, ip := range batch {
-		var p model.Point
-		if logPts != nil {
-			p = logPts[i]
-		} else {
-			p = model.Point{ID: ip.ID, Time: ip.Time, Pos: geom.NewVec(ip.Coords...)}
-		}
-		if step := s.slider.Push(p); step != nil {
-			if err := s.safeAdvance(step, tr, root); err != nil {
-				// The engine refused the stride, so the slider must not keep
-				// it either: roll the triggering point back out, leaving both
-				// exactly at the pre-push stream position. Without this the
-				// slider runs one stride ahead of the engine forever.
-				s.slider.Rewind(step)
-				// The applied prefix is in the stream, so it must be in the
-				// log too, or a replica replaying past this point diverges.
-				// No sequence number: a partial apply must not be dedup-
-				// replayed as if it had succeeded.
-				if applied > 0 && logPts != nil {
-					if werr := s.walAppend(&walRecord{Start: start, Points: logPts[:applied]}); werr != nil {
-						http.Error(w, "write-ahead log failed; stream is read-only until repaired", http.StatusServiceUnavailable)
-						return
-					}
-				}
-				writeJSONStatus(w, http.StatusConflict, ingestError{Error: err.Error(), Applied: applied})
-				return
-			}
-			// The stride landed: this view is the one the paper's exactness
-			// guarantee is about, so publish it before touching more input.
-			applied++
-			s.ingested++
-			s.ingestMx.Inc()
-			spPub := tr.StartSpan("publish", root)
-			s.publish()
-			spPub.EndNow()
-			if tr != nil {
-				// Remember where the stride's trace can be joined; the
-				// checkpoint runner parents its write spans here.
-				ctx := tr.Context(root)
-				s.strideCtx.Store(&ctx)
-			}
-			continue
-		}
-		applied++
-		s.ingested++
-		s.ingestMx.Inc()
-	}
-	resp := ingestResponse{
-		Accepted: len(batch),
+	rec.Resp, err = json.Marshal(ingestResponse{
+		Accepted: len(rec.Points),
 		Strides:  uint64(s.eng.Stats().Strides),
 		Window:   s.eng.WindowSize(),
-	}
-	ack, err := json.Marshal(resp)
+	})
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	ack = append(ack, '\n') // match the writeJSON encoder framing
+	rec.Resp = append(rec.Resp, '\n') // match the writeJSON encoder framing
 	// Durability before acknowledgment: the record (including the exact
 	// body about to be sent) is framed and fsynced while the mutex is
 	// still held, so a checkpoint can never capture un-logged state and
 	// an acknowledged batch can always be replayed.
-	if len(batch) > 0 || hasSeq {
-		if err := s.walAppend(&walRecord{
-			Start: start, Client: client, Seq: seq, HasSeq: hasSeq,
-			Points: logPts, Resp: ack,
-		}); err != nil {
-			http.Error(w, "write-ahead log failed; stream is read-only until repaired", http.StatusServiceUnavailable)
+	if len(rec.Points) > 0 || rec.HasSeq {
+		if s.walAppend(rec) != nil {
+			http.Error(w, logFailed, http.StatusServiceUnavailable)
 			return
 		}
 	}
-	if hasSeq {
-		s.seqs.record(client, seq, ack, s.ingested)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(ack); err != nil {
-		slog.Warn("server: writing response", "err", err)
-	}
+	s.recordSeq(rec)
+	writeBody(w, http.StatusOK, rec.Resp)
 }
 
-// validateBatch checks a decoded ingest batch against everything that can
-// be known before any point is pushed: coordinate dimensionality, finite
-// values (NaN/Inf corrupt distance comparisons and index cell keys), and id
-// uniqueness both within the batch and against points still resident in
-// the window or pending buffer. It returns "" when the batch is clean, or
-// a client-facing description of the first violation. Caller holds s.mu.
-func (s *Server) validateBatch(batch []ingestPoint) string {
-	seen := make(map[int64]int, len(batch))
-	for i, ip := range batch {
-		if len(ip.Coords) != s.cfg.Cluster.Dims {
-			return fmt.Sprintf("point %d: got %d coords, want %d", i, len(ip.Coords), s.cfg.Cluster.Dims)
-		}
-		for d, c := range ip.Coords {
-			if math.IsNaN(c) || math.IsInf(c, 0) {
-				return fmt.Sprintf("point %d (id %d): coordinate %d is non-finite (%v)", i, ip.ID, d, c)
+// apply is the stream's one write path: live ingest, crash recovery, follower
+// tailing and promotion all push their points through it, which is what makes
+// a replayed batch do exactly what the live batch did. Each point goes into
+// the slider; a point that completes a stride advances the engine and, once
+// the engine has accepted the stride, publishes the new view before the next
+// point is touched — that view is the one the paper's exactness guarantee is
+// about. If the engine refuses a stride the triggering point is rolled back
+// out of the slider, leaving both at the pre-push stream position (without
+// that the slider runs one stride ahead of the engine forever), and apply
+// returns how many points went in before it. With a trace active the stride's
+// spans land under root in tr. Caller holds s.mu.
+func (s *Server) apply(pts []model.Point, tr *trace.Trace, root *trace.Span) (applied int, err error) {
+	// The probe gauge tracks the slider backlog.
+	defer func() { s.pending.Store(int64(s.slider.PendingLen())) }()
+	for _, p := range pts {
+		step := s.slider.Push(p)
+		if step != nil {
+			if err := s.safeAdvance(step, tr, root); err != nil {
+				s.slider.Rewind(step)
+				return applied, err
 			}
 		}
-		if j, dup := seen[ip.ID]; dup {
-			return fmt.Sprintf("point %d duplicates id %d of point %d in the same batch (intra-batch duplicate: the batch itself is malformed; fix it and resend)", i, ip.ID, j)
+		applied++
+		s.ingested++
+		s.ingestMx.Inc()
+		if step == nil {
+			continue
 		}
-		seen[ip.ID] = i
-		if s.slider.Contains(ip.ID) {
-			return fmt.Sprintf("point %d: id %d is still resident in the window (window-resident duplicate: if this is a retry of a batch whose response was lost, the batch may already be fully applied and retrying it is unsafe; send an X-Disc-Seq header to make retries idempotent)", i, ip.ID)
+		spPub := tr.StartSpan("publish", root)
+		s.publish()
+		spPub.EndNow()
+		if tr != nil {
+			// Remember where the stride's trace can be joined; the
+			// checkpoint runner parents its write spans here.
+			ctx := tr.Context(root)
+			s.strideCtx.Store(&ctx)
 		}
 	}
-	return ""
+	return applied, nil
 }
 
 // safeAdvance converts engine protocol panics (duplicate ids and the like)

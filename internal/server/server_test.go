@@ -9,6 +9,8 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -284,38 +286,122 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestIngestBatchAtomicValidation: a bad point mid-batch must reject the
-// whole batch with zero side effects. The original handler validated and
-// pushed per point, so points before the bad one were silently ingested
-// (and strides advanced) behind the 400.
+// TestIngestBatchAtomicValidation: every rejecting exit of POST /ingest
+// leaves zero side effects — the checkpoint bytes (engine, window, stream
+// position, dedup table), the write-ahead log directory, the published view
+// and the ingest counter are what they were before the request. The original
+// handler validated and pushed per point, so points before a bad one were
+// silently ingested (and strides advanced) behind the 400.
 func TestIngestBatchAtomicValidation(t *testing.T) {
-	ts, s := newTestServer(t)
-	batch := []ingestPoint{
-		{ID: 1, Coords: []float64{0, 0}},
-		{ID: 2, Coords: []float64{1, 1}},
-		{ID: 3, Coords: []float64{1, 2, 3}}, // wrong dims
-		{ID: 4, Coords: []float64{2, 2}},
+	cfg := testWALConfig()
+	cfg.MaxIngestBytes = 64 << 10
+	ts, s, dir := newWALServer(t, cfg)
+	s.seqs = newSeqTable(2, seqClients)
+	rng := rand.New(rand.NewSource(12))
+	// 230 points — a full window and 30 pending, under the high-water mark —
+	// as sequence numbers 1-3, of which the dedup window keeps {2, 3}.
+	for seq, n := range []int{100, 100, 30} {
+		resp := postPointsSeq(t, ts.URL, clusteredBatch(rng, int64(seq)*1000, n), "loader", uint64(seq+1))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("setup batch %d: status %d: %s", seq, resp.StatusCode, readBody(t, resp))
+		}
+		resp.Body.Close()
 	}
-	resp := postPoints(t, ts, batch)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad batch status %d, want 400", resp.StatusCode)
+	s.cfg.IngestHighWater = 40 // set now: the filling window counts as backlog
+
+	dirSize := func() (n int64) {
+		filepath.Walk(dir, func(_ string, fi os.FileInfo, err error) error {
+			if err == nil && !fi.IsDir() {
+				n += fi.Size()
+			}
+			return nil
+		})
+		return n
 	}
-	var sr statsResponse
-	getJSON(t, ts.URL+"/stats", &sr)
-	if sr.Ingested != 0 {
-		t.Fatalf("bad batch left %d points ingested, want 0", sr.Ingested)
+	jsonOf := func(pts ...ingestPoint) []byte {
+		b, _ := json.Marshal(pts)
+		return b
 	}
-	if got := s.ingestMx.Value(); got != 0 {
-		t.Fatalf("bad batch left ingest counter at %d, want 0", got)
+	fresh := jsonOf(clusteredBatch(rng, 50_000, 4)...)
+	midBatchDims := []ingestPoint{
+		{ID: 50_001, Coords: []float64{0, 0}},
+		{ID: 50_002, Coords: []float64{1, 1}},
+		{ID: 50_003, Coords: []float64{1, 2, 3}},
+		{ID: 50_004, Coords: []float64{2, 2}},
 	}
-	// The same points without the bad one are still ingestible (nothing
-	// was pushed into the slider on the failed attempt).
-	resp = postPoints(t, ts, append(batch[:2:2], batch[3]))
+	reject := func(name string, body []byte, hdr map[string]string, want int) {
+		t.Helper()
+		ckptBefore, sizeBefore, viewBefore, mxBefore := checkpointBytes(t, s), dirSize(), s.view.Load(), s.ingestMx.Value()
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/ingest", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, v := range hdr {
+			req.Header.Set(k, v)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := readBody(t, resp); resp.StatusCode != want {
+			t.Fatalf("%s: status %d, want %d: %s", name, resp.StatusCode, want, got)
+		}
+		if !bytes.Equal(checkpointBytes(t, s), ckptBefore) {
+			t.Errorf("%s: checkpoint bytes changed behind the %d", name, want)
+		}
+		if got := dirSize(); got != sizeBefore {
+			t.Errorf("%s: write-ahead log grew from %d to %d bytes behind the %d", name, sizeBefore, got, want)
+		}
+		if s.view.Load() != viewBefore {
+			t.Errorf("%s: a view was published behind the %d", name, want)
+		}
+		if got := s.ingestMx.Value(); got != mxBefore {
+			t.Errorf("%s: ingest counter moved from %d to %d behind the %d", name, mxBefore, got, want)
+		}
+	}
+
+	reject("bad seq header", fresh, map[string]string{"X-Disc-Seq": "seven"}, http.StatusBadRequest)
+	reject("client name over the limit", fresh,
+		map[string]string{"X-Disc-Seq": "4", "X-Disc-Client": strings.Repeat("c", maxClientName+1)}, http.StatusBadRequest)
+	reject("body over the limit", bytes.Repeat([]byte(" "), 65<<10), nil, http.StatusRequestEntityTooLarge)
+	reject("bad JSON", []byte("nope"), nil, http.StatusBadRequest)
+	reject("wrong dims mid-batch", jsonOf(midBatchDims...), nil, http.StatusBadRequest)
+	reject("non-finite coordinate", []byte(`[{"id":50001,"time":0,"coords":[1e999,0]}]`), nil, http.StatusBadRequest)
+	reject("intra-batch duplicate", jsonOf(midBatchDims[0], midBatchDims[1], midBatchDims[0]), nil, http.StatusBadRequest)
+	reject("window-resident duplicate", jsonOf(midBatchDims[0], ingestPoint{ID: 1000, Coords: []float64{0, 0}}), nil, http.StatusBadRequest)
+	reject("seq below the dedup window", fresh, map[string]string{"X-Disc-Seq": "1", "X-Disc-Client": "loader"}, http.StatusConflict)
+
+	// The same points without the bad one are still ingestible (nothing was
+	// pushed into the slider on the failed attempt), and take the backlog
+	// over the high-water mark.
+	resp := postPoints(t, ts, append(midBatchDims[:2:2], midBatchDims[3]))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("clean retry status %d, want 200", resp.StatusCode)
 	}
+	resp = postPoints(t, ts, clusteredBatch(rng, 60_000, 10))
+	resp.Body.Close()
+	reject("backlog over the high-water mark", fresh, nil, http.StatusTooManyRequests)
+
+	// Break the log out from under the server. The append that discovers it
+	// answers 503 after applying its batch (apply comes before log); every
+	// request after that meets the latch and touches nothing.
+	s.cfg.IngestHighWater = 0
+	s.mu.Lock()
+	s.wal.Close()
+	s.mu.Unlock()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a directory"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	resp = postPoints(t, ts, clusteredBatch(rng, 70_000, 3))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("append onto broken log: status %d, want 503", resp.StatusCode)
+	}
+	reject("latched log failure", fresh, nil, http.StatusServiceUnavailable)
 }
 
 // TestIngestConflictReportsApplied: when the engine rejects an advance

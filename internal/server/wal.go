@@ -29,11 +29,12 @@ import (
 	"disc/internal/model"
 )
 
-// Dedup-window defaults: how many recent sequence numbers (with their
-// original responses) are remembered per client, and how many clients.
+// The dedup window: how many recent sequence numbers (with their original
+// responses) are remembered per client, and how many clients are tracked
+// before the least recently used is evicted.
 const (
-	DefaultSeqWindow  = 32
-	DefaultSeqClients = 256
+	seqWindow  = 32
+	seqClients = 256
 )
 
 // walRecord is the payload of one WAL record: one acknowledged ingest
@@ -49,6 +50,9 @@ type walRecord struct {
 	Points []model.Point
 	Resp   []byte
 }
+
+// end is the stream position after the record's batch.
+func (r *walRecord) end() uint64 { return r.Start + uint64(len(r.Points)) }
 
 // encodeWALRecord gobs one record as a self-contained blob (each record
 // carries its own type preamble, so replay can start at any record).
@@ -99,12 +103,6 @@ type seqTable struct {
 }
 
 func newSeqTable(window, clients int) *seqTable {
-	if window <= 0 {
-		window = DefaultSeqWindow
-	}
-	if clients <= 0 {
-		clients = DefaultSeqClients
-	}
 	return &seqTable{window: window, clients: clients, m: make(map[string]*clientSeqs)}
 }
 
@@ -128,10 +126,10 @@ func (t *seqTable) lookup(client string, seq uint64) (resp []byte, hit, tooOld b
 
 // record remembers an acknowledged (seq, resp) for client, trimming the
 // window to its bound and evicting the least-recently-used client at the
-// client cap. lastUsed is the stream position after the batch — a value
-// both the live path and replay compute identically, which is what makes
-// eviction order (and therefore checkpoint bytes) deterministic across
-// leader, restarted leader, and follower.
+// client cap. lastUsed is the stream position after the batch (recordSeq
+// takes it from the record on the live path and on replay alike), which is
+// what makes eviction order (and therefore checkpoint bytes) deterministic
+// across leader, restarted leader, and follower.
 func (t *seqTable) record(client string, seq uint64, resp []byte, lastUsed uint64) {
 	cs := t.m[client]
 	if cs == nil {
@@ -235,61 +233,28 @@ func (s *Server) walAppend(rec *walRecord) error {
 	return err
 }
 
-// streamPos returns the stream position of the last stride boundary for
-// the server's current engine state: the number of points that are
-// durable in window terms (pending partial strides excluded).
-func (s *Server) streamPos() uint64 {
-	strides := uint64(s.eng.Stats().Strides)
-	if strides == 0 {
-		return 0
+// recordSeq folds an applied record's sequence number, if it has one, into
+// the dedup window. Caller holds s.mu.
+func (s *Server) recordSeq(rec *walRecord) {
+	if rec.HasSeq {
+		s.seqs.record(rec.Client, rec.Seq, rec.Resp, rec.end())
 	}
-	return uint64(s.cfg.Window) + (strides-1)*uint64(s.cfg.Stride)
-}
-
-// beginWALReplay aligns the ingested counter with the durable stream
-// position before records are replayed. A checkpoint stores the ingested
-// counter as of snapshot time — including pending points it dropped —
-// so replaying the records that carry those points again would double
-// count; resetting to the stride-boundary position makes replay
-// re-increment through them exactly once. Caller holds s.mu.
-func (s *Server) beginWALReplay() uint64 {
-	pos := s.streamPos()
-	s.ingested = pos
-	if s.sm.Dedicated {
-		s.ingestMx.Set(int64(pos))
-	}
-	return pos
 }
 
 // applyRecord replays one WAL record: points the stream has already
-// applied (below s.ingested) are skipped, the rest are pushed through
-// the slider and engine exactly as live ingest would, and the record's
-// sequence number is folded into the dedup window. Caller holds s.mu.
+// applied (below s.ingested) are skipped, the rest go through apply, and the
+// record's sequence number is folded into the dedup window. Caller holds
+// s.mu.
 func (s *Server) applyRecord(rec *walRecord) error {
-	pos := s.ingested
-	if rec.Start > pos {
-		return fmt.Errorf("wal gap: record starts at position %d but the stream has only applied %d", rec.Start, pos)
+	if rec.Start > s.ingested {
+		return fmt.Errorf("wal gap: record starts at position %d but the stream has only applied %d", rec.Start, s.ingested)
 	}
-	if skip := pos - rec.Start; skip < uint64(len(rec.Points)) {
-		for _, p := range rec.Points[skip:] {
-			if step := s.slider.Push(p); step != nil {
-				if err := s.safeAdvance(step, nil, nil); err != nil {
-					s.slider.Rewind(step)
-					return fmt.Errorf("replaying stride at position %d: %w", s.ingested, err)
-				}
-				s.ingested++
-				s.ingestMx.Inc()
-				s.publish()
-				continue
-			}
-			s.ingested++
-			s.ingestMx.Inc()
+	if skip := s.ingested - rec.Start; skip < uint64(len(rec.Points)) {
+		if _, err := s.apply(rec.Points[skip:], nil, nil); err != nil {
+			return fmt.Errorf("replaying stride at position %d: %w", s.ingested, err)
 		}
 	}
-	if rec.HasSeq {
-		s.seqs.record(rec.Client, rec.Seq, rec.Resp, rec.Start+uint64(len(rec.Points)))
-	}
-	s.pending.Store(int64(s.slider.PendingLen()))
+	s.recordSeq(rec)
 	return nil
 }
 
@@ -300,40 +265,76 @@ func (s *Server) walRecordMaxPayload() int64 {
 	return 4*s.cfg.MaxIngestBytes + (1 << 20)
 }
 
-// replayWAL drains records from r into the server until the log ends
-// (ckpt.ErrWALWait) or turns definitively corrupt — corruption stops
-// replay cleanly at the last valid record, which is exactly the boundary
-// OpenWAL repairs the log to. It returns the number of records applied.
-// Caller holds s.mu.
-func (s *Server) replayWAL(r *ckpt.WALReader, logger *slog.Logger) (int, error) {
-	applied := 0
-	for {
+// boundaryPos returns the stream position — points applied since the stream
+// began — of the stride boundary that completes the given number of strides:
+// what is durable in window terms, pending partial strides excluded.
+func (c Config) boundaryPos(strides uint64) uint64 {
+	if strides == 0 {
+		return 0
+	}
+	return uint64(c.Window) + (strides-1)*uint64(c.Stride)
+}
+
+// openReplay positions the stream for replay and opens the log in dir at
+// that position: the ingested counter is aligned with the last stride
+// boundary first, because a checkpoint stores the counter as of snapshot time
+// — including the pending points it dropped — and the records that carry
+// those points are about to re-increment through them.
+func (s *Server) openReplay(dir string) *ckpt.WALReader {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	pos := s.cfg.boundaryPos(uint64(s.eng.Stats().Strides))
+	s.ingested = pos
+	if s.sm.Dedicated {
+		s.ingestMx.Set(int64(pos))
+	}
+	return ckpt.OpenWALReader(dir, pos, s.walRecordMaxPayload())
+}
+
+// replay drains r: each record is decoded and handed to apply under s.mu —
+// applyRecord, or a caller's wrapper around it — until the log ends for now
+// (a nil error: a tailer polls again, a one-shot replay is done) or a record
+// cannot be applied. A damaged or undecodable record is reported wrapping
+// ckpt.ErrWALCorrupt, and what that means is the caller's decision: crash
+// recovery and promotion stop there — it is exactly the boundary OpenWAL
+// repairs the log to — while a tailing follower must not guess past damage a
+// live leader may still be appending beyond. It returns the number of records
+// applied.
+func (s *Server) replay(r *ckpt.WALReader, apply func(*walRecord) error) (int, error) {
+	for applied := 0; ; applied++ {
 		_, payload, err := r.Next()
+		if errors.Is(err, ckpt.ErrWALWait) {
+			return applied, nil
+		}
 		if err != nil {
-			if errors.Is(err, ckpt.ErrWALWait) {
-				return applied, nil
-			}
-			if errors.Is(err, ckpt.ErrWALCorrupt) {
-				if logger != nil {
-					logger.Warn("wal replay stopped at corrupt record; later records are unrecoverable",
-						"records_applied", applied, "err", err)
-				}
-				return applied, nil
-			}
 			return applied, err
 		}
 		rec, err := decodeWALRecord(payload)
 		if err != nil {
-			if logger != nil {
-				logger.Warn("wal replay stopped at undecodable record", "records_applied", applied, "err", err)
-			}
-			return applied, nil
+			return applied, fmt.Errorf("%w: %w", ckpt.ErrWALCorrupt, err)
 		}
-		if err := s.applyRecord(rec); err != nil {
+		s.mu.Lock()
+		err = apply(rec)
+		s.mu.Unlock()
+		if err != nil {
 			return applied, err
 		}
-		applied++
 	}
+}
+
+// replayToDamage is replay for a log nobody is appending to any more: a
+// corrupt record ends it cleanly, with a warning, because nothing after the
+// damage is recoverable and OpenWAL cuts the log at the same place.
+func (s *Server) replayToDamage(r *ckpt.WALReader, apply func(*walRecord) error, logger *slog.Logger) (int, error) {
+	applied, err := s.replay(r, apply)
+	if errors.Is(err, ckpt.ErrWALCorrupt) {
+		if logger != nil {
+			logger.Warn("wal replay stopped at a corrupt record; later records are unrecoverable",
+				"records_applied", applied, "err", err)
+		}
+		err = nil
+	}
+	return applied, err
 }
 
 // RecoverWAL replays the log in dir from the server's durable stream
@@ -344,10 +345,7 @@ func (s *Server) replayWAL(r *ckpt.WALReader, logger *slog.Logger) (int, error) 
 // and replay stop at the same boundary, so the log and the recovered
 // state agree.
 func (s *Server) RecoverWAL(dir string, logger *slog.Logger) (int, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	pos := s.beginWALReplay()
-	r := ckpt.OpenWALReader(dir, pos, s.walRecordMaxPayload())
+	r := s.openReplay(dir)
 	defer r.Close()
-	return s.replayWAL(r, logger)
+	return s.replayToDamage(r, s.applyRecord, logger)
 }

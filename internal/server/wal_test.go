@@ -193,9 +193,8 @@ func TestIngestSeqDedup(t *testing.T) {
 // dedup window cannot be proven applied or unapplied — 409, not a silent
 // re-apply and not a misleading 400.
 func TestIngestSeqBelowWindow(t *testing.T) {
-	cfg := testWALConfig()
-	cfg.SeqWindow = 2
-	ts, _, _ := newWALServer(t, cfg)
+	ts, s, _ := newWALServer(t, testWALConfig())
+	s.seqs = newSeqTable(2, seqClients)
 	rng := rand.New(rand.NewSource(8))
 	for seq := uint64(1); seq <= 3; seq++ {
 		resp := postPointsSeq(t, ts.URL, clusteredBatch(rng, int64(seq)*1000, 10), "loader", seq)
@@ -547,6 +546,98 @@ func TestFollowerDifferential(t *testing.T) {
 }
 
 // --- bugfix sweep regressions --------------------------------------------
+
+// TestCheckpointLoadRefusedUnderWAL is the regression for the forked log:
+// POST /checkpoint on a write-ahead-logged stream rewound the stream position
+// while the attached log kept its records, so a batch acknowledged after the
+// restore was appended at a position the log already covered and silently
+// skipped by the next replay. The restore is refused (409, nothing touched),
+// and everything acknowledged around it survives a crash.
+func TestCheckpointLoadRefusedUnderWAL(t *testing.T) {
+	cfg := testWALConfig()
+	ts, leader, dir := newWALServer(t, cfg)
+	ingestScript(t, ts.URL, 61, 4, 37)
+	early := checkpointBytes(t, leader)
+	rng := rand.New(rand.NewSource(62))
+	for i := 4; i < 12; i++ {
+		resp := postPointsSeq(t, ts.URL, clusteredBatch(rng, int64(i)*10_000, 37), "script", uint64(i+1))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch %d: status %d: %s", i, resp.StatusCode, readBody(t, resp))
+		}
+		resp.Body.Close()
+	}
+	before := checkpointBytes(t, leader)
+
+	resp, err := http.Post(ts.URL+"/checkpoint", "application/octet-stream", bytes.NewReader(early))
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := string(readBody(t, resp))
+	if resp.StatusCode != http.StatusConflict {
+		t.Fatalf("restore under an attached log: status %d, want 409: %s", resp.StatusCode, body)
+	}
+	for _, want := range []string{"write-ahead log", "stop the process", "checkpoint directory"} {
+		if !strings.Contains(body, want) {
+			t.Errorf("409 body does not mention %q:\n%s", want, body)
+		}
+	}
+	if !bytes.Equal(checkpointBytes(t, leader), before) {
+		t.Fatal("the refused restore changed the stream")
+	}
+
+	// One more acknowledged batch, then a crash: the log alone brings back
+	// the leader's state, that batch included.
+	resp = postPointsSeq(t, ts.URL, clusteredBatch(rng, 900_000, 120), "script", 13)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("batch after the refused restore: status %d: %s", resp.StatusCode, readBody(t, resp))
+	}
+	resp.Body.Close()
+	recovered, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, err := recovered.RecoverWAL(dir, nil); err != nil || n != 13 {
+		t.Fatalf("RecoverWAL = %d records, %v; want 13", n, err)
+	}
+	if !bytes.Equal(checkpointBytes(t, recovered), checkpointBytes(t, leader)) {
+		t.Fatal("the stream recovered from the log diverged from the leader")
+	}
+
+	// Without a log attached (and at start-up, before AttachWAL) a restore
+	// is still the way back to a checkpoint.
+	ts2, _ := newTestServer(t)
+	resp, err = http.Post(ts2.URL+"/checkpoint", "application/octet-stream", bytes.NewReader(early))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("restore without a log: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestIngestClientNameLimit: X-Disc-Client is stored in the dedup table, in
+// every record the client's batches log and in every checkpoint, so it is
+// bounded: 128 bytes pass, 129 are a 400 that stores nothing.
+func TestIngestClientNameLimit(t *testing.T) {
+	ts, s, _ := newWALServer(t, testWALConfig())
+	rng := rand.New(rand.NewSource(63))
+	long := strings.Repeat("n", maxClientName+1)
+	resp := postPointsSeq(t, ts.URL, clusteredBatch(rng, 0, 5), long, 1)
+	if body := readBody(t, resp); resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "X-Disc-Client") {
+		t.Fatalf("%d-byte client name: status %d, want a 400 naming the header: %s", len(long), resp.StatusCode, body)
+	}
+	resp = postPointsSeq(t, ts.URL, clusteredBatch(rng, 0, 5), long[1:], 1)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%d-byte client name: status %d: %s", maxClientName, resp.StatusCode, readBody(t, resp))
+	}
+	resp.Body.Close()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, stored := s.seqs.m[long]; stored || len(s.seqs.m) != 1 {
+		t.Fatalf("dedup table holds %d clients (over-long one stored: %v), want only the 128-byte one", len(s.seqs.m), stored)
+	}
+}
 
 // TestMultiDeleteStreamRemovesDurableState is the regression for the
 // delete/recreate resurrection bug: deleting a stream must remove its
