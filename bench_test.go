@@ -181,11 +181,10 @@ func BenchmarkFig8(b *testing.B) {
 	}
 }
 
-// --- Index-choice ablation (DESIGN §11: ε-grid vs the paper's R-tree vs a
-// k-d tree) ---------------------------------------------------------------
+// --- Index-choice ablation (DESIGN §11: ε-grid vs the paper's R-tree) --------
 
 func BenchmarkIndexAblation(b *testing.B) {
-	kinds := []string{"disc", "disc-rtree", "disc-kd"}
+	kinds := []string{"disc", "disc-rtree"}
 	for _, dataset := range []string{"dtg", "maze"} {
 		for _, kind := range kinds {
 			b.Run(dataset+"/"+kind, func(b *testing.B) {

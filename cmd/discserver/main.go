@@ -16,8 +16,8 @@
 // Stream registry:
 //
 //	POST   /streams          create a stream: {"name","dims","eps","minPts",
-//	                         "window","stride","connectivity"} — omitted
-//	                         fields inherit the default stream's template
+//	                         "window","stride"} — omitted fields inherit
+//	                         the default stream's template
 //	GET    /streams          list streams with config and live counters
 //	DELETE /streams/{name}   unregister a stream ("default" is undeletable)
 //

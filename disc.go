@@ -92,17 +92,10 @@ func NewPoint(id int64, coords ...float64) Point {
 	return Point{ID: id, Pos: geom.NewVec(coords...)}
 }
 
-// DISCOption configures optional DISC behaviors.
+// DISCOption configures optional DISC behaviors. A checkpoint carries
+// engine state only: an engine's options are what NewDISC or LoadDISC was
+// given.
 type DISCOption = core.Option
-
-// WithMSBFS enables (default) or disables the Multi-Starter BFS
-// optimization; see the Fig. 8 ablation of the paper.
-func WithMSBFS(on bool) DISCOption { return core.WithMSBFS(on) }
-
-// WithEpochProbing enables (default) or disables epoch-stamped reuse of the
-// reachability scratch state; disabling rebuilds fresh visited state per
-// connectivity check (the Fig. 8-style ablation), with identical results.
-func WithEpochProbing(on bool) DISCOption { return core.WithEpochProbing(on) }
 
 // WithWorkers sets how many goroutines DISC fans its ε-range searches over
 // — both COLLECT's per-point searches and CLUSTER's component captures and
@@ -110,7 +103,7 @@ func WithEpochProbing(on bool) DISCOption { return core.WithEpochProbing(on) }
 // stays sequential. Clustering output, statistics, and the event stream are
 // bit-identical for every worker count — the searches are read-only and
 // their private result buffers are folded in a fixed order — so this is
-// purely a throughput knob. The setting is persisted in checkpoints.
+// purely a throughput knob.
 func WithWorkers(n int) DISCOption { return core.WithWorkers(n) }
 
 // ConnStrategy selects how DISC answers density-connectivity queries over
@@ -131,8 +124,6 @@ const (
 )
 
 // WithConnectivity selects the connectivity strategy (default ConnMSBFS).
-// The setting is persisted in checkpoints; passed to LoadDISC it overrides
-// the persisted strategy.
 func WithConnectivity(s ConnStrategy) DISCOption { return core.WithConnectivity(s) }
 
 // WithRTreeIndex runs DISC on the paper's substrate, an R-tree, instead of
@@ -141,10 +132,6 @@ func WithConnectivity(s ConnStrategy) DISCOption { return core.WithConnectivity(
 // stream age, the grid's does not. The index is a construction choice, not
 // checkpoint state: pass the option to LoadDISC to restore onto it.
 func WithRTreeIndex() DISCOption { return core.WithRTreeIndex() }
-
-// WithKDTreeIndex runs DISC on a bucket k-d tree — the third index-choice
-// ablation. Like WithRTreeIndex it is not persisted.
-func WithKDTreeIndex() DISCOption { return core.WithKDTreeIndex() }
 
 // Event describes one cluster-evolution occurrence reported by DISC.
 type Event = core.Event
@@ -190,8 +177,8 @@ func WithObserver(o Observer) DISCOption { return core.WithObserver(o) }
 func NewDISC(cfg Config, opts ...DISCOption) *core.Engine { return core.New(cfg, opts...) }
 
 // LoadDISC restores a DISC engine from a checkpoint written by its
-// SaveSnapshot method, optionally re-attaching options that do not
-// serialize (such as an event handler).
+// SaveSnapshot method: the engine NewDISC(cfg, opts...) would build for the
+// checkpoint's configuration, holding the checkpoint's state.
 func LoadDISC(r io.Reader, opts ...DISCOption) (*core.Engine, error) {
 	return core.LoadEngine(r, opts...)
 }

@@ -87,7 +87,7 @@ func TestAllEnginesImplementInterface(t *testing.T) {
 	}
 	engines := []disc.Engine{
 		disc.NewDISC(cfg),
-		disc.NewDISC(cfg, disc.WithMSBFS(false), disc.WithEpochProbing(false)),
+		disc.NewDISC(cfg, disc.WithRTreeIndex(), disc.WithConnectivity(disc.ConnDynamic)),
 		disc.NewDBSCAN(cfg),
 		disc.NewIncDBSCAN(cfg),
 		extran, dbs, edm, rho,

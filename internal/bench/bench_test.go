@@ -78,7 +78,7 @@ func TestNewEngineKinds(t *testing.T) {
 		// The server's engine runs on the grid; the paper's substrate and
 		// its Fig. 8 ablation variants on the R-tree.
 		wantIndex := map[string]string{
-			"disc": "grid", "disc-par": "grid", "disc-dyncon": "grid", "disc-kd": "kdtree",
+			"disc": "grid", "disc-par": "grid", "disc-dyncon": "grid",
 			"disc-rtree": "rtree", "disc-nomsbfs": "rtree", "disc-noepoch": "rtree", "disc-plain": "rtree",
 		}[kind]
 		if got := indexOf(eng); got != wantIndex {

@@ -70,10 +70,10 @@ type Row struct {
 	Dataset string `json:"dataset"`
 	Param   string `json:"param"` // x-axis value ("stride=5%", "window=2x", "eps=0.004", ...)
 	Engine  string `json:"engine"`
-	// Index names the spatial index a DISC row ran on ("grid", "rtree",
-	// "kdtree"). Elapsed times and node-access counts taken under different
-	// indexes are different quantities; rows without the field predate it
-	// and ran on the R-tree.
+	// Index names the spatial index a DISC row ran on ("grid" or "rtree").
+	// Elapsed times and node-access counts taken under different indexes
+	// are different quantities; rows without the field predate it and ran
+	// on the R-tree.
 	Index string             `json:"index,omitempty"`
 	Value float64            `json:"value"` // primary metric (speedup, ms, searches, ARI, µs/point)
 	Unit  string             `json:"unit"`

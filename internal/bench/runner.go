@@ -25,7 +25,7 @@ import (
 // the Fig. 8 ablation kinds (-nomsbfs, -noepoch, -plain) are variants of it.
 func EngineKinds() []string {
 	return []string{
-		"disc", "disc-rtree", "disc-nomsbfs", "disc-noepoch", "disc-plain", "disc-kd", "disc-par", "disc-dyncon",
+		"disc", "disc-rtree", "disc-nomsbfs", "disc-noepoch", "disc-plain", "disc-par", "disc-dyncon",
 		"dbscan", "incdbscan", "extran",
 		"dbstream", "edmstream", "denstream", "dstream", "rho2-0.1", "rho2-0.001",
 	}
@@ -45,8 +45,6 @@ func NewEngine(kind string, cfg model.Config, win, stride int) (model.Engine, er
 		return core.New(cfg, core.WithRTreeIndex(), core.WithEpochProbing(false)), nil
 	case "disc-plain":
 		return core.New(cfg, core.WithRTreeIndex(), core.WithMSBFS(false), core.WithEpochProbing(false)), nil
-	case "disc-kd":
-		return core.New(cfg, core.WithKDTreeIndex()), nil
 	case "disc-par":
 		return core.New(cfg, core.WithWorkers(0)), nil // 0 = all available cores
 	case "disc-dyncon":
@@ -129,7 +127,7 @@ type traceable interface {
 // RunResult summarizes one engine over one windowed workload.
 type RunResult struct {
 	Engine      string
-	Index       string        // spatial index of a DISC engine ("grid", "rtree", "kdtree"); "" otherwise
+	Index       string        // spatial index of a DISC engine ("grid" or "rtree"); "" otherwise
 	Strides     int           // measured strides (bootstrap excluded)
 	PerStride   time.Duration // mean Advance time per measured stride
 	PerPoint    time.Duration // mean Advance time per arriving point

@@ -208,7 +208,7 @@ func TestConnectivityZeroAlloc(t *testing.T) {
 			eng := buildEngine(t, cfg, append(a, b...), tc.opts...)
 			eng.ensureScratches(1)
 			s := eng.scratches[0]
-			res := &eng.connRes
+			res := new(connResult)
 			connected := []int64{0, 100, 199}
 			split := []int64{0, 199, 500}
 			for i := 0; i < 3; i++ { // warm the pools past their high-water mark

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -30,7 +29,7 @@ func assignmentsEqual(t *testing.T, got, want map[int64]model.Assignment, ctx st
 }
 
 // TestParallelCollectBitIdentical drives engines with worker counts 1, 2, 4
-// and 8 through the same evolving stream on all three index backends and
+// and 8 through the same evolving stream on both index backends and
 // requires bit-identical snapshots and work counters after every stride.
 func TestParallelCollectBitIdentical(t *testing.T) {
 	backends := []struct {
@@ -39,7 +38,6 @@ func TestParallelCollectBitIdentical(t *testing.T) {
 	}{
 		{"grid", nil},
 		{"rtree", []Option{WithRTreeIndex()}},
-		{"kdtree", []Option{WithKDTreeIndex()}},
 	}
 	for _, be := range backends {
 		t.Run(be.name, func(t *testing.T) {
@@ -89,25 +87,6 @@ func TestParallelCollectMatchesDBSCAN(t *testing.T) {
 		cfg2(3, 8), 900, 900, WithWorkers(8)) // tumbling window: Δin = Δout = everything
 }
 
-// TestWorkersPersisted checks the WithWorkers setting survives a checkpoint
-// round trip.
-func TestWorkersPersisted(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	eng := New(cfg2(2.5, 5), WithWorkers(4))
-	eng.Advance(clustered2D(rng, 500), nil)
-	var buf bytes.Buffer
-	if err := eng.SaveSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := LoadEngine(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.workers != 4 {
-		t.Fatalf("workers = %d after reload, want 4", loaded.workers)
-	}
-}
-
 // TestConcurrentQueriesDuringStream runs one feeder goroutine against a raw
 // (unwrapped) engine and, between strides, several concurrent query
 // goroutines — verifying under -race that Snapshot, Assignment and Stats
@@ -153,7 +132,6 @@ func TestSearchBallROMatchesSearchBall(t *testing.T) {
 	}{
 		{"grid", nil},
 		{"rtree", []Option{WithRTreeIndex()}},
-		{"kdtree", []Option{WithKDTreeIndex()}},
 	}
 	rng := rand.New(rand.NewSource(14))
 	data := clustered2D(rng, 1500)

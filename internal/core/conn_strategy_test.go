@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"math/rand"
-	"sync"
 	"testing"
 
 	"disc/internal/datasets"
@@ -36,7 +35,7 @@ func diffStrategies(t *testing.T, cfg model.Config, steps []window.Step, workers
 	if err := dyn.CheckInvariants(); err != nil {
 		t.Fatalf("invariants (workers=%d): %v", workers, err)
 	}
-	if got := dyn.ForestRebuilds(); got != 0 {
+	if got := dyn.forestRebuilds; got != 0 {
 		t.Fatalf("incremental run fell back to %d full forest rebuilds", got)
 	}
 }
@@ -156,15 +155,12 @@ func TestConnectivityCheckpointRoundTrip(t *testing.T) {
 	if err := dyn.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	restored, err := LoadEngine(&buf, recordEvents(&dynEvents), WithWorkers(4))
+	restored, err := LoadEngine(&buf, recordEvents(&dynEvents), WithWorkers(4), WithConnectivity(ConnDynamic))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if restored.Connectivity() != ConnDynamic {
-		t.Fatalf("restored strategy = %v, want ConnDynamic (persisted setting lost)", restored.Connectivity())
-	}
-	if restored.ForestRebuilds() != 1 {
-		t.Fatalf("restore rebuilt the forest %d times, want exactly 1", restored.ForestRebuilds())
+	if restored.forestRebuilds != 1 {
+		t.Fatalf("restore rebuilt the forest %d times, want exactly 1", restored.forestRebuilds)
 	}
 	if restored.forest.NumVertices() == 0 {
 		t.Fatal("restored forest is empty; rebuild did not run against the window")
@@ -180,44 +176,57 @@ func TestConnectivityCheckpointRoundTrip(t *testing.T) {
 	}
 }
 
-// TestConnectivityRestoreOverride pins that WithConnectivity passed to
-// LoadEngine overrides the persisted strategy in both directions.
+// TestConnectivityRestoreOverride pins where a restored engine's strategy
+// comes from: LoadEngine's options, never the snapshot. Whatever strategy
+// saved it, the engine runs MS-BFS with no forest unless WithConnectivity
+// asks for the forest, which is then rebuilt exactly once.
 func TestConnectivityRestoreOverride(t *testing.T) {
 	cfg := model.Config{Dims: 2, Eps: 1.0, MinPts: 2}
-	for _, tc := range []struct {
-		name     string
-		saveOpt  []Option
-		loadOpt  []Option
-		restored ConnStrategy
+	strategies := []struct {
+		name string
+		opts []Option
+		want ConnStrategy
 	}{
-		{"dynamic-to-msbfs", []Option{WithConnectivity(ConnDynamic)}, []Option{WithConnectivity(ConnMSBFS)}, ConnMSBFS},
-		{"msbfs-to-dynamic", nil, []Option{WithConnectivity(ConnDynamic)}, ConnDynamic},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			eng := New(cfg, tc.saveOpt...)
-			eng.Advance(line(0, 0, 40, 0.9), nil)
-			var buf bytes.Buffer
-			if err := eng.SaveSnapshot(&buf); err != nil {
-				t.Fatal(err)
-			}
-			restored, err := LoadEngine(&buf, tc.loadOpt...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if restored.Connectivity() != tc.restored {
-				t.Fatalf("strategy = %v, want %v", restored.Connectivity(), tc.restored)
-			}
-			// The restored engine must work under the overriding strategy:
-			// remove a middle core, forcing a split decision.
-			restored.Advance(nil, []model.Point{{ID: 20}})
-			if err := restored.CheckInvariants(); err != nil {
-				t.Fatal(err)
-			}
-			snap := restored.Snapshot()
-			if a, b := snap[0], snap[39]; a.ClusterID == b.ClusterID {
-				t.Fatalf("severed chain halves share cluster %d", a.ClusterID)
-			}
-		})
+		{"default", nil, ConnMSBFS},
+		{"msbfs", []Option{WithConnectivity(ConnMSBFS)}, ConnMSBFS},
+		{"dynamic", []Option{WithConnectivity(ConnDynamic)}, ConnDynamic},
+	}
+	for _, from := range strategies {
+		for _, to := range strategies {
+			t.Run(from.name+"->"+to.name, func(t *testing.T) {
+				eng := New(cfg, from.opts...)
+				eng.Advance(line(0, 0, 40, 0.9), nil)
+				var buf bytes.Buffer
+				if err := eng.SaveSnapshot(&buf); err != nil {
+					t.Fatal(err)
+				}
+				restored, err := LoadEngine(&buf, to.opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if restored.connStrategy != to.want {
+					t.Fatalf("strategy = %v, want %v", restored.connStrategy, to.want)
+				}
+				wantRebuilds, wantForest := int64(0), false
+				if to.want == ConnDynamic {
+					wantRebuilds, wantForest = 1, true
+				}
+				if restored.forestRebuilds != wantRebuilds || (restored.forest != nil) != wantForest {
+					t.Fatalf("forest present=%v rebuilt %d times, want present=%v rebuilt %d times",
+						restored.forest != nil, restored.forestRebuilds, wantForest, wantRebuilds)
+				}
+				// The restored engine must work under its strategy: remove a
+				// middle core, forcing a split decision.
+				restored.Advance(nil, []model.Point{{ID: 20}})
+				if err := restored.CheckInvariants(); err != nil {
+					t.Fatal(err)
+				}
+				snap := restored.Snapshot()
+				if a, b := snap[0], snap[39]; a.ClusterID == b.ClusterID {
+					t.Fatalf("severed chain halves share cluster %d", a.ClusterID)
+				}
+			})
+		}
 	}
 }
 
@@ -245,43 +254,12 @@ func TestForestDesyncRebuild(t *testing.T) {
 		dyn.Advance(st.In, st.Out)
 		compareEngines(t, ref, dyn, refEvents, dynEvents, i, 1)
 	}
-	if got := dyn.ForestRebuilds(); got < 1 {
+	if got := dyn.forestRebuilds; got < 1 {
 		t.Fatalf("forest rebuilds = %d, want >= 1 after sabotage", got)
 	}
 	if err := dyn.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestConnectivitySequentialGuard is the -race regression for the
-// sequential connectivity() convenience: it borrows engine-owned singletons
-// (scratches[0], connRes), so concurrent callers must serialize under the
-// engine's mutex instead of racing on them.
-func TestConnectivitySequentialGuard(t *testing.T) {
-	cfg := model.Config{Dims: 2, Eps: 1.0, MinPts: 2}
-	a := line(0, 0, 120, 0.9)
-	b := line(500, 300, 40, 0.9)
-	eng := buildEngine(t, cfg, append(a, b...))
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				bonding := []int64{0, 60, 119}
-				wantNCC := 1
-				if (g+i)%2 == 0 {
-					bonding = []int64{0, 119, 500}
-					wantNCC = 2
-				}
-				if _, ncc := eng.connectivity(bonding); ncc != wantNCC {
-					t.Errorf("goroutine %d iter %d: ncc=%d, want %d", g, i, ncc, wantNCC)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 // FuzzConnectivityEquivalence is the differential fuzz target for the
@@ -343,7 +321,7 @@ func FuzzConnectivityEquivalence(f *testing.F) {
 				if err := dyn.SaveSnapshot(&dynBuf); err != nil {
 					t.Fatal(err)
 				}
-				dyn, err = LoadEngine(&dynBuf, recordEvents(&dynEvents), WithWorkers(workers))
+				dyn, err = LoadEngine(&dynBuf, recordEvents(&dynEvents), WithConnectivity(ConnDynamic), WithWorkers(workers))
 				if err != nil {
 					t.Fatal(err)
 				}

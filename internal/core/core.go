@@ -32,7 +32,6 @@ package core
 import (
 	"fmt"
 	"runtime"
-	"sync"
 	"time"
 
 	"disc/internal/dsu"
@@ -47,13 +46,16 @@ import (
 // the forest, so the id space does not grow without bound).
 const compactInterval = 1024
 
-// Option configures optional behaviors of the engine. The two switches
-// correspond to the ablation study in Fig. 8 of the paper.
+// Option configures optional behaviors of the engine. An engine's
+// configuration is exactly what New or LoadEngine was given: no option is
+// part of a checkpoint.
 type Option func(*Engine)
 
 // WithMSBFS enables (default) or disables the Multi-Starter BFS. When
 // disabled, connectivity of minimal bonding cores is checked by sequential
-// single-source BFS traversals that explore entire components.
+// single-source BFS traversals that explore entire components. This and
+// WithEpochProbing are the Fig. 8 ablation switches; internal/bench is
+// their only caller outside tests.
 func WithMSBFS(on bool) Option { return func(e *Engine) { e.useMSBFS = on } }
 
 // WithEpochProbing enables (default) or disables epoch-stamped reuse of the
@@ -105,7 +107,11 @@ type pstate struct {
 }
 
 // Engine is the DISC clustering engine. It implements model.Engine. The
-// zero value is unusable; construct with New. Not safe for concurrent use.
+// zero value is unusable; construct with New. Not safe for concurrent use,
+// with one exception: Assignment, Snapshot, Stats and SaveSnapshot perform
+// no writes, not even hidden ones (no union-find path compression, no index
+// statistics), so any number of them may run at once while no Advance or
+// other mutation is in flight.
 type Engine struct {
 	cfg      model.Config
 	tree     spatialIndex
@@ -124,13 +130,10 @@ type Engine struct {
 	// Connectivity strategy (dyncon.go). With ConnDynamic the engine keeps
 	// forest — a dynamic-connectivity structure over the core-adjacency
 	// graph — in sync with every stride's core delta and answers phase-C
-	// component queries from it instead of traversing. connMu serializes the
-	// sequential connectivity() convenience, whose scratch and result are
-	// engine-owned singletons. forestRebuilds counts lifetime full rebuilds
-	// (restores and desync fallbacks).
+	// component queries from it instead of traversing. forestRebuilds counts
+	// lifetime full rebuilds (restores and desync fallbacks).
 	connStrategy   ConnStrategy
 	forest         *dyncon.Forest
-	connMu         sync.Mutex
 	forestRebuilds int64
 
 	// Span recording (trace.go). tracer enables self-traced advances;
@@ -212,7 +215,6 @@ type Engine struct {
 	walkQ       []int32
 	cidScratch  []int
 	scratches   []*msScratch
-	connRes     connResult
 
 	// Bound-once fan-out dispatchers and per-worker search contexts. Building
 	// a closure per ε-search (or per fan-out) was the last steady-state
@@ -245,7 +247,6 @@ func New(cfg model.Config, opts ...Option) *Engine {
 	}
 	e := &Engine{
 		cfg:      cfg,
-		tree:     newEpsGrid(cfg.Dims, cfg.Eps),
 		pts:      make(map[int64]*pstate),
 		cids:     dsu.NewInt(),
 		nextCID:  1,
@@ -265,6 +266,9 @@ func New(cfg model.Config, opts ...Option) *Engine {
 	e.rebuildFn = e.rebuildVisit
 	for _, o := range opts {
 		o(e)
+	}
+	if e.tree == nil {
+		e.tree = newEpsGrid(cfg.Dims, cfg.Eps)
 	}
 	return e
 }
@@ -690,15 +694,6 @@ func (e *Engine) borderAnchor(id int64, st *pstate) (int64, *pstate) {
 	})
 	return hid, anchor
 }
-
-// ConcurrentReadable marks the engine's query methods (Assignment, Snapshot,
-// Stats, Name — and SaveSnapshot, which compacts cluster ids into the wire
-// form without touching engine state) as safe for any number of concurrent
-// callers while no Advance, ResetStats, or other mutation is in flight:
-// they perform no writes, not even hidden ones (no union-find path
-// compression, no index statistics). disc.Synchronized detects this marker
-// and serves such engines' queries under a shared read lock.
-func (e *Engine) ConcurrentReadable() {}
 
 // Config returns the engine's clustering configuration. Restore paths use
 // it to reject checkpoints taken under different thresholds or

@@ -174,11 +174,12 @@ func BenchmarkConnectivitySteady(b *testing.B) {
 			eng.ensureScratches(1)
 			s := eng.scratches[0]
 			bonding := []int64{0, 250, 499, 1000}
-			eng.connectivityInto(bonding, s, &eng.connRes) // warm the pools
+			res := new(connResult)
+			eng.connectivityInto(bonding, s, res) // warm the pools
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eng.connectivityInto(bonding, s, &eng.connRes)
+				eng.connectivityInto(bonding, s, res)
 			}
 		})
 	}

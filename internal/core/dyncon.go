@@ -64,8 +64,9 @@ func (s ConnStrategy) String() string {
 
 // WithConnectivity selects the connectivity strategy (default ConnMSBFS).
 // Every strategy produces bit-identical labels, statistics, and event
-// streams; they differ only in per-stride cost. Passed to LoadEngine it
-// overrides the strategy persisted in the snapshot.
+// streams; they differ only in per-stride cost. Like every option it is not
+// checkpoint state: LoadEngine builds the forest only when given this
+// option, from the restored window.
 func WithConnectivity(s ConnStrategy) Option {
 	return func(e *Engine) {
 		e.connStrategy = s
@@ -74,14 +75,6 @@ func WithConnectivity(s ConnStrategy) Option {
 		}
 	}
 }
-
-// Connectivity returns the engine's connectivity strategy.
-func (e *Engine) Connectivity() ConnStrategy { return e.connStrategy }
-
-// ForestRebuilds returns how many times the dynamic-connectivity forest was
-// rebuilt from scratch (restores and desync fallbacks). Always zero under
-// ConnMSBFS.
-func (e *Engine) ForestRebuilds() int64 { return e.forestRebuilds }
 
 // forestConnectivityInto answers one phase-C component query from the
 // maintained forest: deduplicate the bonding cores' component roots in

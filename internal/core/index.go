@@ -2,7 +2,6 @@ package core
 
 import (
 	"disc/internal/geom"
-	"disc/internal/kdtree"
 	"disc/internal/rtree"
 )
 
@@ -10,9 +9,8 @@ import (
 // the ε-grid (grid.go): ε is fixed per stream, so a grid answers a ball
 // search from a handful of cells at a cost that does not depend on how long
 // the stream has run. The paper's DISC is R-tree based; WithRTreeIndex keeps
-// that substrate for reproducing its figures, and WithKDTreeIndex is the
-// third point of the index-choice ablation. Which index an engine runs on is
-// a construction choice: it is not part of a checkpoint.
+// that substrate for reproducing its figures. Which index an engine runs on
+// is a construction choice: it is not part of a checkpoint.
 type spatialIndex interface {
 	Delete(id int64, p geom.Vec) bool
 	Len() int
@@ -30,7 +28,7 @@ type spatialIndex interface {
 	// point; backends may exploit the batch for better layout (the R-tree
 	// STR-packs it into full leaves grafted in one descent each).
 	BulkInsert(ids []int64, pos []geom.Vec)
-	// Name identifies the backend in telemetry ("grid", "rtree", "kdtree").
+	// Name identifies the backend in telemetry ("grid" or "rtree").
 	Name() string
 }
 
@@ -63,28 +61,7 @@ func WithRTreeIndex() Option {
 	return func(e *Engine) { e.tree = rtreeIndex{rtree.New(e.cfg.Dims)} }
 }
 
-// kdIndex adapts the bucket k-d tree to the spatialIndex interface.
-type kdIndex struct{ *kdtree.T }
-
-func (ki kdIndex) Name() string { return "kdtree" }
-
-func (ki kdIndex) Stats() indexStats {
-	return indexStats{RangeSearches: ki.T.Searches(), NodeAccesses: ki.T.NodeAccesses()}
-}
-
-func (ki kdIndex) BulkInsert(ids []int64, pos []geom.Vec) {
-	for i := range ids {
-		ki.T.Insert(ids[i], pos[i])
-	}
-}
-
-// WithKDTreeIndex runs the engine on a bucket k-d tree — the third
-// index-choice ablation.
-func WithKDTreeIndex() Option {
-	return func(e *Engine) { e.tree = kdIndex{kdtree.New(e.cfg.Dims)} }
-}
-
 // IndexName names the spatial index the engine runs on: "grid" (the
-// default), "rtree" or "kdtree". Telemetry consumers stamp it next to node
+// default) or "rtree". Telemetry consumers stamp it next to node
 // access counts, whose unit depends on it.
 func (e *Engine) IndexName() string { return e.tree.Name() }

@@ -96,7 +96,6 @@ func TestIndexIsNotCheckpointState(t *testing.T) {
 	}{
 		{"grid", nil},
 		{"rtree", []Option{WithRTreeIndex()}},
-		{"kdtree", []Option{WithKDTreeIndex()}},
 	}
 	for _, from := range indexes {
 		eng := New(cfg, from.opts...)

@@ -21,9 +21,9 @@ import (
 // outputs (component count, members, work counters) are recorded into a
 // caller-owned connResult. The paper's in-tree epoch probing (Algorithm 4)
 // is therefore retired from this path — its entry stamps are writes into
-// shared index pages — and its idea survives as the instance tick below; the
-// index implementations keep SearchBallEpoch for single-threaded users (see
-// internal/incdbscan).
+// shared index pages — and its idea survives as the instance tick below;
+// only internal/rtree keeps SearchBallEpoch, for the single-threaded
+// internal/incdbscan.
 //
 // A connectivity check is free of engine side effects by contract: it must
 // answer exactly the same observable question as the maintained dyncon
@@ -306,33 +306,6 @@ func (e *Engine) connectivityInto(bonding []int64, s *msScratch, res *connResult
 	} else {
 		e.sequentialBFS(bonding, s, res)
 	}
-}
-
-// connectivity is the sequential convenience form used by tests and tools:
-// it runs one check against the engine's own scratch (e.scratches[0]) and
-// shared result buffer (e.connRes), returning materialized components. The
-// CLUSTER pipeline instead calls connectivityInto with per-worker scratches
-// and folds the results in component order (cluster_parallel.go).
-//
-// Because the borrowed scratch and result are engine-owned singletons, the
-// body runs under connMu: concurrent callers serialize instead of racing on
-// them. It still must not run concurrently with Advance (which owns the
-// same scratches through the CLUSTER fan-out), and with ConnDynamic it
-// answers from the forest as of the last completed stride.
-func (e *Engine) connectivity(bonding []int64) (closed [][]int64, ncc int) {
-	if len(bonding) == 0 {
-		return nil, 0
-	}
-	e.connMu.Lock()
-	defer e.connMu.Unlock()
-	e.ensureScratches(1)
-	res := &e.connRes
-	e.connectivityInto(bonding, e.scratches[0], res)
-	e.applyConnResult(res)
-	for i := 0; i < res.components(); i++ {
-		closed = append(closed, append([]int64(nil), res.component(i)...))
-	}
-	return closed, res.ncc
 }
 
 // applyConnResult folds a check's work counters into the per-stride

@@ -29,6 +29,23 @@ func line(idBase int64, x0 float64, n int, spacing float64) []model.Point {
 	return pts
 }
 
+// connectivity runs one sequential check between strides, the way the
+// CLUSTER pipeline runs them in its fan-out (connectivityInto on a worker
+// scratch), and returns materialized components. Not safe for concurrent
+// use: the scratch is the engine's first worker slot.
+func (e *Engine) connectivity(bonding []int64) (closed [][]int64, ncc int) {
+	if len(bonding) == 0 {
+		return nil, 0
+	}
+	e.ensureScratches(1)
+	var res connResult
+	e.connectivityInto(bonding, e.scratches[0], &res)
+	for i := 0; i < res.components(); i++ {
+		closed = append(closed, append([]int64(nil), res.component(i)...))
+	}
+	return closed, res.ncc
+}
+
 // connectivityIDs collects the core ids of a component list, sorted.
 func connectivityIDs(comps [][]int64) [][]int64 {
 	out := make([][]int64, len(comps))
@@ -218,7 +235,7 @@ func TestExpandIsSideEffectFree(t *testing.T) {
 	eng.affected = eng.affected[:0]
 	eng.ensureScratches(1)
 	s := eng.scratches[0]
-	res := &eng.connRes
+	res := new(connResult)
 	res.reset()
 	s.begin(eng.useEpoch)
 	eng.expand(3, s, res)

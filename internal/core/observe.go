@@ -46,7 +46,7 @@ type StrideRecord struct {
 
 	// NodeAccesses is the index work behind those searches, in the unit of
 	// the index named by Index: non-empty cells probed ("grid", the
-	// default), or tree nodes visited ("rtree", "kdtree"). Numbers taken
+	// default), or tree nodes visited ("rtree"). Numbers taken
 	// under different indexes are not comparable.
 	NodeAccesses int64
 	Index        string

@@ -121,7 +121,8 @@ func TestObserverEventTalliesMatchHandler(t *testing.T) {
 }
 
 // TestObserverAcrossIndexBackends ensures the telemetry tap works for the
-// R-tree and k-d backends, and names the index in every record.
+// R-tree backend and the parallel fan-out, and names the index in every
+// record.
 func TestObserverAcrossIndexBackends(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -129,7 +130,6 @@ func TestObserverAcrossIndexBackends(t *testing.T) {
 		opts  []Option
 	}{
 		{"rtree", "rtree", []Option{WithRTreeIndex()}},
-		{"kd", "kdtree", []Option{WithKDTreeIndex()}},
 		{"workers", "grid", []Option{WithWorkers(4)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -48,30 +48,28 @@ const legacyNoHint = int64(-1)
 // pins this by checking snapshots taken before and after heavy scratch
 // growth decode to identical state.
 type persistedEngine struct {
-	Version  int
-	Cfg      model.Config
-	UseMSBFS bool
-	UseEpoch bool
-	// IndexKind and GridSide recorded the index choice in earlier snapshots.
-	// The index is a construction choice now (LoadEngine's options); the
-	// fields remain so those snapshots decode, and are neither read nor
-	// written.
-	IndexKind uint8
-	GridSide  float64
-	Workers   int // COLLECT search fan-out; 0 in pre-worker snapshots means 1
-	NextCID   int
-	Stride    uint64
-	Stats     model.Stats
-	Points    []persistedPoint
-
-	// ConnStrategy is the configured connectivity strategy (zero in older
-	// snapshots decodes as ConnMSBFS). Only the setting is persisted: the
-	// dyncon forest itself is scratch, derivable from the points, and is
-	// rebuilt by LoadEngine.
-	ConnStrategy uint8
+	Version int
+	Cfg     model.Config
+	NextCID int
+	Stride  uint64
+	Stats   model.Stats
+	Points  []persistedPoint
 
 	// HintFlags marks a snapshot whose points carry HasHint.
 	HintFlags bool
+
+	// Earlier snapshots recorded how their engine had been built: the
+	// ablation switches, the index choice, the worker count and the
+	// connectivity strategy. An engine's configuration is what its
+	// constructor was given (LoadEngine's options) and nothing else; the
+	// fields remain so those snapshots decode, and are neither read nor
+	// written.
+	UseMSBFS     bool
+	UseEpoch     bool
+	IndexKind    uint8
+	GridSide     float64
+	Workers      int
+	ConnStrategy uint8
 }
 
 // SaveSnapshot writes the engine's full state to w. It must not be called
@@ -79,26 +77,20 @@ type persistedEngine struct {
 // even hidden ones: cluster ids are compacted into the wire form through
 // the non-compressing FindRO, leaving the in-memory union-find forest and
 // every pstate untouched (TestSaveSnapshotLeavesEngineUntouched pins
-// this), so saving composes with the ConcurrentReadable contract and may
-// run concurrently with queries. The union-find forest need not be
-// serialized because the persisted ids are already representatives.
-// Points are written in ascending id order, making the bytes a pure
-// function of engine state (equal states ⇒ equal snapshots ⇒ equal
-// checkpoint CRCs).
+// this), so saving may run concurrently with queries. The union-find
+// forest need not be serialized because the persisted ids are already
+// representatives. Points are written in ascending id order, making the
+// bytes a pure function of engine state (equal states ⇒ equal snapshots ⇒
+// equal checkpoint CRCs).
 func (e *Engine) SaveSnapshot(w io.Writer) error {
 	ps := persistedEngine{
-		Version:  snapshotVersion,
-		Cfg:      e.cfg,
-		UseMSBFS: e.useMSBFS,
-		UseEpoch: e.useEpoch,
-		Workers:  e.workers,
-		NextCID:  e.nextCID,
-		Stride:   e.stride,
-		Stats:    e.stats,
-		Points:   make([]persistedPoint, 0, len(e.pts)),
-
-		ConnStrategy: uint8(e.connStrategy),
-		HintFlags:    true,
+		Version:   snapshotVersion,
+		Cfg:       e.cfg,
+		NextCID:   e.nextCID,
+		Stride:    e.stride,
+		Stats:     e.stats,
+		Points:    make([]persistedPoint, 0, len(e.pts)),
+		HintFlags: true,
 	}
 	for id, st := range e.pts {
 		cid := st.cid
@@ -121,11 +113,11 @@ func (e *Engine) SaveSnapshot(w io.Writer) error {
 	return nil
 }
 
-// LoadEngine reconstructs an engine from a snapshot written by SaveSnapshot.
-// The persisted settings (ablation switches, workers, connectivity strategy)
-// are restored and opts run after them, so opts override; what does not
-// serialize — an event handler, an observer, the index choice — comes from
-// opts alone.
+// LoadEngine reconstructs an engine from a snapshot written by SaveSnapshot:
+// the engine New(cfg, opts...) would build for the snapshot's configuration,
+// holding the snapshot's state. A snapshot carries state only — how the
+// engine is built (index, workers, connectivity strategy, handlers) comes
+// from opts alone, exactly as it does for New.
 func LoadEngine(r io.Reader, opts ...Option) (*Engine, error) {
 	var ps persistedEngine
 	if err := gob.NewDecoder(r).Decode(&ps); err != nil {
@@ -137,12 +129,7 @@ func LoadEngine(r io.Reader, opts ...Option) (*Engine, error) {
 	if err := ps.Cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("disc: snapshot carries invalid config: %w", err)
 	}
-	e := New(ps.Cfg)
-	e.useMSBFS = ps.UseMSBFS
-	e.useEpoch = ps.UseEpoch
-	if ps.Workers > 0 {
-		e.workers = ps.Workers
-	}
+	e := New(ps.Cfg, opts...)
 	e.nextCID = ps.NextCID
 	e.stride = ps.Stride
 	e.stats = ps.Stats
@@ -175,12 +162,6 @@ func LoadEngine(r io.Reader, opts ...Option) (*Engine, error) {
 		if _, ok := e.pts[st.hint]; !ok {
 			return nil, fmt.Errorf("disc: snapshot border point %d hints at absent point %d", id, st.hint)
 		}
-	}
-	// Restore the persisted strategy through its own option so the forest is
-	// allocated too; caller options run after and may override it.
-	WithConnectivity(ConnStrategy(ps.ConnStrategy))(e)
-	for _, o := range opts {
-		o(e)
 	}
 	e.tree.BulkLoad(ids, pos)
 	if e.connStrategy == ConnDynamic {

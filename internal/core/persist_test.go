@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"encoding/gob"
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -67,24 +68,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotPreservesOptions(t *testing.T) {
-	rng := rand.New(rand.NewSource(78))
-	data := clustered2D(rng, 300)
-	eng := New(cfg2(2.5, 5), WithMSBFS(false), WithEpochProbing(false))
-	eng.Advance(data, nil)
-	var buf bytes.Buffer
-	if err := eng.SaveSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	restored, err := LoadEngine(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if restored.useMSBFS || restored.useEpoch {
-		t.Fatal("ablation options not restored")
-	}
-}
-
 func TestSnapshotEventHandlerReattach(t *testing.T) {
 	eng := New(cfg2(1.1, 3))
 	eng.Advance(clustered2D(rand.New(rand.NewSource(79)), 100), nil)
@@ -140,9 +123,10 @@ func TestSnapshotEmptyEngine(t *testing.T) {
 // TestSaveSnapshotLeavesEngineUntouched: SaveSnapshot is a read path. The
 // original implementation called compactCIDs, rewriting every stored
 // cluster id and resetting the union-find forest — a hidden write that
-// contradicted the ConcurrentReadable contract. The save must now leave
-// every observable piece of engine state identical: per-point bookkeeping,
-// union-find resolution of every id, id allocator, stride counter, stats.
+// contradicted the read-only contract of the query methods. The save must
+// leave every observable piece of engine state identical: per-point
+// bookkeeping, union-find resolution of every id, id allocator, stride
+// counter, stats.
 func TestSaveSnapshotLeavesEngineUntouched(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	data := clustered2D(rng, 1200)
@@ -255,9 +239,10 @@ func TestSnapshotOmitsScratch(t *testing.T) {
 		t.Fatal("workload produced too few surviving cores to exercise scratch")
 	}
 	eng.ensureScratches(4)
+	var res connResult
 	for i := 0; i < 3; i++ {
 		for _, s := range eng.scratches {
-			eng.connectivityInto(bonding, s, &eng.connRes)
+			eng.connectivityInto(bonding, s, &res)
 		}
 	}
 
@@ -268,5 +253,111 @@ func TestSnapshotOmitsScratch(t *testing.T) {
 	a, b := decode(&before), decode(&after)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("scratch growth changed the snapshot:\nbefore: %+v\nafter:  %+v", a, b)
+	}
+}
+
+// TestSettingsAreNotCheckpointState: how an engine was built is not in its
+// snapshot. Engines built under every combination of the settings a
+// snapshot used to carry (MS-BFS, epoch probing, workers, connectivity
+// strategy) write the same bytes; LoadEngine with no options yields the
+// default engine — also from an older snapshot that still carries the
+// settings — and with options yields exactly those; and however it was
+// restored, the engine's state, statistics and next 50 strides are
+// bit-identical to the default restore's.
+func TestSettingsAreNotCheckpointState(t *testing.T) {
+	rng := rand.New(rand.NewSource(415))
+	const win, stride, before, after = 300, 30, 10, 50
+	steps, err := window.Steps(clustered2D(rng, win+stride*(before+after)), win, stride)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := cfg2(2.5, 5)
+
+	type settings struct {
+		msbfs, epoch bool
+		workers      int
+		conn         ConnStrategy
+	}
+	var combos []settings
+	for _, msbfs := range []bool{true, false} {
+		for _, epoch := range []bool{true, false} {
+			for _, workers := range []int{1, 4} {
+				for _, conn := range []ConnStrategy{ConnMSBFS, ConnDynamic} {
+					combos = append(combos, settings{msbfs, epoch, workers, conn})
+				}
+			}
+		}
+	}
+	options := func(s settings) []Option {
+		return []Option{WithMSBFS(s.msbfs), WithEpochProbing(s.epoch), WithWorkers(s.workers), WithConnectivity(s.conn)}
+	}
+	check := func(t *testing.T, e *Engine, want settings) {
+		t.Helper()
+		got := settings{e.useMSBFS, e.useEpoch, e.workers, e.connStrategy}
+		if got != want {
+			t.Fatalf("restored engine runs %+v, want %+v", got, want)
+		}
+		if hasForest := e.forest != nil; hasForest != (want.conn == ConnDynamic) {
+			t.Fatalf("forest present = %v under %v", hasForest, want.conn)
+		}
+	}
+	defaults := settings{msbfs: true, epoch: true, workers: 1, conn: ConnMSBFS}
+
+	var snap []byte
+	for _, from := range combos {
+		eng := New(cfg, options(from)...)
+		for _, st := range steps[:1+before] {
+			eng.Advance(st.In, st.Out)
+		}
+		var buf bytes.Buffer
+		if err := eng.SaveSnapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if snap == nil {
+			snap = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), snap) {
+			t.Fatalf("an engine built with %+v writes a different snapshot than one built with %+v", from, combos[0])
+		}
+	}
+	// A snapshot from before the fields became decode-only still carries
+	// them; they are not read.
+	var old persistedEngine
+	if err := gob.NewDecoder(bytes.NewReader(snap)).Decode(&old); err != nil {
+		t.Fatal(err)
+	}
+	old.UseMSBFS, old.UseEpoch, old.Workers, old.ConnStrategy, old.IndexKind = false, false, 64, uint8(ConnDynamic), 1
+	var oldBuf bytes.Buffer
+	if err := gob.NewEncoder(&oldBuf).Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	fromOld, err := LoadEngine(&oldBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check(t, fromOld, defaults)
+
+	for _, to := range combos {
+		t.Run(fmt.Sprintf("%+v", to), func(t *testing.T) {
+			var refEvents, gotEvents []string
+			ref, err := LoadEngine(bytes.NewReader(snap), recordEvents(&refEvents))
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, ref, defaults)
+			got, err := LoadEngine(bytes.NewReader(snap), append(options(to), recordEvents(&gotEvents))...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, got, to)
+			compareEngines(t, ref, got, refEvents, gotEvents, before, to.workers)
+			for i, st := range steps[1+before:] {
+				ref.Advance(st.In, st.Out)
+				got.Advance(st.In, st.Out)
+				compareEngines(t, ref, got, refEvents, gotEvents, 1+before+i, to.workers)
+			}
+			if err := got.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

@@ -1,9 +1,10 @@
 // Package kdtree implements a bucket k-d tree over low-dimensional points:
 // internal nodes split space on one axis at a median, leaves hold small
-// point buckets. It is the third spatial substrate available to DISC
-// (besides the paper's R-tree and the hash grid), included to complete the
-// index-choice ablation: k-d trees are the textbook alternative for
-// low-dimensional range search.
+// point buckets — the textbook alternative to an R-tree or a hash grid for
+// low-dimensional range search. No engine runs on it: it is kept as a
+// standalone index the end-to-end benchmark replays each stride's inserts,
+// searches and deletes against (kdtree.search_ball_us), beside internal/rtree
+// and internal/grid.
 //
 // Deletions remove points from leaf buckets in place; the structure above
 // is untouched, so heavy churn skews the tree relative to the live data.
@@ -45,9 +46,6 @@ type T struct {
 	root *node
 	size int
 	mods int // inserts+deletes since the last rebuild
-
-	searches     int64
-	nodeAccesses int64
 }
 
 // New returns an empty tree for the given dimensionality.
@@ -57,15 +55,6 @@ func New(dims int) *T {
 	}
 	return &T{dims: dims, root: &node{}}
 }
-
-// Len returns the number of stored points.
-func (t *T) Len() int { return t.size }
-
-// Searches returns the number of SearchBall calls since construction.
-func (t *T) Searches() int64 { return t.searches }
-
-// NodeAccesses returns the number of nodes visited by searches.
-func (t *T) NodeAccesses() int64 { return t.nodeAccesses }
 
 // Insert adds a point; duplicates are allowed.
 func (t *T) Insert(id int64, p geom.Vec) {
@@ -223,64 +212,13 @@ func (t *T) build(items []item) *node {
 	}
 }
 
-// BulkLoad replaces the contents with a balanced tree over the points.
-func (t *T) BulkLoad(ids []int64, positions []geom.Vec) {
-	if len(ids) != len(positions) {
-		panic("kdtree: BulkLoad id/position length mismatch")
-	}
-	items := make([]item, len(ids))
-	for i := range ids {
-		items[i] = item{ids[i], positions[i]}
-	}
-	t.root = t.build(items)
-	t.size = len(ids)
-	t.mods = 0
-}
-
 // SearchBall visits every point within eps of c; fn returns false to stop.
 // It reports whether the traversal ran to completion.
 func (t *T) SearchBall(c geom.Vec, eps float64, fn func(id int64, p geom.Vec) bool) bool {
-	t.searches++
 	return t.search(t.root, c, eps, fn)
 }
 
-// SearchBallRO is SearchBall without the search/node-access accounting: it
-// performs no writes to the tree, so concurrent SearchBallRO calls are safe
-// as long as no Insert/Delete/BulkLoad runs. It returns the number of nodes
-// touched so callers can fold the work into their own counters.
-func (t *T) SearchBallRO(c geom.Vec, eps float64, fn func(id int64, p geom.Vec) bool) (nodes int64) {
-	t.searchRO(t.root, c, eps, fn, &nodes)
-	return nodes
-}
-
-func (t *T) searchRO(n *node, c geom.Vec, eps float64, fn func(int64, geom.Vec) bool, nodes *int64) bool {
-	*nodes++
-	if n.leaf() {
-		for i := range n.items {
-			if geom.WithinEps(n.items[i].pos, c, t.dims, eps) {
-				if !fn(n.items[i].id, n.items[i].pos) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	d := c[n.axis] - n.split
-	near, far := n.left, n.right
-	if d >= 0 {
-		near, far = n.right, n.left
-	}
-	if !t.searchRO(near, c, eps, fn, nodes) {
-		return false
-	}
-	if d*d <= eps*eps {
-		return t.searchRO(far, c, eps, fn, nodes)
-	}
-	return true
-}
-
 func (t *T) search(n *node, c geom.Vec, eps float64, fn func(int64, geom.Vec) bool) bool {
-	t.nodeAccesses++
 	if n.leaf() {
 		for i := range n.items {
 			if geom.WithinEps(n.items[i].pos, c, t.dims, eps) {

@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"sort"
 	"testing"
-	"testing/quick"
 
 	"disc/internal/geom"
 )
@@ -95,8 +94,8 @@ func TestInsertDeleteChurn(t *testing.T) {
 			}
 		}
 	}
-	if tr.Len() != len(bf.pts) {
-		t.Fatalf("Len=%d want %d", tr.Len(), len(bf.pts))
+	if tr.size != len(bf.pts) {
+		t.Fatalf("Len=%d want %d", tr.size, len(bf.pts))
 	}
 	for i := 0; i < 80; i++ {
 		c := randVec(rng, 2, 60)
@@ -121,39 +120,8 @@ func TestDuplicateCoordinates(t *testing.T) {
 			t.Fatalf("delete %d failed", id)
 		}
 	}
-	if tr.Len() != 0 {
+	if tr.size != 0 {
 		t.Fatal("leftovers after deleting duplicates")
-	}
-}
-
-func TestBulkLoadMatchesIncremental(t *testing.T) {
-	f := func(seed int64, nRaw uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := int(nRaw)*8 + 1
-		ids := make([]int64, n)
-		pos := make([]geom.Vec, n)
-		inc := New(3)
-		for i := 0; i < n; i++ {
-			ids[i] = int64(i)
-			pos[i] = randVec(rng, 3, 40)
-			inc.Insert(ids[i], pos[i])
-		}
-		bulk := New(3)
-		bulk.BulkLoad(ids, pos)
-		if bulk.Len() != n {
-			return false
-		}
-		for trial := 0; trial < 5; trial++ {
-			c := randVec(rng, 3, 40)
-			eps := rng.Float64() * 10
-			if !equal(collectBall(bulk, c, eps), collectBall(inc, c, eps)) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -174,13 +142,7 @@ func TestEarlyStop(t *testing.T) {
 	}
 }
 
-func TestStatsAndValidation(t *testing.T) {
-	tr := New(2)
-	tr.Insert(1, geom.NewVec(0, 0))
-	tr.SearchBall(geom.NewVec(0, 0), 1, func(int64, geom.Vec) bool { return true })
-	if tr.Searches() != 1 || tr.NodeAccesses() < 1 {
-		t.Fatal("stats not counted")
-	}
+func TestNewValidatesDims(t *testing.T) {
 	for _, d := range []int{0, 5} {
 		func() {
 			defer func() {
@@ -191,12 +153,6 @@ func TestStatsAndValidation(t *testing.T) {
 			New(d)
 		}()
 	}
-	defer func() {
-		if recover() == nil {
-			t.Error("BulkLoad mismatch did not panic")
-		}
-	}()
-	tr.BulkLoad([]int64{1}, nil)
 }
 
 func BenchmarkSearchBall(b *testing.B) {

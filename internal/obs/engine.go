@@ -20,7 +20,7 @@ import (
 //	ex_cores_total                 counter    ex-cores identified
 //	neo_cores_total                counter    neo-cores identified
 //	range_searches_total           counter    ε-range searches issued
-//	node_accesses_total            counter    non-empty grid cells probed (tree nodes under the R-tree/k-d ablations)
+//	node_accesses_total            counter    non-empty grid cells probed (tree nodes on an R-tree engine)
 //	msbfs_queue_merges_total       counter    MS-BFS thread merges
 //	cluster_events_total{type}     counter    emergence|expansion|merger|split|shrink|dissipation
 //	connectivity_checks_total      counter    MS-BFS connectivity checks dispatched
@@ -29,21 +29,13 @@ import (
 //	collect_workers                gauge      COLLECT fan-out width of the last stride
 //	cluster_workers                gauge      widest CLUSTER fan-out of the last stride
 //
-// Connectivity-strategy family (how the configured strategy paid for the
-// identical answers; traversal counters stay zero under the dynamic forest,
-// forest counters stay zero under MS-BFS):
+// What the stride's connectivity checks cost. The server always runs MS-BFS,
+// so the dynamic-forest fields of the StrideRecord have no families here:
+// the stride log of the bench runner (internal/bench) reports those.
 //
-//	connectivity_strategy{strategy}              gauge      1 on the active strategy, 0 on the other
-//	connectivity_check_duration_seconds          histogram  phase-C connectivity query time per stride
-//	connectivity_forest_update_duration_seconds  histogram  dyncon forest sync time per stride
-//	connectivity_traversal_searches_total        counter    MS-BFS/seq expansion searches run
-//	connectivity_traversal_nodes_total           counter    index cells (nodes) those searches touched
-//	connectivity_forest_ops_total                counter    forest mutations applied (amortized ns = update sum / ops)
-//	connectivity_replacement_searches_total      counter    replacement-edge searches after tree cuts
-//	connectivity_replacement_scans_total         counter    candidate edges scanned by those searches
-//	connectivity_forest_rebuilds_total           counter    full forest rebuilds (desync fallbacks)
-//	connectivity_forest_vertices                 gauge      forest size after the last stride (cores)
-//	connectivity_forest_edges                    gauge      core-adjacency edges tracked
+//	connectivity_check_duration_seconds    histogram  phase-C connectivity query time per stride
+//	connectivity_traversal_searches_total  counter    MS-BFS expansion searches run
+//	connectivity_traversal_nodes_total     counter    index cells (nodes) those searches touched
 type EngineMetrics struct {
 	strideDur *Histogram
 	phaseDur  [4]*Histogram // collect, ex_cores, neo_cores, finalize
@@ -64,17 +56,9 @@ type EngineMetrics struct {
 	workers        *Gauge
 	clusterWorkers *Gauge
 
-	connStrategy    [2]*Gauge // msbfs, dynamic — 1 on the active one
-	connCheckDur    *Histogram
-	forestUpdateDur *Histogram
-	connSearches    *Counter
-	connNodes       *Counter
-	forestOps       *Counter
-	replSearches    *Counter
-	replScans       *Counter
-	forestRebuilds  *Counter
-	forestVertices  *Gauge
-	forestEdges     *Gauge
+	connCheckDur *Histogram
+	connSearches *Counter
+	connNodes    *Counter
 }
 
 // NewEngineMetrics registers the disc_* instruments on r and returns the
@@ -105,7 +89,7 @@ func NewEngineMetricsLabeled(r *Registry, base Labels) *EngineMetrics {
 		rangeSearches: r.Counter("disc_range_searches_total",
 			"Epsilon-range searches issued against the spatial index.", base),
 		nodeAccesses: r.Counter("disc_node_accesses_total",
-			"Index work done by range searches: non-empty grid cells probed under the default index (tree nodes visited when an engine is built on the R-tree or k-d tree, which the server never does). Not comparable with values recorded before the grid became the default.", base),
+			"Index work done by range searches: non-empty grid cells probed under the default index (tree nodes visited when an engine is built on the R-tree, which the server never does). Not comparable with values recorded before the grid became the default.", base),
 		msbfsMerges: r.Counter("disc_msbfs_queue_merges_total",
 			"Multi-Starter BFS thread merges (two search frontiers met).", base),
 		connChecks: r.Counter("disc_connectivity_checks_total",
@@ -119,29 +103,11 @@ func NewEngineMetricsLabeled(r *Registry, base Labels) *EngineMetrics {
 		clusterWorkers: r.Gauge("disc_cluster_workers",
 			"Widest CLUSTER fan-out (capture or connectivity) used by the last stride.", base),
 		connCheckDur: r.Histogram("disc_connectivity_check_duration_seconds",
-			"Phase-C connectivity query time per stride, under the configured strategy.", nil, base),
-		forestUpdateDur: r.Histogram("disc_connectivity_forest_update_duration_seconds",
-			"Dynamic-forest sync time per stride (zero under MS-BFS strategies).", nil, base),
+			"Phase-C connectivity query time per stride.", nil, base),
 		connSearches: r.Counter("disc_connectivity_traversal_searches_total",
 			"Traversal expansion searches run by MS-BFS/sequential connectivity checks.", base),
 		connNodes: r.Counter("disc_connectivity_traversal_nodes_total",
 			"Index work done by connectivity traversal searches, in the unit of disc_node_accesses_total.", base),
-		forestOps: r.Counter("disc_connectivity_forest_ops_total",
-			"Dynamic-forest mutations applied (vertices and edges); amortized update time is the update-duration sum over this.", base),
-		replSearches: r.Counter("disc_connectivity_replacement_searches_total",
-			"Replacement-edge searches triggered by spanning-tree cuts.", base),
-		replScans: r.Counter("disc_connectivity_replacement_scans_total",
-			"Candidate edges scanned by replacement-edge searches.", base),
-		forestRebuilds: r.Counter("disc_connectivity_forest_rebuilds_total",
-			"Full forest rebuilds (restore or desync fallbacks).", base),
-		forestVertices: r.Gauge("disc_connectivity_forest_vertices",
-			"Vertices (cores) in the maintained connectivity forest after the last stride.", base),
-		forestEdges: r.Gauge("disc_connectivity_forest_edges",
-			"Core-adjacency edges tracked by the maintained connectivity forest.", base),
-	}
-	for i, s := range []string{"msbfs", "dynamic"} {
-		m.connStrategy[i] = r.Gauge("disc_connectivity_strategy",
-			"1 on the configured connectivity strategy, 0 on the others.", base.With(Labels{"strategy": s}))
 	}
 	phases := []string{"collect", "ex_cores", "neo_cores", "finalize"}
 	for i, ph := range phases {
@@ -185,21 +151,7 @@ func (m *EngineMetrics) ObserveStride(rec core.StrideRecord) {
 	m.workers.Set(float64(rec.Workers))
 	m.clusterWorkers.Set(float64(rec.ClusterWorkers))
 
-	for i, s := range []string{"msbfs", "dynamic"} {
-		var on float64
-		if rec.ConnStrategy == s {
-			on = 1
-		}
-		m.connStrategy[i].Set(on)
-	}
 	m.connCheckDur.Observe(rec.Connectivity.Seconds())
-	m.forestUpdateDur.Observe(rec.ForestUpdate.Seconds())
 	m.connSearches.Add(rec.ConnSearches)
 	m.connNodes.Add(rec.ConnNodes)
-	m.forestOps.Add(rec.ForestOps)
-	m.replSearches.Add(rec.ForestReplSearches)
-	m.replScans.Add(rec.ForestReplScans)
-	m.forestRebuilds.Add(rec.ForestRebuilds)
-	m.forestVertices.Set(float64(rec.ForestVertices))
-	m.forestEdges.Set(float64(rec.ForestEdges))
 }

@@ -10,23 +10,19 @@ import (
 
 // TestEngineMetricsConnectivityFamily pins the disc_connectivity_* family:
 // registration alongside the legacy disc_connectivity_checks_total counter
-// (prefix overlap, distinct names — no panic), translation of a StrideRecord
-// into the counters/gauges, and the strategy gauge flipping with the record.
+// (prefix overlap, distinct names — no panic) and translation of a
+// StrideRecord into the counters. The dynamic-forest fields of the record —
+// which a server's engine never fills — have no families.
 func TestEngineMetricsConnectivityFamily(t *testing.T) {
 	r := NewRegistry()
 	m := NewEngineMetrics(r) // registers disc_connectivity_checks_total too
 
 	m.ObserveStride(core.StrideRecord{
-		ConnStrategy:       "dynamic",
-		Connectivity:       2 * time.Millisecond,
-		ForestUpdate:       500 * time.Microsecond,
-		ConnChecks:         3,
-		ForestOps:          17,
-		ForestReplSearches: 2,
-		ForestReplScans:    9,
-		ForestRebuilds:     1,
-		ForestVertices:     120,
-		ForestEdges:        240,
+		ConnStrategy: "msbfs",
+		Connectivity: 2 * time.Millisecond,
+		ConnChecks:   3,
+		ConnSearches: 4,
+		ConnNodes:    88,
 	})
 
 	var b strings.Builder
@@ -36,43 +32,17 @@ func TestEngineMetricsConnectivityFamily(t *testing.T) {
 	out := b.String()
 	for _, want := range []string{
 		"disc_connectivity_checks_total 3\n",
-		`disc_connectivity_strategy{strategy="dynamic"} 1` + "\n",
-		`disc_connectivity_strategy{strategy="msbfs"} 0` + "\n",
-		"disc_connectivity_forest_ops_total 17\n",
-		"disc_connectivity_replacement_searches_total 2\n",
-		"disc_connectivity_replacement_scans_total 9\n",
-		"disc_connectivity_forest_rebuilds_total 1\n",
-		"disc_connectivity_forest_vertices 120\n",
-		"disc_connectivity_forest_edges 240\n",
-		"disc_connectivity_traversal_searches_total 0\n",
+		"disc_connectivity_traversal_searches_total 4\n",
+		"disc_connectivity_traversal_nodes_total 88\n",
 		"disc_connectivity_check_duration_seconds_sum 0.002\n",
-		"disc_connectivity_forest_update_duration_seconds_count 1\n",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
-
-	// An MS-BFS stride flips the strategy gauge and feeds the traversal
-	// counters instead.
-	m.ObserveStride(core.StrideRecord{
-		ConnStrategy: "msbfs",
-		ConnSearches: 4,
-		ConnNodes:    88,
-	})
-	b.Reset()
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out = b.String()
-	for _, want := range []string{
-		`disc_connectivity_strategy{strategy="msbfs"} 1` + "\n",
-		`disc_connectivity_strategy{strategy="dynamic"} 0` + "\n",
-		"disc_connectivity_traversal_searches_total 4\n",
-		"disc_connectivity_traversal_nodes_total 88\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("exposition missing %q", want)
+	for _, gone := range []string{"disc_connectivity_strategy", "disc_connectivity_forest_", "disc_connectivity_replacement_"} {
+		if strings.Contains(out, gone) {
+			t.Errorf("exposition still carries a %s series", gone)
 		}
 	}
 }

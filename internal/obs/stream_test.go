@@ -76,7 +76,7 @@ func TestStreamLabelRendered(t *testing.T) {
 		`disc_phase_duration_seconds_bucket{phase="collect",stream="tenant-1"`,
 		`disc_query_duration_seconds_bucket{endpoint="clusters",stream="tenant-1"`,
 		`disc_checkpoint_attempts_total{stream="tenant-1"} 0`,
-		`disc_connectivity_strategy{strategy="msbfs",stream="tenant-1"}`,
+		`disc_connectivity_checks_total{stream="tenant-1"} 0`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q", want)

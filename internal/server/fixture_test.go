@@ -2,14 +2,19 @@ package server
 
 import (
 	"bytes"
+	"encoding/gob"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"disc/internal/core"
 	"disc/internal/dbscan"
+	"disc/internal/geom"
 	"disc/internal/metrics"
 	"disc/internal/model"
 )
@@ -114,5 +119,111 @@ func TestPrePRWALRecovers(t *testing.T) {
 		if got, want := getBodyString(t, recTS.URL+ep), getBodyString(t, liveTS.URL+ep); got != want {
 			t.Errorf("%s: replayed\n%s\nlive\n%s", ep, got, want)
 		}
+	}
+}
+
+// settingsEraSnapshot is the engine snapshot as commits before PR 15 wrote
+// it, with the four settings an engine used to carry into its checkpoints.
+// gob matches fields by name, so encoding this type produces what such a
+// commit's SaveSnapshot did.
+type settingsEraSnapshot struct {
+	Version      int
+	Cfg          model.Config
+	UseMSBFS     bool
+	UseEpoch     bool
+	Workers      int
+	ConnStrategy uint8
+	NextCID      int
+	Stride       uint64
+	Stats        model.Stats
+	Points       []struct {
+		ID         int64
+		Pos        geom.Vec
+		N, CoreDeg int32
+		CID        int
+		Hint       int64
+		Label      model.Label
+		WasCore    bool
+		HasHint    bool
+	}
+	HintFlags bool
+}
+
+// engineSettings reads how an engine was built off its unexported fields —
+// nothing a server exposes can show them, which is why a checkpoint must not
+// be able to set them.
+func engineSettings(e *core.Engine) string {
+	v := reflect.ValueOf(e).Elem()
+	return fmt.Sprintf("useMSBFS=%v useEpoch=%v workers=%d connStrategy=%d forest=%v",
+		v.FieldByName("useMSBFS").Bool(), v.FieldByName("useEpoch").Bool(), v.FieldByName("workers").Int(),
+		v.FieldByName("connStrategy").Uint(), !v.FieldByName("forest").IsNil())
+}
+
+// TestRestoreIgnoresPersistedSettings is the regression for the uploaded
+// checkpoint that reconfigured the serving engine: an envelope whose engine
+// snapshot was saved by core.New(cfg, WithMSBFS(false), WithEpochProbing(false),
+// WithWorkers(64), WithConnectivity(ConnDynamic)) was answered 200 and left
+// the stream on sequential BFS, no epoch reuse and 64 workers — modes no
+// flag, stream spec or /stats field can set or show. A checkpoint supplies
+// state; the server builds its engine one way.
+func TestRestoreIgnoresPersistedSettings(t *testing.T) {
+	cfg := fixtureConfig()
+	donor, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	donorTS := httptest.NewServer(donor.Handler())
+	defer donorTS.Close()
+	ingestScript(t, donorTS.URL, 1515, 8, 50)
+
+	var env checkpointEnvelope
+	if err := gob.NewDecoder(bytes.NewReader(checkpointBytes(t, donor))).Decode(&env); err != nil {
+		t.Fatal(err)
+	}
+	var snap settingsEraSnapshot
+	if err := gob.NewDecoder(bytes.NewReader(env.Engine)).Decode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	snap.UseMSBFS, snap.UseEpoch, snap.Workers, snap.ConnStrategy = false, false, 64, uint8(core.ConnDynamic)
+	var engBuf, envBuf bytes.Buffer
+	if err := gob.NewEncoder(&engBuf).Encode(&snap); err != nil {
+		t.Fatal(err)
+	}
+	env.Engine = engBuf.Bytes()
+	if err := gob.NewEncoder(&envBuf).Encode(&env); err != nil {
+		t.Fatal(err)
+	}
+
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := engineSettings(s.eng)
+	if want := "useMSBFS=true useEpoch=true workers=1 connStrategy=0 forest=false"; fresh != want {
+		t.Fatalf("a fresh server's engine runs %s, want %s", fresh, want)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/checkpoint", "application/octet-stream", &envBuf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST /checkpoint: status %d: %s", resp.StatusCode, body)
+	}
+	if got := engineSettings(s.eng); got != fresh {
+		t.Fatalf("the uploaded checkpoint reconfigured the serving engine:\n got %s\nwant %s", got, fresh)
+	}
+	if got, want := getBodyString(t, ts.URL+"/clusters"), getBodyString(t, donorTS.URL+"/clusters"); got != want {
+		t.Errorf("/clusters after restore:\n%s\nthe donor serves:\n%s", got, want)
+	}
+	rng := rand.New(rand.NewSource(1516))
+	for i := 0; i < 5; i++ {
+		resp := postPoints(t, ts, clusteredBatch(rng, 1_000_000+int64(i)*1000, 50))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("stride %d after restore: status %d: %s", i, resp.StatusCode, readBody(t, resp))
+		}
+		resp.Body.Close()
+		assertExact(t, s)
 	}
 }

@@ -202,6 +202,10 @@ func (f *Follower) Promote() error {
 	f.promoted.Store(true)
 	if f.logger != nil {
 		f.logger.Info("follower promoted to leader", "stride", s.Strides())
+		if f.cfg.CheckpointDir != "" {
+			f.logger.Warn("promoted leader writes no checkpoints and never prunes its log; restart it as a leader to resume both",
+				"checkpoint_dir", f.cfg.CheckpointDir)
+		}
 	}
 	return nil
 }

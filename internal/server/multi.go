@@ -33,7 +33,6 @@ import (
 	"sync"
 
 	"disc/internal/ckpt"
-	"disc/internal/core"
 	"disc/internal/model"
 	"disc/internal/obs"
 	"disc/internal/window"
@@ -67,8 +66,8 @@ type MultiConfig struct {
 	// Default is the configuration of the default stream AND the template
 	// dynamically created streams inherit their operational settings from
 	// (body limits, tracing, event-log size). Clustering parameters
-	// (Cluster, Window, Stride, Connectivity) act as per-field fallbacks
-	// for POST /streams requests that omit them.
+	// (Cluster, Window, Stride) act as per-field fallbacks for POST
+	// /streams requests that omit them.
 	Default Config
 	// MaxStreams caps registered streams (0 selects DefaultMaxStreams).
 	MaxStreams int
@@ -288,7 +287,7 @@ func (m *Multi) CreateStream(name string, cfg Config) (*Server, error) {
 	if logger != nil {
 		logger.Info("stream registered",
 			"dims", cfg.Cluster.Dims, "eps", cfg.Cluster.Eps, "minpts", cfg.Cluster.MinPts,
-			"window", cfg.Window, "stride", cfg.Stride, "connectivity", cfg.Connectivity.String())
+			"window", cfg.Window, "stride", cfg.Stride)
 	}
 	return srv, nil
 }
@@ -437,45 +436,29 @@ type streamSpec struct {
 	MinPts int     `json:"minPts,omitempty"`
 	Window int     `json:"window,omitempty"`
 	Stride int     `json:"stride,omitempty"`
-	// Connectivity is "msbfs" or "dynamic"; empty inherits the template.
-	Connectivity string `json:"connectivity,omitempty"`
 }
 
 // streamInfo is one row of GET /streams (and the POST /streams response).
 type streamInfo struct {
-	Name         string       `json:"name"`
-	Config       model.Config `json:"config"`
-	Window       int          `json:"windowExtent"`
-	Stride       int          `json:"stride"`
-	Connectivity string       `json:"connectivity"`
-	Strides      uint64       `json:"strides"`
-	Ingested     uint64       `json:"ingested"`
-	Resident     int          `json:"resident"`
+	Name     string       `json:"name"`
+	Config   model.Config `json:"config"`
+	Window   int          `json:"windowExtent"`
+	Stride   int          `json:"stride"`
+	Strides  uint64       `json:"strides"`
+	Ingested uint64       `json:"ingested"`
+	Resident int          `json:"resident"`
 }
 
 func (st *stream) info() streamInfo {
 	v := st.srv.view.Load()
 	return streamInfo{
-		Name:         st.name,
-		Config:       st.srv.cfg.Cluster,
-		Window:       st.srv.cfg.Window,
-		Stride:       st.srv.cfg.Stride,
-		Connectivity: st.srv.cfg.Connectivity.String(),
-		Strides:      v.strides,
-		Ingested:     v.stats.Ingested,
-		Resident:     v.stats.Resident,
-	}
-}
-
-// parseConnStrategy maps the wire names to core strategies.
-func parseConnStrategy(s string) (core.ConnStrategy, error) {
-	switch s {
-	case "", "msbfs":
-		return core.ConnMSBFS, nil
-	case "dynamic":
-		return core.ConnDynamic, nil
-	default:
-		return 0, fmt.Errorf("unknown connectivity strategy %q (want msbfs or dynamic)", s)
+		Name:     st.name,
+		Config:   st.srv.cfg.Cluster,
+		Window:   st.srv.cfg.Window,
+		Stride:   st.srv.cfg.Stride,
+		Strides:  v.strides,
+		Ingested: v.stats.Ingested,
+		Resident: v.stats.Resident,
 	}
 }
 
@@ -508,14 +491,6 @@ func (m *Multi) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	if spec.Stride != 0 {
 		cfg.Stride = spec.Stride
-	}
-	if spec.Connectivity != "" {
-		conn, err := parseConnStrategy(spec.Connectivity)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-		cfg.Connectivity = conn
 	}
 	if _, err := m.CreateStream(spec.Name, cfg); err != nil {
 		switch {

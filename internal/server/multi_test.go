@@ -11,6 +11,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -98,12 +99,12 @@ func TestMultiStreamCRUD(t *testing.T) {
 	}
 
 	// Create inherits the template for omitted fields and overrides the rest.
-	info := mustCreateStream(t, ts, streamSpec{Name: "tenant-a", Eps: 3, Connectivity: "dynamic"})
+	info := mustCreateStream(t, ts, streamSpec{Name: "tenant-a", Eps: 3})
 	if info.Config.Eps != 3 || info.Config.Dims != 2 || info.Config.MinPts != 4 {
 		t.Fatalf("created config %+v, want eps=3 with inherited dims/minPts", info.Config)
 	}
-	if info.Connectivity != "dynamic" || info.Window != 200 || info.Stride != 50 {
-		t.Fatalf("created stream %+v, want dynamic connectivity and inherited window/stride", info)
+	if info.Window != 200 || info.Stride != 50 {
+		t.Fatalf("created stream %+v, want inherited window/stride", info)
 	}
 
 	// Duplicate name → 409.
@@ -181,20 +182,45 @@ func TestMultiStreamLimit(t *testing.T) {
 	mustCreateStream(t, ts, streamSpec{Name: "two"})
 }
 
+// TestStreamCreateRejectsConnectivityKey: the connectivity strategy is not a
+// per-stream setting. A create body that still carries the key is refused
+// like any other unknown field, whatever its value, and registers nothing;
+// GET /streams rows carry no such field either.
+func TestStreamCreateRejectsConnectivityKey(t *testing.T) {
+	ts, _ := newTestMulti(t, testMultiConfig())
+	for _, v := range []string{"dynamic", "msbfs", ""} {
+		resp, err := http.Post(ts.URL+"/streams", "application/json",
+			strings.NewReader(`{"name":"x","connectivity":"`+v+`"}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "connectivity") {
+			t.Errorf("connectivity=%q: status %d body %q, want a 400 naming the field", v, resp.StatusCode, body)
+		}
+	}
+	if got := listStreams(t, ts); len(got) != 1 {
+		t.Fatalf("rejected creates registered streams: %+v", got)
+	}
+	if body := getBodyString(t, ts.URL+"/streams"); strings.Contains(body, "connectivity") {
+		t.Fatalf("GET /streams still reports a connectivity field: %s", body)
+	}
+}
+
 // TestMultiCreateRejectsBadConfig: POST /streams enforces the same
 // parameter validation discserver applies at startup — out-of-range dims,
-// non-positive eps/minPts, stride > window, unknown connectivity — as 400s,
-// with no stream registered.
+// non-positive eps/minPts, stride > window — as 400s, with no stream
+// registered.
 func TestMultiCreateRejectsBadConfig(t *testing.T) {
 	ts, _ := newTestMulti(t, testMultiConfig())
 	for name, spec := range map[string]streamSpec{
-		"dims too large":   {Name: "x", Dims: 9},
-		"dims negative":    {Name: "x", Dims: -1},
-		"eps negative":     {Name: "x", Eps: -1},
-		"minPts negative":  {Name: "x", MinPts: -3},
-		"stride > window":  {Name: "x", Window: 10, Stride: 100},
-		"window negative":  {Name: "x", Window: -5},
-		"bad connectivity": {Name: "x", Connectivity: "quantum"},
+		"dims too large":  {Name: "x", Dims: 9},
+		"dims negative":   {Name: "x", Dims: -1},
+		"eps negative":    {Name: "x", Eps: -1},
+		"minPts negative": {Name: "x", MinPts: -3},
+		"stride > window": {Name: "x", Window: 10, Stride: 100},
+		"window negative": {Name: "x", Window: -5},
 	} {
 		resp := createStream(t, ts, spec)
 		body, _ := io.ReadAll(resp.Body)

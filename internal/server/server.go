@@ -53,13 +53,6 @@ type Config struct {
 	Cluster model.Config
 	Window  int // sliding-window extent in points
 	Stride  int // points per window advance
-	// Connectivity selects the engine's density-connectivity strategy
-	// (core.ConnMSBFS by default; core.ConnDynamic maintains the
-	// incremental forest). Every strategy yields bit-identical clustering;
-	// the choice is per-stream cost tuning. A restore keeps the serving
-	// strategy — the engine option overrides whatever the checkpoint
-	// persisted.
-	Connectivity core.ConnStrategy
 	// EventLog bounds the in-memory cluster-evolution event ring; 0 keeps
 	// the default of 1024.
 	EventLog int
@@ -215,9 +208,7 @@ func newServer(cfg Config, reg *obs.Registry, sm *obs.StreamMetrics) (*Server, e
 	s.metrics = sm.Engine
 	s.ingestMx = sm.Ingested
 	s.qm = sm.Query
-	s.eng = core.New(cfg.Cluster,
-		core.WithEventHandler(s.recordEvent), core.WithObserver(s.metrics),
-		core.WithConnectivity(cfg.Connectivity))
+	s.eng = core.New(cfg.Cluster, s.engineOptions()...)
 	for _, rt := range streamRoutes {
 		s.handlers = append(s.handlers, rt.handler(s))
 	}
@@ -225,6 +216,13 @@ func newServer(cfg Config, reg *obs.Registry, sm *obs.StreamMetrics) (*Server, e
 	// consistent) answers before the first stride completes.
 	s.publish()
 	return s, nil
+}
+
+// engineOptions is how this server builds its engine, fresh or restored:
+// the engine's defaults (ε-grid, MS-BFS, one worker) with the event ring and
+// the stride metrics attached. A checkpoint supplies state, never settings.
+func (s *Server) engineOptions() []core.Option {
+	return []core.Option{core.WithEventHandler(s.recordEvent), core.WithObserver(s.metrics)}
 }
 
 // Registry exposes the server's metrics registry, e.g. to add
@@ -424,12 +422,7 @@ func (s *Server) ReadCheckpoint(r io.Reader) (int, error) {
 	if err := gob.NewDecoder(r).Decode(&env); err != nil {
 		return 0, fmt.Errorf("%w: %w", errBadCheckpoint, err)
 	}
-	eng, err := core.LoadEngine(bytes.NewReader(env.Engine),
-		core.WithEventHandler(s.recordEvent), core.WithObserver(s.metrics),
-		// The serving strategy wins over whatever the checkpoint persisted:
-		// a stream configured for the dynamic forest must not silently fall
-		// back to MS-BFS because it restored an MS-BFS-era snapshot.
-		core.WithConnectivity(s.cfg.Connectivity))
+	eng, err := core.LoadEngine(bytes.NewReader(env.Engine), s.engineOptions()...)
 	if err != nil {
 		return 0, fmt.Errorf("%w: %w", errBadCheckpoint, err)
 	}

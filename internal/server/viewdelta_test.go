@@ -175,16 +175,15 @@ func checkView(t testing.TB, s *Server, departed []int64, when string) {
 }
 
 // newDeltaServer is New with the engine's worker count set, which Config
-// deliberately does not expose.
+// deliberately does not expose. A restore (restoreSelf) puts the server back
+// on the engine it builds itself, with one worker.
 func newDeltaServer(t testing.TB, cfg Config, workers int) *Server {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.eng = core.New(cfg.Cluster,
-		core.WithEventHandler(s.recordEvent), core.WithObserver(s.metrics),
-		core.WithConnectivity(cfg.Connectivity), core.WithWorkers(workers))
+	s.eng = core.New(cfg.Cluster, append(s.engineOptions(), core.WithWorkers(workers))...)
 	s.publish()
 	return s
 }
@@ -263,8 +262,8 @@ var deltaCorpus = map[string]struct {
 }
 
 // TestViewDeltaMatchesRebuild: after every stride, on every dataset of the
-// differential corpus, both connectivity strategies, one and four workers,
-// the incrementally maintained view serves byte for byte what a rebuild
+// differential corpus, one and four workers, the incrementally maintained
+// view serves byte for byte what a rebuild
 // from the engine's Snapshot would — across a mid-stream checkpoint restore,
 // a compaction stride, a multi-cut split, WAL replay and a follower.
 func TestViewDeltaMatchesRebuild(t *testing.T) {
@@ -279,29 +278,27 @@ func TestViewDeltaMatchesRebuild(t *testing.T) {
 		if !ok {
 			t.Fatalf("dataset %q has no differential config; add one", name)
 		}
-		for _, conn := range []core.ConnStrategy{core.ConnMSBFS, core.ConnDynamic} {
-			for _, workers := range []int{1, 4} {
-				t.Run(fmt.Sprintf("%s/%s/workers=%d", name, conn, workers), func(t *testing.T) {
-					stride := dc.window / 20
-					if testing.Short() {
-						stride = dc.window / 4
+		for _, workers := range []int{1, 4} {
+			t.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(t *testing.T) {
+				stride := dc.window / 20
+				if testing.Short() {
+					stride = dc.window / 4
+				}
+				ds, err := datasets.ByName(name, dc.window+stride*24, 42)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := newDeltaServer(t, Config{Cluster: dc.cfg, Window: dc.window, Stride: stride,
+					EventLog: 1 << 20}, workers)
+				driveStream(t, s, ds.Points, func(n int) {
+					if n == 9 {
+						count(s) // a restore clears the log
+						restoreSelf(t, s)
+						checkView(t, s, nil, "after restore")
 					}
-					ds, err := datasets.ByName(name, dc.window+stride*24, 42)
-					if err != nil {
-						t.Fatal(err)
-					}
-					s := newDeltaServer(t, Config{Cluster: dc.cfg, Window: dc.window, Stride: stride,
-						Connectivity: conn, EventLog: 1 << 20}, workers)
-					driveStream(t, s, ds.Points, func(n int) {
-						if n == 9 {
-							count(s) // a restore clears the log
-							restoreSelf(t, s)
-							checkView(t, s, nil, "after restore")
-						}
-					})
-					count(s)
 				})
-			}
+				count(s)
+			})
 		}
 	}
 
@@ -325,19 +322,16 @@ func TestViewDeltaMatchesRebuild(t *testing.T) {
 			mk(1, 0.0), mk(3, 1.8), mk(5, 3.6), // A, B, C
 			mk(6, 50), mk(7, 60),
 		}
-		for _, conn := range []core.ConnStrategy{core.ConnMSBFS, core.ConnDynamic} {
-			s := newDeltaServer(t, Config{Cluster: model.Config{Dims: 2, Eps: 1, MinPts: 1},
-				Window: 5, Stride: 2, Connectivity: conn}, 1)
-			driveStream(t, s, pts, nil)
-			var cr clustersResponse
-			if err := json.Unmarshal(rebuildOracle(t, s).clusters, &cr); err != nil {
-				t.Fatal(err)
-			}
-			if len(cr.Clusters) != 5 {
-				t.Fatalf("%s: %d clusters after the double cut, want 5 singletons", conn, len(cr.Clusters))
-			}
-			count(s)
+		s := newDeltaServer(t, Config{Cluster: model.Config{Dims: 2, Eps: 1, MinPts: 1}, Window: 5, Stride: 2}, 1)
+		driveStream(t, s, pts, nil)
+		var cr clustersResponse
+		if err := json.Unmarshal(rebuildOracle(t, s).clusters, &cr); err != nil {
+			t.Fatal(err)
 		}
+		if len(cr.Clusters) != 5 {
+			t.Fatalf("%d clusters after the double cut, want 5 singletons", len(cr.Clusters))
+		}
+		count(s)
 	})
 
 	// Across the engine's cid compaction (every 1024th stride rewrites all
@@ -550,7 +544,6 @@ func FuzzViewDelta(f *testing.F) {
 		cfg := Config{
 			Cluster: model.Config{Dims: 2, Eps: float64(eps10%60+1) / 10, MinPts: int(minPts)%8 + 1},
 			Window:  w, Stride: st,
-			Connectivity: core.ConnStrategy(seed & 1),
 		}
 		rng := rand.New(rand.NewSource(seed))
 		strides := 30

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"disc/internal/ckpt"
-	"disc/internal/core"
 	"disc/internal/model"
 )
 
@@ -423,9 +422,8 @@ func TestCheckpointPlusWALRecovery(t *testing.T) {
 
 // TestFollowerDifferential is the replication acceptance test: a follower
 // tailing the live log converges to bit-identical state — same /clusters,
-// /stats, /events bodies, same checkpoint bytes — across datasets and
-// both connectivity strategies, then takes over as leader and keeps the
-// dedup window.
+// /stats, /events bodies, same checkpoint bytes — across datasets, then
+// takes over as leader and keeps the dedup window.
 func TestFollowerDifferential(t *testing.T) {
 	datasets := []struct {
 		name  string
@@ -437,111 +435,108 @@ func TestFollowerDifferential(t *testing.T) {
 		{"clustered-stride-aligned", 42, 50, 9},
 		{"sparse-small-batches", 43, 7, 30},
 	}
-	for _, conn := range []core.ConnStrategy{core.ConnMSBFS, core.ConnDynamic} {
-		for _, ds := range datasets {
-			t.Run(fmt.Sprintf("%s/%s", conn, ds.name), func(t *testing.T) {
-				cfg := testWALConfig()
-				cfg.Connectivity = conn
-				ts, leader, dir := newWALServer(t, cfg)
+	for _, ds := range datasets {
+		t.Run(ds.name, func(t *testing.T) {
+			cfg := testWALConfig()
+			ts, leader, dir := newWALServer(t, cfg)
 
-				// The follower tails while the leader is still ingesting —
-				// the race detector watches this overlap.
-				f, err := NewFollower(FollowerConfig{Server: cfg, WALDir: dir, Poll: time.Millisecond})
+			// The follower tails while the leader is still ingesting —
+			// the race detector watches this overlap.
+			f, err := NewFollower(FollowerConfig{Server: cfg, WALDir: dir, Poll: time.Millisecond})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			runDone := make(chan error, 1)
+			go func() { runDone <- f.Run(ctx) }()
+
+			ingestScript(t, ts.URL, ds.seed, ds.count, ds.per)
+
+			// Wait for the follower to catch up to the leader's position.
+			deadline := time.Now().Add(10 * time.Second)
+			for {
+				leader.mu.Lock()
+				lead := leader.ingested
+				leader.mu.Unlock()
+				f.srv.mu.Lock()
+				repl := f.srv.ingested
+				f.srv.mu.Unlock()
+				if repl == lead {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("follower stuck at %d/%d points", repl, lead)
+				}
+				time.Sleep(time.Millisecond)
+			}
+
+			fts := httptest.NewServer(f.Handler())
+			defer fts.Close()
+			for _, path := range []string{"/clusters", "/stats", "/events"} {
+				lr, err := http.Get(ts.URL + path)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ctx, cancel := context.WithCancel(context.Background())
-				defer cancel()
-				runDone := make(chan error, 1)
-				go func() { runDone <- f.Run(ctx) }()
-
-				ingestScript(t, ts.URL, ds.seed, ds.count, ds.per)
-
-				// Wait for the follower to catch up to the leader's position.
-				deadline := time.Now().Add(10 * time.Second)
-				for {
-					leader.mu.Lock()
-					lead := leader.ingested
-					leader.mu.Unlock()
-					f.srv.mu.Lock()
-					repl := f.srv.ingested
-					f.srv.mu.Unlock()
-					if repl == lead {
-						break
-					}
-					if time.Now().After(deadline) {
-						t.Fatalf("follower stuck at %d/%d points", repl, lead)
-					}
-					time.Sleep(time.Millisecond)
-				}
-
-				fts := httptest.NewServer(f.Handler())
-				defer fts.Close()
-				for _, path := range []string{"/clusters", "/stats", "/events"} {
-					lr, err := http.Get(ts.URL + path)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fr, err := http.Get(fts.URL + path)
-					if err != nil {
-						t.Fatal(err)
-					}
-					lb, fb := readBody(t, lr), readBody(t, fr)
-					if !bytes.Equal(lb, fb) {
-						t.Fatalf("%s diverged:\nleader:   %s\nfollower: %s", path, lb, fb)
-					}
-				}
-				if lw, fw := checkpointBytes(t, leader), checkpointBytes(t, f.srv); !bytes.Equal(lw, fw) {
-					t.Fatalf("checkpoint bytes diverged: %d vs %d", len(lw), len(fw))
-				}
-
-				// Writes are refused until promotion...
-				resp, err := http.Post(fts.URL+"/ingest", "application/json", strings.NewReader("[]"))
+				fr, err := http.Get(fts.URL + path)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if resp.StatusCode != http.StatusForbidden {
-					t.Fatalf("pre-promotion write: status %d, want 403", resp.StatusCode)
+				lb, fb := readBody(t, lr), readBody(t, fr)
+				if !bytes.Equal(lb, fb) {
+					t.Fatalf("%s diverged:\nleader:   %s\nfollower: %s", path, lb, fb)
 				}
-				resp.Body.Close()
+			}
+			if lw, fw := checkpointBytes(t, leader), checkpointBytes(t, f.srv); !bytes.Equal(lw, fw) {
+				t.Fatalf("checkpoint bytes diverged: %d vs %d", len(lw), len(fw))
+			}
 
-				// ...then the follower becomes the leader: the old one stops,
-				// promotion drains the log and reopens it for appending.
-				ts.Close()
-				resp, err = http.Post(fts.URL+"/promote", "application/json", nil)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("promote: status %d: %s", resp.StatusCode, readBody(t, resp))
-				}
-				resp.Body.Close()
-				if err := <-runDone; err != nil {
-					t.Fatalf("follower run: %v", err)
-				}
+			// Writes are refused until promotion...
+			resp, err := http.Post(fts.URL+"/ingest", "application/json", strings.NewReader("[]"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusForbidden {
+				t.Fatalf("pre-promotion write: status %d, want 403", resp.StatusCode)
+			}
+			resp.Body.Close()
 
-				// A retry of the final pre-failover batch dedups against the
-				// replicated window with the leader's original body.
-				rng := rand.New(rand.NewSource(ds.seed))
-				var last []ingestPoint
-				for i := 0; i < ds.count; i++ {
-					last = clusteredBatch(rng, int64(i)*10_000, ds.per)
-				}
-				resp = postPointsSeq(t, fts.URL, last, "script", uint64(ds.count))
-				if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Disc-Deduped") != "1" {
-					t.Fatalf("post-promotion retry: status %d deduped=%q: %s",
-						resp.StatusCode, resp.Header.Get("X-Disc-Deduped"), readBody(t, resp))
-				}
-				resp.Body.Close()
+			// ...then the follower becomes the leader: the old one stops,
+			// promotion drains the log and reopens it for appending.
+			ts.Close()
+			resp, err = http.Post(fts.URL+"/promote", "application/json", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("promote: status %d: %s", resp.StatusCode, readBody(t, resp))
+			}
+			resp.Body.Close()
+			if err := <-runDone; err != nil {
+				t.Fatalf("follower run: %v", err)
+			}
 
-				// And fresh ingest lands in the promoted leader's log.
-				resp = postPointsSeq(t, fts.URL, clusteredBatch(rng, 77_000_000, ds.per), "script", uint64(ds.count+1))
-				if resp.StatusCode != http.StatusOK {
-					t.Fatalf("post-promotion ingest: status %d: %s", resp.StatusCode, readBody(t, resp))
-				}
-				resp.Body.Close()
-			})
-		}
+			// A retry of the final pre-failover batch dedups against the
+			// replicated window with the leader's original body.
+			rng := rand.New(rand.NewSource(ds.seed))
+			var last []ingestPoint
+			for i := 0; i < ds.count; i++ {
+				last = clusteredBatch(rng, int64(i)*10_000, ds.per)
+			}
+			resp = postPointsSeq(t, fts.URL, last, "script", uint64(ds.count))
+			if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Disc-Deduped") != "1" {
+				t.Fatalf("post-promotion retry: status %d deduped=%q: %s",
+					resp.StatusCode, resp.Header.Get("X-Disc-Deduped"), readBody(t, resp))
+			}
+			resp.Body.Close()
+
+			// And fresh ingest lands in the promoted leader's log.
+			resp = postPointsSeq(t, fts.URL, clusteredBatch(rng, 77_000_000, ds.per), "script", uint64(ds.count+1))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("post-promotion ingest: status %d: %s", resp.StatusCode, readBody(t, resp))
+			}
+			resp.Body.Close()
+		})
 	}
 }
 
