@@ -36,8 +36,11 @@ func (e *Engine) ClustersInto(buf []ClusterInfo) (clusters []ClusterInfo, noise 
 		clear(e.censusIdx)
 	}
 	clusters = buf[:0]
-	for id, st := range e.pts {
-		a := e.assignmentOf(id, st)
+	for s := range e.hot {
+		if !e.resident(int32(s)) {
+			continue
+		}
+		a := e.assignmentOf(int32(s))
 		if a.ClusterID == model.NoCluster {
 			noise++
 			continue
@@ -67,15 +70,18 @@ func (e *Engine) ClustersInto(buf []ClusterInfo) (clusters []ClusterInfo, noise 
 // cores first, then borders; nil if the cluster does not exist.
 func (e *Engine) ClusterMembers(clusterID int) []int64 {
 	var cores, borders []int64
-	for id, st := range e.pts {
-		a := e.assignmentOf(id, st)
+	for s := range e.hot {
+		if !e.resident(int32(s)) {
+			continue
+		}
+		a := e.assignmentOf(int32(s))
 		if a.ClusterID != clusterID {
 			continue
 		}
 		if a.Label == model.Core {
-			cores = append(cores, id)
+			cores = append(cores, e.ids[s])
 		} else {
-			borders = append(borders, id)
+			borders = append(borders, e.ids[s])
 		}
 	}
 	if len(cores) == 0 && len(borders) == 0 {

@@ -209,13 +209,13 @@ func TestConnectivityZeroAlloc(t *testing.T) {
 			eng.ensureScratches(1)
 			s := eng.scratches[0]
 			res := new(connResult)
-			connected := []int64{0, 100, 199}
-			split := []int64{0, 199, 500}
+			connected := eng.slotsOf(0, 100, 199)
+			split := eng.slotsOf(0, 199, 500)
 			for i := 0; i < 3; i++ { // warm the pools past their high-water mark
 				eng.connectivityInto(connected, s, res)
 				eng.connectivityInto(split, s, res)
 			}
-			for name, bonding := range map[string][]int64{"connected": connected, "split": split} {
+			for name, bonding := range map[string][]int32{"connected": connected, "split": split} {
 				allocs := testing.AllocsPerRun(100, func() {
 					eng.connectivityInto(bonding, s, res)
 				})

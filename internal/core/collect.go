@@ -1,9 +1,9 @@
 package core
 
 import (
+	"math"
 	"runtime"
 
-	"disc/internal/geom"
 	"disc/internal/model"
 )
 
@@ -15,16 +15,17 @@ import (
 //
 //  1. Structural phase (sequential): mark every Δout departure Deleted,
 //     remove non-core departures from the index, insert every Δin arrival.
-//     After this phase neither the index nor any pstate field read by a
-//     search changes until phase 3.
+//     Departures are resolved to their slots and arrivals given theirs here;
+//     after this phase neither the index nor any point-state field read by
+//     a search changes until phase 3.
 //  2. Search phase (parallel): every point of Δout ∪ Δin runs one read-only
-//     ε-range search (SearchBallRO) that accumulates its findings — counter
-//     deltas, hint candidate, touched neighbor ids — into a private
-//     collectDelta buffer owned by that point alone. Workers share nothing
-//     but the immutable index and pstates; each also counts its search and
-//     node-access work privately.
-//  3. Merge phase (sequential): the buffers are folded into the engine in
-//     Δout-then-Δin slice order. Because every buffer is keyed by its
+//     ε-range search (SearchBallRO) that records the neighbours it changes —
+//     one word each, in ball order — as a capture: a run in its worker's
+//     word slab, owned by that search alone. Workers share nothing but the
+//     immutable index and arena; each also counts its node accesses
+//     privately.
+//  3. Merge phase (sequential): the captures are folded into the engine in
+//     Δout-then-Δin input order. Because every capture is keyed by its
 //     point's position in the input and the fold order is fixed, the merged
 //     state is identical for any worker count — including 1, where phase 2
 //     runs inline without spawning goroutines.
@@ -41,60 +42,70 @@ import (
 //     sides). With all arrivals pre-inserted each pair is seen from both
 //     ends, so only the smaller-id endpoint records it ("pairs" below) and
 //     the merge credits both sides — the same single +1/+1.
-//   - Everything else a search reads (label, wasCore, enterStamp, position)
-//     is written only in phase 1 or in previous strides.
+//   - Everything else a search reads (label, wasCore, the entered mark,
+//     position) is written only in phase 1 or in previous strides.
 
-// collectDelta is the private buffer one phase-2 search writes. Slices are
-// retained across strides (resetDeltas) to keep the steady state
-// allocation-free.
-type collectDelta struct {
-	selfN   int32   // arrivals: surviving neighbors found (adds to own nε)
-	coreDeg int32   // arrivals: surviving cores among them
-	hint    int64   // arrivals: first surviving core in traversal order; valid iff coreDeg > 0
-	touched []int64 // surviving neighbors whose nε this point changes
-	pairs   []int64 // arrivals: co-arriving neighbors with a larger id
-	nodes   int64   // index nodes the search traversed
+// capture is what one fan-out search produced: a run of words in the slab of
+// the worker that ran it, and the index work it cost. A word is the slot of
+// one neighbour, in ball order, with tag bits above slotBits saying what the
+// search learned about it; the folds replay the words single-threaded. There
+// is no slice per search: a worker's searches append to one slab, which is
+// reset once per fan-out phase and released when it has grown far past what
+// strides now need (trimScratch).
+type capture struct {
+	off, n int32 // the run is words[off : off+n] of worker w's slab
+	nodes  int32 // index nodes (cells) the search touched
+	w      int16
+	seen   bool // CLUSTER assembly: already pulled into a component
 }
 
-// resetDeltas returns buf resized to n cleared entries, reusing the inner
-// slice capacity accumulated by earlier strides.
-func resetDeltas(buf []collectDelta, n int) []collectDelta {
-	if cap(buf) < n {
-		buf = append(buf[:cap(buf)], make([]collectDelta, n-cap(buf))...)
-	}
-	buf = buf[:n]
-	for i := range buf {
-		buf[i].selfN, buf[i].coreDeg = 0, 0
-		buf[i].touched = buf[i].touched[:0]
-		buf[i].pairs = buf[i].pairs[:0]
-		buf[i].nodes = 0
-	}
-	return buf
+const (
+	slotBits = 27 // maxSlots == 1 << slotBits
+	slotMask = 1<<slotBits - 1
+
+	// COLLECT arrival words.
+	tagPair uint32 = 1 << slotBits // co-arriving neighbour with a larger id
+
+	// CLUSTER capture words (cluster_parallel.go).
+	tagBond     uint32 = 1 << slotBits       // surviving core: M⁻ / M⁺ candidate
+	tagFrontier uint32 = 1 << (slotBits + 1) // fellow ex-core (neo-core): R⁻ (R⁺) edge
+	tagCore     uint32 = 1 << (slotBits + 2) // ex-core ball: a current core, a hint for the ex-core itself
+	tagNoDec    uint32 = 1 << (slotBits + 3) // ex-core ball: the neighbour never counted this core
+	tagDeparted uint32 = 1 << (slotBits + 4) // ex-core ball: the neighbour left the window; nothing to undo on it
+)
+
+// words returns the run a capture names.
+func (e *Engine) words(cp *capture) []uint32 {
+	return e.searchCtxs[cp.w].words[cp.off : cp.off+cp.n]
 }
 
-// searchCtx carries the per-call parameters of the hot-path search
-// callbacks. One context lives per fan-out worker slot; each callback is a
-// func value bound exactly once at construction, capturing only the stable
-// context pointer, so issuing an ε-search creates no closure and therefore
-// allocates nothing — the same trick msScratch.visit uses. A context must
-// never be shared between concurrently running searches; the per-worker
-// ownership fanOut guarantees is exactly that.
+// searchCtx is one fan-out worker's private state: the word slab its searches
+// append to, the parameters of the search in flight, and the hot-path search
+// callbacks. Each callback is a func value bound exactly once at
+// construction, capturing only the stable context pointer, so issuing an
+// ε-search creates no closure and therefore allocates nothing — the same
+// trick msScratch.visit uses. A context must never be shared between
+// concurrently running searches; the per-worker ownership fanOut guarantees
+// is exactly that.
 type searchCtx struct {
 	e      *Engine
-	selfID int64         // center point of the current search
-	exited bool          // captureExCore: the ex-core left the window
-	d      *collectDelta // COLLECT departure/arrival buffer
-	xcp    *exCapture    // CLUSTER ex-core capture buffer
-	ncp    *neoCapture   // CLUSTER neo-core capture buffer
+	id     int16 // worker index, stamped into captures
+	words  []uint32
+	peak   int        // largest len(words) since the last trimScratch
+	hot    []hotState // e.hot for the duration of a search
+	self   int32      // center point of the current search
+	selfID int64      // its id: co-arriving pairs are recorded by the smaller id
+	exited bool       // ex-core capture: the ex-core left the window
+	minPts int32
 
-	depFn func(qid int64, p geom.Vec) bool
-	arrFn func(qid int64, p geom.Vec) bool
-	exFn  func(qid int64, p geom.Vec) bool
-	neoFn func(qid int64, p geom.Vec) bool
+	depFn func(q int32) bool
+	arrFn func(q int32) bool
+	exFn  func(q int32) bool
+	neoFn func(q int32) bool
 }
 
-func newSearchCtx(e *Engine) *searchCtx {
-	c := &searchCtx{e: e}
+func newSearchCtx(e *Engine, id int) *searchCtx {
+	c := &searchCtx{e: e, id: int16(id), minPts: int32(e.cfg.MinPts)}
 	c.depFn = c.onDeparture
 	c.arrFn = c.onArrival
 	c.exFn = c.onExCore
@@ -105,121 +116,98 @@ func newSearchCtx(e *Engine) *searchCtx {
 // ensureSearchCtxs guarantees at least n per-worker search contexts.
 func (e *Engine) ensureSearchCtxs(n int) {
 	for len(e.searchCtxs) < n {
-		e.searchCtxs = append(e.searchCtxs, newSearchCtx(e))
+		e.searchCtxs = append(e.searchCtxs, newSearchCtx(e, len(e.searchCtxs)))
 	}
 }
 
-// searchDeparture runs the phase-2 search for one Δout point: record every
-// surviving neighbor whose nε must drop. Departures (label Deleted) and
-// this stride's arrivals (which never counted the departure) are skipped.
-func (c *searchCtx) searchDeparture(p model.Point, d *collectDelta) {
-	e := c.e
-	st := e.pts[p.ID]
-	c.selfID, c.d = p.ID, d
-	d.nodes = e.tree.SearchBallRO(st.pos, e.cfg.Eps, c.depFn)
-	c.d = nil
+// resetWords empties every worker's slab at the start of a fan-out phase
+// whose captures replace all earlier ones, remembering the high-water mark.
+func (e *Engine) resetWords() {
+	for _, c := range e.searchCtxs {
+		c.peak = max(c.peak, len(c.words))
+		c.words = c.words[:0]
+	}
 }
 
-func (c *searchCtx) onDeparture(qid int64, _ geom.Vec) bool {
+// search runs one capture search around the point in slot s.
+func (c *searchCtx) search(s int32, fn func(q int32) bool, cp *capture) {
 	e := c.e
-	if qid == c.selfID {
-		return true
+	c.self, c.hot = s, e.hot
+	off := len(c.words)
+	nodes := e.tree.SearchBallRO(e.pos[s], e.cfg.Eps, fn)
+	*cp = capture{off: int32(off), n: int32(len(c.words) - off), nodes: int32(nodes), w: c.id}
+}
+
+// onDeparture is the phase-2 callback of a Δout point: record every surviving
+// neighbor, whose nε must drop. Departures (label Deleted) and this stride's
+// arrivals (which never counted the departure) are skipped.
+func (c *searchCtx) onDeparture(q int32) bool {
+	if h := &c.hot[q]; q != c.self && h.label != model.Deleted && h.marks&markEntered == 0 {
+		c.words = append(c.words, uint32(q))
 	}
-	q := e.pts[qid]
-	if q.label == model.Deleted || q.enterStamp == e.stride {
-		return true
-	}
-	c.d.touched = append(c.d.touched, qid)
 	return true
 }
 
-// searchArrival runs the phase-2 search for one Δin point: count surviving
-// neighbors (crediting their nε and, for previous-window cores, the
-// arrival's coreDeg and border hint) and record co-arriving pairs once, from
-// the smaller-id endpoint.
-func (c *searchCtx) searchArrival(p model.Point, d *collectDelta) {
-	e := c.e
-	st := e.pts[p.ID]
-	c.selfID, c.d = p.ID, d
-	d.nodes = e.tree.SearchBallRO(st.pos, e.cfg.Eps, c.arrFn)
-	c.d = nil
-}
-
-func (c *searchCtx) onArrival(qid int64, _ geom.Vec) bool {
-	e := c.e
-	if qid == c.selfID {
-		return true
-	}
-	q := e.pts[qid]
-	if q.label == model.Deleted {
-		return true
-	}
-	d := c.d
-	if q.enterStamp == e.stride {
-		if c.selfID < qid {
-			d.pairs = append(d.pairs, qid)
-		}
-		return true
-	}
-	d.touched = append(d.touched, qid)
-	d.selfN++
-	// Initialize coreDeg against cores surviving from the previous
-	// window; transitions (ex-cores, neo-cores) correct it later.
-	if q.wasCore {
-		if d.coreDeg == 0 {
-			d.hint = qid
-		}
-		d.coreDeg++
+// onArrival is the phase-2 callback of a Δin point: record surviving
+// neighbors (the fold credits their nε and, for previous-window cores, the
+// arrival's coreDeg and border hint) and co-arriving pairs once, from the
+// smaller-id endpoint.
+func (c *searchCtx) onArrival(q int32) bool {
+	h := &c.hot[q]
+	switch {
+	case q == c.self || h.label == model.Deleted:
+	case h.marks&markEntered == 0:
+		c.words = append(c.words, uint32(q))
+	case c.selfID < c.e.ids[q]:
+		c.words = append(c.words, uint32(q)|tagPair)
 	}
 	return true
 }
 
 // collectSearch is the bound-once phase-2 dispatcher fanOut invokes: Δout
-// departures occupy work indices [0, len(fanOutPts)), Δin arrivals the rest.
+// departures occupy work indices [0, len(outSlots)), Δin arrivals the rest.
 func (e *Engine) collectSearch(w, k int) {
 	c := e.searchCtxs[w]
-	if out := e.fanOutPts; k < len(out) {
-		c.searchDeparture(out[k], &e.outDeltas[k])
+	if nOut := len(e.outSlots); k < nOut {
+		c.search(e.outSlots[k], c.depFn, &e.deltaCaps[k])
 	} else {
-		k -= len(out)
-		c.searchArrival(e.fanInPts[k], &e.inDeltas[k])
+		s := e.inSlots[k-nOut]
+		c.selfID = e.ids[s]
+		c.search(s, c.arrFn, &e.deltaCaps[k])
 	}
 }
 
 // fanOutSearches runs phase 2: one search per Δout and Δin point, fanned
 // over the engine's shared worker dispatcher (fanOut, also used by CLUSTER;
-// inline when one worker suffices). Search and node-access counts land in
-// the private buffers and are summed in fixed slice order afterwards,
-// keeping the totals identical to a sequential run — the same searches
-// against the same fixed tree touch the same nodes.
-func (e *Engine) fanOutSearches(in, out []model.Point) {
-	total := len(out) + len(in)
+// inline when one worker suffices). Node-access counts land in the captures
+// and are summed in fixed order afterwards, keeping the totals identical to
+// a sequential run — the same searches against the same fixed index touch
+// the same nodes.
+func (e *Engine) fanOutSearches() {
+	total := len(e.outSlots) + len(e.inSlots)
+	e.deltaCaps = grow(e.deltaCaps, total)
 	if total == 0 {
 		return
 	}
 	e.ensureSearchCtxs(min(e.workers, total))
-	e.fanInPts, e.fanOutPts = in, out
+	e.resetWords()
 	if e.curTrace != nil {
 		e.fanSpanName, e.fanParent = "collect.worker", e.phaseSpan
 	}
 	e.fanOut(total, e.collectFanFn)
-	e.fanInPts, e.fanOutPts = nil, nil
 	var nodes int64
-	for i := range e.outDeltas {
-		nodes += e.outDeltas[i].nodes
-	}
-	for i := range e.inDeltas {
-		nodes += e.inDeltas[i].nodes
+	for i := range e.deltaCaps {
+		nodes += int64(e.deltaCaps[i].nodes)
 	}
 	e.stats.RangeSearches += int64(total)
 	e.stats.NodeAccesses += nodes
 }
 
 // defaultWorkers resolves the WithWorkers argument: n <= 0 selects
-// GOMAXPROCS.
+// GOMAXPROCS. A capture names its worker in 16 bits.
 func defaultWorkers(n int) int {
 	if n <= 0 {
-		return runtime.GOMAXPROCS(0)
+		n = runtime.GOMAXPROCS(0)
 	}
-	return n
+	return min(n, math.MaxInt16)
 }

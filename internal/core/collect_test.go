@@ -122,10 +122,10 @@ func TestConcurrentQueriesDuringStream(t *testing.T) {
 	}
 }
 
-// TestSearchBallROMatchesSearchBall verifies the read-only search variant
-// visits exactly the same points as the accounted one on every backend, and
-// that concurrent SearchBallRO calls are race-free.
-func TestSearchBallROMatchesSearchBall(t *testing.T) {
+// TestSearchBallROMatchesBrute verifies the one search method an index has
+// visits exactly the points a linear scan accepts, on every backend, and that
+// concurrent searches are race-free.
+func TestSearchBallROMatchesBrute(t *testing.T) {
 	backends := []struct {
 		name string
 		opts []Option
@@ -142,23 +142,19 @@ func TestSearchBallROMatchesSearchBall(t *testing.T) {
 			for trial := 0; trial < 40; trial++ {
 				c := geom.NewVec(rng.Float64()*60, rng.Float64()*60)
 				eps := 0.5 + rng.Float64()*4
-				before := eng.tree.Stats()
 				want := map[int64]bool{}
-				eng.tree.SearchBall(c, eps, func(id int64, _ geom.Vec) bool {
-					want[id] = true
-					return true
-				})
-				wantNodes := eng.tree.Stats().NodeAccesses - before.NodeAccesses
+				for _, p := range data {
+					if geom.Dist2(p.Pos, c, 2) <= eps*eps {
+						want[p.ID] = true
+					}
+				}
 				got := map[int64]bool{}
-				nodes := eng.tree.SearchBallRO(c, eps, func(id int64, _ geom.Vec) bool {
-					got[id] = true
+				eng.tree.SearchBallRO(c, eps, func(s int32) bool {
+					got[eng.ids[s]] = true
 					return true
 				})
 				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("trial %d: RO visited %d points, accounted visited %d", trial, len(got), len(want))
-				}
-				if nodes != wantNodes {
-					t.Fatalf("trial %d: RO search counted %d node accesses, accounted search %d", trial, nodes, wantNodes)
+					t.Fatalf("trial %d: search visited %d points, a scan accepts %d", trial, len(got), len(want))
 				}
 			}
 			// Concurrent read-only searches over one fixed index must be
@@ -171,7 +167,7 @@ func TestSearchBallROMatchesSearchBall(t *testing.T) {
 					r := rand.New(rand.NewSource(seed))
 					for k := 0; k < 30; k++ {
 						c := geom.NewVec(r.Float64()*60, r.Float64()*60)
-						eng.tree.SearchBallRO(c, 2.5, func(int64, geom.Vec) bool { return true })
+						eng.tree.SearchBallRO(c, 2.5, func(int32) bool { return true })
 					}
 				}(int64(g))
 			}
@@ -202,8 +198,10 @@ func TestAssignmentSelfHeals(t *testing.T) {
 	}
 	wantCID := a.ClusterID
 
-	// Corrupt the hint to an absent id, as a poisoned checkpoint would.
-	eng.pts[5].hint = 999
+	// Corrupt the hint to a point that is no core, as a poisoned checkpoint
+	// would.
+	s5 := eng.slotOf[5]
+	eng.hot[s5].hint = s5
 	healed, ok := eng.Assignment(5)
 	if !ok {
 		t.Fatal("point 5 vanished")
@@ -218,7 +216,7 @@ func TestAssignmentSelfHeals(t *testing.T) {
 
 	// With the hint corrupted AND no core in range, the query degrades to
 	// noise rather than crashing.
-	eng.pts[5].pos = geom.NewVec(100, 100) // teleport state only; tree untouched is fine for this query
+	eng.pos[s5] = geom.NewVec(100, 100) // teleport state only; tree untouched is fine for this query
 	if a, _ := eng.Assignment(5); a.Label != model.Noise || a.ClusterID != model.NoCluster {
 		t.Fatalf("orphaned border = %+v, want noise", a)
 	}

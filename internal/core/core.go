@@ -25,8 +25,13 @@
 // every point keeps the count of its current core ε-neighbors, which changes
 // exactly when a neighbor is an ex-core or neo-core — points we already
 // search around once per stride — so border/noise status updates are free,
-// and each border keeps a "hint" (the id of one core neighbor) through which
+// and each border keeps a "hint" (the slot of one core neighbor) through which
 // its cluster id resolves even across later splits and merges.
+//
+// Points live in a slot arena (arena.go): flat slabs indexed by an int32
+// slot. Everything below the exported surface — the index, the search
+// callbacks, every stride list — deals in slots; ids are resolved on the way
+// in and on the way out.
 package core
 
 import (
@@ -83,43 +88,19 @@ func WithWorkers(n int) Option { return func(e *Engine) { e.workers = defaultWor
 // a bool check when off.
 func WithAllocTracking(on bool) Option { return func(e *Engine) { e.trackAllocs = on } }
 
-// pstate is the per-point bookkeeping DISC maintains for every point in the
-// current window (plus, transiently, the exited ex-cores C_out).
-type pstate struct {
-	pos     geom.Vec
-	n       int32       // nε: neighbors within ε, the point itself included
-	coreDeg int32       // current core points within ε, itself excluded
-	cid     int         // raw cluster id for cores; resolve through Engine.cids
-	hint    int64       // id of one core ε-neighbor justifying Border status; valid iff hasHint
-	label   model.Label // finalized label as of the last completed stride
-	wasCore bool        // was a core at the end of the previous stride
-	hasHint bool        // hint names a point; every int64 is a legal id, so no id can stand for "none"
-
-	// Stride-scoped stamps; a field equals the current stride number when
-	// the mark is set, so no per-stride clearing pass is needed.
-	affStamp   uint64 // member of the affected set
-	enterStamp uint64 // member of Δin
-	exStamp    uint64 // visited by the retro-reachability (R⁻) traversal
-	neoStamp   uint64 // visited by the nascent-reachability (R⁺) traversal
-	bondStamp  uint64 // collected into the current component's M⁻ set
-	capStamp   uint64 // capIdx is valid for the current stride
-	capIdx     int32  // index of this ex-/neo-core's CLUSTER capture buffer
-}
-
 // Engine is the DISC clustering engine. It implements model.Engine. The
 // zero value is unusable; construct with New. Not safe for concurrent use,
-// with one exception: Assignment, Snapshot, Stats and SaveSnapshot perform
-// no writes, not even hidden ones (no union-find path compression, no index
-// statistics), so any number of them may run at once while no Advance or
-// other mutation is in flight.
+// with one exception: Assignment, Snapshot, Stats, SaveSnapshot and
+// CheckInvariants perform no writes, not even hidden ones (no union-find
+// path compression, no search counters), so any number of them may run at
+// once while no Advance or other mutation is in flight.
 type Engine struct {
-	cfg      model.Config
-	tree     spatialIndex
-	pts      map[int64]*pstate
-	cids     *dsu.Int
-	nextCID  int
-	stride   uint64 // current stride number; stamps compare against it
-	bondTick uint64 // per-component counter for M⁻ deduplication
+	cfg  model.Config
+	tree spatialIndex
+	arena
+	cids    *dsu.Int
+	nextCID int
+	stride  uint64 // current stride number
 
 	useMSBFS bool
 	useEpoch bool
@@ -177,24 +158,24 @@ type Engine struct {
 	strideForestReplScans    int64
 	strideForestRebuilds     int64
 
-	// Scratch reused across strides. None of this is observable state and
-	// none of it is persisted (persist.go serializes an explicit field
-	// list); it exists purely to keep the steady state allocation-free.
-	affected  []int64
-	inDeltas  []collectDelta
-	outDeltas []collectDelta
+	// Scratch reused across strides, all of it slot lists and flat slabs.
+	// None of this is observable state and none of it is persisted
+	// (persist.go serializes an explicit field list); it exists purely to
+	// keep the steady state allocation-free, and trimScratch keeps it
+	// proportional to recent churn. affected doubles as the stride's output:
+	// Delta.Points reads it until the next Advance.
+	affected []int32
 
-	// COLLECT stride buffers: the transition lists collect produces, the
-	// Δin batch arrays feeding one BulkInsert per stride, and a pstate free
-	// list recycling the state of departed points into arrivals. Stride
-	// stamps need no clearing on reuse: a stale stamp is always below the
-	// current stride.
-	exCoresBuf  []int64
-	neoCoresBuf []int64
-	coutBuf     []int64
-	bulkIDs     []int64
-	bulkPos     []geom.Vec
-	freePts     []*pstate
+	// COLLECT stride buffers: the slots of Δout and Δin in input order (Δin's,
+	// with inPos, feed one BulkInsert per stride), one capture per search, and
+	// the transition lists collect produces.
+	outSlots    []int32
+	inSlots     []int32
+	inPos       []geom.Vec
+	deltaCaps   []capture
+	exCoresBuf  []int32
+	neoCoresBuf []int32
+	coutBuf     []int32
 
 	// Assignment delta (delta.go): the stride's cid unions and the two flags
 	// that decide whether the next delta is full.
@@ -207,9 +188,10 @@ type Engine struct {
 	censusIdx map[int]int32
 
 	// CLUSTER pipeline scratch (cluster_parallel.go, msbfs.go).
-	exCaps      []exCapture
-	neoCaps     []neoCapture
+	exCaps      []capture
+	neoCaps     []capture
 	exComps     []exComponent
+	bondBuf     []int32 // every component's M⁻, back to back
 	connWork    []int32
 	connResults []connResult
 	walkQ       []int32
@@ -220,23 +202,17 @@ type Engine struct {
 	// a closure per ε-search (or per fan-out) was the last steady-state
 	// allocation on the Advance path; instead each hot callback is a func
 	// value created once at construction that reads its per-call parameters
-	// from stable engine or context fields (the msScratch.visit trick). The
-	// fanInPts/fanOutPts/fanExCores/fanNeoCores fields alias the current
-	// fan-out's inputs only for the duration of that fan-out.
+	// from stable engine or context fields (the msScratch.visit trick).
 	searchCtxs   []*searchCtx
-	fanInPts     []model.Point
-	fanOutPts    []model.Point
-	fanExCores   []int64
-	fanNeoCores  []int64
 	collectFanFn func(worker, k int)
 	exCapFanFn   func(worker, k int)
 	neoCapFanFn  func(worker, k int)
 	connFanFn    func(worker, k int)
-	hintFn       func(qid int64, p geom.Vec) bool
-	hintSelf     int64
-	hintFound    int64
-	rebuildFn    func(qid int64, p geom.Vec) bool
-	rebuildSelf  int64
+	hintFn       func(q int32) bool
+	hintSelf     int32
+	hintFound    int32
+	rebuildFn    func(q int32) bool
+	rebuildSelf  int32
 }
 
 // New returns a DISC engine for the given configuration. It panics on an
@@ -247,7 +223,7 @@ func New(cfg model.Config, opts ...Option) *Engine {
 	}
 	e := &Engine{
 		cfg:      cfg,
-		pts:      make(map[int64]*pstate),
+		arena:    arena{slotOf: make(idTable)},
 		cids:     dsu.NewInt(),
 		nextCID:  1,
 		useMSBFS: true,
@@ -296,6 +272,7 @@ func (e *Engine) Advance(in, out []model.Point) {
 // advance is the untraced body of Advance; tracing hooks read e.curTrace.
 func (e *Engine) advance(in, out []model.Point) {
 	e.stride++
+	e.trimScratch()
 	e.affected = e.affected[:0]
 	// A stride whose delta nobody read — or that panicked half-way — cannot
 	// be skipped over: the next delta must then cover everything.
@@ -311,7 +288,6 @@ func (e *Engine) advance(in, out []model.Point) {
 	e.strideForestOps, e.strideForestReplSearches, e.strideForestReplScans = 0, 0, 0
 	e.strideForestRebuilds = 0
 	poolBefore := e.poolGrows()
-	treeBefore := e.tree.Stats()
 	statsBefore := e.stats
 
 	tr := e.curTrace
@@ -343,8 +319,7 @@ func (e *Engine) advance(in, out []model.Point) {
 	// included — before the ex-core phase queries it, and running the
 	// captures at the same point regardless of strategy is what keeps the
 	// search statistics strategy-identical.
-	e.captureExCores(exCores)
-	e.captureNeoCores(neoCores)
+	e.captureCores(exCores, neoCores)
 	if e.connStrategy == ConnDynamic {
 		e.syncForest(exCores, neoCores)
 	}
@@ -352,8 +327,8 @@ func (e *Engine) advance(in, out []model.Point) {
 	// Algorithm 2 line 8: ex-cores that exited the window stay in the index
 	// through the ex-core phase (retro-reachability needs them) and are
 	// removed before neo-cores are processed.
-	for _, id := range cout {
-		e.tree.Delete(id, e.pts[id].pos)
+	for _, s := range cout {
+		e.tree.Delete(s, e.pos[s])
 	}
 	t2 := time.Now()
 	if tr != nil {
@@ -386,11 +361,8 @@ func (e *Engine) advance(in, out []model.Point) {
 	e.timings.NeoCores += t3.Sub(t2)
 	e.timings.Finalize += t4.Sub(t3)
 
-	treeAfter := e.tree.Stats()
-	e.stats.RangeSearches += treeAfter.RangeSearches - treeBefore.RangeSearches
-	e.stats.NodeAccesses += treeAfter.NodeAccesses - treeBefore.NodeAccesses
 	e.stats.Strides++
-	e.stats.MemoryItems = int64(len(e.pts))
+	e.stats.MemoryItems = int64(len(e.slotOf))
 
 	if e.observer != nil {
 		e.observeStride(in, out, len(exCores), len(neoCores),
@@ -402,106 +374,126 @@ func (e *Engine) advance(in, out []model.Point) {
 	}
 }
 
-// markAffected adds id to the stride's affected set exactly once.
-func (e *Engine) markAffected(id int64, st *pstate) {
-	if st.affStamp != e.stride {
-		st.affStamp = e.stride
-		e.affected = append(e.affected, id)
+// markAffected adds slot s to the stride's affected set exactly once.
+func (e *Engine) markAffected(s int32) {
+	if h := &e.hot[s]; h.marks&markAffected == 0 {
+		h.marks |= markAffected
+		e.affected = append(e.affected, s)
 	}
 }
 
 // collect is the COLLECT step (Algorithm 1), restructured into three phases
 // (see collect.go): structural index mutations first, then one read-only
 // ε-range search per point of Δout ∪ Δin — fanned over e.workers goroutines
-// into private delta buffers — and finally a deterministic single-threaded
-// merge. It returns the ex-cores, neo-cores, and the exited ex-cores C_out
-// (still resident in the index).
-func (e *Engine) collect(in, out []model.Point) (exCores, neoCores, cout []int64) {
+// into private captures — and finally a deterministic single-threaded merge.
+// It returns the ex-cores, neo-cores, and the exited ex-cores C_out (still
+// resident in the index), as slots.
+func (e *Engine) collect(in, out []model.Point) (exCores, neoCores, cout []int32) {
 	cout = e.coutBuf[:0]
 	// Phase 1 — structural mutations, applied up front so every phase-2
-	// search runs against one fixed index and immutable pstates.
+	// search runs against one fixed index and immutable point state. This is
+	// the one place a stride consults the id table, and the one place a slot
+	// changes hands.
+	e.outSlots = e.outSlots[:0]
 	for _, p := range out {
-		st, ok := e.pts[p.ID]
+		s, ok := e.slotOf[p.ID]
 		if !ok {
 			panic(fmt.Sprintf("disc: point %d left the window but was never inserted", p.ID))
 		}
-		if st.label == model.Core {
-			cout = append(cout, p.ID) // keep in the index until CLUSTER ends
+		h := &e.hot[s]
+		if h.label == model.Core {
+			cout = append(cout, s) // keep in the index until CLUSTER ends
 		} else {
-			e.tree.Delete(p.ID, st.pos)
+			e.tree.Delete(s, e.pos[s])
 		}
-		st.label = model.Deleted
-		st.n = 0
+		h.label = model.Deleted
+		h.n = 0
+		e.outSlots = append(e.outSlots, s)
 	}
-	e.bulkIDs = e.bulkIDs[:0]
-	e.bulkPos = e.bulkPos[:0]
+	e.inSlots = e.inSlots[:0]
+	e.inPos = e.inPos[:0]
 	for _, p := range in {
-		if _, dup := e.pts[p.ID]; dup {
+		if _, dup := e.slotOf[p.ID]; dup {
 			panic(fmt.Sprintf("disc: duplicate point id %d entered the window", p.ID))
 		}
-		st := e.newPstate()
-		*st = pstate{pos: p.Pos, n: 1, label: model.Unclassified, enterStamp: e.stride}
-		e.pts[p.ID] = st
-		e.bulkIDs = append(e.bulkIDs, p.ID)
-		e.bulkPos = append(e.bulkPos, p.Pos)
+		s := e.alloc()
+		e.hot[s] = hotState{n: 1, hint: noSlot, label: model.Unclassified, marks: markEntered}
+		e.pos[s], e.cid[s], e.ids[s] = p.Pos, 0, p.ID
+		e.slotOf[p.ID] = s
+		e.inSlots = append(e.inSlots, s)
+		e.inPos = append(e.inPos, p.Pos)
 	}
-	e.tree.BulkInsert(e.bulkIDs, e.bulkPos)
+	e.tree.BulkInsert(e.inSlots, e.inPos)
 
 	// Phase 2 — the parallel search fan-out.
-	e.outDeltas = resetDeltas(e.outDeltas, len(out))
-	e.inDeltas = resetDeltas(e.inDeltas, len(in))
-	e.fanOutSearches(in, out)
+	e.fanOutSearches()
 
-	// Phase 3 — fold the private buffers into the engine, Δout then Δin, in
-	// slice order; the fixed order makes the result independent of workers.
-	for i, p := range out {
-		for _, qid := range e.outDeltas[i].touched {
-			q := e.pts[qid]
-			q.n--
-			e.markAffected(qid, q)
+	// Phase 3 — fold the captures into the engine, Δout then Δin, in input
+	// order; the fixed order makes the result independent of workers.
+	hot := e.hot
+	for k, s := range e.outSlots {
+		for _, w := range e.words(&e.deltaCaps[k]) {
+			hot[w].n--
+			e.markAffected(int32(w))
 		}
-		e.markAffected(p.ID, e.pts[p.ID])
+		e.markAffected(s)
 	}
-	for i, p := range in {
-		st := e.pts[p.ID]
-		d := &e.inDeltas[i]
-		st.n += d.selfN
-		st.coreDeg = d.coreDeg
-		st.hint, st.hasHint = d.hint, d.coreDeg > 0
-		for _, qid := range d.touched {
-			q := e.pts[qid]
+	caps := e.deltaCaps[len(e.outSlots):]
+	for k, s := range e.inSlots {
+		st := &hot[s]
+		words := e.words(&caps[k])
+		// Surviving neighbours first, then co-arrivals, as two passes over
+		// the ball: the affected set lists them in that order.
+		for _, w := range words {
+			if w&tagPair != 0 {
+				continue
+			}
+			q := &hot[w]
 			q.n++
-			e.markAffected(qid, q)
+			st.n++
+			// Initialize coreDeg against cores surviving from the previous
+			// window, hinting at the first in ball order; transitions
+			// (ex-cores, neo-cores) correct both later.
+			if q.wasCore {
+				if st.coreDeg == 0 {
+					st.hint = int32(w)
+				}
+				st.coreDeg++
+			}
+			e.markAffected(int32(w))
 		}
 		// Each co-arriving pair was recorded once, by its smaller-id
 		// endpoint; credit both sides here.
-		for _, qid := range d.pairs {
-			q := e.pts[qid]
-			q.n++
-			st.n++
-			e.markAffected(qid, q)
+		for _, w := range words {
+			if w&tagPair != 0 {
+				q := w &^ tagPair
+				hot[q].n++
+				st.n++
+				e.markAffected(int32(q))
+			}
 		}
-		e.markAffected(p.ID, st)
+		e.markAffected(s)
 	}
 
 	// Every point whose nε changed is in the affected set; core-status
 	// transitions can only happen there (Definitions 1 and 2).
 	exCores = e.exCoresBuf[:0]
 	neoCores = e.neoCoresBuf[:0]
-	for _, id := range e.affected {
-		st := e.pts[id]
+	minPts := int32(e.cfg.MinPts)
+	for _, s := range e.affected {
+		st := &hot[s]
 		if st.label == model.Deleted {
 			if st.wasCore {
-				exCores = append(exCores, id)
+				exCores = append(exCores, s)
 			}
 			continue
 		}
-		isCore := st.n >= int32(e.cfg.MinPts)
+		isCore := st.n >= minPts
 		switch {
 		case st.wasCore && !isCore:
-			exCores = append(exCores, id)
+			exCores = append(exCores, s)
 		case !st.wasCore && isCore:
-			neoCores = append(neoCores, id)
+			neoCores = append(neoCores, s)
 		}
 	}
 	// Retain whatever growth the buffers saw for the next stride.
@@ -509,102 +501,82 @@ func (e *Engine) collect(in, out []model.Point) (exCores, neoCores, cout []int64
 	return exCores, neoCores, cout
 }
 
-// newPstate pops a recycled pstate from the free list or allocates one.
-// Callers overwrite every field, so no reset is needed here.
-func (e *Engine) newPstate() *pstate {
-	if k := len(e.freePts); k > 0 {
-		st := e.freePts[k-1]
-		e.freePts[k-1] = nil
-		e.freePts = e.freePts[:k-1]
-		return st
-	}
-	return &pstate{}
-}
-
 // isExCore reports whether st is an ex-core this stride: a previous-window
 // core that exited or fell below the density threshold.
-func (e *Engine) isExCore(st *pstate) bool {
+func (e *Engine) isExCore(st *hotState) bool {
 	return st.wasCore && (st.label == model.Deleted || st.n < int32(e.cfg.MinPts))
 }
 
 // isCoreNow reports whether st is a core of the current window.
-func (e *Engine) isCoreNow(st *pstate) bool {
+func (e *Engine) isCoreNow(st *hotState) bool {
 	return st.label != model.Deleted && st.n >= int32(e.cfg.MinPts)
-}
-
-// survivingCore reports whether st is a core in both the previous and the
-// current window — the membership condition of minimal bonding cores
-// (Definitions 4 and 6).
-func (e *Engine) survivingCore(st *pstate) bool {
-	return st.wasCore && e.isCoreNow(st)
 }
 
 // finalize recomputes the label of every affected point from its maintained
 // counters, refreshes wasCore for the next stride, re-acquires invalidated
 // border hints (one early-terminating range search each — the paper's
-// "updated later by examining labels of their ε-neighbors"), and drops the
-// state of departed points.
+// "updated later by examining labels of their ε-neighbors"), clears the
+// stride's marks, and frees the slots of departed points.
 func (e *Engine) finalize() {
 	minPts := int32(e.cfg.MinPts)
-	for _, id := range e.affected {
-		st := e.pts[id]
+	for _, s := range e.affected {
+		st := &e.hot[s]
+		st.marks = 0
 		if st.label == model.Deleted {
-			delete(e.pts, id)
-			// The pstate is unreachable now (nothing retains pstate
-			// pointers across strides), so recycle it into a future arrival.
-			e.freePts = append(e.freePts, st)
+			// The slot keeps its id and its Deleted label until an arrival
+			// takes it — Delta.Points reports the departure from them — and
+			// that is the next stride's phase 1 at the earliest. Nothing can
+			// still hint at it: every neighbour of a departing core received
+			// the core's clear-op and is re-derived below.
+			delete(e.slotOf, e.ids[s])
+			e.free = append(e.free, s)
 			continue
 		}
 		if st.n >= minPts {
-			if st.cid == 0 {
-				panic(fmt.Sprintf("disc: core point %d finalized without a cluster id", id))
+			if e.cid[s] == 0 {
+				panic(fmt.Sprintf("disc: core point %d finalized without a cluster id", e.ids[s]))
 			}
 			st.label = model.Core
 			st.wasCore = true
 			continue
 		}
 		st.wasCore = false
-		st.cid = 0
+		e.cid[s] = 0
 		if st.coreDeg > 0 {
 			st.label = model.Border
 			if !e.hintValid(st) {
-				st.hint, st.hasHint = e.findHint(id, st), true
+				st.hint = e.findHint(s, st)
 			}
 		} else {
 			st.label = model.Noise
-			st.hasHint = false
+			st.hint = noSlot
 		}
 	}
 }
 
 // hintValid reports whether st's stored hint still names a live core.
-func (e *Engine) hintValid(st *pstate) bool {
-	if !st.hasHint {
-		return false
-	}
-	h, ok := e.pts[st.hint]
-	return ok && e.isCoreNow(h)
+func (e *Engine) hintValid(st *hotState) bool {
+	return st.hint != noSlot && e.isCoreNow(&e.hot[st.hint])
 }
 
-// findHint locates one core ε-neighbor of the border point id, terminating
-// the range search as soon as one is found. finalize runs single-threaded,
-// so one engine-level parameter slot (hintSelf/hintFound) serves the
-// bound-once callback; the search stops early exactly when it finds one.
-func (e *Engine) findHint(id int64, st *pstate) int64 {
-	e.hintSelf = id
-	if e.tree.SearchBall(st.pos, e.cfg.Eps, e.hintFn) {
-		panic(fmt.Sprintf("disc: point %d has coreDeg=%d but no core ε-neighbor", id, st.coreDeg))
+// findHint locates one core ε-neighbor of the border point in slot s,
+// terminating the range search as soon as one is found. finalize runs
+// single-threaded, so one engine-level parameter slot (hintSelf/hintFound)
+// serves the bound-once callback.
+func (e *Engine) findHint(s int32, st *hotState) int32 {
+	e.hintSelf, e.hintFound = s, noSlot
+	e.stats.RangeSearches++
+	e.stats.NodeAccesses += e.tree.SearchBallRO(e.pos[s], e.cfg.Eps, e.hintFn)
+	if e.hintFound == noSlot {
+		panic(fmt.Sprintf("disc: point %d has coreDeg=%d but no core ε-neighbor", e.ids[s], st.coreDeg))
 	}
 	return e.hintFound
 }
 
 // hintVisit is findHint's search callback.
-func (e *Engine) hintVisit(qid int64, _ geom.Vec) bool {
-	if qid == e.hintSelf {
-		return true
-	}
-	if q := e.pts[qid]; e.isCoreNow(q) {
-		e.hintFound = qid
+func (e *Engine) hintVisit(q int32) bool {
+	if q != e.hintSelf && e.isCoreNow(&e.hot[q]) {
+		e.hintFound = q
 		return false
 	}
 	return true
@@ -613,9 +585,9 @@ func (e *Engine) hintVisit(qid int64, _ geom.Vec) bool {
 // compactCIDs rewrites every stored cluster id to its representative and
 // resets the union-find forest, bounding its growth.
 func (e *Engine) compactCIDs() {
-	for _, st := range e.pts {
-		if st.cid != 0 {
-			st.cid = e.cids.Find(st.cid)
+	for s, cid := range e.cid {
+		if cid != 0 {
+			e.cid[s] = e.cids.Find(cid)
 		}
 	}
 	e.cids.Reset()
@@ -624,11 +596,11 @@ func (e *Engine) compactCIDs() {
 
 // Assignment implements model.Engine.
 func (e *Engine) Assignment(id int64) (model.Assignment, bool) {
-	st, ok := e.pts[id]
+	s, ok := e.slotOf[id]
 	if !ok {
 		return model.Assignment{}, false
 	}
-	return e.assignmentOf(id, st), true
+	return e.assignmentOf(s), true
 }
 
 // Snapshot implements model.Engine. The returned map is freshly allocated
@@ -645,54 +617,53 @@ func (e *Engine) Snapshot() map[int64]model.Assignment {
 // readers.
 func (e *Engine) SnapshotInto(dst map[int64]model.Assignment) map[int64]model.Assignment {
 	if dst == nil {
-		dst = make(map[int64]model.Assignment, len(e.pts))
+		dst = make(map[int64]model.Assignment, len(e.slotOf))
 	} else {
 		clear(dst)
 	}
-	for id, st := range e.pts {
-		dst[id] = e.assignmentOf(id, st)
+	for s := range e.hot {
+		if s := int32(s); e.resident(s) {
+			dst[e.ids[s]] = e.assignmentOf(s)
+		}
 	}
 	return dst
 }
 
-// assignmentOf resolves a point's current assignment. It is genuinely
-// read-only — cluster ids resolve through the non-compressing FindRO and a
-// stale border hint is healed by a statistics-free re-search — so any number
-// of callers may run concurrently between Advance calls.
-func (e *Engine) assignmentOf(id int64, st *pstate) model.Assignment {
-	switch st.label {
+// assignmentOf resolves the current assignment of the point in slot s. It is
+// genuinely read-only — cluster ids resolve through the non-compressing
+// FindRO and a stale border hint is healed by a statistics-free re-search —
+// so any number of callers may run concurrently between Advance calls.
+func (e *Engine) assignmentOf(s int32) model.Assignment {
+	switch e.hot[s].label {
 	case model.Core:
-		return model.Assignment{Label: model.Core, ClusterID: e.cids.FindRO(st.cid)}
+		return model.Assignment{Label: model.Core, ClusterID: e.cids.FindRO(e.cid[s])}
 	case model.Border:
-		if _, h := e.borderAnchor(id, st); h != nil {
-			return model.Assignment{Label: model.Border, ClusterID: e.cids.FindRO(h.cid)}
+		if h := e.borderAnchor(s); h != noSlot {
+			return model.Assignment{Label: model.Border, ClusterID: e.cids.FindRO(e.cid[h])}
 		}
 	}
 	return model.Assignment{Label: model.Noise, ClusterID: model.NoCluster}
 }
 
-// borderAnchor returns the core through which the border point id resolves
-// its cluster: the stored hint, or — when that names an absent or demoted
-// point, possible only after a corrupted checkpoint or an internal
-// inconsistency — any live core ε-neighbor found by a read-only search, so a
-// query degrades gracefully instead of crashing the serving process. A nil
-// pstate means there is none and the point reads as noise.
-func (e *Engine) borderAnchor(id int64, st *pstate) (int64, *pstate) {
-	if h, ok := e.pts[st.hint]; st.hasHint && ok && e.isCoreNow(h) {
-		return st.hint, h
+// borderAnchor returns the slot of the core through which the border point
+// in slot s resolves its cluster: the stored hint, or — when that names a
+// departed or demoted point, possible only after a corrupted checkpoint or an
+// internal inconsistency — any live core ε-neighbor found by a read-only
+// search, so a query degrades gracefully instead of crashing the serving
+// process. noSlot means there is none and the point reads as noise.
+func (e *Engine) borderAnchor(s int32) int32 {
+	if st := &e.hot[s]; e.hintValid(st) {
+		return st.hint
 	}
-	hid, anchor := int64(0), (*pstate)(nil)
-	e.tree.SearchBallRO(st.pos, e.cfg.Eps, func(qid int64, _ geom.Vec) bool {
-		if qid == id {
-			return true
-		}
-		if q := e.pts[qid]; e.isCoreNow(q) {
-			hid, anchor = qid, q
+	anchor := noSlot
+	e.tree.SearchBallRO(e.pos[s], e.cfg.Eps, func(q int32) bool {
+		if q != s && e.isCoreNow(&e.hot[q]) {
+			anchor = q
 			return false
 		}
 		return true
 	})
-	return hid, anchor
+	return anchor
 }
 
 // Config returns the engine's clustering configuration. Restore paths use
@@ -712,4 +683,4 @@ func (e *Engine) ResetStats() {
 }
 
 // WindowSize returns the number of points currently tracked.
-func (e *Engine) WindowSize() int { return len(e.pts) }
+func (e *Engine) WindowSize() int { return len(e.slotOf) }

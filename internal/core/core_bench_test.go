@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"disc/internal/datasets"
 	"disc/internal/geom"
 	"disc/internal/model"
 	"disc/internal/window"
@@ -40,6 +41,34 @@ func benchAdvance(b *testing.B, opts ...Option) {
 		}
 		st := steps[idx]
 		eng.Advance(st.In, st.Out)
+		idx++
+	}
+}
+
+// BenchmarkAdvanceDense is one stride of the end-to-end benchmark's
+// dtg_stride5 workload: the DTG generator at ε 0.002, τ 40, window 20 000,
+// stride 1000 — 40-neighbour balls, where what a search does per hit (not the
+// index) is the stride. BenchmarkAdvance's window 4000 / τ 5 never sees it.
+func BenchmarkAdvanceDense(b *testing.B) {
+	const win, stride = 20000, 1000
+	steps, err := window.Steps(datasets.DTG(win+stride*40, 1).Points, win, stride)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := model.Config{Dims: 2, Eps: 0.002, MinPts: 40}
+	var eng *Engine
+	idx := len(steps)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if idx >= len(steps) {
+			b.StopTimer()
+			eng = New(cfg)
+			eng.Advance(steps[0].In, steps[0].Out)
+			idx = 1
+			b.StartTimer()
+		}
+		eng.Advance(steps[idx].In, steps[idx].Out)
 		idx++
 	}
 }
@@ -173,7 +202,7 @@ func BenchmarkConnectivitySteady(b *testing.B) {
 			eng.Advance(append(a, c...), nil)
 			eng.ensureScratches(1)
 			s := eng.scratches[0]
-			bonding := []int64{0, 250, 499, 1000}
+			bonding := eng.slotsOf(0, 250, 499, 1000)
 			res := new(connResult)
 			eng.connectivityInto(bonding, s, res) // warm the pools
 			b.ReportAllocs()

@@ -504,8 +504,8 @@ func TestEveryInt64IsAPointID(t *testing.T) {
 		}
 	}
 	step([]model.Point{at(-1, 0, 0), at(10, 0.5, 0), at(11, -0.5, 0), at(20, 0, 0.9)}, nil)
-	if st := eng.pts[20]; st.label != model.Border || !st.hasHint || st.hint != -1 {
-		t.Fatalf("point 20: label %v, hint %d (set: %v); want a border hinting at -1", st.label, st.hint, st.hasHint)
+	if st := eng.hot[eng.slotOf[20]]; st.label != model.Border || st.hint != eng.slotOf[-1] {
+		t.Fatalf("point 20: label %v, hint slot %d; want a border hinting at point -1 (slot %d)", st.label, st.hint, eng.slotOf[-1])
 	}
 	var buf bytes.Buffer
 	if err := eng.SaveSnapshot(&buf); err != nil {

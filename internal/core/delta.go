@@ -8,7 +8,8 @@ import "disc/internal/model"
 // hint) and inherits that core's cluster. A merger or a split therefore
 // re-homes arbitrarily many points by touching a handful of fields — and a
 // consumer that wants to track assignments in O(Δ) has to keep the same two
-// indirections. Delta reports exactly the fields that moved, in that raw form:
+// indirections (inside the engine the hint is a slot; on the way out it is the
+// hint core's id). Delta reports exactly the fields that moved, in that raw form:
 // the stride's affected set as finalize left it, plus the cid unions the
 // stride performed. Resolving a RawAssignment the way assignmentOf does (cores
 // through the unions seen so far, borders through their hint core) reproduces
@@ -64,28 +65,33 @@ func (e *Engine) Delta() Delta {
 func (d Delta) Points(visit func(RawAssignment)) {
 	e := d.eng
 	if d.Full {
-		for id, st := range e.pts {
-			visit(e.rawOf(id, st))
+		for s := range e.hot {
+			if s := int32(s); e.resident(s) {
+				visit(e.rawOf(s))
+			}
 		}
 		return
 	}
-	for _, id := range e.affected {
-		if st, ok := e.pts[id]; ok {
-			visit(e.rawOf(id, st))
+	for _, s := range e.affected {
+		if e.resident(s) {
+			visit(e.rawOf(s))
 		} else {
-			visit(RawAssignment{ID: id, Label: model.Deleted})
+			// A departure: its slot is free but not yet reused, so the id is
+			// still there to report.
+			visit(RawAssignment{ID: e.ids[s], Label: model.Deleted})
 		}
 	}
 }
 
 // rawOf is assignmentOf without the resolution step.
-func (e *Engine) rawOf(id int64, st *pstate) RawAssignment {
-	switch st.label {
+func (e *Engine) rawOf(s int32) RawAssignment {
+	id := e.ids[s]
+	switch e.hot[s].label {
 	case model.Core:
-		return RawAssignment{ID: id, Label: model.Core, Ref: int64(st.cid)}
+		return RawAssignment{ID: id, Label: model.Core, Ref: int64(e.cid[s])}
 	case model.Border:
-		if hid, h := e.borderAnchor(id, st); h != nil {
-			return RawAssignment{ID: id, Label: model.Border, Ref: hid}
+		if h := e.borderAnchor(s); h != noSlot {
+			return RawAssignment{ID: id, Label: model.Border, Ref: e.ids[h]}
 		}
 	}
 	return RawAssignment{ID: id, Label: model.Noise}

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"disc/internal/dyncon"
-	"disc/internal/geom"
 	"disc/internal/trace"
 )
 
@@ -16,10 +15,13 @@ import (
 // adjacency graph of the current window — vertices are the cores, edges the
 // ε-adjacent core pairs — applying only the stride's delta right after the
 // capture fan-outs: every edge incident to an ex-core is removed (its
-// surviving-core neighbors are the capture's bonding list, its fellow
-// ex-cores the frontier list), ex-core vertices go, neo-core vertices
-// arrive, and every edge incident to a neo-core is added (bondIDs +
-// frontier). Ex-core↔neo-core edges cannot exist: an ex-core is not a core
+// surviving-core neighbors are the capture's bond-tagged words, its fellow
+// ex-cores the frontier-tagged ones), ex-core vertices go, neo-core vertices
+// arrive, and every edge incident to a neo-core is added (bond + frontier
+// words). The forest is keyed by point id, not by slot: this file translates
+// at its own edge, so the forest's shape — and the order edges are offered
+// to it, smaller id first — does not depend on how an engine numbered its
+// slots. Ex-core↔neo-core edges cannot exist: an ex-core is not a core
 // of the current window and a neo-core was not a core of the previous one,
 // so no edge of either graph joins them. Edges between two ex-cores (and
 // between two neo-cores) appear in both endpoints' captures and are
@@ -82,14 +84,14 @@ func WithConnectivity(s ConnStrategy) Option {
 // which case every component's members are enumerated (tour order) for
 // relabeling. Read-only — safe under the concurrent phase-C fan-out — and
 // allocation-free in the steady state (scratch pooled on res).
-func (e *Engine) forestConnectivityInto(bonding []int64, res *connResult) {
+func (e *Engine) forestConnectivityInto(bonding []int32, res *connResult) {
 	f := e.forest
-	for _, id := range bonding {
-		c, ok := f.Root(id)
+	for _, s := range bonding {
+		c, ok := f.Root(e.ids[s])
 		if !ok {
 			// Bonding vertices are verified present before the fan-out
 			// (verifyForestBonding); a miss here is an engine bug.
-			panic(fmt.Sprintf("disc: bonding core %d missing from connectivity forest", id))
+			panic(fmt.Sprintf("disc: bonding core %d missing from connectivity forest", e.ids[s]))
 		}
 		if !containsComponent(res.roots, c) {
 			res.roots = append(res.roots, c)
@@ -100,8 +102,11 @@ func (e *Engine) forestConnectivityInto(bonding []int64, res *connResult) {
 		return
 	}
 	for _, c := range res.roots {
-		res.closedIDs = f.AppendMembers(c, res.closedIDs)
-		res.closedOff = append(res.closedOff, len(res.closedIDs))
+		res.memberIDs = f.AppendMembers(c, res.memberIDs[:0])
+		for _, id := range res.memberIDs {
+			res.closed = append(res.closed, e.slotOf[id])
+		}
+		res.closedOff = append(res.closedOff, len(res.closed))
 	}
 }
 
@@ -123,8 +128,8 @@ func containsComponent(s []dyncon.Component, c dyncon.Component) bool {
 // bonding cores are surviving cores, which the update left in place.
 func (e *Engine) verifyForestBonding() {
 	for _, ci := range e.connWork {
-		for _, id := range e.exComps[ci].bonding {
-			if !e.forest.HasVertex(id) {
+		for _, s := range e.bonding(&e.exComps[ci]) {
+			if !e.forest.HasVertex(e.ids[s]) {
 				e.rebuildForest()
 				return
 			}
@@ -136,7 +141,7 @@ func (e *Engine) verifyForestBonding() {
 // current one by applying the stride's delta, captured by the (already
 // completed) ex-core and neo-core capture fan-outs. Any strict-mutation
 // failure abandons the delta and rebuilds. Runs single-threaded.
-func (e *Engine) syncForest(exCores, neoCores []int64) {
+func (e *Engine) syncForest(exCores, neoCores []int32) {
 	start := time.Now()
 	statsBefore := e.forest.Stats()
 	tr := e.curTrace
@@ -162,49 +167,47 @@ func (e *Engine) syncForest(exCores, neoCores []int64) {
 
 // updateForest applies the stride's core-graph delta; false on the first
 // strict-mutation mismatch (desync).
-func (e *Engine) updateForest(exCores, neoCores []int64) bool {
-	f := e.forest
-	// 1. Every edge incident to an ex-core leaves: to surviving cores
-	// (captured as bonding) and to fellow ex-cores (captured as frontier,
-	// present in both directions — keep the smaller-id one).
-	for i, eid := range exCores {
-		cp := &e.exCaps[i]
-		for _, b := range cp.bonding {
-			if !f.RemoveEdge(eid, b) {
+func (e *Engine) updateForest(exCores, neoCores []int32) bool {
+	f, ids := e.forest, e.ids
+	// edges offers f every captured edge of one core: those to surviving
+	// cores first, then those to fellow ex- (neo-) cores, which both
+	// endpoints captured — keep the smaller-id direction.
+	edges := func(s int32, cp *capture, apply func(u, v int64) bool) bool {
+		id, words := ids[s], e.words(cp)
+		for _, w := range words {
+			if w&tagBond != 0 && !apply(id, ids[w&slotMask]) {
 				return false
 			}
 		}
-		for _, fid := range cp.frontier {
-			if eid < fid && !f.RemoveEdge(eid, fid) {
+		for _, w := range words {
+			if q := ids[w&slotMask]; w&tagFrontier != 0 && id < q && !apply(id, q) {
 				return false
 			}
+		}
+		return true
+	}
+	// 1. Every edge incident to an ex-core leaves.
+	for i, s := range exCores {
+		if !edges(s, &e.exCaps[i], f.RemoveEdge) {
+			return false
 		}
 	}
 	// 2. Ex-core vertices leave (now isolated).
-	for _, eid := range exCores {
-		if !f.RemoveVertex(eid) {
+	for _, s := range exCores {
+		if !f.RemoveVertex(ids[s]) {
 			return false
 		}
 	}
 	// 3. Neo-core vertices arrive.
-	for _, nid := range neoCores {
-		if !f.AddVertex(nid) {
+	for _, s := range neoCores {
+		if !f.AddVertex(ids[s]) {
 			return false
 		}
 	}
-	// 4. Every edge incident to a neo-core arrives: to surviving cores
-	// (bondIDs) and to fellow neo-cores (frontier, deduplicated as above).
-	for i, nid := range neoCores {
-		cp := &e.neoCaps[i]
-		for _, b := range cp.bondIDs {
-			if !f.AddEdge(nid, b) {
-				return false
-			}
-		}
-		for _, fid := range cp.frontier {
-			if nid < fid && !f.AddEdge(nid, fid) {
-				return false
-			}
+	// 4. Every edge incident to a neo-core arrives.
+	for i, s := range neoCores {
+		if !edges(s, &e.neoCaps[i], f.AddEdge) {
+			return false
 		}
 	}
 	return true
@@ -212,38 +215,32 @@ func (e *Engine) updateForest(exCores, neoCores []int64) bool {
 
 // rebuildForest reconstructs the forest from scratch out of the current
 // window: one read-only ε-search per core, adding each core-core edge once
-// (from its smaller-id endpoint). Point iteration order does not matter —
-// the edge set is deterministic and tour shapes are unobservable. The
-// searches use SearchBallRO and bypass engine statistics entirely, so a
-// rebuild never perturbs the bit-identical-stats contract.
+// (from its smaller-id endpoint). The searches use SearchBallRO and bypass
+// engine statistics entirely, so a rebuild never perturbs the bit-identical-
+// stats contract.
 func (e *Engine) rebuildForest() {
 	f := e.forest
 	f.Reset()
-	for id, st := range e.pts {
-		if e.isCoreNow(st) {
-			f.AddVertex(id)
+	for s := range e.hot {
+		if e.isCoreNow(&e.hot[s]) {
+			f.AddVertex(e.ids[s])
 		}
 	}
-	for id, st := range e.pts {
-		if !e.isCoreNow(st) {
-			continue
+	for s := range e.hot {
+		if e.isCoreNow(&e.hot[s]) {
+			e.rebuildSelf = int32(s)
+			e.tree.SearchBallRO(e.pos[s], e.cfg.Eps, e.rebuildFn)
 		}
-		e.rebuildSelf = id
-		e.tree.SearchBallRO(st.pos, e.cfg.Eps, e.rebuildFn)
 	}
-	e.rebuildSelf = 0
 	e.forestRebuilds++
 	e.strideForestRebuilds++
 }
 
 // rebuildVisit is rebuildForest's bound-once search callback: add the edge
-// (rebuildSelf, qid) once, from the smaller-id side.
-func (e *Engine) rebuildVisit(qid int64, _ geom.Vec) bool {
-	if qid <= e.rebuildSelf {
-		return true
-	}
-	if q := e.pts[qid]; e.isCoreNow(q) {
-		e.forest.AddEdge(e.rebuildSelf, qid)
+// (rebuildSelf, q) once, from the smaller-id side.
+func (e *Engine) rebuildVisit(q int32) bool {
+	if self := e.rebuildSelf; e.ids[self] < e.ids[q] && e.isCoreNow(&e.hot[q]) {
+		e.forest.AddEdge(e.ids[self], e.ids[q])
 	}
 	return true
 }

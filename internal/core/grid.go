@@ -33,30 +33,28 @@ type epsGrid struct {
 	dims int
 	side float64 // cell side: reachOf(ε), finite
 
-	// slots is the open-addressing table (linear probing, power-of-two
-	// size, at most half full). A slot holds a cell's 32-bit hash and its
-	// index+1 in cells; ref 0 marks an empty slot. Removal shifts the
+	// table is the open-addressing table (linear probing, power-of-two
+	// size, at most half full). An entry holds a cell's 32-bit hash and its
+	// index+1 in cells; ref 0 marks an empty entry. Removal shifts the
 	// following run back, so there are no tombstones.
-	slots []gridSlot
-	cells []gridCell // slab of cell records, addressed by slot refs
+	table []gridEntry
+	cells []gridCell // slab of cell records, addressed by entry refs
 	free  []uint32   // emptied cell records (slabs kept) awaiting reuse
-	live  int        // occupied slots
+	live  int        // occupied entries
 	size  int        // indexed points
-
-	stats indexStats
 }
 
-type gridSlot struct {
+type gridEntry struct {
 	hash uint32
 	ref  uint32
 }
 
 // gridCell is one occupied cell in struct-of-arrays form, the same layout as
-// an R-tree leaf: the i-th point's id is ids[i] and its coordinates are
-// coords[i*dims : (i+1)*dims].
+// an R-tree leaf: the i-th point's arena slot is slots[i] and its coordinates
+// are coords[i*dims : (i+1)*dims].
 type gridCell struct {
 	key    [geom.MaxDims]int64
-	ids    []int64
+	slots  []int32
 	coords []float64
 }
 
@@ -81,7 +79,7 @@ func newEpsGrid(dims int, eps float64) *epsGrid {
 	if math.IsInf(side, 1) {
 		side = math.MaxFloat64
 	}
-	return &epsGrid{dims: dims, side: side, slots: make([]gridSlot, gridMinSlots)}
+	return &epsGrid{dims: dims, side: side, table: make([]gridEntry, gridMinSlots)}
 }
 
 // reachOf returns a radius r such that two coordinates further than r apart
@@ -132,11 +130,11 @@ func (g *epsGrid) hashOf(k *[geom.MaxDims]int64) uint32 {
 	return uint32(h)
 }
 
-// findSlot returns the index of the slot holding the cell with key k, or -1.
-func (g *epsGrid) findSlot(k *[geom.MaxDims]int64, h uint32) int {
-	mask := uint32(len(g.slots) - 1)
+// findEntry returns the index of the entry holding the cell with key k, or -1.
+func (g *epsGrid) findEntry(k *[geom.MaxDims]int64, h uint32) int {
+	mask := uint32(len(g.table) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
-		s := g.slots[i]
+		s := g.table[i]
 		if s.ref == 0 {
 			return -1
 		}
@@ -149,11 +147,11 @@ func (g *epsGrid) findSlot(k *[geom.MaxDims]int64, h uint32) int {
 // cellFor returns the cell with key k, creating it if absent.
 func (g *epsGrid) cellFor(k *[geom.MaxDims]int64) *gridCell {
 	h := g.hashOf(k)
-	if i := g.findSlot(k, h); i >= 0 {
-		return &g.cells[g.slots[i].ref-1]
+	if i := g.findEntry(k, h); i >= 0 {
+		return &g.cells[g.table[i].ref-1]
 	}
-	if 2*(g.live+1) > len(g.slots) {
-		g.rehash(2 * len(g.slots))
+	if 2*(g.live+1) > len(g.table) {
+		g.rehash(2 * len(g.table))
 	}
 	var ref uint32
 	if n := len(g.free); n > 0 {
@@ -163,28 +161,28 @@ func (g *epsGrid) cellFor(k *[geom.MaxDims]int64) *gridCell {
 		g.cells = append(g.cells, gridCell{})
 		ref = uint32(len(g.cells))
 	}
-	g.place(gridSlot{hash: h, ref: ref})
+	g.place(gridEntry{hash: h, ref: ref})
 	g.live++
 	c := &g.cells[ref-1]
 	c.key = *k
 	return c
 }
 
-// place stores s in the first empty slot of its probe run.
-func (g *epsGrid) place(s gridSlot) {
-	mask := uint32(len(g.slots) - 1)
+// place stores s in the first empty entry of its probe run.
+func (g *epsGrid) place(s gridEntry) {
+	mask := uint32(len(g.table) - 1)
 	i := s.hash & mask
-	for g.slots[i].ref != 0 {
+	for g.table[i].ref != 0 {
 		i = (i + 1) & mask
 	}
-	g.slots[i] = s
+	g.table[i] = s
 }
 
-// rehash moves every occupied slot into a table of n slots. Slots carry
+// rehash moves every occupied entry into a table of n entries. Entries carry
 // their hash, so no cell record is touched.
 func (g *epsGrid) rehash(n int) {
-	old := g.slots
-	g.slots = make([]gridSlot, n)
+	old := g.table
+	g.table = make([]gridEntry, n)
 	for _, s := range old {
 		if s.ref != 0 {
 			g.place(s)
@@ -192,63 +190,61 @@ func (g *epsGrid) rehash(n int) {
 	}
 }
 
-// dropSlot empties slot i, whose cell holds no points any more, and queues
-// the cell record (slabs included) for reuse. The run of slots after the
+// dropEntry empties entry i, whose cell holds no points any more, and queues
+// the cell record (slabs included) for reuse. The run of entries after the
 // hole is shifted back wherever that keeps each entry reachable from its
-// home slot, so the table never carries tombstones.
-func (g *epsGrid) dropSlot(i uint32) {
-	g.free = append(g.free, g.slots[i].ref)
+// home entry, so the table never carries tombstones.
+func (g *epsGrid) dropEntry(i uint32) {
+	g.free = append(g.free, g.table[i].ref)
 	g.live--
-	mask := uint32(len(g.slots) - 1)
+	mask := uint32(len(g.table) - 1)
 	for j := (i + 1) & mask; ; j = (j + 1) & mask {
-		s := g.slots[j]
+		s := g.table[j]
 		if s.ref == 0 {
 			break
 		}
-		// s may move into the hole at i only if its home slot does not lie
+		// s may move into the hole at i only if its home entry does not lie
 		// cyclically in (i, j].
 		if home := s.hash & mask; (j-home)&mask >= (j-i)&mask {
-			g.slots[i] = s
+			g.table[i] = s
 			i = j
 		}
 	}
-	g.slots[i] = gridSlot{}
+	g.table[i] = gridEntry{}
 }
 
 func (g *epsGrid) Len() int { return g.size }
 
-func (g *epsGrid) Stats() indexStats { return g.stats }
-
-func (g *epsGrid) Insert(id int64, p geom.Vec) {
+func (g *epsGrid) Insert(slot int32, p geom.Vec) {
 	k := g.keyOf(p)
 	c := g.cellFor(&k)
-	c.ids = append(c.ids, id)
+	c.slots = append(c.slots, slot)
 	c.coords = append(c.coords, p[:g.dims]...)
 	g.size++
 }
 
-// Delete removes the point id from the cell holding p, swapping the cell's
-// last point into its place.
-func (g *epsGrid) Delete(id int64, p geom.Vec) bool {
+// Delete removes the point in the given slot from the cell holding p,
+// swapping the cell's last point into its place.
+func (g *epsGrid) Delete(slot int32, p geom.Vec) bool {
 	k := g.keyOf(p)
-	slot := g.findSlot(&k, g.hashOf(&k))
-	if slot < 0 {
+	ti := g.findEntry(&k, g.hashOf(&k))
+	if ti < 0 {
 		return false
 	}
-	c := &g.cells[g.slots[slot].ref-1]
+	c := &g.cells[g.table[ti].ref-1]
 	d := g.dims
-	last := len(c.ids) - 1
-	for i, cid := range c.ids {
-		if cid != id {
+	last := len(c.slots) - 1
+	for i, cs := range c.slots {
+		if cs != slot {
 			continue
 		}
-		c.ids[i] = c.ids[last]
+		c.slots[i] = c.slots[last]
 		copy(c.coords[i*d:(i+1)*d], c.coords[last*d:])
-		c.ids = c.ids[:last]
+		c.slots = c.slots[:last]
 		c.coords = c.coords[:last*d]
 		g.size--
 		if last == 0 {
-			g.dropSlot(uint32(slot))
+			g.dropEntry(uint32(ti))
 		}
 		return true
 	}
@@ -257,45 +253,33 @@ func (g *epsGrid) Delete(id int64, p geom.Vec) bool {
 
 // BulkInsert is Insert over a batch: a grid has no layout a batch could
 // improve, and the table grows by doubling as cells open.
-func (g *epsGrid) BulkInsert(ids []int64, pos []geom.Vec) {
-	for i := range ids {
-		g.Insert(ids[i], pos[i])
+func (g *epsGrid) BulkInsert(slots []int32, pos []geom.Vec) {
+	for i := range slots {
+		g.Insert(slots[i], pos[i])
 	}
 }
 
 // BulkLoad replaces the contents with the given points. Cell records and
 // their slabs are recycled; the table keeps its size.
-func (g *epsGrid) BulkLoad(ids []int64, pos []geom.Vec) {
-	clear(g.slots)
+func (g *epsGrid) BulkLoad(slots []int32, pos []geom.Vec) {
+	clear(g.table)
 	g.free = g.free[:0]
 	for i := len(g.cells); i > 0; i-- {
 		c := &g.cells[i-1]
-		c.ids, c.coords = c.ids[:0], c.coords[:0]
+		c.slots, c.coords = c.slots[:0], c.coords[:0]
 		g.free = append(g.free, uint32(i))
 	}
 	g.live, g.size = 0, 0
-	g.BulkInsert(ids, pos)
+	g.BulkInsert(slots, pos)
 }
 
-func (g *epsGrid) SearchBall(c geom.Vec, eps float64, fn func(id int64, p geom.Vec) bool) bool {
-	g.stats.RangeSearches++
-	cells, done := g.search(c, eps, fn)
-	g.stats.NodeAccesses += cells
-	return done
-}
-
-// SearchBallRO performs no writes to the grid, so any number of calls may
+// SearchBallRO calls fn with the slot of every point within eps of c, until
+// fn returns false: an odometer over the cells the ball's bounding box
+// touches, axis 0 slowest, each cell scanned in slab order. All state lives
+// on the stack and nothing in the grid is written, so any number of calls may
 // run concurrently while no mutation is in flight. It returns the number of
 // non-empty cells the search probed.
-func (g *epsGrid) SearchBallRO(c geom.Vec, eps float64, fn func(id int64, p geom.Vec) bool) int64 {
-	cells, _ := g.search(c, eps, fn)
-	return cells
-}
-
-// search visits every point within eps of c: an odometer over the cells the
-// ball's bounding box touches, axis 0 slowest, each cell scanned in slab
-// order. All state lives on the stack.
-func (g *epsGrid) search(c geom.Vec, eps float64, fn func(id int64, p geom.Vec) bool) (cells int64, done bool) {
+func (g *epsGrid) SearchBallRO(c geom.Vec, eps float64, fn func(slot int32) bool) (cells int64) {
 	d := g.dims
 	eps2 := eps * eps
 	r := reachOf(eps)
@@ -340,21 +324,12 @@ func (g *epsGrid) search(c geom.Vec, eps float64, fn func(id int64, p geom.Vec) 
 			}
 		}
 		if gap2 <= lim2 {
-			if slot := g.findSlot(&cur, g.hashOf(&cur)); slot >= 0 {
-				cl := &g.cells[g.slots[slot].ref-1]
+			if ti := g.findEntry(&cur, g.hashOf(&cur)); ti >= 0 {
+				cl := &g.cells[g.table[ti].ref-1]
 				cells++
-				for j, base := 0, 0; j < len(cl.ids); j, base = j+1, base+d {
-					pc := cl.coords[base : base+d]
-					if geom.Dist2Slab(pc, c, d) <= eps2 {
-						// A loop, not geom.VecFromSlab: its variable-length
-						// copy is a memmove call per accepted point.
-						var p geom.Vec
-						for a, x := range pc {
-							p[a] = x
-						}
-						if !fn(cl.ids[j], p) {
-							return cells, false
-						}
+				for j, base := 0, 0; j < len(cl.slots); j, base = j+1, base+d {
+					if geom.Dist2Slab(cl.coords[base:base+d], c, d) <= eps2 && !fn(cl.slots[j]) {
+						return cells
 					}
 				}
 			}
@@ -368,7 +343,7 @@ func (g *epsGrid) search(c geom.Vec, eps float64, fn func(id int64, p geom.Vec) 
 			cur[i] = lo[i]
 		}
 		if i < 0 {
-			return cells, true
+			return cells
 		}
 	}
 }

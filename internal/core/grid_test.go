@@ -11,8 +11,8 @@ import (
 
 // bruteBall is the reference the grid is held to: a scan of every point with
 // the engine's own float predicate.
-func bruteBall(ids []int64, pos []geom.Vec, dims int, c geom.Vec, eps float64) []int64 {
-	var out []int64
+func bruteBall(ids []int32, pos []geom.Vec, dims int, c geom.Vec, eps float64) []int32 {
+	var out []int32
 	for i, p := range pos {
 		if geom.Dist2Slab(p[:dims], c, dims) <= eps*eps {
 			out = append(out, ids[i])
@@ -23,9 +23,9 @@ func bruteBall(ids []int64, pos []geom.Vec, dims int, c geom.Vec, eps float64) [
 }
 
 // visitOrder returns the ids a search reports, in the order it reports them.
-func visitOrder(g *epsGrid, c geom.Vec, eps float64) []int64 {
-	var out []int64
-	g.SearchBallRO(c, eps, func(id int64, _ geom.Vec) bool {
+func visitOrder(g *epsGrid, c geom.Vec, eps float64) []int32 {
+	var out []int32
+	g.SearchBallRO(c, eps, func(id int32) bool {
 		out = append(out, id)
 		return true
 	})
@@ -110,9 +110,9 @@ func FuzzGridVsBrute(f *testing.F) {
 
 		g, grown := newEpsGrid(dims, eps), newEpsGrid(dims, eps)
 		grown.rehash(1 << 10)
-		var ids []int64
+		var ids []int32
 		var pos []geom.Vec
-		nextID := int64(-3) // ids are opaque to the index, negative ones included
+		nextID := int32(-3) // slots are opaque to the index, negative ones included
 		check := func(c geom.Vec, r float64) {
 			t.Helper()
 			got := visitOrder(g, c, r)
@@ -159,7 +159,7 @@ func FuzzGridVsBrute(f *testing.F) {
 				}
 			case 3: // BulkInsert
 				n := int(next()) % 40
-				bi, bp := make([]int64, n), make([]geom.Vec, n)
+				bi, bp := make([]int32, n), make([]geom.Vec, n)
 				for i := range bi {
 					bi[i], bp[i] = nextID, vec()
 					nextID++
@@ -169,7 +169,7 @@ func FuzzGridVsBrute(f *testing.F) {
 				ids, pos = append(ids, bi...), append(pos, bp...)
 			case 4: // BulkLoad a subset of the residents
 				keep := int(next())%4 + 1
-				var li []int64
+				var li []int32
 				var lp []geom.Vec
 				for i := range ids {
 					if i%keep == 0 {
@@ -235,12 +235,12 @@ func TestGridBoundaryPairs(t *testing.T) {
 			}
 			g.Insert(1, pa)
 			g.Insert(2, pb)
-			if brute := len(bruteBall([]int64{2}, []geom.Vec{pb}, dims, pa, tc.eps)) == 1; brute != tc.want {
+			if brute := len(bruteBall([]int32{2}, []geom.Vec{pb}, dims, pa, tc.eps)) == 1; brute != tc.want {
 				t.Fatalf("%s: test case is wrong: the float predicate says %v", tc.name, brute)
 			}
 			for _, q := range []struct {
 				from  geom.Vec
-				other int64
+				other int32
 			}{{pa, 2}, {pb, 1}} {
 				if got := slices.Contains(visitOrder(g, q.from, tc.eps), q.other); got != tc.want {
 					t.Errorf("%s (dims %d): search from %v finds point %d = %v, want %v",
@@ -258,14 +258,14 @@ func TestGridTableChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := newEpsGrid(2, 1)
 	type pt struct {
-		id int64
+		id int32
 		p  geom.Vec
 	}
 	var live []pt
 	for round := 0; round < 20000; round++ {
 		if len(live) < 300 || rng.Intn(2) == 0 {
 			// One point per cell mostly, so cells open and close all the time.
-			p := pt{int64(round), geom.NewVec(float64(rng.Intn(200))+0.5, float64(rng.Intn(200))+0.5)}
+			p := pt{int32(round), geom.NewVec(float64(rng.Intn(200))+0.5, float64(rng.Intn(200))+0.5)}
 			g.Insert(p.id, p.p)
 			live = append(live, p)
 		} else {
@@ -291,13 +291,13 @@ func TestGridTableChurn(t *testing.T) {
 		t.Fatalf("Len = %d, want %d", g.Len(), len(live))
 	}
 	occupied := 0
-	for _, s := range g.slots {
+	for _, s := range g.table {
 		if s.ref != 0 {
 			occupied++
 		}
 	}
 	if occupied != g.live || g.live+len(g.free) != len(g.cells) {
-		t.Fatalf("table accounting: %d occupied slots, live %d, %d free of %d records",
+		t.Fatalf("table accounting: %d occupied entries, live %d, %d free of %d records",
 			occupied, g.live, len(g.free), len(g.cells))
 	}
 }
@@ -307,10 +307,10 @@ func TestGridSearchZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	g := newEpsGrid(3, 1.5)
 	for i := 0; i < 5000; i++ {
-		g.Insert(int64(i), geom.NewVec(rng.Float64()*30, rng.Float64()*30, rng.Float64()*30))
+		g.Insert(int32(i), geom.NewVec(rng.Float64()*30, rng.Float64()*30, rng.Float64()*30))
 	}
 	n := 0
-	visit := func(int64, geom.Vec) bool { n++; return true }
+	visit := func(int32) bool { n++; return true }
 	c := geom.NewVec(15, 15, 15)
 	if a := testing.AllocsPerRun(100, func() { g.SearchBallRO(c, 1.5, visit) }); a != 0 {
 		t.Fatalf("SearchBallRO allocates %.0f times per search", a)

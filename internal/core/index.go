@@ -11,45 +11,58 @@ import (
 // the stream has run. The paper's DISC is R-tree based; WithRTreeIndex keeps
 // that substrate for reproducing its figures. Which index an engine runs on
 // is a construction choice: it is not part of a checkpoint.
+//
+// An index stores arena slots (arena.go), never point ids, and hands them to
+// the search callback.
 type spatialIndex interface {
-	Delete(id int64, p geom.Vec) bool
+	Delete(slot int32, p geom.Vec) bool
 	Len() int
-	SearchBall(c geom.Vec, eps float64, fn func(id int64, p geom.Vec) bool) bool
-	// SearchBallRO is SearchBall minus the statistics accounting: a pure
-	// read of the index, safe for any number of concurrent callers while no
-	// mutation runs. It returns the node (or cell) accesses the traversal
-	// performed so callers can merge the work into their own counters —
-	// the parallel COLLECT fan-out depends on this method.
-	SearchBallRO(c geom.Vec, eps float64, fn func(id int64, p geom.Vec) bool) int64
-	Stats() indexStats
-	BulkLoad(ids []int64, pos []geom.Vec)
+	// SearchBallRO calls fn with the slot of every point within eps of c
+	// until fn returns false. It is a pure read of the index, safe for any
+	// number of concurrent callers while no mutation runs, and returns the
+	// node (or cell) accesses the traversal performed; callers add them, and
+	// the search itself, to their own counters.
+	SearchBallRO(c geom.Vec, eps float64, fn func(slot int32) bool) int64
+	BulkLoad(slots []int32, pos []geom.Vec)
 	// BulkInsert adds a batch of points to the existing index contents. The
 	// result is observationally identical to inserting the batch point by
 	// point; backends may exploit the batch for better layout (the R-tree
 	// STR-packs it into full leaves grafted in one descent each).
-	BulkInsert(ids []int64, pos []geom.Vec)
+	BulkInsert(slots []int32, pos []geom.Vec)
 	// Name identifies the backend in telemetry ("grid" or "rtree").
 	Name() string
 }
 
-// indexStats counts the work SearchBall calls performed. What one access is
-// depends on the backend: a tree node visited, or a non-empty grid cell
-// probed.
-type indexStats struct {
-	RangeSearches int64
-	NodeAccesses  int64
-}
-
 func (g *epsGrid) Name() string { return "grid" }
 
-// rtreeIndex adapts the R-tree to the spatialIndex interface.
-type rtreeIndex struct{ *rtree.T }
+// rtreeIndex adapts the R-tree to the spatialIndex interface: the tree's
+// int64 point id is the slot. It is the paper-figure path and is not held to
+// the grid's allocation budget — each search wraps its callback.
+type rtreeIndex struct {
+	*rtree.T
+	ids []int64 // BulkLoad/BulkInsert conversion buffer
+}
 
-func (ri rtreeIndex) Name() string { return "rtree" }
+func (ri *rtreeIndex) Name() string { return "rtree" }
 
-func (ri rtreeIndex) Stats() indexStats {
-	st := ri.T.Stats()
-	return indexStats{RangeSearches: st.RangeSearches, NodeAccesses: st.NodeAccesses}
+func (ri *rtreeIndex) Delete(slot int32, p geom.Vec) bool { return ri.T.Delete(int64(slot), p) }
+
+func (ri *rtreeIndex) SearchBallRO(c geom.Vec, eps float64, fn func(slot int32) bool) int64 {
+	return ri.T.SearchBallRO(c, eps, func(id int64, _ geom.Vec) bool { return fn(int32(id)) })
+}
+
+func (ri *rtreeIndex) widen(slots []int32) []int64 {
+	ri.ids = ri.ids[:0]
+	for _, s := range slots {
+		ri.ids = append(ri.ids, int64(s))
+	}
+	return ri.ids
+}
+
+func (ri *rtreeIndex) BulkLoad(slots []int32, pos []geom.Vec) { ri.T.BulkLoad(ri.widen(slots), pos) }
+
+func (ri *rtreeIndex) BulkInsert(slots []int32, pos []geom.Vec) {
+	ri.T.BulkInsert(ri.widen(slots), pos)
 }
 
 // WithRTreeIndex runs the engine on the paper's substrate, a Guttman R-tree
@@ -58,7 +71,7 @@ func (ri rtreeIndex) Stats() indexStats {
 // streams the tree's search cost grows with stream age (EXPERIMENTS.md,
 // "Index-choice ablation").
 func WithRTreeIndex() Option {
-	return func(e *Engine) { e.tree = rtreeIndex{rtree.New(e.cfg.Dims)} }
+	return func(e *Engine) { e.tree = &rtreeIndex{T: rtree.New(e.cfg.Dims)} }
 }
 
 // IndexName names the spatial index the engine runs on: "grid" (the

@@ -3,37 +3,63 @@ package core
 import (
 	"fmt"
 
-	"disc/internal/geom"
 	"disc/internal/model"
 )
 
 // CheckInvariants validates the engine's maintained state against a
-// recomputation from first principles: ε-neighbor counts, core-neighbor
-// degrees, label consistency, border hints, and cluster-id connectivity.
-// It is O(n·search) and intended for tests and debugging, not production
-// paths. A nil return means every invariant holds.
+// recomputation from first principles: the arena's bookkeeping, ε-neighbor
+// counts, core-neighbor degrees, label consistency, border hints, and
+// cluster-id connectivity. It is O(n·search), so a check between strides,
+// not on them. It writes nothing — searches go through SearchBallRO, cluster
+// ids resolve through FindRO — so it may run beside Assignment, Snapshot and
+// SaveSnapshot callers; and it walks slots in order, so the failure it
+// reports for a given state is always the same one. A nil return means every
+// invariant holds.
 func (e *Engine) CheckInvariants() error {
 	minPts := int32(e.cfg.MinPts)
-	if got, want := e.tree.Len(), len(e.pts); got != want {
-		return fmt.Errorf("index holds %d entries, state holds %d points", got, want)
+	resident := 0
+	for s := range e.hot {
+		if !e.resident(int32(s)) {
+			continue
+		}
+		resident++
+		if got, ok := e.slotOf[e.ids[s]]; !ok || got != int32(s) {
+			return fmt.Errorf("point %d lives in slot %d, the id table says %d (present: %v)", e.ids[s], s, got, ok)
+		}
 	}
-	for id, st := range e.pts {
-		if st.label == model.Deleted || st.label == model.Unclassified {
+	if resident != len(e.slotOf) {
+		return fmt.Errorf("%d resident slots, id table holds %d points", resident, len(e.slotOf))
+	}
+	if resident+len(e.free) != len(e.hot) {
+		return fmt.Errorf("%d resident + %d free slots, arena holds %d", resident, len(e.free), len(e.hot))
+	}
+	if got := e.tree.Len(); got != resident {
+		return fmt.Errorf("index holds %d entries, state holds %d points", got, resident)
+	}
+	for s := range e.hot {
+		s, st := int32(s), &e.hot[s]
+		if st.label == model.Deleted {
+			continue
+		}
+		id := e.ids[s]
+		if st.label == model.Unclassified {
 			return fmt.Errorf("point %d finalized with transient label %v", id, st.label)
+		}
+		if st.marks != 0 {
+			return fmt.Errorf("point %d keeps stride marks %#x", id, st.marks)
 		}
 		// Recompute nε and coreDeg by brute search.
 		var n, coreDeg int32
 		hintSeen := false
-		e.tree.SearchBall(st.pos, e.cfg.Eps, func(qid int64, _ geom.Vec) bool {
+		e.tree.SearchBallRO(e.pos[s], e.cfg.Eps, func(q int32) bool {
 			n++
-			if qid == id {
+			if q == s {
 				return true
 			}
-			q := e.pts[qid]
-			if q.n >= minPts {
+			if e.hot[q].n >= minPts {
 				coreDeg++
 			}
-			if qid == st.hint {
+			if q == st.hint {
 				hintSeen = true
 			}
 			return true
@@ -44,13 +70,27 @@ func (e *Engine) CheckInvariants() error {
 		if st.coreDeg != coreDeg {
 			return fmt.Errorf("point %d: maintained coreDeg=%d, actual %d", id, st.coreDeg, coreDeg)
 		}
+		// A hint slot never outlives its core: whatever the point's label, a
+		// stored hint names a resident core inside the ball. (A slot is
+		// reused only after every hint at it has been cleared; were one left
+		// behind it would silently name the slot's next occupant.)
+		if h := st.hint; h != noSlot {
+			switch {
+			case !e.resident(h):
+				return fmt.Errorf("point %d hints at absent point %d", id, e.ids[h])
+			case e.hot[h].n < minPts:
+				return fmt.Errorf("point %d hints at non-core %d", id, e.ids[h])
+			case !hintSeen:
+				return fmt.Errorf("point %d hints at out-of-range point %d", id, e.ids[h])
+			}
+		}
 		// Label consistency with the recomputed counts.
 		switch {
 		case n >= minPts:
 			if st.label != model.Core {
 				return fmt.Errorf("point %d: nε=%d >= τ but labeled %v", id, n, st.label)
 			}
-			if st.cid == 0 {
+			if e.cid[s] == 0 {
 				return fmt.Errorf("core point %d without cluster id", id)
 			}
 			if !st.wasCore {
@@ -60,18 +100,8 @@ func (e *Engine) CheckInvariants() error {
 			if st.label != model.Border {
 				return fmt.Errorf("point %d: coreDeg=%d but labeled %v", id, coreDeg, st.label)
 			}
-			if !st.hasHint {
+			if st.hint == noSlot {
 				return fmt.Errorf("border point %d carries no hint", id)
-			}
-			h, ok := e.pts[st.hint]
-			if !ok {
-				return fmt.Errorf("border point %d hints at absent point %d", id, st.hint)
-			}
-			if h.n < minPts {
-				return fmt.Errorf("border point %d hints at non-core %d", id, st.hint)
-			}
-			if !hintSeen {
-				return fmt.Errorf("border point %d hints at out-of-range point %d", id, st.hint)
 			}
 			if st.wasCore {
 				return fmt.Errorf("border point %d with stale wasCore=true", id)
@@ -90,20 +120,16 @@ func (e *Engine) CheckInvariants() error {
 	// half suffices: together with the transitivity of resolution it implies
 	// each cluster is a union of components; the equivalence tests against
 	// DBSCAN cover the rest.
-	for id, st := range e.pts {
-		if st.label != model.Core {
+	for s := range e.hot {
+		s := int32(s)
+		if e.hot[s].label != model.Core {
 			continue
 		}
-		cid := e.cids.Find(st.cid)
+		cid := e.cids.FindRO(e.cid[s])
 		var bad error
-		e.tree.SearchBall(st.pos, e.cfg.Eps, func(qid int64, _ geom.Vec) bool {
-			if qid == id {
-				return true
-			}
-			q := e.pts[qid]
-			if q.n >= minPts && e.cids.Find(q.cid) != cid {
-				bad = fmt.Errorf("adjacent cores %d and %d in clusters %d and %d",
-					id, qid, cid, e.cids.Find(q.cid))
+		e.tree.SearchBallRO(e.pos[s], e.cfg.Eps, func(q int32) bool {
+			if qcid := e.cids.FindRO(e.cid[q]); q != s && e.hot[q].n >= minPts && qcid != cid {
+				bad = fmt.Errorf("adjacent cores %d and %d in clusters %d and %d", e.ids[s], e.ids[q], cid, qcid)
 				return false
 			}
 			return true

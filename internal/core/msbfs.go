@@ -3,8 +3,6 @@ package core
 import (
 	"disc/internal/dsu"
 	"disc/internal/dyncon"
-	"disc/internal/geom"
-	"disc/internal/model"
 	"disc/internal/queue"
 )
 
@@ -45,10 +43,10 @@ import (
 // (the engine keeps one per CLUSTER worker slot) and reused across
 // instances and strides:
 //
-//   - the visited map is epoch-stamped: each instance bumps s.tick and
-//     entries from older instances are treated as absent, so there is no
-//     per-instance clearing pass and no rebuild (the map is compacted only
-//     when it outgrows scratchVisitedCap);
+//   - the visited table is a slab indexed by arena slot and epoch-stamped:
+//     each instance bumps s.tick and entries from older instances are
+//     treated as absent, so there is no per-instance clearing pass and no
+//     lookup beyond an index (it is cleared when the 32-bit tick wraps);
 //   - group structs, their member slices, the round-robin active list, the
 //     thread union-find, and every queue node are pooled and recycled, so a
 //     steady-state connectivity check performs zero heap allocations
@@ -58,7 +56,7 @@ import (
 //
 // An msScratch must never be shared between concurrently running checks,
 // and a connResult must not be read before the check that fills it returns.
-// With WithEpochProbing(false) the visited map is rebuilt per instance —
+// With WithEpochProbing(false) the visited table is cleared per instance —
 // the "no reuse" ablation — with identical traversal order and statistics.
 //
 // # Composition of MS-BFS with visit-on-expansion
@@ -79,22 +77,16 @@ import (
 // Non-core points never join the traversal; they are stamped on first touch
 // since nothing revisits them within one instance.
 
-// scratchVisitedCap bounds the visited map's retained size: after an
-// instance that left more entries than this, the map is compacted (capacity
-// is kept, so the steady state stays allocation-free; only the key set is
-// dropped to stop unbounded growth as window ids churn across strides).
-const scratchVisitedCap = 1 << 16
-
 // visitEntry flags.
 const (
 	visitOwned   uint8 = 1 << iota // a thread owns this core (owner valid)
 	visitStamped                   // hidden from later expansion searches
 )
 
-// visitEntry is one epoch-stamped visited-map slot; it is current only when
-// its tick matches the scratch's instance tick.
+// visitEntry is one epoch-stamped visited-table entry; it is current only
+// when its tick matches the scratch's instance tick.
 type visitEntry struct {
-	tick  uint64
+	tick  uint32
 	owner int32
 	flags uint8
 }
@@ -104,7 +96,7 @@ type visitEntry struct {
 // scratch; reset reuses the member slice's capacity.
 type group struct {
 	q        queue.Q
-	members  []int64
+	members  []int32
 	closed   bool // finished a whole connected component
 	dead     bool // absorbed into another thread
 	root     int  // current starter index whose slot points at this group
@@ -122,8 +114,8 @@ func (g *group) reset(i int) {
 // the header comment for the reuse contract.
 type msScratch struct {
 	e       *Engine
-	tick    uint64
-	visited map[int64]visitEntry
+	tick    uint32
+	visited []visitEntry // indexed by arena slot
 
 	groupArr []group   // backing storage for this instance's groups
 	slots    []*group  // starter index → owning group (aliased after merges)
@@ -133,85 +125,73 @@ type msScratch struct {
 	seqQ     queue.Q // sequentialBFS frontier
 
 	// Per-expansion parameters of the prebuilt search callback.
-	res     *connResult
-	center  int64
-	coreBuf []int64 // un-stamped core neighbors found by the last expansion
+	center  int32
+	coreBuf []int32 // un-stamped core neighbors found by the last expansion
 
-	visit func(qid int64, _ geom.Vec) bool
+	visit func(q int32) bool
 	grown int64 // pooled-structure growth events (with qpool: pool misses)
 }
 
 func newMSScratch(e *Engine) *msScratch {
-	s := &msScratch{e: e, visited: make(map[int64]visitEntry)}
+	s := &msScratch{e: e}
 	// Built once: the callback reads its per-expansion parameters from the
 	// scratch so the hot path creates no closures (and so allocates nothing).
-	s.visit = func(qid int64, _ geom.Vec) bool {
-		if en, ok := s.visited[qid]; ok && en.tick == s.tick && en.flags&visitStamped != 0 {
+	s.visit = func(q int32) bool {
+		en := &s.visited[q]
+		if en.tick != s.tick {
+			*en = visitEntry{tick: s.tick}
+		} else if en.flags&visitStamped != 0 {
 			return true
 		}
-		if qid == s.center {
-			s.stamp(qid) // visit-on-expansion: hide the expanded vertex itself
+		// Stamped — hidden from the rest of the instance — are the expanded
+		// vertex itself (visit-on-expansion), exited ex-cores still in the
+		// index, and non-core neighbors, which are not part of the traversal.
+		// No side effect is recorded for those (see the header contract):
+		// their hint and affected state are owned by the capture/fold
+		// pipeline and finalize. Cores stay discoverable until expanded.
+		if q == s.center || !e.isCoreNow(&e.hot[q]) {
+			en.flags |= visitStamped
 			return true
 		}
-		q := e.pts[qid]
-		if q.label == model.Deleted {
-			s.stamp(qid) // exited ex-core still in the tree: hide it
-			return true
-		}
-		if !e.isCoreNow(q) {
-			// Non-core neighbor: not part of the traversal. No side effect is
-			// recorded (see the header contract): its hint and affected state
-			// are owned by the capture/fold pipeline and finalize.
-			s.stamp(qid)
-			return true
-		}
-		// Cores stay discoverable until they are expanded.
-		s.coreBuf = append(s.coreBuf, qid)
+		s.coreBuf = append(s.coreBuf, q)
 		return true
 	}
 	return s
 }
 
-// begin opens a new instance: bump the epoch (older entries become stale
-// in O(1)) and compact the map only when it has outgrown its cap. With
-// reuse=false (the WithEpochProbing(false) ablation) the map is rebuilt
-// from scratch instead, paying the allocation the pooled path avoids.
+// begin opens a new instance: size the table to the arena and bump the epoch
+// (older entries become stale in O(1)). With reuse=false (the
+// WithEpochProbing(false) ablation) the table is cleared instead, paying per
+// instance the pass the stamped path avoids.
 func (s *msScratch) begin(reuse bool) {
+	if n := len(s.e.hot); len(s.visited) < n {
+		if cap(s.visited) < n {
+			s.grown++
+		}
+		s.visited = grow(s.visited, n)
+	}
 	s.tick++
-	if !reuse {
-		s.visited = make(map[int64]visitEntry)
-		return
-	}
-	if len(s.visited) > scratchVisitedCap {
+	if !reuse || s.tick == 0 {
 		clear(s.visited)
+		s.tick = 1
 	}
 }
 
-func (s *msScratch) stamp(id int64) {
-	en := s.visited[id]
-	if en.tick != s.tick {
-		en = visitEntry{tick: s.tick}
-	}
-	en.flags |= visitStamped
-	s.visited[id] = en
-}
-
-func (s *msScratch) owner(id int64) (int, bool) {
-	en, ok := s.visited[id]
-	if !ok || en.tick != s.tick || en.flags&visitOwned == 0 {
+func (s *msScratch) owner(q int32) (int, bool) {
+	en := s.visited[q]
+	if en.tick != s.tick || en.flags&visitOwned == 0 {
 		return 0, false
 	}
 	return int(en.owner), true
 }
 
-func (s *msScratch) setOwner(id int64, w int) {
-	en := s.visited[id]
+func (s *msScratch) setOwner(q int32, w int) {
+	en := &s.visited[q]
 	if en.tick != s.tick {
-		en = visitEntry{tick: s.tick}
+		*en = visitEntry{tick: s.tick}
 	}
 	en.owner = int32(w)
 	en.flags |= visitOwned
-	s.visited[id] = en
 }
 
 // ensureGroups sizes the pooled group storage and slot table for n starters,
@@ -231,8 +211,8 @@ func (s *msScratch) ensureGroups(n int) {
 
 // connResult records everything one connectivity check computed — the check
 // itself mutates nothing shared. All slices are pooled by reset. Closed
-// components are stored flattened: component i is
-// closedIDs[closedOff[i]:closedOff[i+1]], in the canonical strategy-
+// components are stored flattened, as slots: component i is
+// closed[closedOff[i]:closedOff[i+1]], in the canonical strategy-
 // independent order (ascending minimum starter index).
 type connResult struct {
 	ncc      int
@@ -240,20 +220,21 @@ type connResult struct {
 	searches int64 // expansion searches run
 	nodes    int64 // index nodes those searches touched
 
-	closedIDs []int64
+	closed    []int32
 	closedOff []int
 	closedMin []int // per closed component: minimum starter index (MS-BFS)
 
 	// Canonicalization and forest-query scratch, pooled like the rest.
-	ordIdx []int32
-	tmpIDs []int64
-	tmpOff []int
-	roots  []dyncon.Component
+	ordIdx    []int32
+	tmp       []int32
+	tmpOff    []int
+	roots     []dyncon.Component
+	memberIDs []int64 // forest members come back as point ids
 }
 
 func (r *connResult) reset() {
 	r.ncc, r.merges, r.searches, r.nodes = 0, 0, 0, 0
-	r.closedIDs = r.closedIDs[:0]
+	r.closed = r.closed[:0]
 	r.closedOff = append(r.closedOff[:0], 0)
 	r.closedMin = r.closedMin[:0]
 	r.roots = r.roots[:0]
@@ -264,14 +245,14 @@ func (r *connResult) reset() {
 // variant records every component it traverses.
 func (r *connResult) components() int { return len(r.closedOff) - 1 }
 
-func (r *connResult) component(i int) []int64 {
-	return r.closedIDs[r.closedOff[i]:r.closedOff[i+1]]
+func (r *connResult) component(i int) []int32 {
+	return r.closed[r.closedOff[i]:r.closedOff[i+1]]
 }
 
 // closeComponent flattens a finished component's members into the result.
-func (r *connResult) closeComponent(members []int64) {
-	r.closedIDs = append(r.closedIDs, members...)
-	r.closedOff = append(r.closedOff, len(r.closedIDs))
+func (r *connResult) closeComponent(members []int32) {
+	r.closed = append(r.closed, members...)
+	r.closedOff = append(r.closedOff, len(r.closed))
 }
 
 // connectivityInto determines how many density-connected components the
@@ -291,7 +272,7 @@ func (r *connResult) closeComponent(members []int64) {
 // stride, and two "survivor" components each keeping the old id would
 // silently share it (a bug found by fuzzing; see
 // TestMultiCutSplitRegression).
-func (e *Engine) connectivityInto(bonding []int64, s *msScratch, res *connResult) {
+func (e *Engine) connectivityInto(bonding []int32, s *msScratch, res *connResult) {
 	res.reset()
 	if len(bonding) == 0 {
 		return
@@ -322,21 +303,18 @@ func (e *Engine) applyConnResult(res *connResult) {
 // expand runs the read-only expansion search around core center, collecting
 // every un-stamped core neighbor into s.coreBuf (valid until the next
 // expand on this scratch).
-func (e *Engine) expand(center int64, s *msScratch, res *connResult) {
+func (e *Engine) expand(center int32, s *msScratch, res *connResult) {
 	s.center = center
-	s.res = res
 	s.coreBuf = s.coreBuf[:0]
-	nodes := e.tree.SearchBallRO(e.pts[center].pos, e.cfg.Eps, s.visit)
+	res.nodes += e.tree.SearchBallRO(e.pos[center], e.cfg.Eps, s.visit)
 	res.searches++
-	res.nodes += nodes
-	s.res = nil
 }
 
 // multiStarterBFS is Algorithm 3: one BFS thread per bonding core, run
 // round-robin; threads merge when they meet, an emptied queue closes one
 // connected component, and the instance stops as soon as a single live
 // thread remains.
-func (e *Engine) multiStarterBFS(bonding []int64, s *msScratch, res *connResult) {
+func (e *Engine) multiStarterBFS(bonding []int32, s *msScratch, res *connResult) {
 	n := len(bonding)
 	s.ensureGroups(n)
 	s.threads.Reset(n)
@@ -344,7 +322,7 @@ func (e *Engine) multiStarterBFS(bonding []int64, s *msScratch, res *connResult)
 	for i, m := range bonding {
 		g := &s.groupArr[i]
 		g.reset(i)
-		g.q.PushPool(&s.qpool, m)
+		g.q.PushPool(&s.qpool, int64(m))
 		s.setOwner(m, i)
 		s.slots[i] = g
 		s.active = append(s.active, g)
@@ -382,14 +360,14 @@ func (e *Engine) multiStarterBFS(bonding []int64, s *msScratch, res *connResult)
 				res.ncc++
 				continue
 			}
-			id := g.q.PopPool(&s.qpool)
-			g.members = append(g.members, id)
-			e.expand(id, s, res)
-			for _, qid := range s.coreBuf {
-				j, seen := s.owner(qid)
+			cur := int32(g.q.PopPool(&s.qpool))
+			g.members = append(g.members, cur)
+			e.expand(cur, s, res)
+			for _, q := range s.coreBuf {
+				j, seen := s.owner(q)
 				if !seen {
-					s.setOwner(qid, g.root)
-					g.q.PushPool(&s.qpool, qid)
+					s.setOwner(q, g.root)
+					g.q.PushPool(&s.qpool, int64(q))
 					continue
 				}
 				other := s.slots[s.threads.Find(j)]
@@ -454,15 +432,15 @@ func canonicalizeComponents(res *connResult) {
 			res.ordIdx[j], res.ordIdx[j-1] = res.ordIdx[j-1], res.ordIdx[j]
 		}
 	}
-	res.tmpIDs = res.tmpIDs[:0]
+	res.tmp = res.tmp[:0]
 	res.tmpOff = append(res.tmpOff[:0], 0)
 	for _, k := range res.ordIdx {
-		res.tmpIDs = append(res.tmpIDs, res.component(int(k))...)
-		res.tmpOff = append(res.tmpOff, len(res.tmpIDs))
+		res.tmp = append(res.tmp, res.component(int(k))...)
+		res.tmpOff = append(res.tmpOff, len(res.tmp))
 	}
 	// Swap the buffers so both stay pooled; closedMin is stale afterwards
 	// but is only consumed by this ordering pass.
-	res.closedIDs, res.tmpIDs = res.tmpIDs, res.closedIDs
+	res.closed, res.tmp = res.tmp, res.closed
 	res.closedOff, res.tmpOff = res.tmpOff, res.closedOff
 }
 
@@ -470,25 +448,25 @@ func canonicalizeComponents(res *connResult) {
 // from each not-yet-covered bonding core. Every component is traversed to
 // completion and recorded (the caller relabels only when more than one
 // component exists).
-func (e *Engine) sequentialBFS(bonding []int64, s *msScratch, res *connResult) {
+func (e *Engine) sequentialBFS(bonding []int32, s *msScratch, res *connResult) {
 	for idx, m := range bonding {
 		if _, seen := s.owner(m); seen {
 			continue
 		}
-		s.seqQ.PushPool(&s.qpool, m)
+		s.seqQ.PushPool(&s.qpool, int64(m))
 		s.setOwner(m, idx)
 		for !s.seqQ.Empty() {
-			id := s.seqQ.PopPool(&s.qpool)
-			res.closedIDs = append(res.closedIDs, id)
-			e.expand(id, s, res)
-			for _, qid := range s.coreBuf {
-				if _, seen := s.owner(qid); !seen {
-					s.setOwner(qid, idx)
-					s.seqQ.PushPool(&s.qpool, qid)
+			cur := int32(s.seqQ.PopPool(&s.qpool))
+			res.closed = append(res.closed, cur)
+			e.expand(cur, s, res)
+			for _, q := range s.coreBuf {
+				if _, seen := s.owner(q); !seen {
+					s.setOwner(q, idx)
+					s.seqQ.PushPool(&s.qpool, int64(q))
 				}
 			}
 		}
-		res.closedOff = append(res.closedOff, len(res.closedIDs))
+		res.closedOff = append(res.closedOff, len(res.closed))
 		res.ncc++
 	}
 }

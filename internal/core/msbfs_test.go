@@ -29,19 +29,33 @@ func line(idBase int64, x0 float64, n int, spacing float64) []model.Point {
 	return pts
 }
 
+// slotsOf resolves point ids to their arena slots, the currency
+// connectivityInto deals in.
+func (e *Engine) slotsOf(ids ...int64) []int32 {
+	slots := make([]int32, len(ids))
+	for i, id := range ids {
+		slots[i] = e.slotOf[id]
+	}
+	return slots
+}
+
 // connectivity runs one sequential check between strides, the way the
 // CLUSTER pipeline runs them in its fan-out (connectivityInto on a worker
-// scratch), and returns materialized components. Not safe for concurrent
-// use: the scratch is the engine's first worker slot.
+// scratch), and returns materialized components, as point ids. Not safe for
+// concurrent use: the scratch is the engine's first worker slot.
 func (e *Engine) connectivity(bonding []int64) (closed [][]int64, ncc int) {
 	if len(bonding) == 0 {
 		return nil, 0
 	}
 	e.ensureScratches(1)
 	var res connResult
-	e.connectivityInto(bonding, e.scratches[0], &res)
+	e.connectivityInto(e.slotsOf(bonding...), e.scratches[0], &res)
 	for i := 0; i < res.components(); i++ {
-		closed = append(closed, append([]int64(nil), res.component(i)...))
+		var comp []int64
+		for _, s := range res.component(i) {
+			comp = append(comp, e.ids[s])
+		}
+		closed = append(closed, comp)
 	}
 	return closed, res.ncc
 }
@@ -229,8 +243,8 @@ func TestExpandIsSideEffectFree(t *testing.T) {
 		{ID: 4, Pos: geom.NewVec(1.8, 0)}, // border: only neighbor 3
 	}
 	eng := buildEngine(t, cfg, pts)
-	st := eng.pts[4]
-	st.hasHint = false // a traversal touching 4 must NOT repair this
+	st := &eng.hot[eng.slotOf[4]]
+	st.hint = noSlot // a traversal touching 4 must NOT repair this
 	statsBefore := eng.Stats()
 	eng.affected = eng.affected[:0]
 	eng.ensureScratches(1)
@@ -238,10 +252,10 @@ func TestExpandIsSideEffectFree(t *testing.T) {
 	res := new(connResult)
 	res.reset()
 	s.begin(eng.useEpoch)
-	eng.expand(3, s, res)
+	eng.expand(eng.slotOf[3], s, res)
 	eng.applyConnResult(res)
-	if st.hasHint {
-		t.Fatalf("expansion wrote a border hint (%d); traversal must be side-effect-free", st.hint)
+	if st.hint != noSlot {
+		t.Fatalf("expansion wrote a border hint (slot %d); traversal must be side-effect-free", st.hint)
 	}
 	if len(eng.affected) != 0 {
 		t.Fatalf("expansion marked %d points affected", len(eng.affected))
@@ -270,14 +284,14 @@ func TestFinalizeHealsInvalidHint(t *testing.T) {
 		{ID: 4, Pos: geom.NewVec(1.8, 0)}, // border: only neighbor 3
 	}
 	eng := buildEngine(t, cfg, pts)
-	st := eng.pts[4]
-	st.hasHint = false // sabotage
-	eng.stride++       // fresh stride scope for markAffected
+	s4 := eng.slotOf[4]
+	st := &eng.hot[s4]
+	st.hint = noSlot // sabotage
 	eng.affected = eng.affected[:0]
-	eng.markAffected(4, st)
+	eng.markAffected(s4)
 	eng.finalize()
-	if !st.hasHint || st.hint != 3 {
-		t.Fatalf("finalize left hint = %d (set: %v), want 3", st.hint, st.hasHint)
+	if st.hint != eng.slotOf[3] {
+		t.Fatalf("finalize left hint = slot %d, want point 3's slot %d", st.hint, eng.slotOf[3])
 	}
 	if st.label != model.Border {
 		t.Fatalf("finalize left label = %v, want Border", st.label)

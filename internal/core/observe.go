@@ -140,7 +140,7 @@ func (e *Engine) observeStride(in, out []model.Point, exCores, neoCores int,
 		Stride:         e.stride,
 		DeltaIn:        len(in),
 		DeltaOut:       len(out),
-		WindowSize:     len(e.pts),
+		WindowSize:     len(e.slotOf),
 		ExCores:        exCores,
 		NeoCores:       neoCores,
 		Collect:        t1.Sub(t0),

@@ -21,8 +21,9 @@ import (
 // snapshotVersion guards the wire format.
 const snapshotVersion = 1
 
-// persistedPoint mirrors pstate for encoding; stride-scoped stamps are
-// deliberately dropped (they are meaningless across restarts).
+// persistedPoint is one point's state on the wire. It knows nothing of slots:
+// a hint is the hint core's id, and stride-scoped marks are dropped (they are
+// meaningless across restarts).
 type persistedPoint struct {
 	ID      int64
 	Pos     geom.Vec
@@ -76,7 +77,7 @@ type persistedEngine struct {
 // concurrently with Advance, but it performs no writes of its own — not
 // even hidden ones: cluster ids are compacted into the wire form through
 // the non-compressing FindRO, leaving the in-memory union-find forest and
-// every pstate untouched (TestSaveSnapshotLeavesEngineUntouched pins
+// the arena untouched (TestSaveSnapshotLeavesEngineUntouched pins
 // this), so saving may run concurrently with queries. The union-find
 // forest need not be serialized because the persisted ids are already
 // representatives. Points are written in ascending id order, making the
@@ -89,20 +90,24 @@ func (e *Engine) SaveSnapshot(w io.Writer) error {
 		NextCID:   e.nextCID,
 		Stride:    e.stride,
 		Stats:     e.stats,
-		Points:    make([]persistedPoint, 0, len(e.pts)),
+		Points:    make([]persistedPoint, 0, len(e.slotOf)),
 		HintFlags: true,
 	}
-	for id, st := range e.pts {
-		cid := st.cid
+	for s := range e.hot {
+		st := &e.hot[s]
+		if st.label == model.Deleted {
+			continue
+		}
+		cid := e.cid[s]
 		if cid != 0 {
 			cid = e.cids.FindRO(cid)
 		}
 		pp := persistedPoint{
-			ID: id, Pos: st.pos, N: st.n, CoreDeg: st.coreDeg,
+			ID: e.ids[s], Pos: e.pos[s], N: st.n, CoreDeg: st.coreDeg,
 			CID: cid, Label: st.label, WasCore: st.wasCore,
 		}
-		if st.hasHint {
-			pp.Hint, pp.HasHint = st.hint, true
+		if st.hint != noSlot {
+			pp.Hint, pp.HasHint = e.ids[st.hint], true
 		}
 		ps.Points = append(ps.Points, pp)
 	}
@@ -133,37 +138,44 @@ func LoadEngine(r io.Reader, opts ...Option) (*Engine, error) {
 	e.nextCID = ps.NextCID
 	e.stride = ps.Stride
 	e.stats = ps.Stats
-	ids := make([]int64, 0, len(ps.Points))
-	pos := make([]geom.Vec, 0, len(ps.Points))
+	// Slots are handed out in snapshot order — ascending id for anything
+	// SaveSnapshot wrote — and the index is loaded in the same order.
+	slots := make([]int32, 0, len(ps.Points))
 	for _, pp := range ps.Points {
-		if _, dup := e.pts[pp.ID]; dup {
+		if _, dup := e.slotOf[pp.ID]; dup {
 			return nil, fmt.Errorf("disc: snapshot contains duplicate point id %d", pp.ID)
 		}
+		if pp.Label == model.Deleted {
+			return nil, fmt.Errorf("disc: snapshot point %d carries the transient label %v", pp.ID, pp.Label)
+		}
+		s := e.alloc()
+		e.hot[s] = hotState{n: pp.N, coreDeg: pp.CoreDeg, hint: noSlot, label: pp.Label, wasCore: pp.WasCore}
+		e.pos[s], e.cid[s], e.ids[s] = pp.Pos, pp.CID, pp.ID
+		e.slotOf[pp.ID] = s
+		slots = append(slots, s)
+	}
+	// Hints arrive as ids and become slots. Border hints are dereferenced on
+	// every query; validate them now so a corrupt or hand-edited snapshot
+	// surfaces as a load error instead of a degraded (self-healed) assignment
+	// at some later query. Any other point's hint is advisory — nothing reads
+	// it before a stride rewrites it — so one naming an absent point is dropped.
+	for i, pp := range ps.Points {
+		hasHint := pp.HasHint
 		if !ps.HintFlags {
-			pp.HasHint = pp.Hint != legacyNoHint
+			hasHint = pp.Hint != legacyNoHint
 		}
-		e.pts[pp.ID] = &pstate{
-			pos: pp.Pos, n: pp.N, coreDeg: pp.CoreDeg,
-			cid: pp.CID, hint: pp.Hint, label: pp.Label, wasCore: pp.WasCore, hasHint: pp.HasHint,
-		}
-		ids = append(ids, pp.ID)
-		pos = append(pos, pp.Pos)
-	}
-	// Border hints are dereferenced on every query; validate them now so a
-	// corrupt or hand-edited snapshot surfaces as a load error instead of a
-	// degraded (self-healed) assignment at some later query.
-	for id, st := range e.pts {
-		if st.label != model.Border {
-			continue
-		}
-		if !st.hasHint {
-			return nil, fmt.Errorf("disc: snapshot border point %d carries no hint", id)
-		}
-		if _, ok := e.pts[st.hint]; !ok {
-			return nil, fmt.Errorf("disc: snapshot border point %d hints at absent point %d", id, st.hint)
+		h, ok := e.slotOf[pp.Hint]
+		switch {
+		case hasHint && ok:
+			e.hot[slots[i]].hint = h
+		case pp.Label != model.Border:
+		case !hasHint:
+			return nil, fmt.Errorf("disc: snapshot border point %d carries no hint", pp.ID)
+		default:
+			return nil, fmt.Errorf("disc: snapshot border point %d hints at absent point %d", pp.ID, pp.Hint)
 		}
 	}
-	e.tree.BulkLoad(ids, pos)
+	e.tree.BulkLoad(slots, e.pos)
 	if e.connStrategy == ConnDynamic {
 		// The forest is never serialized; rebuild it from the restored
 		// window so the first Advance finds it in sync.

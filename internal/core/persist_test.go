@@ -127,6 +127,14 @@ func TestSnapshotEmptyEngine(t *testing.T) {
 // leave every observable piece of engine state identical: per-point
 // bookkeeping, union-find resolution of every id, id allocator, stride
 // counter, stats.
+// engineImage renders every piece of engine state a read could disturb: the
+// arena slabs, the free list, the id table, the cid forest (fmt prints maps in
+// key order, so a path compression shows), and the counters.
+func engineImage(e *Engine) string {
+	return fmt.Sprintf("%v|%v|%v|%v|%v|%v|%v|%d|%d|%+v",
+		e.hot, e.pos, e.cid, e.ids, e.free, e.slotOf, e.cids, e.nextCID, e.stride, e.stats)
+}
+
 func TestSaveSnapshotLeavesEngineUntouched(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
 	data := clustered2D(rng, 1200)
@@ -139,43 +147,16 @@ func TestSaveSnapshotLeavesEngineUntouched(t *testing.T) {
 		eng.Advance(st.In, st.Out)
 	}
 
-	type state struct {
-		pts     map[int64]pstate
-		roots   map[int]int // FindRO of every cid in use
-		forest  int         // union-find keys seen
-		nextCID int
-		stride  uint64
-		stats   interface{}
-	}
-	capture := func() state {
-		s := state{
-			pts:     make(map[int64]pstate, len(eng.pts)),
-			roots:   make(map[int]int),
-			forest:  eng.cids.Len(),
-			nextCID: eng.nextCID,
-			stride:  eng.stride,
-			stats:   eng.stats,
-		}
-		for id, st := range eng.pts {
-			s.pts[id] = *st
-			if st.cid != 0 {
-				s.roots[st.cid] = eng.cids.FindRO(st.cid)
-			}
-		}
-		return s
-	}
-
-	before := capture()
-	if len(before.roots) == 0 {
-		t.Fatal("workload produced no clustered cores; test would be vacuous")
+	before := engineImage(eng)
+	if cl, _ := eng.Clusters(); len(cl) == 0 {
+		t.Fatal("workload produced no clusters; test would be vacuous")
 	}
 	var buf bytes.Buffer
 	if err := eng.SaveSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	after := capture()
-	if !reflect.DeepEqual(before, after) {
-		t.Fatalf("SaveSnapshot mutated the engine:\nbefore: %+v\nafter:  %+v", before, after)
+	if after := engineImage(eng); after != before {
+		t.Fatalf("SaveSnapshot mutated the engine:\nbefore: %s\nafter:  %s", before, after)
 	}
 
 	// Determinism bonus of the side-effect-free path: saving twice from
@@ -228,13 +209,12 @@ func TestSnapshotOmitsScratch(t *testing.T) {
 	// Grow every scratch structure hard: extra worker scratches, repeated
 	// connectivity checks over all surviving cores. None of this touches
 	// logical engine state.
-	var bonding []int64
-	for id, st := range eng.pts {
-		if st.wasCore && eng.isCoreNow(st) {
-			bonding = append(bonding, id)
+	var bonding []int32
+	for s := range eng.hot {
+		if st := &eng.hot[s]; st.wasCore && eng.isCoreNow(st) {
+			bonding = append(bonding, int32(s))
 		}
 	}
-	sort.Slice(bonding, func(i, j int) bool { return bonding[i] < bonding[j] })
 	if len(bonding) < 2 {
 		t.Fatal("workload produced too few surviving cores to exercise scratch")
 	}
