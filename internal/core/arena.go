@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"disc/internal/geom"
 	"disc/internal/model"
@@ -82,6 +83,17 @@ func (a *arena) alloc() int32 {
 	a.capIdx = append(a.capIdx, 0)
 	a.ids = append(a.ids, 0)
 	return int32(s)
+}
+
+// reserve makes room for n more points in every slab at once, for the one
+// caller that knows how many are coming (LoadEngine).
+func (a *arena) reserve(n int) {
+	a.hot = slices.Grow(a.hot, n)
+	a.pos = slices.Grow(a.pos, n)
+	a.cid = slices.Grow(a.cid, n)
+	a.capIdx = slices.Grow(a.capIdx, n)
+	a.ids = slices.Grow(a.ids, n)
+	a.slotOf = make(idTable, n)
 }
 
 // resident reports whether slot s holds a point of the current window. A

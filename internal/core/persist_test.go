@@ -4,14 +4,18 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sort"
 	"testing"
 
 	"disc/internal/dbscan"
 	"disc/internal/metrics"
+	"disc/internal/model"
 	"disc/internal/window"
+	"disc/internal/wire"
 )
 
 // TestSnapshotRoundTrip: save mid-stream, restore, and verify the restored
@@ -193,12 +197,11 @@ func TestSnapshotOmitsScratch(t *testing.T) {
 	for _, st := range steps {
 		eng.Advance(st.In, st.Out)
 	}
-	decode := func(buf *bytes.Buffer) persistedEngine {
-		var ps persistedEngine
-		if err := gob.NewDecoder(buf).Decode(&ps); err != nil {
+	decode := func(buf *bytes.Buffer) *persistedEngine {
+		ps, err := decodeSnapshot(buf.Bytes())
+		if err != nil {
 			t.Fatal(err)
 		}
-		sort.Slice(ps.Points, func(i, j int) bool { return ps.Points[i].ID < ps.Points[j].ID })
 		return ps
 	}
 	var before bytes.Buffer
@@ -301,13 +304,13 @@ func TestSettingsAreNotCheckpointState(t *testing.T) {
 	}
 	// A snapshot from before the fields became decode-only still carries
 	// them; they are not read.
-	var old persistedEngine
-	if err := gob.NewDecoder(bytes.NewReader(snap)).Decode(&old); err != nil {
+	old, err := decodeSnapshot(snap)
+	if err != nil {
 		t.Fatal(err)
 	}
 	old.UseMSBFS, old.UseEpoch, old.Workers, old.ConnStrategy, old.IndexKind = false, false, 64, uint8(ConnDynamic), 1
 	var oldBuf bytes.Buffer
-	if err := gob.NewEncoder(&oldBuf).Encode(&old); err != nil {
+	if err := gob.NewEncoder(&oldBuf).Encode(old); err != nil {
 		t.Fatal(err)
 	}
 	fromOld, err := LoadEngine(&oldBuf)
@@ -340,4 +343,204 @@ func TestSettingsAreNotCheckpointState(t *testing.T) {
 			}
 		})
 	}
+}
+
+// gobSnapshot writes e the way SaveSnapshot did before the columnar layout:
+// the bytes the hashes in testdata/pre_arena.golden were taken over, and the
+// source of legacy inputs for the decoder's tests.
+func gobSnapshot(t testing.TB, e *Engine) []byte {
+	t.Helper()
+	ps := persistedEngine{
+		Version:   snapshotVersion,
+		Cfg:       e.cfg,
+		NextCID:   e.nextCID,
+		Stride:    e.stride,
+		Stats:     e.stats,
+		Points:    make([]persistedPoint, 0, len(e.slotOf)),
+		HintFlags: true,
+	}
+	for s := range e.hot {
+		st := &e.hot[s]
+		if st.label == model.Deleted {
+			continue
+		}
+		cid := e.cid[s]
+		if cid != 0 {
+			cid = e.cids.FindRO(cid)
+		}
+		pp := persistedPoint{
+			ID: e.ids[s], Pos: e.pos[s], N: st.n, CoreDeg: st.coreDeg,
+			CID: cid, Label: st.label, WasCore: st.wasCore,
+		}
+		if st.hint != noSlot {
+			pp.Hint, pp.HasHint = e.ids[st.hint], true
+		}
+		ps.Points = append(ps.Points, pp)
+	}
+	sort.Slice(ps.Points, func(i, j int) bool { return ps.Points[i].ID < ps.Points[j].ID })
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(&ps); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// snapshotEngine is a small engine a few strides into a clustered stream: all
+// three labels, hints on borders and cores, two clusters.
+func snapshotEngine(t testing.TB) *Engine {
+	t.Helper()
+	steps, err := window.Steps(clustered2D(rand.New(rand.NewSource(83)), 90), 60, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := New(cfg2(2.5, 5))
+	for _, st := range steps {
+		eng.Advance(st.In, st.Out)
+	}
+	return eng
+}
+
+func saveBytes(t testing.TB, e *Engine) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := e.SaveSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// loadAndSave loads a snapshot and writes the loaded engine back out.
+func loadAndSave(snap []byte) ([]byte, error) {
+	e, err := LoadEngine(bytes.NewReader(snap))
+	if err != nil {
+		return nil, err
+	}
+	var buf bytes.Buffer
+	err = e.SaveSnapshot(&buf)
+	return buf.Bytes(), err
+}
+
+// TestSnapshotGenerations: a snapshot opens with a byte no gob stream can, the
+// gob snapshot of the same engine loads into the same state, and the loaded
+// engines — whichever generation they came from — write the columnar bytes the
+// original wrote.
+func TestSnapshotGenerations(t *testing.T) {
+	eng := snapshotEngine(t)
+	snap, legacy := saveBytes(t, eng), gobSnapshot(t, eng)
+	if snap[0] != snapshotMagic || wire.IsGob(snap) || !wire.IsGob(legacy) {
+		t.Fatalf("first bytes %#x (columnar) and %#x (gob) do not tell the generations apart", snap[0], legacy[0])
+	}
+	var labels [model.Deleted + 1]int
+	hints := 0
+	for s := range eng.hot {
+		labels[eng.hot[s].label]++
+		if eng.hot[s].hint != noSlot {
+			hints++
+		}
+	}
+	if labels[model.Core] == 0 || labels[model.Border] == 0 || labels[model.Noise] == 0 || hints <= labels[model.Border] {
+		t.Fatalf("the engine under test has labels %v and %d hints: not every column is exercised", labels, hints)
+	}
+	for name, in := range map[string][]byte{"columnar": snap, "gob": legacy} {
+		got, err := loadAndSave(in)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !bytes.Equal(got, snap) {
+			t.Errorf("%s: the loaded engine writes a different snapshot than the engine it was saved from", name)
+		}
+	}
+	t.Logf("%d points: %d bytes columnar, %d bytes gob", eng.WindowSize(), len(snap), len(legacy))
+}
+
+// TestSnapshotFaultSweeps: every strict prefix of a snapshot is an error, and
+// every single-bit flip is an error or a different state that passes LoadEngine's
+// validation and saves back to exactly the flipped bytes.
+func TestSnapshotFaultSweeps(t *testing.T) {
+	snap := saveBytes(t, snapshotEngine(t))
+	for cut := 0; cut < len(snap); cut++ {
+		if _, err := LoadEngine(bytes.NewReader(snap[:cut])); err == nil {
+			t.Fatalf("snapshot cut to %d of %d bytes loaded", cut, len(snap))
+		}
+	}
+	accepted := 0
+	for off := range snap {
+		for bit := 0; bit < 8; bit++ {
+			flipped := bytes.Clone(snap)
+			flipped[off] ^= 1 << bit
+			again, err := loadAndSave(flipped)
+			if err != nil {
+				continue
+			}
+			accepted++
+			if !bytes.Equal(again, flipped) {
+				t.Fatalf("flip %d/%d: loaded, but saves back differently", off, bit)
+			}
+		}
+	}
+	if accepted == 0 {
+		t.Error("no flip was accepted: the sweep never saw a different valid state")
+	}
+}
+
+// TestLoadEngineValidates: states no finished stride leaves are load errors in
+// either generation's form, not engines.
+func TestLoadEngineValidates(t *testing.T) {
+	eng := snapshotEngine(t)
+	bad := map[string]func(e *Engine){
+		"transient label":     func(e *Engine) { e.hot[0].label = model.Unclassified },
+		"unknown label":       func(e *Engine) { e.hot[0].label = model.Label(6) },
+		"NaN coordinate":      func(e *Engine) { e.pos[1][0] = math.NaN() },
+		"infinite coordinate": func(e *Engine) { e.pos[1][1] = math.Inf(1) },
+		"border without hint": func(e *Engine) {
+			for s := range e.hot {
+				if e.hot[s].label == model.Border {
+					e.hot[s].hint = noSlot
+				}
+			}
+		},
+		"duplicate id": func(e *Engine) { e.ids[2] = e.ids[3] },
+	}
+	for name, mutate := range bad {
+		e, err := LoadEngine(bytes.NewReader(saveBytes(t, eng)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(e)
+		if _, err := LoadEngine(bytes.NewReader(gobSnapshot(t, e))); err == nil {
+			t.Errorf("%s: loaded from gob", name)
+		}
+		if _, err := LoadEngine(bytes.NewReader(saveBytes(t, e))); err == nil {
+			t.Errorf("%s: loaded from the columnar form", name)
+		}
+	}
+}
+
+// FuzzLoadEngine: LoadEngine never panics on arbitrary bytes, an input in the
+// columnar form costs no more memory than a constant plus a small multiple of
+// its length (a row count of 2³² in forty bytes is an error, not a make), and a
+// columnar input that loads is the snapshot the loaded engine writes.
+func FuzzLoadEngine(f *testing.F) {
+	eng := snapshotEngine(f)
+	f.Add(saveBytes(f, eng))
+	f.Add(gobSnapshot(f, eng))
+	f.Add(saveBytes(f, New(cfg2(1, 1))))
+	f.Add([]byte{snapshotMagic, snapshotVersion, 2, 0, 0, 0, 0, 0, 0, 0xf0, 0x3f, 3, 2, 0, 0, 0, 0, 0, 0, 0,
+		0x80, 0x80, 0x80, 0x80, 0x10, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		columnar := len(data) > 0 && !wire.IsGob(data)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		again, err := loadAndSave(data)
+		runtime.ReadMemStats(&after)
+		// A row is at least 13 bytes and costs a decoded row, its arena slot, an
+		// id-table entry and its share of a grid cell — and the same again for
+		// the save; an empty engine is a few tens of kilobytes.
+		if grew := after.TotalAlloc - before.TotalAlloc; columnar && grew > 64*uint64(len(data))+(1<<20) {
+			t.Fatalf("loading %d bytes allocated %d", len(data), grew)
+		}
+		if err == nil && columnar && !bytes.Equal(again, data) {
+			t.Fatalf("loaded % x, which the loaded engine saves as % x", data, again)
+		}
+	})
 }

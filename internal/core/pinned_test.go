@@ -57,8 +57,9 @@ func pinnedStreams(t *testing.T) []pinnedStream {
 }
 
 // pinnedHasher folds everything observable about one stride into an FNV-64:
-// the events it emitted, Stats(), the SaveSnapshot bytes, and the Delta's
-// header and points sorted by id.
+// the events it emitted, Stats(), the engine's state as the gob snapshot of the
+// golden file's commit wrote it, and the Delta's header and points sorted by
+// id. snap keeps the SaveSnapshot bytes of the same stride for the restore.
 type pinnedHasher struct {
 	events []Event
 	snap   bytes.Buffer
@@ -77,7 +78,7 @@ func (p *pinnedHasher) stride(t *testing.T, eng *Engine) uint64 {
 	if err := eng.SaveSnapshot(&p.snap); err != nil {
 		t.Fatal(err)
 	}
-	h.Write(p.snap.Bytes())
+	h.Write(gobSnapshot(t, eng))
 	d := eng.Delta()
 	fmt.Fprintf(h, "%v|%v;", d.Full, d.Unions)
 	p.pts = p.pts[:0]

@@ -2,7 +2,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -148,8 +147,8 @@ func TestIngestRejectsNonFiniteCoords(t *testing.T) {
 
 // TestCheckpointRejectsCorruptWindow: a checkpoint whose window payload
 // smuggles a non-finite coordinate or a duplicated id must be refused with
-// 400 — gob, unlike JSON, encodes NaN happily, so this is the one wire
-// path that could plant one in the window.
+// 400 — a binary form, unlike JSON, encodes NaN happily, so this is the one
+// wire path that could plant one in the window.
 func TestCheckpointRejectsCorruptWindow(t *testing.T) {
 	ts, _ := newTestServer(t)
 	rng := rand.New(rand.NewSource(22))
@@ -162,22 +161,20 @@ func TestCheckpointRejectsCorruptWindow(t *testing.T) {
 	resp.Body.Close()
 
 	corrupt := func(name string, mutate func(env *checkpointEnvelope)) {
-		var env checkpointEnvelope
-		if err := gob.NewDecoder(bytes.NewReader(blob)).Decode(&env); err != nil {
-			t.Fatal(err)
-		}
-		mutate(&env)
-		var buf bytes.Buffer
-		if err := gob.NewEncoder(&buf).Encode(&env); err != nil {
-			t.Fatal(err)
-		}
-		r, err := http.Post(ts.URL+"/checkpoint", "application/octet-stream", &buf)
+		env, err := decodeEnvelope(blob)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer r.Body.Close()
-		if r.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: restore status %d, want 400", name, r.StatusCode)
+		mutate(env)
+		for form, body := range map[string][]byte{"codec": appendEnvelope(nil, env), "gob": gobEnvelope(t, env)} {
+			r, err := http.Post(ts.URL+"/checkpoint", "application/octet-stream", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Body.Close()
+			if r.StatusCode != http.StatusBadRequest {
+				t.Fatalf("%s (%s): restore status %d, want 400", name, form, r.StatusCode)
+			}
 		}
 	}
 	corrupt("NaN coordinate", func(env *checkpointEnvelope) {

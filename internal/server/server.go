@@ -14,7 +14,6 @@ package server
 
 import (
 	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"expvar"
@@ -38,6 +37,7 @@ import (
 	"disc/internal/obs"
 	"disc/internal/trace"
 	"disc/internal/window"
+	"disc/internal/wire"
 )
 
 // Default request-body bounds. Both paths decode untrusted input into
@@ -143,6 +143,7 @@ type Server struct {
 	// window (wal.go).
 	wal       *ckpt.WAL
 	walBroken bool
+	walBuf    []byte // walAppend's encode buffer, reused across batches
 	seqs      *seqTable
 	// viewEpoch distinguishes pre- and post-restore views in the ETag: a
 	// restore can rewind the stride counter to a value whose content
@@ -355,7 +356,11 @@ func (s *Server) TraceContext() trace.SpanContext {
 // checkpointEnvelope carries the engine snapshot plus the service's own
 // stream position: the window contents in arrival order (pending partial
 // strides are dropped — checkpoints represent the last stride boundary).
+// codec.go has its byte layout.
 type checkpointEnvelope struct {
+	// Dims is how many coordinates each window point carries on the wire; 0
+	// in an envelope decoded from gob, which wrote all of them.
+	Dims     int
 	Engine   []byte
 	Window   []model.Point
 	Ingested uint64
@@ -391,13 +396,16 @@ var errLogAttached = errors.New("stream has a write-ahead log attached: restorin
 func (s *Server) Strides() uint64 { return s.view.Load().strides }
 
 // WriteCheckpoint writes a restorable snapshot of the service — engine
-// state plus stream position — to w. The snapshot is taken under the
-// server mutex; encoding to w happens outside it.
+// state plus stream position — to w. The state is captured under the server
+// mutex, which costs the engine's snapshot encode and a copy of the window;
+// the envelope is assembled and written outside it. Equal states write equal
+// bytes.
 func (s *Server) WriteCheckpoint(w io.Writer) error {
 	s.mu.Lock()
 	var engBuf bytes.Buffer
 	err := s.eng.SaveSnapshot(&engBuf)
 	env := checkpointEnvelope{
+		Dims:     s.cfg.Cluster.Dims,
 		Engine:   engBuf.Bytes(),
 		Window:   append([]model.Point(nil), s.slider.Window()...),
 		Ingested: s.ingested,
@@ -408,18 +416,25 @@ func (s *Server) WriteCheckpoint(w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	return gob.NewEncoder(w).Encode(&env)
+	// Sized for the usual case: ids and times that take two bytes a row.
+	size := len(env.Engine) + len(env.Window)*(4+8*env.Dims) + 1024
+	_, err = w.Write(appendEnvelope(make([]byte, 0, size), &env))
+	return err
 }
 
 // ReadCheckpoint replaces the engine and stream position with the
 // checkpoint read from r; ingestion then resumes exactly where the
 // checkpoint was taken. It returns the restored window size. Errors wrap
-// errBadCheckpoint for undecodable input and ErrCheckpointMismatch for a
-// checkpoint taken under a different clustering configuration; a stream with
-// a write-ahead log attached refuses with errLogAttached.
+// errBadCheckpoint for undecodable or invalid input and ErrCheckpointMismatch
+// for a checkpoint taken under a different clustering configuration; a stream
+// with a write-ahead log attached refuses with errLogAttached.
 func (s *Server) ReadCheckpoint(r io.Reader) (int, error) {
-	var env checkpointEnvelope
-	if err := gob.NewDecoder(r).Decode(&env); err != nil {
+	body, err := wire.ReadAll(r)
+	if err != nil {
+		return 0, fmt.Errorf("reading checkpoint: %w", err)
+	}
+	env, err := decodeEnvelope(body)
+	if err != nil {
 		return 0, fmt.Errorf("%w: %w", errBadCheckpoint, err)
 	}
 	eng, err := core.LoadEngine(bytes.NewReader(env.Engine), s.engineOptions()...)
@@ -430,18 +445,19 @@ func (s *Server) ReadCheckpoint(r io.Reader) (int, error) {
 		return 0, fmt.Errorf("%w: checkpoint built with dims=%d eps=%g minPts=%d, server runs dims=%d eps=%g minPts=%d",
 			ErrCheckpointMismatch, got.Dims, got.Eps, got.MinPts, want.Dims, want.Eps, want.MinPts)
 	}
+	if env.Dims != 0 && env.Dims != s.cfg.Cluster.Dims {
+		return 0, fmt.Errorf("%w: window points carry %d dimensions, the engine snapshot %d",
+			errBadCheckpoint, env.Dims, s.cfg.Cluster.Dims)
+	}
 	// The engine snapshot has its own integrity checks; the window payload
 	// needs the same ingest-grade validation — a NaN coordinate restored
 	// here would poison cell keys and distance comparisons for the life
 	// of the window, and a duplicated id would abort a later stride.
+	if err := checkCoords(env.Window, s.cfg.Cluster.Dims); err != nil {
+		return 0, fmt.Errorf("%w: window %w", errBadCheckpoint, err)
+	}
 	seen := make(map[int64]struct{}, len(env.Window))
 	for i, p := range env.Window {
-		for d := 0; d < s.cfg.Cluster.Dims; d++ {
-			if math.IsNaN(p.Pos[d]) || math.IsInf(p.Pos[d], 0) {
-				return 0, fmt.Errorf("%w: window point %d (id %d) has non-finite coordinate %v",
-					errBadCheckpoint, i, p.ID, p.Pos[d])
-			}
-		}
 		if _, dup := seen[p.ID]; dup {
 			return 0, fmt.Errorf("%w: window point %d duplicates id %d", errBadCheckpoint, i, p.ID)
 		}
@@ -452,6 +468,12 @@ func (s *Server) ReadCheckpoint(r io.Reader) (int, error) {
 		return 0, err
 	}
 	if err := slider.RestoreWindow(env.Window); err != nil {
+		return 0, fmt.Errorf("%w: %w", errBadCheckpoint, err)
+	}
+	// The dedup table is as untrusted as the window: unchecked, an upload
+	// could exceed every bound the live table keeps, or hand lookup's binary
+	// search an unsorted row.
+	if err := checkSeqs(env.Seqs); err != nil {
 		return 0, fmt.Errorf("%w: %w", errBadCheckpoint, err)
 	}
 	s.mu.Lock()

@@ -399,7 +399,7 @@ func TestViewDeltaMatchesRebuild(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rec, err := decodeWALRecord(payload)
+			rec, err := decodeWALRecord(payload, cfg.Cluster.Dims)
 			if err != nil {
 				t.Fatal(err)
 			}

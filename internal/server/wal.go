@@ -18,8 +18,7 @@
 package server
 
 import (
-	"bytes"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -41,7 +40,7 @@ const (
 // batch. Start is the stream position (points applied since the stream
 // began) before the batch; Points is the entire batch in arrival order;
 // Resp is the exact 200 body the batch was acknowledged with, replayed
-// verbatim when a deduplicated retry arrives.
+// verbatim when a deduplicated retry arrives. codec.go has its byte layout.
 type walRecord struct {
 	Start  uint64
 	Client string
@@ -53,24 +52,6 @@ type walRecord struct {
 
 // end is the stream position after the record's batch.
 func (r *walRecord) end() uint64 { return r.Start + uint64(len(r.Points)) }
-
-// encodeWALRecord gobs one record as a self-contained blob (each record
-// carries its own type preamble, so replay can start at any record).
-func encodeWALRecord(rec *walRecord) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(rec); err != nil {
-		return nil, fmt.Errorf("encoding wal record: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-func decodeWALRecord(b []byte) (*walRecord, error) {
-	var rec walRecord
-	if err := gob.NewDecoder(bytes.NewReader(b)).Decode(&rec); err != nil {
-		return nil, fmt.Errorf("decoding wal record: %w", err)
-	}
-	return &rec, nil
-}
 
 // seqEntry is one remembered (sequence number, original response) pair.
 type seqEntry struct {
@@ -188,7 +169,38 @@ func (t *seqTable) persist() []persistedClient {
 	return out
 }
 
-// restore replaces the table's contents from a checkpoint.
+// checkSeqs holds a checkpoint's dedup table to the bounds the live table keeps
+// (DESIGN §15) and to the order lookup's binary search relies on: at most
+// seqClients clients, strictly ascending by name (so none repeats), names
+// within maxClientName; at most seqWindow strictly ascending sequence numbers
+// apiece, each with an ack no ingest could have exceeded.
+func checkSeqs(pcs []persistedClient) error {
+	if len(pcs) > seqClients {
+		return fmt.Errorf("dedup table lists %d clients, the bound is %d", len(pcs), seqClients)
+	}
+	for i, pc := range pcs {
+		switch {
+		case len(pc.Client) > maxClientName:
+			return fmt.Errorf("dedup table: client name of %d bytes, the bound is %d", len(pc.Client), maxClientName)
+		case i > 0 && pc.Client <= pcs[i-1].Client:
+			return fmt.Errorf("dedup table: client %q repeats or is out of order", pc.Client)
+		case len(pc.Entries) > seqWindow:
+			return fmt.Errorf("dedup table: client %q lists %d sequence numbers, the bound is %d", pc.Client, len(pc.Entries), seqWindow)
+		}
+		for j, e := range pc.Entries {
+			if j > 0 && e.Seq <= pc.Entries[j-1].Seq {
+				return fmt.Errorf("dedup table: client %q: sequence number %d repeats or is out of order", pc.Client, e.Seq)
+			}
+			if len(e.Resp) > maxAckBytes {
+				return fmt.Errorf("dedup table: client %q: ack of %d bytes, the bound is %d", pc.Client, len(e.Resp), maxAckBytes)
+			}
+		}
+	}
+	return nil
+}
+
+// restore replaces the table's contents from a checkpoint that passed
+// checkSeqs.
 func (t *seqTable) restore(pcs []persistedClient) {
 	t.m = make(map[string]*clientSeqs, len(pcs))
 	for _, pc := range pcs {
@@ -219,10 +231,8 @@ func (s *Server) walAppend(rec *walRecord) error {
 	if s.wal == nil {
 		return nil
 	}
-	b, err := encodeWALRecord(rec)
-	if err == nil {
-		err = s.wal.Append(rec.Start, b)
-	}
+	s.walBuf = appendWALRecord(s.walBuf[:0], rec, s.cfg.Cluster.Dims)
+	err := s.wal.Append(rec.Start, s.walBuf)
 	if err == nil {
 		err = s.wal.Sync()
 	}
@@ -258,11 +268,23 @@ func (s *Server) applyRecord(rec *walRecord) error {
 	return nil
 }
 
-// walRecordMaxPayload bounds one decoded WAL record: a batch is capped
-// at MaxIngestBytes of JSON, and its gob form (points plus the stored
-// response body) stays within a small multiple of that.
+// minPointJSON is the fewest body bytes one ingested point can take: the
+// shortest object decodeBatch accepts for a one-dimensional stream and the
+// comma after it.
+const minPointJSON = len(`{"coords":[0]},`)
+
+// walRecordMaxPayload bounds one framed WAL record — the 8-byte position the
+// log prefixes, then the record layout of codec.go at its widest: magic and
+// flags, start, the dedup row (client name, sequence number, ack), the point
+// count, and as many points as a MaxIngestBytes body can carry at the most
+// bytes a point can encode to. A gob record of an earlier binary fits too: its
+// type preamble is under 400 bytes and its points are smaller than their JSON.
 func (s *Server) walRecordMaxPayload() int64 {
-	return 4*s.cfg.MaxIngestBytes + (1 << 20)
+	const header = 8 + 2 + binary.MaxVarintLen64 + // position, magic, flags, start
+		(2 + maxClientName) + binary.MaxVarintLen64 + (1 + maxAckBytes) + // dedup row
+		binary.MaxVarintLen64 + // point count
+		400 // a gob record's preamble
+	return header + s.cfg.MaxIngestBytes/int64(minPointJSON)*maxPointBytes(s.cfg.Cluster.Dims)
 }
 
 // boundaryPos returns the stream position — points applied since the stream
@@ -309,7 +331,7 @@ func (s *Server) replay(r *ckpt.WALReader, apply func(*walRecord) error) (int, e
 		if err != nil {
 			return applied, err
 		}
-		rec, err := decodeWALRecord(payload)
+		rec, err := decodeWALRecord(payload, s.cfg.Cluster.Dims)
 		if err != nil {
 			return applied, fmt.Errorf("%w: %w", ckpt.ErrWALCorrupt, err)
 		}
