@@ -9,9 +9,11 @@
 // mid-append crash leaves), tails the log with a follower, promotes it,
 // retries the last pre-crash batches against the new leader (they must
 // dedup — the promoted follower rebuilt the dedup window from the log),
-// finishes the script, and byte-compares the survivor's /checkpoint,
-// /stats, /clusters, and /events bodies against the reference. Any
-// divergence, lost batch, or double-applied batch fails the run.
+// finishes the script — continuing until the promoted follower has
+// written two checkpoint generations and pruned the log's oldest segment —
+// and byte-compares the survivor's /checkpoint, /stats, /clusters, and
+// /events bodies against the reference. Any divergence, lost or
+// double-applied batch, or missing checkpoint or pruning fails the run.
 package main
 
 import (
@@ -29,6 +31,7 @@ import (
 	"strconv"
 	"time"
 
+	"disc/internal/ckpt"
 	"disc/internal/model"
 	"disc/internal/server"
 )
@@ -47,11 +50,12 @@ func runFailover(cfg config, out io.Writer) error {
 	if killat < 2 || killat >= cfg.batches {
 		killat = cfg.batches / 2
 	}
-	walDir, err := os.MkdirTemp("", "discload-wal-*")
+	dir, err := os.MkdirTemp("", "discload-failover-*")
 	if err != nil {
 		return err
 	}
-	defer os.RemoveAll(walDir)
+	defer os.RemoveAll(dir)
+	walDir, ckptDir := filepath.Join(dir, "wal"), filepath.Join(dir, "ckpt")
 
 	serverCfg := server.Config{
 		Cluster: model.Config{Dims: cfg.dims, Eps: cfg.eps, MinPts: cfg.minPts},
@@ -59,13 +63,19 @@ func runFailover(cfg config, out io.Writer) error {
 		Stride:  cfg.stride,
 	}
 
-	// The leader is wired the way discserver wires it: the stream registry
-	// opens the write-ahead log for the default stream and fsyncs every
-	// batch before acknowledging it.
-	leader, err := server.NewMulti(server.MultiConfig{Default: serverCfg, WALDir: walDir})
+	// The leader fsyncs every batch to its write-ahead log before
+	// acknowledging it, in 4 KiB segments rather than 8 MiB ones, so the
+	// promoted follower has whole segments behind its checkpoints to prune.
+	leader, err := server.New(serverCfg)
 	if err != nil {
 		return fmt.Errorf("failover: leader: %w", err)
 	}
+	wal, err := ckpt.OpenWAL(walDir, ckpt.WithWALSegmentBytes(4<<10))
+	if err != nil {
+		return fmt.Errorf("failover: leader: %w", err)
+	}
+	defer wal.Close()
+	leader.AttachWAL(wal)
 	leaderBase, leaderHS, err := serveLoopback(leader.Handler())
 	if err != nil {
 		return fmt.Errorf("failover: leader: %w", err)
@@ -86,13 +96,13 @@ func runFailover(cfg config, out io.Writer) error {
 
 	client := &http.Client{Timeout: 10 * time.Second}
 
-	// Pre-build every batch so a re-delivery is bit-identical to the
-	// original: monotonic ids over two Gaussian blobs, the same synthetic
-	// shape the load mode pours in.
+	// Keep every batch so a re-delivery is bit-identical to the original:
+	// monotonic ids over two Gaussian blobs, the same synthetic shape the
+	// load mode pours in.
 	rng := rand.New(rand.NewSource(424242))
-	batches := make([][]byte, cfg.batches)
+	var batches, acks [][]byte
 	id := int64(0)
-	for i := range batches {
+	addBatch := func() {
 		pts := make([]ingestPoint, cfg.batch)
 		for j := range pts {
 			c := float64(rng.Intn(2)) * 20
@@ -103,10 +113,13 @@ func runFailover(cfg config, out io.Writer) error {
 			}
 			id++
 		}
-		batches[i], _ = json.Marshal(pts)
+		b, _ := json.Marshal(pts)
+		batches, acks = append(batches, b), append(acks, nil)
+	}
+	for range cfg.batches {
+		addBatch()
 	}
 
-	acks := make([][]byte, cfg.batches)
 	deduped := 0
 	dupesLeft := cfg.dupes
 
@@ -195,6 +208,7 @@ func runFailover(cfg config, out io.Writer) error {
 
 	fol, err := server.NewFollower(server.FollowerConfig{
 		Server: serverCfg, WALDir: walDir, Poll: 2 * time.Millisecond,
+		CheckpointDir: ckptDir, CheckpointEvery: 2,
 	})
 	if err != nil {
 		return fmt.Errorf("failover: follower: %w", err)
@@ -238,10 +252,9 @@ func runFailover(cfg config, out io.Writer) error {
 	if resp.StatusCode != http.StatusOK {
 		return fmt.Errorf("failover: promote: status %d: %s", resp.StatusCode, body)
 	}
-	if err := <-runErr; err != nil {
-		return fmt.Errorf("failover: follower tail: %w", err)
-	}
 	fmt.Fprintf(out, "discload: follower promoted at stride %d\n", leaderStrides)
+	segs, _ := filepath.Glob(filepath.Join(walDir, "wal-*.wseg")) // tearWALTail found at least one
+	sort.Strings(segs)
 
 	// The client never saw the crash: it retries the batches it sent last.
 	// The promoted follower rebuilt the dedup window from the log, so both
@@ -269,6 +282,28 @@ func runFailover(cfg config, out io.Writer) error {
 		}
 	}
 
+	// The promoted follower is a leader like any other: it checkpoints
+	// every other stride and prunes the log behind the previous generation.
+	// Keep the script flowing until it has done both.
+	store, err := ckpt.Open(ckptDir)
+	if err != nil {
+		return fmt.Errorf("failover: %w", err)
+	}
+	for deadline := time.Now().Add(60 * time.Second); ; {
+		gens, _ := store.Generations()
+		if _, err := os.Stat(segs[0]); len(gens) >= 2 && os.IsNotExist(err) {
+			break
+		}
+		if time.Now().After(deadline) {
+			return fmt.Errorf("failover: promoted follower wrote generations %v and did not prune %s", gens, segs[0])
+		}
+		addBatch()
+		if err := sendBoth("promoted follower", folBase, len(batches)-1); err != nil {
+			return fmt.Errorf("failover: %w", err)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+
 	// Survivor vs. oracle: equal states serialize to equal bytes (the
 	// checkpoint snapshot is sorted, the dedup table is sorted, the view
 	// bodies are pure functions of state), so byte equality across the
@@ -287,10 +322,14 @@ func runFailover(cfg config, out io.Writer) error {
 				path, len(got), len(want))
 		}
 	}
+	cancelRun()
+	if err := <-runErr; err != nil {
+		return fmt.Errorf("failover: promoted follower: %w", err)
+	}
 
-	finalStrides := parseStrides(acks[cfg.batches-1])
+	finalStrides := parseStrides(acks[len(acks)-1])
 	fmt.Fprintf(out, "discload: failover OK — %d batches (%d before the kill), %d duplicate deliveries deduplicated, final stride %d, state byte-identical across /checkpoint /stats /clusters /events\n",
-		cfg.batches, killat, deduped, finalStrides)
+		len(batches), killat, deduped, finalStrides)
 	return nil
 }
 

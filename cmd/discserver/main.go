@@ -55,7 +55,10 @@
 // the mark. With -follow <dir> the process runs as a read-only replica:
 // it tails the leader's log, replays every batch through its own engine
 // (bit-identical state), serves the full GET surface, and becomes the
-// leader on POST /promote.
+// leader on POST /promote — a leader like any other: given the leader's
+// -checkpoint-dir it checkpoints there every -checkpoint-every strides and
+// prunes the log. Every process recovers before it listens, so /readyz has
+// no recovery gate.
 //
 // On SIGINT/SIGTERM the server shuts down gracefully: in-flight requests
 // (including a final checkpoint download or metrics scrape) get up to
@@ -147,27 +150,26 @@ func main() {
 		// Read-only replica mode: tail the leader's write-ahead log, serve
 		// the GET surface from replayed state, and turn into a leader on POST
 		// /promote. A definitively corrupt log is fatal (the replica must not
-		// silently serve a prefix of the stream forever); Run also returns
-		// early, with nil, when promotion stops the tailer.
+		// silently serve a prefix of the stream forever). Once promoted, Run
+		// drives the checkpoints (final generation included) or, without
+		// -checkpoint-dir, returns nil while the listener keeps serving.
 		f, err := server.NewFollower(server.FollowerConfig{
-			Server: cfg, WALDir: *follow, CheckpointDir: *ckptDir, Logger: logger,
+			Server: cfg, WALDir: *follow, CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Logger: logger,
 		})
 		if err != nil {
 			fatal("discserver: starting follower", "err", err)
 		}
 		logger.Info("discserver following", "addr", *addr, "wal", *follow,
-			"checkpoints", describeCkpt(*ckptDir, 0))
+			"checkpoints", describeCkpt(*ckptDir, *ckptEvery))
 		if err := serve(logger, *addr, f.Handler(), *drain, f.Run); err != nil {
 			fatal("discserver: follower", "err", err)
 		}
 		return
 	}
 	// NewMulti recovers the default stream from its newest valid checkpoint
-	// before returning (hard error if a checkpoint exists but does not
-	// restore — starting fresh would silently discard the window the
-	// operator meant to keep), so /readyz never exposes a window about to
-	// be replaced.
-	cfg.StartNotReady = *ckptDir != "" || *walDir != ""
+	// and its log before returning (hard error if a checkpoint exists but
+	// does not restore — starting fresh would silently discard the window
+	// the operator meant to keep), before the listener opens.
 	m, err := server.NewMulti(server.MultiConfig{
 		Default:         cfg,
 		MaxStreams:      *maxStreams,

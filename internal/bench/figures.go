@@ -216,6 +216,7 @@ func Fig4(o Options) ([]Row, error) {
 					Figure: "4", Dataset: dc.Label,
 					Param: fmt.Sprintf("stride=%.1f%%", ratio*100), Engine: res.Engine, Index: res.Index,
 					Value: speedup, Unit: "x", DNF: res.DNF, Note: res.DNFReason,
+					Extra: map[string]float64{"range_searches": res.Searches, "dbscan_range_searches": base.Searches},
 				})
 				if res.DNF {
 					line += "\tDNF"
@@ -441,13 +442,27 @@ func Fig8(o Options) ([]Row, error) {
 		}
 		line := dc.Label
 		for _, v := range variants {
-			res, err := o.runKind(v.kind, dc.Cfg, dc.Window, stride, steps, RunOpts{})
+			eng, err := NewEngine(v.kind, dc.Cfg, dc.Window, stride)
 			if err != nil {
 				return nil, err
 			}
+			// Count the connectivity work MS-BFS shares, passing each
+			// record on to the stride logger when one is configured.
+			opts := o.observed(v.kind, RunOpts{Timeout: o.Timeout})
+			var searches, nodes int64
+			next := opts.Observer
+			opts.Observer = core.ObserverFunc(func(rec core.StrideRecord) {
+				searches, nodes = searches+rec.ConnSearches, nodes+rec.ConnNodes
+				if next != nil {
+					next.ObserveStride(rec)
+				}
+			})
+			res := Run(eng, steps, opts)
+			n := float64(max(res.Strides, 1))
 			rows = append(rows, Row{
 				Figure: "8", Dataset: dc.Label, Param: v.label, Engine: "DISC", Index: res.Index,
 				Value: msOf(res.PerStride), Unit: "ms",
+				Extra: map[string]float64{"conn_searches": float64(searches) / n, "conn_nodes": float64(nodes) / n},
 			})
 			line += fmt.Sprintf("\t%.1f", msOf(res.PerStride))
 		}

@@ -3,17 +3,18 @@
 //
 //   - A framed on-disk format (frame.go): a fixed header of magic, format
 //     version, payload length, and a CRC32-C checksum wrapped around an
-//     opaque payload (in practice the gob snapshot the server already
-//     produces). Any torn write — truncation at any byte, a flipped bit,
+//     opaque payload (in practice the server's checkpoint envelope, whose
+//     byte layout internal/server/codec.go defines). Any torn write — truncation at any byte, a flipped bit,
 //     a short write — is detected at read time instead of being decoded
 //     into a silently wrong engine.
 //   - An atomic generational store (store.go): each checkpoint is written
 //     to a temp file, fsynced, and renamed into place as the next
 //     generation; the previous generation is retained, so recovery can
 //     fall back when the newest file is torn or corrupt.
-//   - A periodic runner (runner.go): watches a Source's stride count and
-//     checkpoints every N strides, with retry/backoff on I/O failure and
-//     an Observer hook for the disc_checkpoint_* metrics family.
+//   - A periodic runner (runner.go): checkpoints a Source every N strides,
+//     with retry/backoff on I/O failure and an Observer hook for the
+//     disc_checkpoint_* metrics family; one Scheduler (scheduler.go)
+//     drives every runner of a process.
 //
 // Everything is stdlib-only, matching the repository rule.
 package ckpt

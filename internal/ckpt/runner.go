@@ -2,7 +2,6 @@ package ckpt
 
 import (
 	"bytes"
-	"context"
 	"io"
 	"log/slog"
 	"time"
@@ -43,7 +42,7 @@ type Observer interface {
 	ObserveCheckpoint(Record)
 }
 
-// Runner defaults.
+// Scheduler and Runner defaults.
 const (
 	DefaultPoll       = time.Second
 	DefaultBackoff    = time.Second
@@ -52,15 +51,6 @@ const (
 
 // RunnerOption configures a Runner.
 type RunnerOption func(*Runner)
-
-// WithPoll sets how often the runner samples the source's stride count.
-func WithPoll(d time.Duration) RunnerOption {
-	return func(r *Runner) {
-		if d > 0 {
-			r.poll = d
-		}
-	}
-}
 
 // WithBackoff sets the initial and maximum retry delay after a failed
 // checkpoint; the delay doubles per consecutive failure up to max.
@@ -97,13 +87,13 @@ func WithRunnerTracer(t *trace.Tracer) RunnerOption {
 // Runner periodically persists a Source through a Store: every `every`
 // strides it writes a new generation; a failed write is retried with
 // exponential backoff without blocking the service (the snapshot is taken
-// under the server's lock, the disk I/O outside any lock).
+// under the server's lock, the disk I/O outside any lock). A Scheduler
+// drives it.
 type Runner struct {
 	store *Store
 	src   Source
 	every uint64
 
-	poll       time.Duration
 	backoff    time.Duration
 	maxBackoff time.Duration
 	obs        Observer
@@ -114,8 +104,7 @@ type Runner struct {
 	// lastTraceID names the trace the most recent checkpoint attempt joined
 	// (empty when untraced); log lines carry it so a slow checkpoint can be
 	// looked up at /debug/traces. The runner is driven by exactly one
-	// goroutine at a time (its own Run loop, or a Scheduler), so plain
-	// fields suffice.
+	// goroutine at a time (its Scheduler's), so plain fields suffice.
 	lastTraceID string
 	// Retry state across ticks: curBackoff is the active retry delay (0 =
 	// healthy) and notBefore the earliest next attempt while backing off.
@@ -131,7 +120,6 @@ func NewRunner(store *Store, src Source, every uint64, opts ...RunnerOption) *Ru
 	}
 	r := &Runner{
 		store: store, src: src, every: every,
-		poll:       DefaultPoll,
 		backoff:    DefaultBackoff,
 		maxBackoff: DefaultMaxBackoff,
 	}
@@ -186,26 +174,6 @@ func (r *Runner) CheckpointNow() (uint64, error) {
 		r.obs.ObserveCheckpoint(rec)
 	}
 	return gen, err
-}
-
-// Run checkpoints src until ctx is canceled, then — if strides advanced
-// since the last successful checkpoint — writes one final generation so a
-// graceful shutdown never loses completed strides. It is meant to be run
-// in its own goroutine. A process hosting many streams should drive the
-// per-stream runners through one shared Scheduler instead of one Run
-// goroutine each.
-func (r *Runner) Run(ctx context.Context) {
-	ticker := time.NewTicker(r.poll)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			r.final()
-			return
-		case <-ticker.C:
-		}
-		r.tick(time.Now())
-	}
 }
 
 // tick runs one scheduling step at the given instant: if the source has

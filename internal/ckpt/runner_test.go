@@ -49,6 +49,18 @@ func (r *recorder) snapshot() []Record {
 	return append([]Record(nil), r.recs...)
 }
 
+// schedule drives r the way a process drives every runner — from a
+// Scheduler, here polling every millisecond — and returns a stop func that
+// cancels the scheduler and waits for its shutdown final.
+func schedule(r *Runner) (stop func()) {
+	sched := NewScheduler(WithSchedulerPoll(time.Millisecond))
+	sched.Add("r", r)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { sched.Run(ctx); close(done) }()
+	return func() { cancel(); <-done }
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -67,10 +79,7 @@ func TestRunnerCheckpointsEveryNStrides(t *testing.T) {
 	s := mustOpen(t, t.TempDir())
 	src := &fakeSource{}
 	rec := &recorder{}
-	r := NewRunner(s, src, 5, WithPoll(time.Millisecond), WithObserver(rec))
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { r.Run(ctx); close(done) }()
+	stop := schedule(NewRunner(s, src, 5, WithObserver(rec)))
 
 	// Below the threshold nothing may be written.
 	src.strides.Store(4)
@@ -91,8 +100,7 @@ func TestRunnerCheckpointsEveryNStrides(t *testing.T) {
 
 	// Shutdown with unsaved progress writes one final generation.
 	src.strides.Store(7)
-	cancel()
-	<-done
+	stop()
 	payload, _, err = s.Recover()
 	if err != nil {
 		t.Fatal(err)
@@ -109,21 +117,16 @@ func TestRunnerRetriesWithBackoff(t *testing.T) {
 	src := &fakeSource{}
 	src.fail.Store(2)
 	rec := &recorder{}
-	r := NewRunner(s, src, 1,
-		WithPoll(time.Millisecond),
+	stop := schedule(NewRunner(s, src, 1,
 		WithBackoff(time.Millisecond, 4*time.Millisecond),
-		WithObserver(rec))
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { r.Run(ctx); close(done) }()
+		WithObserver(rec)))
 
 	src.strides.Store(1)
 	waitFor(t, "successful checkpoint after retries", func() bool {
 		gens, _ := s.Generations()
 		return len(gens) >= 1
 	})
-	cancel()
-	<-done
+	stop()
 
 	var failures, successes int
 	for _, rc := range rec.snapshot() {
@@ -177,12 +180,8 @@ func TestRunnerStoreFaultThenRecovery(t *testing.T) {
 	}
 	src := &fakeSource{}
 	rec := &recorder{}
-	r := NewRunner(s, src, 1, WithPoll(time.Millisecond),
-		WithBackoff(time.Millisecond, 2*time.Millisecond), WithObserver(rec))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	done := make(chan struct{})
-	go func() { r.Run(ctx); close(done) }()
+	stop := schedule(NewRunner(s, src, 1,
+		WithBackoff(time.Millisecond, 2*time.Millisecond), WithObserver(rec)))
 
 	src.strides.Store(3)
 	waitFor(t, "failed attempts while disk broken", func() bool {
@@ -201,8 +200,7 @@ func TestRunnerStoreFaultThenRecovery(t *testing.T) {
 		gens, _ := s.Generations()
 		return len(gens) >= 1
 	})
-	cancel()
-	<-done
+	stop()
 	if _, _, err := s.Recover(); err != nil {
 		t.Fatalf("recover after disk healed: %v", err)
 	}

@@ -2,7 +2,6 @@ package ckpt
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"time"
 )
@@ -49,8 +48,8 @@ func NewScheduler(opts ...SchedulerOption) *Scheduler {
 }
 
 // Add registers a runner under the given name, replacing any runner
-// previously registered under it. The runner must not also be driven by
-// its own Run loop — the scheduler is now its single driving goroutine.
+// previously registered under it. A runner belongs to one scheduler: its
+// Run goroutine is the runner's single driver.
 func (s *Scheduler) Add(name string, r *Runner) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -67,18 +66,6 @@ func (s *Scheduler) Remove(name string) *Runner {
 	r := s.entries[name]
 	delete(s.entries, name)
 	return r
-}
-
-// Names returns the registered runner names, sorted.
-func (s *Scheduler) Names() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]string, 0, len(s.entries))
-	for n := range s.entries {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // snapshot copies the current runner set so ticking proceeds without

@@ -35,16 +35,6 @@ const (
 // StoreOption configures a Store.
 type StoreOption func(*Store)
 
-// WithKeep sets how many checkpoint generations to retain (minimum 2, the
-// newest plus one fallback).
-func WithKeep(n int) StoreOption {
-	return func(s *Store) {
-		if n >= 2 {
-			s.keep = n
-		}
-	}
-}
-
 // WithMaxPayload caps the payload size Recover will allocate for one
 // generation; <= 0 means unlimited.
 func WithMaxPayload(n int64) StoreOption {
@@ -67,10 +57,10 @@ func WithStoreLogger(l *slog.Logger) StoreOption {
 // caller.
 type Store struct {
 	dir        string
-	keep       int
 	maxPayload int64
 	seq        uint64 // highest generation present (0 = none)
 	slogger    *slog.Logger
+	swept      bool // the first Save has removed stale temps
 
 	// wrapWriter, when set, wraps the temp-file writer during Save. Test
 	// hook: fault-injection tests use it to fail or truncate the write
@@ -78,42 +68,26 @@ type Store struct {
 	wrapWriter func(io.Writer) io.Writer
 }
 
-// Open prepares dir (creating it if needed), removes stale temp files left
-// by a crash mid-write, and scans existing generations.
+// Open prepares dir (creating it if needed) and scans existing
+// generations. It writes nothing else: a reader may open a live writer's
+// directory.
 func Open(dir string, opts ...StoreOption) (*Store, error) {
-	s := &Store{dir: dir, keep: DefaultKeep}
+	s := &Store{dir: dir}
 	for _, o := range opts {
 		o(s)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ckpt: creating checkpoint dir: %w", err)
 	}
-	entries, err := os.ReadDir(dir)
+	gens, err := s.Generations()
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: scanning checkpoint dir: %w", err)
+		return nil, err
 	}
-	for _, ent := range entries {
-		name := ent.Name()
-		if strings.HasSuffix(name, tmpSuffix) {
-			// A temp file can only be a write that never completed; it was
-			// never visible as a generation, so removing it is always safe.
-			if err := os.Remove(filepath.Join(dir, name)); err != nil {
-				return nil, fmt.Errorf("ckpt: removing stale temp %s: %w", name, err)
-			}
-			if s.slogger != nil {
-				s.slogger.Warn("removed stale temp checkpoint (crash mid-write)", "file", name)
-			}
-			continue
-		}
-		if gen, ok := parseGen(name); ok && gen > s.seq {
-			s.seq = gen
-		}
+	if n := len(gens); n > 0 {
+		s.seq = gens[n-1]
 	}
 	return s, nil
 }
-
-// Dir returns the store's directory.
-func (s *Store) Dir() string { return s.dir }
 
 // parseGen extracts the generation number from a ckpt-<seq>.disc filename.
 func parseGen(name string) (uint64, bool) {
@@ -153,10 +127,25 @@ func (s *Store) Generations() ([]uint64, error) {
 // left exactly as it was: the temp file is removed and no generation
 // becomes visible.
 func (s *Store) Save(payload []byte) (gen uint64, err error) {
+	if !s.swept {
+		// The first Save removes the temps of writes a crash cut short: never
+		// generations, and only the directory's one writer can tell them from
+		// a write in flight. A leftover temp is harmless; a failed removal is
+		// ignored.
+		s.swept = true
+		entries, _ := os.ReadDir(s.dir)
+		for _, ent := range entries {
+			if name := ent.Name(); strings.HasSuffix(name, tmpSuffix) {
+				if os.Remove(filepath.Join(s.dir, name)) == nil && s.slogger != nil {
+					s.slogger.Warn("removed stale temp checkpoint (crash mid-write)", "file", name)
+				}
+			}
+		}
+	}
 	gen = s.seq + 1
 	tmp := s.genPath(gen) + tmpSuffix
 	if err := s.writeTemp(tmp, payload); err != nil {
-		os.Remove(tmp) // best effort; Open also sweeps stale temps
+		os.Remove(tmp) // best effort; the next writer's first Save sweeps it
 		return 0, err
 	}
 	final := s.genPath(gen)
@@ -212,7 +201,7 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// prune removes generations beyond the newest s.keep. Failures only log:
+// prune removes generations beyond the newest DefaultKeep. Failures only log:
 // a leftover old generation is harmless, and the checkpoint that was just
 // written must not be reported failed because of it.
 func (s *Store) prune() {
@@ -223,10 +212,10 @@ func (s *Store) prune() {
 		}
 		return
 	}
-	if len(gens) <= s.keep {
+	if len(gens) <= DefaultKeep {
 		return
 	}
-	for _, gen := range gens[:len(gens)-s.keep] {
+	for _, gen := range gens[:len(gens)-DefaultKeep] {
 		if err := os.Remove(s.genPath(gen)); err != nil {
 			if s.slogger != nil {
 				s.slogger.Warn("pruning checkpoint generation failed", "generation", gen, "err", err)

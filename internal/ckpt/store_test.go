@@ -28,7 +28,8 @@ func mustOpen(t *testing.T, dir string, opts ...StoreOption) *Store {
 }
 
 func TestStoreSaveRecover(t *testing.T) {
-	s := mustOpen(t, t.TempDir())
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
 	if _, _, err := s.Recover(); !errors.Is(err, ErrNoCheckpoint) {
 		t.Fatalf("empty store: %v, want ErrNoCheckpoint", err)
 	}
@@ -44,7 +45,7 @@ func TestStoreSaveRecover(t *testing.T) {
 	}
 	// Reopening the directory (a process restart) sees the same state and
 	// continues the generation sequence.
-	s2 := mustOpen(t, s.Dir())
+	s2 := mustOpen(t, dir)
 	got, gen, err = s2.Recover()
 	if err != nil || gen != g2 || !bytes.Equal(got, p2) {
 		t.Fatalf("recover after reopen = gen %d err %v", gen, err)
@@ -55,7 +56,7 @@ func TestStoreSaveRecover(t *testing.T) {
 }
 
 func TestStorePrunesOldGenerations(t *testing.T) {
-	s := mustOpen(t, t.TempDir(), WithKeep(2))
+	s := mustOpen(t, t.TempDir())
 	for i := 0; i < 5; i++ {
 		mustSave(t, s, testPayload(10+i))
 	}
@@ -154,7 +155,8 @@ func TestStoreAllGenerationsCorrupt(t *testing.T) {
 // full, power cut) must not publish a new generation, must clean up its
 // temp file, and must leave the previous generation recoverable.
 func TestStoreCrashMidWrite(t *testing.T) {
-	s := mustOpen(t, t.TempDir())
+	dir := t.TempDir()
+	s := mustOpen(t, dir)
 	p1 := testPayload(120)
 	g1 := mustSave(t, s, p1)
 
@@ -172,7 +174,7 @@ func TestStoreCrashMidWrite(t *testing.T) {
 		if len(gens) != 1 || gens[0] != g1 {
 			t.Fatalf("limit=%d: generations %v after failed save, want [%d]", limit, gens, g1)
 		}
-		entries, _ := os.ReadDir(s.Dir())
+		entries, _ := os.ReadDir(dir)
 		for _, e := range entries {
 			if filepath.Ext(e.Name()) == tmpSuffix {
 				t.Fatalf("limit=%d: stale temp %s left behind", limit, e.Name())
@@ -214,8 +216,8 @@ func (t *teeLimit) Write(p []byte) (int, error) {
 }
 
 // TestStoreOpenSweepsStaleTemp: a temp file left by a crash between write
-// and rename is removed on the next Open, and never mistaken for a
-// generation.
+// and rename is never mistaken for a generation, and is gone once the
+// writer's first generation lands.
 func TestStoreOpenSweepsStaleTemp(t *testing.T) {
 	dir := t.TempDir()
 	s := mustOpen(t, dir)
@@ -225,11 +227,78 @@ func TestStoreOpenSweepsStaleTemp(t *testing.T) {
 		t.Fatal(err)
 	}
 	s2 := mustOpen(t, dir)
-	if _, err := os.Stat(stale); !errors.Is(err, os.ErrNotExist) {
-		t.Fatal("stale temp survived reopen")
-	}
 	_, gen, err := s2.Recover()
 	if err != nil || gen != g1 {
 		t.Fatalf("recover = gen %d err %v, want %d", gen, err, g1)
 	}
+	if g2 := mustSave(t, s2, testPayload(26)); g2 != g1+1 {
+		t.Fatalf("first generation after reopen = %d, want %d", g2, g1+1)
+	}
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if filepath.Ext(e.Name()) == tmpSuffix {
+			t.Fatalf("stale temp %s survived the first generation after reopen", e.Name())
+		}
+	}
+}
+
+// TestStoreReaderOpenKeepsInFlightSave is the regression for a reader
+// deleting a writer's checkpoint: Open used to remove every temp file in
+// the directory, so a follower opening a live leader's store to restore
+// from it could delete the generation the leader was writing, and the
+// leader's rename failed. A reader's Open and Recover now leave the
+// directory alone; the paused Save completes.
+func TestStoreReaderOpenKeepsInFlightSave(t *testing.T) {
+	dir := t.TempDir()
+	w := mustOpen(t, dir)
+	g1 := mustSave(t, w, testPayload(30))
+
+	paused, resume := make(chan struct{}), make(chan struct{})
+	w.wrapWriter = func(f io.Writer) io.Writer {
+		return &pauseWriter{w: f, after: HeaderSize, paused: paused, resume: resume}
+	}
+	saved := make(chan error, 1)
+	go func() {
+		_, err := w.Save(testPayload(40))
+		saved <- err
+	}()
+	<-paused
+
+	r := mustOpen(t, dir)
+	if _, gen, err := r.Recover(); err != nil || gen != g1 {
+		t.Fatalf("reader recover = gen %d err %v, want %d", gen, err, g1)
+	}
+	close(resume)
+	if err := <-saved; err != nil {
+		t.Fatalf("writer's save failed after a reader opened the directory: %v", err)
+	}
+	if _, gen, err := mustOpen(t, dir).Recover(); err != nil || gen != g1+1 {
+		t.Fatalf("recover after the save = gen %d err %v, want %d", gen, err, g1+1)
+	}
+}
+
+// pauseWriter forwards the first `after` bytes, then signals paused and
+// blocks until resume is closed before forwarding the rest.
+type pauseWriter struct {
+	w              io.Writer
+	after, n       int
+	paused, resume chan struct{}
+}
+
+func (p *pauseWriter) Write(b []byte) (int, error) {
+	if p.n < p.after && p.n+len(b) >= p.after {
+		head := p.after - p.n
+		if _, err := p.w.Write(b[:head]); err != nil {
+			return 0, err
+		}
+		p.n += head
+		close(p.paused)
+		<-p.resume
+		n, err := p.w.Write(b[head:])
+		p.n += n
+		return head + n, err
+	}
+	n, err := p.w.Write(b)
+	p.n += n
+	return n, err
 }

@@ -20,7 +20,7 @@ import (
 func TestCollectZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const win, stride = 4000, 200
-	const warm, runs = 200, 80
+	const warm, runs = 40, 80
 	data := clustered2D(rng, win+stride*(warm+runs+10))
 	steps, err := window.Steps(data, win, stride)
 	if err != nil {

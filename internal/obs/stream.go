@@ -79,14 +79,6 @@ func (p *StreamMetricsPool) Acquire(stream string) *StreamMetrics {
 	return p.overflow
 }
 
-// DedicatedStreams returns how many dedicated label values have been
-// granted so far.
-func (p *StreamMetricsPool) DedicatedStreams() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.dedicated)
-}
-
 func newStreamMetrics(r *Registry, label string, dedicated bool) *StreamMetrics {
 	base := Labels{"stream": label}
 	return &StreamMetrics{
@@ -104,16 +96,15 @@ func newStreamMetrics(r *Registry, label string, dedicated bool) *StreamMetrics 
 // SingleStreamMetrics builds the unlabeled bundle a standalone
 // single-stream server uses: identical instrument names to the pooled
 // bundles but with no stream label, preserving the original single-tenant
-// scrape exactly. Checkpoint metrics are excluded — the standalone server
-// has its checkpoint observer attached externally (NewCheckpointMetrics),
-// and registering them here too would collide.
+// scrape exactly.
 func SingleStreamMetrics(r *Registry) *StreamMetrics {
 	return &StreamMetrics{
-		Label:     "",
-		Dedicated: true,
-		Engine:    NewEngineMetrics(r),
-		Query:     NewQueryMetrics(r),
-		WAL:       NewWALMetrics(r),
+		Label:      "",
+		Dedicated:  true,
+		Engine:     NewEngineMetrics(r),
+		Query:      NewQueryMetrics(r),
+		Checkpoint: NewCheckpointMetrics(r),
+		WAL:        NewWALMetrics(r),
 		Ingested: r.Counter("disc_ingested_points_total",
 			"Points accepted by POST /ingest (including those still buffered below a stride boundary).", nil),
 	}

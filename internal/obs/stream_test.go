@@ -33,7 +33,7 @@ func TestStreamMetricsPoolCap(t *testing.T) {
 	if got := p.Acquire("a"); got != a {
 		t.Fatal("re-acquiring a dedicated stream must return its original bundle")
 	}
-	if n := p.DedicatedStreams(); n != 2 {
+	if n := len(p.dedicated); n != 2 {
 		t.Fatalf("dedicated streams = %d, want 2", n)
 	}
 }

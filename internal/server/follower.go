@@ -5,8 +5,7 @@
 // events) are bit-identical to the leader's at every stride boundary it
 // has replayed; the full GET surface serves from those views exactly as
 // on the leader. Promote turns the follower into a leader: it drains the
-// remaining log, repairs any torn tail, reopens the log for appending,
-// and enables the write path.
+// remaining log, then runs the attach step every leader runs.
 package server
 
 import (
@@ -34,8 +33,10 @@ type FollowerConfig struct {
 	WALDir string
 	// CheckpointDir, when set, restores the newest valid checkpoint
 	// generation before tailing, so the follower only replays the log's
-	// tail instead of the stream's whole history.
-	CheckpointDir string
+	// tail instead of the stream's whole history; once promoted, the
+	// follower checkpoints there every CheckpointEvery strides (0 selects 20).
+	CheckpointDir   string
+	CheckpointEvery uint64
 	// Poll is how often the tailer re-checks the log when it is caught
 	// up; 0 selects 25ms.
 	Poll time.Duration
@@ -53,6 +54,7 @@ type Follower struct {
 	logger *slog.Logger
 
 	promoted atomic.Bool
+	runner   *ckpt.Runner // the promoted leader's; nil without a CheckpointDir
 
 	mu      sync.Mutex // guards reader/cancel/done across Run and Promote
 	reader  *ckpt.WALReader
@@ -77,35 +79,43 @@ func NewFollower(fc FollowerConfig) (*Follower, error) {
 	f := &Follower{srv: srv, cfg: fc, logger: fc.Logger,
 		rep: obs.NewReplicationMetrics(srv.Registry())}
 	if fc.CheckpointDir != "" {
-		store, err := ckpt.Open(fc.CheckpointDir,
-			ckpt.WithMaxPayload(srv.cfg.MaxCheckpointBytes), ckpt.WithStoreLogger(fc.Logger))
-		if err != nil {
-			return nil, fmt.Errorf("follower: opening checkpoint store: %w", err)
-		}
-		if err := srv.recoverFromStore(store, fc.Logger); err != nil {
+		if err := srv.recoverFromStore(fc.CheckpointDir, fc.Logger); err != nil {
 			return nil, fmt.Errorf("follower: %w", err)
 		}
 	}
-	srv.SetReady(true)
 	return f, nil
 }
 
-// Server exposes the underlying replica server (tests and the serving
-// binary read its views and registry through it).
-func (f *Follower) Server() *Server { return f.srv }
-
-// Promoted reports whether the follower has taken over as leader.
-func (f *Follower) Promoted() bool { return f.promoted.Load() }
-
-// Run tails the log until ctx is canceled or the log turns definitively
-// corrupt, applying each record as it becomes durable. It is meant to be
-// run in its own goroutine; GET handlers serve concurrently from the
-// published views throughout.
+// Run tails the log until ctx is canceled, Promote stops it, or the log
+// turns definitively corrupt, applying each record as it becomes durable.
+// After promotion it drives the new leader's checkpoints until ctx is
+// canceled, final generation included (with no CheckpointDir it returns).
+// It is meant to be run in its own goroutine; GET handlers serve
+// concurrently from the published views throughout.
 func (f *Follower) Run(ctx context.Context) error {
+	if err := f.tail(ctx); err != nil {
+		return err
+	}
+	if f.promoted.Load() && f.runner != nil {
+		sched := ckpt.NewScheduler()
+		sched.Add(DefaultStream, f.runner)
+		sched.Run(ctx)
+	}
+	return nil
+}
+
+// tail replays the log until ctx is canceled or Promote cancels it, and
+// then returns only once Promote has finished: its last step waits for
+// f.mu. On a promoted follower it returns at once.
+func (f *Follower) tail(ctx context.Context) error {
 	f.mu.Lock()
-	if f.running || f.promoted.Load() {
+	if f.promoted.Load() {
 		f.mu.Unlock()
-		return errors.New("follower: already running or promoted")
+		return nil
+	}
+	if f.running {
+		f.mu.Unlock()
+		return errors.New("follower: already running")
 	}
 	ctx, cancel := context.WithCancel(ctx)
 	done := make(chan struct{})
@@ -166,10 +176,12 @@ func (f *Follower) applyRecord(rec *walRecord) error {
 }
 
 // Promote turns the follower into a leader: stop tailing, drain whatever
-// complete records remain, repair the log's torn tail (if the dead
-// leader was mid-append), reopen it for appending, and enable the write
-// path. Only call it once the old leader is known dead — two appenders
-// on one log would interleave corruptly.
+// complete records remain, and run attachLeader — the log's torn tail
+// repaired and the log reopened for appending, plus, with a CheckpointDir,
+// the runner Run drives from then on. The store is opened only now, so
+// its generations are numbered past the dead leader's. Only call it once
+// the old leader is known dead — two appenders on one log would interleave
+// corruptly.
 func (f *Follower) Promote() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -186,26 +198,20 @@ func (f *Follower) Promote() error {
 		f.reader = s.openReplay(f.cfg.WALDir)
 	}
 	// Final drain: everything completely framed gets applied; a torn or
-	// corrupt tail stops the drain at exactly the boundary OpenWAL will
-	// repair the log to.
+	// corrupt tail stops the drain at exactly the boundary the attach step
+	// repairs the log to.
 	if _, err := s.replayToDamage(f.reader, f.applyRecord, f.logger); err != nil {
 		return fmt.Errorf("follower: draining log for promotion: %w", err)
 	}
 	f.reader.Close()
-	w, err := ckpt.OpenWAL(f.cfg.WALDir,
-		ckpt.WithWALObserver(s.sm.WAL), ckpt.WithWALLogger(f.logger),
-		ckpt.WithWALMaxPayload(s.walRecordMaxPayload()))
+	_, runner, err := s.attachLeader(f.cfg.WALDir, f.cfg.CheckpointDir, f.cfg.CheckpointEvery, f.logger)
 	if err != nil {
-		return fmt.Errorf("follower: reopening log for append: %w", err)
+		return fmt.Errorf("follower: %w", err)
 	}
-	s.AttachWAL(w)
+	f.runner = runner
 	f.promoted.Store(true)
 	if f.logger != nil {
 		f.logger.Info("follower promoted to leader", "stride", s.Strides())
-		if f.cfg.CheckpointDir != "" {
-			f.logger.Warn("promoted leader writes no checkpoints and never prunes its log; restart it as a leader to resume both",
-				"checkpoint_dir", f.cfg.CheckpointDir)
-		}
 	}
 	return nil
 }

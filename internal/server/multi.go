@@ -115,19 +115,17 @@ type Multi struct {
 	streams map[string]*stream
 }
 
-// stream is one registered tenant: its server plus the durability hooks
-// built once at registration.
+// stream is one registered tenant: its server plus the log attached at
+// registration.
 type stream struct {
-	name  string
-	srv   *Server
-	store *ckpt.Store // nil when durability is off
-	wal   *ckpt.WAL   // nil when write-ahead logging is off
+	name string
+	srv  *Server
+	wal  *ckpt.WAL // nil when write-ahead logging is off
 }
 
 // NewMulti returns a registry hosting the default stream built from
-// cfg.Default. When CheckpointDir is set, the default stream recovers from
-// the newest valid generation before NewMulti returns — a load balancer
-// probing /readyz (with Default.StartNotReady) never routes to a window
+// cfg.Default. With CheckpointDir or WALDir set, the default stream has
+// recovered before NewMulti returns, so no handler ever serves a window
 // about to be replaced by a restore.
 func NewMulti(cfg MultiConfig) (*Multi, error) {
 	if cfg.MaxStreams <= 0 {
@@ -135,9 +133,6 @@ func NewMulti(cfg MultiConfig) (*Multi, error) {
 	}
 	if cfg.MetricStreams <= 0 {
 		cfg.MetricStreams = DefaultMetricStreams
-	}
-	if cfg.CheckpointEvery == 0 {
-		cfg.CheckpointEvery = 20
 	}
 	reg := obs.NewRegistry()
 	m := &Multi{
@@ -211,63 +206,36 @@ func (m *Multi) CreateStream(name string, cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	st := &stream{name: name, srv: srv}
 	logger := m.logger
 	if logger != nil {
 		logger = logger.With("stream", name)
 	}
 
+	// Recovery: the newest valid checkpoint generation, then every log
+	// record past it. Replay stops at a torn or corrupt tail, the boundary
+	// attachLeader repairs the log to, so log and state agree.
+	var ckptDir, walDir string
 	if m.cfg.CheckpointDir != "" {
-		store, err := ckpt.Open(m.streamDir(m.cfg.CheckpointDir, name),
-			ckpt.WithMaxPayload(srv.cfg.MaxCheckpointBytes), ckpt.WithStoreLogger(m.logger))
-		if err != nil {
-			return nil, fmt.Errorf("stream %q: opening checkpoint store: %w", name, err)
-		}
-		if err := srv.recoverFromStore(store, logger); err != nil {
+		ckptDir = m.streamDir(m.cfg.CheckpointDir, name)
+		if err := srv.recoverFromStore(ckptDir, logger); err != nil {
 			return nil, fmt.Errorf("stream %q: %w", name, err)
 		}
-		st.store = store
 	}
-
-	// The write-ahead log layers on top of checkpoint recovery: open (which
-	// repairs any torn tail from a crash mid-append), replay every record
-	// past the restored position, then attach for appending — open repair
-	// and replay stop at the same boundary, so the log and the recovered
-	// state agree before the first new batch lands.
-	var ckptObs ckpt.Observer = srv.sm.Checkpoint
 	if m.cfg.WALDir != "" {
-		wdir := m.streamDir(m.cfg.WALDir, name)
-		wal, err := ckpt.OpenWAL(wdir,
-			ckpt.WithWALObserver(srv.sm.WAL), ckpt.WithWALLogger(m.logger),
-			ckpt.WithWALMaxPayload(srv.walRecordMaxPayload()))
+		walDir = m.streamDir(m.cfg.WALDir, name)
+		replayed, err := srv.RecoverWAL(walDir, logger)
 		if err != nil {
-			return nil, fmt.Errorf("stream %q: opening write-ahead log: %w", name, err)
-		}
-		replayed, err := srv.RecoverWAL(wdir, logger)
-		if err != nil {
-			wal.Close()
 			return nil, fmt.Errorf("stream %q: replaying write-ahead log: %w", name, err)
 		}
 		if replayed > 0 && logger != nil {
 			logger.Info("stream replayed write-ahead log", "records", replayed, "stride", srv.Strides())
 		}
-		srv.AttachWAL(wal)
-		st.wal = wal
-		if st.store != nil {
-			ckptObs = &walTruncatingObserver{inner: ckptObs, wal: wal, logger: logger, cfg: cfg}
-		}
 	}
-
-	var runner *ckpt.Runner
-	if st.store != nil {
-		runner = ckpt.NewRunner(st.store, srv, m.cfg.CheckpointEvery,
-			ckpt.WithObserver(ckptObs),
-			ckpt.WithRunnerLogger(m.logger),
-			ckpt.WithRunnerTracer(srv.Tracer()))
+	wal, runner, err := srv.attachLeader(walDir, ckptDir, m.cfg.CheckpointEvery, logger)
+	if err != nil {
+		return nil, fmt.Errorf("stream %q: %w", name, err)
 	}
-	if st.store != nil || st.wal != nil {
-		srv.SetReady(true)
-	}
+	st := &stream{name: name, srv: srv, wal: wal}
 
 	m.mu.Lock()
 	if _, raced := m.streams[name]; raced {
@@ -281,7 +249,7 @@ func (m *Multi) CreateStream(name string, cfg Config) (*Server, error) {
 	m.streamsGauge.Set(float64(len(m.streams)))
 	m.mu.Unlock()
 	m.createdMx.Inc()
-	if m.sched != nil && runner != nil {
+	if runner != nil {
 		m.sched.Add(name, runner)
 	}
 	if logger != nil {
@@ -303,42 +271,72 @@ func (m *Multi) streamDir(root, name string) string {
 	return filepath.Join(root, "streams", name)
 }
 
+// attachLeader is the one step that makes a recovered stream, registered or
+// promoted, a durable leader: open and attach the log in walDir (repairing a
+// torn tail), and build the runner that checkpoints into ckptDir every
+// `every` strides (0 selects 20) and prunes the log. An empty directory
+// skips its half; the caller drives the runner from a ckpt.Scheduler.
+func (s *Server) attachLeader(walDir, ckptDir string, every uint64, logger *slog.Logger) (*ckpt.WAL, *ckpt.Runner, error) {
+	// Opened after recovery: new generations number past every one on disk.
+	var store *ckpt.Store
+	if ckptDir != "" {
+		var err error
+		if store, err = s.openStore(ckptDir, logger); err != nil {
+			return nil, nil, err
+		}
+	}
+	var wal *ckpt.WAL
+	if walDir != "" {
+		var err error
+		wal, err = ckpt.OpenWAL(walDir,
+			ckpt.WithWALObserver(s.sm.WAL), ckpt.WithWALLogger(logger),
+			ckpt.WithWALMaxPayload(s.walRecordMaxPayload()))
+		if err != nil {
+			return nil, nil, fmt.Errorf("opening write-ahead log: %w", err)
+		}
+		s.AttachWAL(wal)
+	}
+	if store == nil {
+		return wal, nil, nil
+	}
+	if every == 0 {
+		every = 20
+	}
+	var observer ckpt.Observer = s.sm.Checkpoint
+	if wal != nil {
+		observer = &walTruncatingObserver{inner: observer, wal: wal, logger: logger, cfg: s.cfg}
+	}
+	return wal, ckpt.NewRunner(store, s, every,
+		ckpt.WithObserver(observer),
+		ckpt.WithRunnerLogger(logger),
+		ckpt.WithRunnerTracer(s.tracer)), nil
+}
+
 // walTruncatingObserver prunes write-ahead log segments as checkpoints
 // land. After a successful generation it truncates the log to the
 // PREVIOUS successful checkpoint's stream position — the store retains
 // two generations, and recovery may fall back to the older one, so the
-// log must stay replayable from there. Until a second checkpoint
-// succeeds nothing is pruned.
+// log must stay replayable from there. Truncate(0), the first call,
+// removes nothing. The runner's one driving goroutine is the only caller.
 type walTruncatingObserver struct {
 	inner  ckpt.Observer
 	wal    *ckpt.WAL
 	logger *slog.Logger
 	cfg    Config
-
-	mu       sync.Mutex
-	prevPos  uint64
-	havePrev bool
+	prev   uint64
 }
 
 func (o *walTruncatingObserver) ObserveCheckpoint(rec ckpt.Record) {
-	if o.inner != nil {
-		o.inner.ObserveCheckpoint(rec)
-	}
+	o.inner.ObserveCheckpoint(rec)
 	if rec.Err != nil {
 		return
 	}
-	pos := o.cfg.boundaryPos(rec.Strides)
-	o.mu.Lock()
-	prev, have := o.prevPos, o.havePrev
-	o.prevPos, o.havePrev = pos, true
-	o.mu.Unlock()
-	if have {
-		if err := o.wal.Truncate(prev); err != nil && o.logger != nil {
-			// Pruning is best-effort: a failed removal wastes disk but never
-			// loses data, so log and keep checkpointing.
-			o.logger.Warn("wal truncation failed", "keep_from", prev, "err", err)
-		}
+	if err := o.wal.Truncate(o.prev); err != nil && o.logger != nil {
+		// Pruning is best-effort: a failed removal wastes disk but never
+		// loses data, so log and keep checkpointing.
+		o.logger.Warn("wal truncation failed", "keep_from", o.prev, "err", err)
 	}
+	o.prev = o.cfg.boundaryPos(rec.Strides)
 }
 
 // DeleteStream unregisters a stream and removes its durable state — the
@@ -476,7 +474,6 @@ func (m *Multi) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	cfg := m.cfg.Default
-	cfg.StartNotReady = false // dynamically created streams are born ready
 	if spec.Dims != 0 {
 		cfg.Cluster.Dims = spec.Dims
 	}

@@ -70,12 +70,6 @@ type Config struct {
 	// disables tracing entirely (the write path then pays one nil check
 	// per hook).
 	Tracing *TraceConfig
-	// StartNotReady makes GET /readyz report 503 until SetReady(true) is
-	// called. Operators that restore from a checkpoint before serving set
-	// it so load balancers hold traffic until recovery has resolved
-	// (fresh start or restored) — /healthz stays 200 throughout, keeping
-	// liveness and readiness distinct.
-	StartNotReady bool
 	// ReadyHighWater makes GET /readyz report 503 while the slider's
 	// pending backlog (points buffered below the next stride boundary)
 	// exceeds this many points; 0 disables the backlog gate.
@@ -113,12 +107,11 @@ type Server struct {
 	qm       *obs.QueryMetrics
 
 	// tracer records ingest span trees when Config.Tracing is set; nil
-	// otherwise. ready and pending back GET /readyz: both are atomics so
-	// the probe never touches mu. strideCtx holds the SpanContext of the
+	// otherwise. pending backs GET /readyz: an atomic, so the probe never
+	// touches mu. strideCtx holds the SpanContext of the
 	// most recent traced stride, the join point for the checkpoint
 	// runner's asynchronous trace fragment.
 	tracer    *trace.Tracer
-	ready     atomic.Bool
 	pending   atomic.Int64
 	strideCtx atomic.Pointer[trace.SpanContext]
 
@@ -205,7 +198,6 @@ func newServer(cfg Config, reg *obs.Registry, sm *obs.StreamMetrics) (*Server, e
 			Recent: tc.Recent, Slow: tc.Slow, SlowThreshold: tc.SlowThreshold,
 		})
 	}
-	s.ready.Store(!cfg.StartNotReady)
 	s.metrics = sm.Engine
 	s.ingestMx = sm.Ingested
 	s.qm = sm.Query
@@ -315,15 +307,11 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// handleReady is the readiness probe, distinct from /healthz liveness:
-// 503 until checkpoint recovery has resolved (Config.StartNotReady +
-// SetReady) and while the slider backlog exceeds Config.ReadyHighWater.
-// It reads only atomics, so probes never contend with ingest.
+// handleReady is the readiness probe, distinct from /healthz liveness: 503
+// while the slider backlog exceeds Config.ReadyHighWater. There is no
+// recovery gate: a stream recovers before any handler can reach it. It reads
+// only an atomic, so probes never contend with ingest.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
-	if !s.ready.Load() {
-		http.Error(w, "not ready: checkpoint recovery pending", http.StatusServiceUnavailable)
-		return
-	}
 	if hw := s.cfg.ReadyHighWater; hw > 0 {
 		if backlog := s.pending.Load(); backlog > int64(hw) {
 			http.Error(w, fmt.Sprintf("not ready: slider backlog %d exceeds high-water mark %d",
@@ -334,14 +322,6 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintln(w, "ready")
 }
-
-// SetReady resolves (or revokes) the recovery gate of GET /readyz. The
-// serving binary calls SetReady(true) once checkpoint recovery has
-// resolved — a successful restore or a clean fresh start.
-func (s *Server) SetReady(ready bool) { s.ready.Store(ready) }
-
-// Tracer returns the server's span recorder, nil when tracing is off.
-func (s *Server) Tracer() *trace.Tracer { return s.tracer }
 
 // TraceContext returns the span context of the most recent traced stride
 // (zero before the first one). The checkpoint runner joins its write
@@ -511,12 +491,27 @@ func (s *Server) ReadCheckpoint(r io.Reader) (int, error) {
 	return eng.WindowSize(), nil
 }
 
+// openStore opens the checkpoint generation directory dir, capping what
+// recovery reads at the server's checkpoint bound. Opening only reads the
+// directory, so a follower may open a live leader's.
+func (s *Server) openStore(dir string, logger *slog.Logger) (*ckpt.Store, error) {
+	store, err := ckpt.Open(dir, ckpt.WithMaxPayload(s.cfg.MaxCheckpointBytes), ckpt.WithStoreLogger(logger))
+	if err != nil {
+		return nil, fmt.Errorf("opening checkpoint store: %w", err)
+	}
+	return store, nil
+}
+
 // recoverFromStore restores the server from the newest valid generation in
-// store — the start-up policy of a stream and of a follower alike: no
-// checkpoint → fresh, no valid checkpoint → warn and fresh, a checkpoint that
-// fails to restore → hard error (starting fresh would silently discard the
-// window the operator meant to keep).
-func (s *Server) recoverFromStore(store *ckpt.Store, logger *slog.Logger) error {
+// the store in dir — the start-up policy of a stream and of a follower
+// alike: no checkpoint → fresh, no valid checkpoint → warn and fresh, a
+// checkpoint that fails to restore → hard error (starting fresh would
+// silently discard the window the operator meant to keep).
+func (s *Server) recoverFromStore(dir string, logger *slog.Logger) error {
+	store, err := s.openStore(dir, logger)
+	if err != nil {
+		return err
+	}
 	payload, gen, err := store.Recover()
 	switch {
 	case err == nil:

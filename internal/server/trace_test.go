@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"math/rand"
@@ -26,35 +27,43 @@ func getBody(t *testing.T, url string) (int, string) {
 	return resp.StatusCode, string(b)
 }
 
-// TestReadyzRecoveryGate covers the first /readyz transition: a server
-// started not-ready (checkpoint recovery pending) reports 503 until
-// SetReady, while /healthz liveness stays 200 throughout.
+// TestReadyzRecoveryGate: there is no recovery gate left to wait on. A
+// stream recovers — checkpoint, then log — before NewMulti returns, so on a
+// recovered directory /readyz and /healthz answer 200 at once, and what
+// they vouch for is the recovered window.
 func TestReadyzRecoveryGate(t *testing.T) {
-	s, err := New(Config{
-		Cluster:       model.Config{Dims: 2, Eps: 2, MinPts: 4},
-		Window:        200,
-		Stride:        50,
-		StartNotReady: true,
-	})
+	cfg := MultiConfig{
+		Default:       Config{Cluster: model.Config{Dims: 2, Eps: 2, MinPts: 4}, Window: 200, Stride: 50},
+		CheckpointDir: t.TempDir(),
+		WALDir:        t.TempDir(),
+	}
+	m, err := NewMulti(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
+	ts := httptest.NewServer(m.Handler())
+	rng := rand.New(rand.NewSource(31))
+	postPoints(t, ts, clusteredBatch(rng, 0, 270)).Body.Close() // 2 strides + 20 pending
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m.RunCheckpoints(ctx) // the shutdown final at stride 2; the log holds the pending 20
+	ts.Close()
 
-	if code, body := getBody(t, ts.URL+"/readyz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "recovery") {
-		t.Fatalf("not-ready readyz = %d %q, want 503 mentioning recovery", code, body)
+	m2, err := NewMulti(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code, _ := getBody(t, ts.URL+"/healthz"); code != http.StatusOK {
-		t.Fatalf("healthz = %d while not ready, want 200", code)
+	ts2 := httptest.NewServer(m2.Handler())
+	defer ts2.Close()
+	for _, path := range []string{"/readyz", "/healthz", "/streams/default/readyz"} {
+		if code, body := getBody(t, ts2.URL+path); code != http.StatusOK {
+			t.Fatalf("%s = %d %q right after NewMulti returned, want 200", path, code, body)
+		}
 	}
-	s.SetReady(true)
-	if code, _ := getBody(t, ts.URL+"/readyz"); code != http.StatusOK {
-		t.Fatalf("readyz = %d after SetReady(true), want 200", code)
-	}
-	s.SetReady(false)
-	if code, _ := getBody(t, ts.URL+"/readyz"); code != http.StatusServiceUnavailable {
-		t.Fatalf("readyz = %d after SetReady(false), want 503", code)
+	var sr statsResponse
+	getJSON(t, ts2.URL+"/stats", &sr)
+	if sr.Ingested != 270 || sr.Stats.Strides != 2 {
+		t.Fatalf("ready stream serves ingested=%d strides=%d, want the recovered 270 and 2", sr.Ingested, sr.Stats.Strides)
 	}
 }
 
@@ -150,7 +159,7 @@ func TestIngestTraceSpanTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runner := ckpt.NewRunner(store, s, 1, ckpt.WithRunnerTracer(s.Tracer()))
+	runner := ckpt.NewRunner(store, s, 1, ckpt.WithRunnerTracer(s.tracer))
 	if _, err := runner.CheckpointNow(); err != nil {
 		t.Fatal(err)
 	}
