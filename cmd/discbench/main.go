@@ -29,6 +29,11 @@ import (
 	"disc/internal/trace"
 )
 
+// slowRing is the tracer's slow-ring capacity under -traceslow: room for
+// every measured DISC stride of the figure runs at their default sizes, so
+// the stride log's trace ids resolve in the -tracedump file.
+const slowRing = 4096
+
 func main() {
 	fig := flag.String("fig", "all", "figures to regenerate: 4..12, table2, a comma-separated list, or all")
 	scale := flag.Float64("scale", 1, "window scale relative to the (already scaled-down) Table II defaults")
@@ -70,7 +75,7 @@ func main() {
 
 	var tracer *trace.Tracer
 	if *traceSlow > 0 {
-		tracer = trace.NewTracer(trace.Config{SlowThreshold: *traceSlow})
+		tracer = trace.NewTracer(trace.Config{SlowThreshold: *traceSlow, Slow: slowRing})
 		opts.Tracer = tracer
 		if strideLog != nil {
 			strideLog.SetTraceThreshold(*traceSlow)

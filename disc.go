@@ -155,10 +155,11 @@ const (
 func WithEventHandler(fn func(Event)) DISCOption { return core.WithEventHandler(fn) }
 
 // StrideRecord is the per-Advance telemetry record DISC emits to an
-// attached Observer: phase durations, Δin/Δout sizes, ex/neo-core counts,
-// search and epoch-prune work, MS-BFS merges, and cluster-evolution event
-// tallies — everything the paper's §VI-D cost drill-down measures, scoped
-// to one stride.
+// attached Observer: its start time and phase durations, Δin/Δout sizes,
+// ex/neo-core counts, range searches and the index work behind them,
+// connectivity checks and their cost, MS-BFS merges, and cluster-evolution
+// event tallies — everything the paper's §VI-D cost drill-down measures,
+// scoped to one stride.
 type StrideRecord = core.StrideRecord
 
 // Observer receives one StrideRecord per Advance, synchronously.

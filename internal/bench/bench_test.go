@@ -476,19 +476,41 @@ func TestStrideLoggerTraceStamping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := o.runKind("disc", dc.Cfg, dc.Window, stride, steps, RunOpts{}); err != nil {
+	res, err := o.runKind("disc", dc.Cfg, dc.Window, stride, steps, RunOpts{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	// Threshold zero: every traced stride is stamped with a 32-hex id.
+	// Threshold zero: every traced stride is stamped with the id of a
+	// resident trace rendered from that stride's record.
+	resident := map[string]*trace.TraceData{}
+	snap := o.Tracer.Snapshot()
+	for i := range snap {
+		resident[snap[i].TraceID.String()] = &snap[i]
+	}
+	var lines int
+	var phases time.Duration
 	dec := json.NewDecoder(&jsonl)
 	for dec.More() {
 		var rec StrideLogRecord
 		if err := dec.Decode(&rec); err != nil {
 			t.Fatal(err)
 		}
-		if len(rec.TraceID) != 32 {
-			t.Fatalf("stride %d trace id %q is not 32 hex chars", rec.Stride, rec.TraceID)
+		lines++
+		d := resident[rec.TraceID]
+		if d == nil {
+			t.Fatalf("stride %d trace id %q resolves to no resident trace", rec.Stride, rec.TraceID)
 		}
+		if d.Root() != "advance" || len(d.Spans) != 5 {
+			t.Fatalf("stride %d trace is %q with %d spans, want advance and its 4 phases", rec.Stride, d.Root(), len(d.Spans))
+		}
+		phases += d.Spans[0].Duration()
+	}
+	if lines != res.Strides || lines == 0 {
+		t.Fatalf("%d stride-log lines for %d measured strides", lines, res.Strides)
+	}
+	// The run's phase sums come from the same records the traces do.
+	if sum := res.Collect + res.ExCores + res.NeoCores + res.Finalize; sum != phases {
+		t.Fatalf("RunResult phase sums %v, rendered advance spans %v", sum, phases)
 	}
 
 	// An unreachable threshold suppresses stamping even when traced.

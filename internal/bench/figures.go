@@ -36,10 +36,10 @@ type Options struct {
 	// engine that supports one (the DISC variants), producing one JSONL
 	// record per measured stride plus exact latency percentiles.
 	StrideLog *StrideLogger
-	// Tracer, when non-nil, is attached alongside StrideLog to every
-	// engine that supports tracing: each measured stride records a span
-	// tree, slow strides are retained in the tracer's slow ring, and their
-	// trace ids are stamped into the stride log.
+	// Tracer, when non-nil, receives a span tree rendered from every
+	// measured stride of every engine that supports an observer: slow
+	// strides are retained in the tracer's slow ring, and their trace ids
+	// are stamped into the stride log.
 	Tracer *trace.Tracer
 }
 
@@ -611,9 +611,7 @@ func FigExt2(o Options) ([]Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		eng := core.New(dc.Cfg)
-		res := Run(eng, steps, o.observed("disc", RunOpts{Timeout: o.Timeout}))
-		pt := eng.PhaseTimings()
+		res := Run(core.New(dc.Cfg), steps, o.observed("disc", RunOpts{Timeout: o.Timeout}))
 		n := float64(res.Strides)
 		if n == 0 {
 			n = 1
@@ -622,10 +620,10 @@ func FigExt2(o Options) ([]Row, error) {
 			name string
 			ms   float64
 		}{
-			{"collect", msOf(pt.Collect) / n},
-			{"excores", msOf(pt.ExCores) / n},
-			{"neocores", msOf(pt.NeoCores) / n},
-			{"finalize", msOf(pt.Finalize) / n},
+			{"collect", msOf(res.Collect) / n},
+			{"excores", msOf(res.ExCores) / n},
+			{"neocores", msOf(res.NeoCores) / n},
+			{"finalize", msOf(res.Finalize) / n},
 		}
 		line := dc.Label
 		for _, ph := range phases {
@@ -635,7 +633,7 @@ func FigExt2(o Options) ([]Row, error) {
 			})
 			line += fmt.Sprintf("\t%.1f", ph.ms)
 		}
-		line += fmt.Sprintf("\t%.1f", msOf(pt.Total())/n)
+		line += fmt.Sprintf("\t%.1f", msOf(res.Collect+res.ExCores+res.NeoCores+res.Finalize)/n)
 		fmt.Fprintln(tw, line)
 	}
 	return rows, tw.Flush()
@@ -672,7 +670,7 @@ func FigExt3(o Options) ([]Row, error) {
 		if n == 0 {
 			n = 1
 		}
-		collectMS := msOf(eng.PhaseTimings().Collect) / n
+		collectMS := msOf(res.Collect) / n
 		if w == 1 {
 			baseCollect = collectMS
 		}
@@ -779,8 +777,7 @@ func FigExt4(o Options) ([]Row, error) {
 		if n == 0 {
 			n = 1
 		}
-		pt := eng.PhaseTimings()
-		clusterMS := (msOf(pt.ExCores) + msOf(pt.NeoCores)) / n
+		clusterMS := (msOf(res.ExCores) + msOf(res.NeoCores)) / n
 		if w == 1 {
 			baseCluster = clusterMS
 		}
@@ -796,7 +793,7 @@ func FigExt4(o Options) ([]Row, error) {
 			Extra: map[string]float64{
 				"speedup":            speedup,
 				"stride_ms":          msOf(res.PerStride),
-				"collect_ms":         msOf(pt.Collect) / n,
+				"collect_ms":         msOf(res.Collect) / n,
 				"gomaxprocs":         float64(gmp),
 				"effective_workers":  float64(minInt(w, gmp)),
 				"advance_allocs_op":  float64(al.TotalObjs()) / n,

@@ -14,6 +14,7 @@ import (
 	"disc/internal/incdbscan"
 	"disc/internal/metrics"
 	"disc/internal/model"
+	"disc/internal/obs"
 	"disc/internal/rhodbscan"
 	"disc/internal/trace"
 	"disc/internal/window"
@@ -90,10 +91,11 @@ type RunOpts struct {
 	// deliberately excluded so it cannot skew latency percentiles — and
 	// detached again before Run returns.
 	Observer core.Observer
-	// Tracer, when non-nil, is attached alongside the observer under the
-	// same bootstrap-excluded window: every measured stride records a span
-	// tree, and strides beyond the tracer's slow threshold are retained in
-	// its slow ring for post-run inspection.
+	// Tracer, when non-nil, receives one trace per measured stride of an
+	// observable engine, rendered from the stride's record (the bootstrap
+	// fill is excluded as for Observer); strides beyond the tracer's slow
+	// threshold are retained in its slow ring for post-run inspection, and
+	// the record passed on to Observer carries the trace's id.
 	Tracer *trace.Tracer
 }
 
@@ -118,12 +120,6 @@ func indexOf(eng model.Engine) string {
 	return ""
 }
 
-// traceable is implemented by engines that can record per-stride span
-// trees (currently the DISC core engine).
-type traceable interface {
-	SetTracer(*trace.Tracer)
-}
-
 // RunResult summarizes one engine over one windowed workload.
 type RunResult struct {
 	Engine      string
@@ -136,6 +132,10 @@ type RunResult struct {
 	DNF         bool
 	DNFReason   string
 	BootstrapMS float64
+
+	// Per-phase wall-clock time summed over the measured strides' records;
+	// zero for engines that are not observable.
+	Collect, ExCores, NeoCores, Finalize time.Duration
 }
 
 // Run drives eng through the steps, timing every stride after the bootstrap
@@ -150,17 +150,23 @@ func Run(eng model.Engine, steps []window.Step, opts RunOpts) RunResult {
 	eng.Advance(steps[0].In, steps[0].Out)
 	res.BootstrapMS = float64(time.Since(start).Microseconds()) / 1000
 	eng.ResetStats()
-	if opts.Observer != nil {
-		if ob, ok := eng.(observable); ok {
-			ob.SetObserver(opts.Observer)
-			defer ob.SetObserver(nil)
-		}
-	}
-	if opts.Tracer != nil {
-		if tb, ok := eng.(traceable); ok {
-			tb.SetTracer(opts.Tracer)
-			defer tb.SetTracer(nil)
-		}
+	if ob, ok := eng.(observable); ok {
+		ob.SetObserver(core.ObserverFunc(func(rec core.StrideRecord) {
+			res.Collect += rec.Collect
+			res.ExCores += rec.ExCorePhase
+			res.NeoCores += rec.NeoCorePhase
+			res.Finalize += rec.Finalize
+			if opts.Tracer != nil {
+				tr := opts.Tracer.StartTrace(trace.SpanContext{})
+				obs.RenderStride(tr, nil, &rec)
+				rec.TraceID = tr.ID().String()
+				opts.Tracer.Finish(tr)
+			}
+			if opts.Observer != nil {
+				opts.Observer.ObserveStride(rec)
+			}
+		}))
+		defer ob.SetObserver(nil)
 	}
 
 	var elapsed time.Duration

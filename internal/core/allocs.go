@@ -1,29 +1,6 @@
 package core
 
-import (
-	"runtime"
-	"time"
-)
-
-// PhaseTimings accumulates wall-clock time per DISC phase across all
-// strides since construction or the last ResetStats — the drill-down behind
-// the paper's §VI-D analysis: COLLECT is proportional to the stride size,
-// the ex-core phase carries the connectivity checks (where MS-BFS and epoch
-// probing act), and the neo-core phase is label inspection only.
-type PhaseTimings struct {
-	Collect  time.Duration // Algorithm 1: count maintenance, Δ application
-	ExCores  time.Duration // R⁻ components, M⁻ gathering, MS-BFS, relabeling
-	NeoCores time.Duration // R⁺ components, M⁺ label inspection
-	Finalize time.Duration // label refresh, border-hint re-acquisition
-}
-
-// Total returns the sum over all phases.
-func (p PhaseTimings) Total() time.Duration {
-	return p.Collect + p.ExCores + p.NeoCores + p.Finalize
-}
-
-// PhaseTimings returns the accumulated per-phase durations.
-func (e *Engine) PhaseTimings() PhaseTimings { return e.timings }
+import "runtime"
 
 // PhaseAllocs accumulates heap allocation counts and bytes per coarse DISC
 // phase across all strides since construction or the last ResetStats. The

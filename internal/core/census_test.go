@@ -3,6 +3,7 @@ package core
 import (
 	"math/rand"
 	"testing"
+	"time"
 
 	"disc/internal/geom"
 	"disc/internal/model"
@@ -83,23 +84,41 @@ func TestClustersCensusMatchesSnapshot(t *testing.T) {
 	}
 }
 
+// TestPhaseTimingsAccumulate pins the per-phase timing contract now that
+// the record is its only carrier: every stride's four phases are
+// non-negative and partition its Total exactly, the phases tile the advance
+// from Start, and summing them over a run accumulates real time.
 func TestPhaseTimingsAccumulate(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	data := clustered2D(rng, 600)
-	eng := New(cfg2(2.5, 5))
+	var recs []StrideRecord
+	eng := New(cfg2(2.5, 5), WithObserver(ObserverFunc(func(r StrideRecord) { recs = append(recs, r) })))
 	steps, _ := window.Steps(data, 200, 40)
 	for _, st := range steps {
 		eng.Advance(st.In, st.Out)
 	}
-	pt := eng.PhaseTimings()
-	if pt.Collect <= 0 || pt.Total() <= 0 {
-		t.Fatalf("timings not accumulated: %+v", pt)
+	if len(recs) != len(steps) {
+		t.Fatalf("observed %d strides, want %d", len(recs), len(steps))
 	}
-	if pt.Total() != pt.Collect+pt.ExCores+pt.NeoCores+pt.Finalize {
-		t.Fatal("Total mismatch")
+	var collect, total time.Duration
+	for i, r := range recs {
+		if r.Collect < 0 || r.ExCorePhase < 0 || r.NeoCorePhase < 0 || r.Finalize < 0 {
+			t.Fatalf("stride %d: negative phase %+v", r.Stride, r)
+		}
+		if r.Total != r.Collect+r.ExCorePhase+r.NeoCorePhase+r.Finalize {
+			t.Fatalf("stride %d: phases do not partition Total", r.Stride)
+		}
+		if r.Start.IsZero() || (i > 0 && r.Start.Before(recs[i-1].Start.Add(recs[i-1].Total))) {
+			t.Fatalf("stride %d starts at %v, inside the previous stride", r.Stride, r.Start)
+		}
+		collect += r.Collect
+		total += r.Total
+	}
+	if collect <= 0 || total <= 0 {
+		t.Fatalf("timings not accumulated: collect %v total %v", collect, total)
 	}
 	eng.ResetStats()
-	if eng.PhaseTimings() != (PhaseTimings{}) {
-		t.Fatal("ResetStats did not clear timings")
+	if eng.Stats() != (model.Stats{}) || eng.PhaseAllocs() != (PhaseAllocs{}) {
+		t.Fatal("ResetStats did not clear the accumulators")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"disc/internal/model"
-	"disc/internal/trace"
 )
 
 // This file implements the parallel CLUSTER step (Algorithm 2), restructured
@@ -168,21 +167,12 @@ func (e *Engine) fanOut(total int, fn func(worker, k int)) int {
 		}
 		return 1
 	}
-	// Per-worker span parameters, captured before the spawn so workers
-	// never read mutable engine fields. tr is nil for untraced strides
-	// (the common case), leaving one nil check per worker.
-	tr, fanName, fanParent := e.curTrace, e.fanSpanName, e.fanParent
 	var cursor atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			var sp *trace.Span
-			if tr != nil {
-				sp = tr.StartSpan(fanName, fanParent, trace.Int("worker", w))
-			}
-			items := 0
 			for {
 				hi := cursor.Add(fanOutChunk)
 				lo := hi - fanOutChunk
@@ -194,12 +184,7 @@ func (e *Engine) fanOut(total int, fn func(worker, k int)) int {
 				}
 				for k := int(lo); k < int(hi); k++ {
 					fn(w, k)
-					items++
 				}
-			}
-			if sp != nil {
-				sp.SetInt("items", items)
-				sp.EndNow()
 			}
 		}(w)
 	}
@@ -316,11 +301,11 @@ func (e *Engine) captureCores(exCores, neoCores []int32) {
 	e.resetWords() // COLLECT's captures are folded; the slabs start over
 	e.exCaps = grow(e.exCaps, len(exCores))
 	e.neoCaps = grow(e.neoCaps, len(neoCores))
-	e.captureFan(exCores, e.exCapFanFn, "cluster.excap.worker")
-	e.captureFan(neoCores, e.neoCapFanFn, "cluster.neocap.worker")
+	e.captureFan(exCores, e.exCapFanFn)
+	e.captureFan(neoCores, e.neoCapFanFn)
 }
 
-func (e *Engine) captureFan(cores []int32, fn func(worker, k int), span string) {
+func (e *Engine) captureFan(cores []int32, fn func(worker, k int)) {
 	if len(cores) == 0 {
 		return
 	}
@@ -328,9 +313,6 @@ func (e *Engine) captureFan(cores []int32, fn func(worker, k int), span string) 
 		e.capIdx[s] = int32(i)
 	}
 	e.ensureSearchCtxs(min(e.workers, len(cores)))
-	if e.curTrace != nil {
-		e.fanSpanName, e.fanParent = span, e.phaseSpan
-	}
 	e.noteClusterWorkers(e.fanOut(len(cores), fn))
 }
 
@@ -400,16 +382,9 @@ func (e *Engine) clusterExCores(exCores []int32) {
 			e.verifyForestBonding()
 		}
 		e.ensureScratches(max(1, min(e.workers, len(e.connWork))))
-		var spConn *trace.Span
-		if tr := e.curTrace; tr != nil {
-			spConn = tr.StartSpan("connectivity", e.phaseSpan,
-				trace.Int("checks", len(e.connWork)))
-			e.fanSpanName, e.fanParent = "connectivity.worker", spConn
-		}
 		connStart := time.Now()
 		e.noteClusterWorkers(e.fanOut(len(e.connWork), e.connFanFn))
 		e.strideConnDur += time.Since(connStart)
-		spConn.EndNow()
 	}
 
 	// Phase D — fold, in component order.

@@ -189,8 +189,9 @@ func FuzzParallelCluster(f *testing.F) {
 
 // TestConnectivityZeroAlloc verifies the connectivity scratch-pool
 // contract: once warmed up, a connectivity check — connected or split,
-// pooled MS-BFS, sequential-BFS, or a dynamic-forest query — performs zero
-// heap allocations.
+// pooled MS-BFS, sequential-BFS, the no-reuse ablation (which clears the
+// visited table per check instead of bumping its epoch), or a
+// dynamic-forest query — performs zero heap allocations.
 func TestConnectivityZeroAlloc(t *testing.T) {
 	cases := []struct {
 		name string
@@ -198,6 +199,7 @@ func TestConnectivityZeroAlloc(t *testing.T) {
 	}{
 		{"msbfs", nil},
 		{"seq", []Option{WithMSBFS(false)}},
+		{"noepoch", []Option{WithEpochProbing(false)}},
 		{"dynamic", []Option{WithConnectivity(ConnDynamic)}},
 	}
 	for _, tc := range cases {

@@ -191,9 +191,6 @@ func (e *Engine) fanOutSearches() {
 	}
 	e.ensureSearchCtxs(min(e.workers, total))
 	e.resetWords()
-	if e.curTrace != nil {
-		e.fanSpanName, e.fanParent = "collect.worker", e.phaseSpan
-	}
 	e.fanOut(total, e.collectFanFn)
 	var nodes int64
 	for i := range e.deltaCaps {

@@ -43,7 +43,6 @@ import (
 	"disc/internal/dyncon"
 	"disc/internal/geom"
 	"disc/internal/model"
-	"disc/internal/trace"
 )
 
 // compactInterval is the number of strides between cluster-id compactions
@@ -66,10 +65,11 @@ func WithMSBFS(on bool) Option { return func(e *Engine) { e.useMSBFS = on } }
 // WithEpochProbing enables (default) or disables epoch-stamped reuse of the
 // connectivity scratch (the descendant of the paper's Algorithm 4: visited
 // marks survive between checks and are invalidated in O(1) by bumping an
-// instance tick). When disabled, every connectivity check rebuilds its
-// visited set from scratch — the "no reuse" ablation — with identical
-// traversal order and statistics, paying the allocations the pooled path
-// avoids.
+// instance tick). When disabled — the "no reuse" ablation — every
+// connectivity check clears the whole slot-indexed visited table, paying
+// per check the O(window) pass the stamped path avoids, with identical
+// traversal order and statistics. It allocates no more than the stamped
+// path: the table is pooled either way.
 func WithEpochProbing(on bool) Option { return func(e *Engine) { e.useEpoch = on } }
 
 // WithWorkers sets how many goroutines the per-stride search work fans out
@@ -117,23 +117,7 @@ type Engine struct {
 	forest         *dyncon.Forest
 	forestRebuilds int64
 
-	// Span recording (trace.go). tracer enables self-traced advances;
-	// curTrace/advParent are set for the duration of one traced advance
-	// (either self-started or caller-owned via AdvanceTraced). advSpan is
-	// the stride's "advance" span, phaseSpan the open phase span under it,
-	// and fanParent/fanSpanName parameterize per-worker fan-out spans the
-	// same way fanInPts/fanExCores parameterize the bound-once search
-	// dispatchers. With no trace active every hook is one nil check.
-	tracer      *trace.Tracer
-	curTrace    *trace.Trace
-	advParent   *trace.Span
-	advSpan     *trace.Span
-	phaseSpan   *trace.Span
-	fanParent   *trace.Span
-	fanSpanName string
-
 	stats       model.Stats
-	timings     PhaseTimings
 	trackAllocs bool
 	allocs      PhaseAllocs
 
@@ -253,24 +237,8 @@ func New(cfg model.Config, opts ...Option) *Engine {
 func (e *Engine) Name() string { return "DISC" }
 
 // Advance implements model.Engine: it slides the window by one stride,
-// running COLLECT and CLUSTER and finalizing every affected label. With a
-// tracer attached (WithTracer) each advance records its own span tree; see
-// AdvanceTraced for contributing to a caller-owned trace instead.
+// running COLLECT and CLUSTER and finalizing every affected label.
 func (e *Engine) Advance(in, out []model.Point) {
-	if e.tracer == nil || e.curTrace != nil {
-		e.advance(in, out)
-		return
-	}
-	// Self-traced advance: the engine owns the whole trace.
-	tr := e.tracer.StartTrace(trace.SpanContext{})
-	e.curTrace = tr
-	e.advance(in, out)
-	e.clearTrace()
-	e.tracer.Finish(tr)
-}
-
-// advance is the untraced body of Advance; tracing hooks read e.curTrace.
-func (e *Engine) advance(in, out []model.Point) {
 	e.stride++
 	e.trimScratch()
 	e.affected = e.affected[:0]
@@ -290,26 +258,13 @@ func (e *Engine) advance(in, out []model.Point) {
 	poolBefore := e.poolGrows()
 	statsBefore := e.stats
 
-	tr := e.curTrace
 	var m0, m1, m2, m3 runtime.MemStats
 	if e.trackAllocs {
 		runtime.ReadMemStats(&m0)
 	}
 	t0 := time.Now()
-	if tr != nil {
-		e.advSpan = tr.StartSpanAt("advance", e.advParent, t0,
-			trace.Int64("stride", int64(e.stride)),
-			trace.Int("delta_in", len(in)), trace.Int("delta_out", len(out)))
-		e.phaseSpan = tr.StartSpanAt("collect", e.advSpan, t0)
-	}
 	exCores, neoCores, cout := e.collect(in, out)
 	t1 := time.Now()
-	if tr != nil {
-		e.phaseSpan.SetInt("ex_cores", len(exCores))
-		e.phaseSpan.SetInt("neo_cores", len(neoCores))
-		e.phaseSpan.EndAt(t1)
-		e.phaseSpan = tr.StartSpanAt("cluster.excores", e.advSpan, t1)
-	}
 	if e.trackAllocs {
 		runtime.ReadMemStats(&m1)
 	}
@@ -331,35 +286,17 @@ func (e *Engine) advance(in, out []model.Point) {
 		e.tree.Delete(s, e.pos[s])
 	}
 	t2 := time.Now()
-	if tr != nil {
-		e.phaseSpan.EndAt(t2)
-		e.phaseSpan = tr.StartSpanAt("cluster.neocores", e.advSpan, t2)
-	}
 	e.clusterNeoCores(neoCores)
 	t3 := time.Now()
-	if tr != nil {
-		e.phaseSpan.EndAt(t3)
-		e.phaseSpan = tr.StartSpanAt("finalize", e.advSpan, t3,
-			trace.Int("affected", len(e.affected)))
-	}
 	if e.trackAllocs {
 		runtime.ReadMemStats(&m2)
 	}
 	e.finalize()
 	t4 := time.Now()
-	if tr != nil {
-		e.phaseSpan.EndAt(t4)
-		e.phaseSpan = nil
-		e.advSpan.EndAt(t4)
-	}
 	if e.trackAllocs {
 		runtime.ReadMemStats(&m3)
 		e.allocs.accumulate(&m0, &m1, &m2, &m3)
 	}
-	e.timings.Collect += t1.Sub(t0)
-	e.timings.ExCores += t2.Sub(t1)
-	e.timings.NeoCores += t3.Sub(t2)
-	e.timings.Finalize += t4.Sub(t3)
 
 	e.stats.Strides++
 	e.stats.MemoryItems = int64(len(e.slotOf))
@@ -674,11 +611,10 @@ func (e *Engine) Config() model.Config { return e.cfg }
 // Stats implements model.Engine.
 func (e *Engine) Stats() model.Stats { return e.stats }
 
-// ResetStats implements model.Engine. It also zeroes the phase timings and
-// allocation counters.
+// ResetStats implements model.Engine. It also zeroes the allocation
+// counters.
 func (e *Engine) ResetStats() {
 	e.stats = model.Stats{}
-	e.timings = PhaseTimings{}
 	e.allocs = PhaseAllocs{}
 }
 

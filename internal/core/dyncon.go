@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"disc/internal/dyncon"
-	"disc/internal/trace"
 )
 
 // This file wires the dynamic-connectivity forest (internal/dyncon) into
@@ -144,12 +143,6 @@ func (e *Engine) verifyForestBonding() {
 func (e *Engine) syncForest(exCores, neoCores []int32) {
 	start := time.Now()
 	statsBefore := e.forest.Stats()
-	tr := e.curTrace
-	var sp *trace.Span
-	if tr != nil {
-		sp = tr.StartSpanAt("forest.sync", e.phaseSpan, start,
-			trace.Int("ex_cores", len(exCores)), trace.Int("neo_cores", len(neoCores)))
-	}
 	if !e.updateForest(exCores, neoCores) {
 		e.rebuildForest()
 	}
@@ -158,11 +151,6 @@ func (e *Engine) syncForest(exCores, neoCores []int32) {
 	e.strideForestReplSearches += statsAfter.ReplacementSearches - statsBefore.ReplacementSearches
 	e.strideForestReplScans += statsAfter.ReplacementScans - statsBefore.ReplacementScans
 	e.strideForestDur += time.Since(start)
-	if sp != nil {
-		sp.SetInt("forest_ops", int(statsAfter.Ops()-statsBefore.Ops()))
-		sp.SetInt("rebuilds", int(e.strideForestRebuilds))
-		sp.EndNow()
-	}
 }
 
 // updateForest applies the stride's core-graph delta; false on the first

@@ -9,12 +9,14 @@ import (
 // This file is the engine's telemetry tap. DISC's whole claim is work
 // proportional to the change, not the window (§VI of the paper breaks
 // per-stride cost into COLLECT / ex-core / neo-core phases and Fig. 7
-// counts range searches); the lump-sum Stats and PhaseTimings accumulators
-// cannot show a latency distribution or a per-stride trend. An Observer
-// receives one StrideRecord per Advance — everything the §VI-D drill-down
-// measures, as deltas scoped to that stride — so callers can feed
-// histograms, stride logs, or live dashboards without the engine knowing
-// about any of them.
+// counts range searches); the lump-sum Stats accumulator cannot show a
+// latency distribution or a per-stride trend. An Observer receives one
+// StrideRecord per Advance — everything the §VI-D drill-down measures, as
+// deltas scoped to that stride — so callers can feed histograms, stride
+// logs, span trees or live dashboards without the engine knowing about any
+// of them. The record is the one source: per-phase sums, metrics, the
+// stride log and the "advance" span tree (internal/obs renders it) are all
+// derived from it.
 //
 // The tap is free when unused: every per-stride aggregate the record needs
 // is either already computed by Advance (phase timestamps, index stats
@@ -33,13 +35,17 @@ type StrideRecord struct {
 	ExCores  int // ex-cores identified by COLLECT
 	NeoCores int // neo-cores identified by COLLECT
 
-	// Phase durations; Total = Collect + ExCorePhase + NeoCorePhase +
-	// Finalize (the phases partition the advance exactly).
-	Collect      time.Duration
-	ExCorePhase  time.Duration
-	NeoCorePhase time.Duration
-	Finalize     time.Duration
+	// Start is the clock read that opened the advance; the phase
+	// durations are the differences of the next four reads, so the phases
+	// tile [Start, Start+Total] in this order and Total is their exact sum.
+	Start        time.Time
+	Collect      time.Duration // Algorithm 1: count maintenance, Δ application
+	ExCorePhase  time.Duration // captures, R⁻ components, M⁻, connectivity checks, relabeling
+	NeoCorePhase time.Duration // R⁺ components, M⁺ label inspection
+	Finalize     time.Duration // label refresh, border-hint re-acquisition
 	Total        time.Duration
+
+	Affected int // points whose state the stride touched (finalize's work list)
 
 	RangeSearches int64 // ε-range searches issued this stride
 	MSBFSMerges   int64 // MS-BFS thread (queue) merges this stride
@@ -81,10 +87,10 @@ type StrideRecord struct {
 	ForestVertices     int           // forest size after the stride (cores)
 	ForestEdges        int           // core-adjacency edges tracked
 
-	// TraceID is the 32-hex-char id of the trace that recorded this
-	// stride's span tree ("" when the advance ran untraced). Slow-stride
-	// capturers stamp it into their logs so a tail-latency stride can be
-	// looked up in /debug/traces.
+	// TraceID is the 32-hex-char id of the trace this stride's span tree
+	// was rendered into. The engine leaves it empty; an observer that
+	// renders the record (the bench runner) stamps it before passing the
+	// record on, so a slow stride's log line names the trace to look up.
 	TraceID string
 }
 
@@ -128,10 +134,6 @@ func (e *Engine) observeStride(in, out []model.Point, exCores, neoCores int,
 	if clusterWorkers < 1 {
 		clusterWorkers = 1 // a stride with no CLUSTER fan-out still ran serially
 	}
-	var traceID string
-	if e.curTrace != nil {
-		traceID = e.curTrace.ID().String()
-	}
 	var forestVertices, forestEdges int
 	if e.forest != nil {
 		forestVertices, forestEdges = e.forest.NumVertices(), e.forest.NumEdges()
@@ -143,11 +145,13 @@ func (e *Engine) observeStride(in, out []model.Point, exCores, neoCores int,
 		WindowSize:     len(e.slotOf),
 		ExCores:        exCores,
 		NeoCores:       neoCores,
+		Start:          t0,
 		Collect:        t1.Sub(t0),
 		ExCorePhase:    t2.Sub(t1),
 		NeoCorePhase:   t3.Sub(t2),
 		Finalize:       t4.Sub(t3),
 		Total:          t4.Sub(t0),
+		Affected:       len(e.affected),
 		RangeSearches:  e.stats.RangeSearches - statsBefore.RangeSearches,
 		NodeAccesses:   e.stats.NodeAccesses - statsBefore.NodeAccesses,
 		Index:          e.tree.Name(),
@@ -174,7 +178,5 @@ func (e *Engine) observeStride(in, out []model.Point, exCores, neoCores int,
 		ForestRebuilds:     e.strideForestRebuilds,
 		ForestVertices:     forestVertices,
 		ForestEdges:        forestEdges,
-
-		TraceID: traceID,
 	})
 }

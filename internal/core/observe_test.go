@@ -173,8 +173,10 @@ func TestSetObserverDetach(t *testing.T) {
 }
 
 // TestResetStatsZeroesPhaseTimings is the regression test for the
-// documented ResetStats contract: timings accumulate "since construction
-// or the last ResetStats", so ResetStats must zero them along with Stats.
+// documented ResetStats contract: the engine's accumulators — Stats and,
+// under WithAllocTracking, PhaseAllocs — count "since construction or the
+// last ResetStats", so ResetStats zeroes both and both resume afterwards.
+// Phase timings are per-stride record fields and accumulate nowhere.
 func TestResetStatsZeroesPhaseTimings(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	data := clustered2D(rng, 900)
@@ -182,27 +184,27 @@ func TestResetStatsZeroesPhaseTimings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(cfg2(2.5, 5))
+	eng := New(cfg2(2.5, 5), WithAllocTracking(true))
 	for _, st := range steps {
 		eng.Advance(st.In, st.Out)
 	}
-	if eng.PhaseTimings().Total() <= 0 {
-		t.Fatal("no phase time accumulated before reset")
+	if eng.PhaseAllocs().Strides == 0 {
+		t.Fatal("no allocation samples before reset")
 	}
 	if eng.Stats() == (model.Stats{}) {
 		t.Fatal("no stats accumulated before reset")
 	}
 	eng.ResetStats()
-	if got := eng.PhaseTimings(); got != (PhaseTimings{}) {
-		t.Fatalf("ResetStats left phase timings %+v", got)
+	if got := eng.PhaseAllocs(); got != (PhaseAllocs{}) {
+		t.Fatalf("ResetStats left phase allocs %+v", got)
 	}
 	if got := eng.Stats(); got != (model.Stats{}) {
 		t.Fatalf("ResetStats left stats %+v", got)
 	}
 	// And they accumulate again afterwards.
 	eng.Advance([]model.Point{{ID: 10_000, Pos: steps[0].In[0].Pos}}, nil)
-	if eng.PhaseTimings().Total() <= 0 {
-		t.Fatal("phase timings did not resume after reset")
+	if eng.PhaseAllocs().Strides != 1 {
+		t.Fatalf("alloc samples = %d after reset+advance, want 1", eng.PhaseAllocs().Strides)
 	}
 	if eng.Stats().Strides != 1 {
 		t.Fatalf("strides = %d after reset+advance, want 1", eng.Stats().Strides)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"disc/internal/core"
+	"disc/internal/trace"
 )
 
 // EngineMetrics is a core.Observer that feeds a Registry: one instance
@@ -154,4 +155,48 @@ func (m *EngineMetrics) ObserveStride(rec core.StrideRecord) {
 	m.connCheckDur.Observe(rec.Connectivity.Seconds())
 	m.connSearches.Add(rec.ConnSearches)
 	m.connNodes.Add(rec.ConnNodes)
+}
+
+// RenderStride records one stride's span tree into tr under parent:
+//
+//	advance              (stride, delta_in, delta_out)
+//	├── collect          (ex_cores, neo_cores, workers)
+//	├── cluster.excores  (cluster_workers, conn_checks, conn_us; under the
+//	│                     dynamic strategy also forest_us, forest_ops,
+//	│                     forest_rebuilds)
+//	├── cluster.neocores
+//	└── finalize         (affected)
+//
+// The spans are cut from the record's own clock reads: each phase starts
+// at rec.Start plus the durations of the phases before it, so the tree
+// shows exactly the split the metrics and the stride log report. The
+// _us attributes are microseconds, the unit of a span's duration. A nil
+// tr records nothing.
+func RenderStride(tr *trace.Trace, parent *trace.Span, rec *core.StrideRecord) {
+	if tr == nil {
+		return
+	}
+	t1 := rec.Start.Add(rec.Collect)
+	t2 := t1.Add(rec.ExCorePhase)
+	t3 := t2.Add(rec.NeoCorePhase)
+	t4 := t3.Add(rec.Finalize)
+	adv := tr.StartSpanAt("advance", parent, rec.Start,
+		trace.Int64("stride", int64(rec.Stride)),
+		trace.Int("delta_in", rec.DeltaIn), trace.Int("delta_out", rec.DeltaOut))
+	tr.StartSpanAt("collect", adv, rec.Start,
+		trace.Int("ex_cores", rec.ExCores), trace.Int("neo_cores", rec.NeoCores),
+		trace.Int("workers", rec.Workers)).EndAt(t1)
+	ex := tr.StartSpanAt("cluster.excores", adv, t1,
+		trace.Int("cluster_workers", rec.ClusterWorkers),
+		trace.Int("conn_checks", rec.ConnChecks),
+		trace.Int64("conn_us", rec.Connectivity.Microseconds()))
+	if rec.ConnStrategy == core.ConnDynamic.String() {
+		ex.SetInt("forest_us", int(rec.ForestUpdate.Microseconds()))
+		ex.SetInt("forest_ops", int(rec.ForestOps))
+		ex.SetInt("forest_rebuilds", int(rec.ForestRebuilds))
+	}
+	ex.EndAt(t2)
+	tr.StartSpanAt("cluster.neocores", adv, t2).EndAt(t3)
+	tr.StartSpanAt("finalize", adv, t3, trace.Int("affected", rec.Affected)).EndAt(t4)
+	adv.EndAt(t4)
 }

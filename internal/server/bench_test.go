@@ -79,6 +79,35 @@ func BenchmarkAdvanceWAL(b *testing.B) {
 	})
 }
 
+// BenchmarkIngestTrace measures the ingest path with tracing off
+// (Config.Tracing nil) and on: every request then records its ingest span
+// tree, the stride's record is rendered under it, and the finished trace
+// enters the rings. CI A/B-gates the pair: tracing must not cost the
+// ingest path more than the benchdiff threshold.
+func BenchmarkIngestTrace(b *testing.B) {
+	cfg := Config{
+		Cluster: model.Config{Dims: 2, Eps: 2, MinPts: 4},
+		Window:  1000,
+		Stride:  100,
+	}
+	b.Run("off", func(b *testing.B) {
+		s, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchIngest(b, s.Handler())
+	})
+	b.Run("on", func(b *testing.B) {
+		cfg := cfg
+		cfg.Tracing = &TraceConfig{}
+		s, err := New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchIngest(b, s.Handler())
+	})
+}
+
 // benchIngest drives one stride-sized batch per iteration straight into
 // the handler (no network, no client): ids are globally unique across
 // iterations so the stream never rejects a duplicate, and the JSON

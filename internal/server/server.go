@@ -107,13 +107,16 @@ type Server struct {
 	qm       *obs.QueryMetrics
 
 	// tracer records ingest span trees when Config.Tracing is set; nil
-	// otherwise. pending backs GET /readyz: an atomic, so the probe never
-	// touches mu. strideCtx holds the SpanContext of the
-	// most recent traced stride, the join point for the checkpoint
-	// runner's asynchronous trace fragment.
-	tracer    *trace.Tracer
-	pending   atomic.Int64
-	strideCtx atomic.Pointer[trace.SpanContext]
+	// otherwise. lastStride is the engine's record of the stride it last
+	// completed, kept by the stream's observer under mu; a traced ingest
+	// renders it into the request's trace. pending backs GET /readyz: an
+	// atomic, so the probe never touches mu. strideCtx holds the
+	// SpanContext of the most recent traced stride, the join point for the
+	// checkpoint runner's asynchronous trace fragment.
+	tracer     *trace.Tracer
+	lastStride core.StrideRecord
+	pending    atomic.Int64
+	strideCtx  atomic.Pointer[trace.SpanContext]
 
 	// view is the immutable read-path snapshot, replaced after every
 	// successful stride and every restore (view.go). GET handlers only ever
@@ -213,9 +216,16 @@ func newServer(cfg Config, reg *obs.Registry, sm *obs.StreamMetrics) (*Server, e
 
 // engineOptions is how this server builds its engine, fresh or restored:
 // the engine's defaults (ε-grid, MS-BFS, one worker) with the event ring and
-// the stride metrics attached. A checkpoint supplies state, never settings.
+// the stride observer attached. A checkpoint supplies state, never settings.
 func (s *Server) engineOptions() []core.Option {
-	return []core.Option{core.WithEventHandler(s.recordEvent), core.WithObserver(s.metrics)}
+	return []core.Option{core.WithEventHandler(s.recordEvent), core.WithObserver(core.ObserverFunc(s.observeStride))}
+}
+
+// observeStride is the stream's engine observer: it feeds the stride
+// metrics and keeps the record for the ingest trace.
+func (s *Server) observeStride(rec core.StrideRecord) {
+	s.metrics.ObserveStride(rec)
+	s.lastStride = rec
 }
 
 // Registry exposes the server's metrics registry, e.g. to add
@@ -624,8 +634,8 @@ const maxClientName = 128
 // commitIngest, which holds it.
 //
 // When tracing is enabled each request records a span tree — ingest →
-// decode/validate → one advance (with engine phase and worker children)
-// and publish per completed stride — into a trace whose id either came
+// decode/validate → one advance (with its engine phase children) and
+// publish per completed stride — into a trace whose id either came
 // from the client's W3C traceparent header or was minted here; the id is
 // echoed in the X-Disc-Trace response header and the completed trace is
 // queryable at GET /debug/traces.
@@ -823,18 +833,20 @@ func (s *Server) commitIngest(w http.ResponseWriter, rec *walRecord, tr *trace.T
 // about. If the engine refuses a stride the triggering point is rolled back
 // out of the slider, leaving both at the pre-push stream position (without
 // that the slider runs one stride ahead of the engine forever), and apply
-// returns how many points went in before it. With a trace active the stride's
-// spans land under root in tr. Caller holds s.mu.
+// returns how many points went in before it. With a trace active each
+// accepted stride's record is rendered under root in tr; a refused stride
+// renders nothing. Caller holds s.mu.
 func (s *Server) apply(pts []model.Point, tr *trace.Trace, root *trace.Span) (applied int, err error) {
 	// The probe gauge tracks the slider backlog.
 	defer func() { s.pending.Store(int64(s.slider.PendingLen())) }()
 	for _, p := range pts {
 		step := s.slider.Push(p)
 		if step != nil {
-			if err := s.safeAdvance(step, tr, root); err != nil {
+			if err := s.safeAdvance(step); err != nil {
 				s.slider.Rewind(step)
 				return applied, err
 			}
+			obs.RenderStride(tr, root, &s.lastStride)
 		}
 		applied++
 		s.ingested++
@@ -856,9 +868,8 @@ func (s *Server) apply(pts []model.Point, tr *trace.Trace, root *trace.Span) (ap
 }
 
 // safeAdvance converts engine protocol panics (duplicate ids and the like)
-// into HTTP-reportable errors rather than crashing the service. With a
-// trace active the stride's spans land under parent in tr.
-func (s *Server) safeAdvance(step *window.Step, tr *trace.Trace, parent *trace.Span) (err error) {
+// into HTTP-reportable errors rather than crashing the service.
+func (s *Server) safeAdvance(step *window.Step) (err error) {
 	if s.testAdvanceErr != nil {
 		return s.testAdvanceErr(step)
 	}
@@ -867,7 +878,7 @@ func (s *Server) safeAdvance(step *window.Step, tr *trace.Trace, parent *trace.S
 			err = fmt.Errorf("rejected: %v", r)
 		}
 	}()
-	s.eng.AdvanceTraced(tr, parent, step.In, step.Out)
+	s.eng.Advance(step.In, step.Out)
 	return nil
 }
 

@@ -4,15 +4,19 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"disc/internal/ckpt"
 	"disc/internal/model"
+	"disc/internal/trace"
+	"disc/internal/window"
 )
 
 // getBody fetches url and returns status plus body text.
@@ -114,12 +118,47 @@ type tracesPayload struct {
 	} `json:"traces"`
 }
 
+// postTraced posts pts to /ingest under the W3C trace id tid and returns
+// the response status.
+func postTraced(t *testing.T, ts *httptest.Server, pts []ingestPoint, tid string) int {
+	t.Helper()
+	body, _ := json.Marshal(pts)
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/ingest", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("traceparent", "00-"+tid+"-00f067aa0ba902b7-01")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if got := resp.Header.Get("X-Disc-Trace"); got != tid {
+		t.Fatalf("X-Disc-Trace = %q, want client trace id %q", got, tid)
+	}
+	return resp.StatusCode
+}
+
+// residentTrace returns the resident trace with id tid.
+func residentTrace(t *testing.T, tc *trace.Tracer, tid string) *trace.TraceData {
+	t.Helper()
+	for _, d := range tc.Snapshot() {
+		if d.TraceID.String() == tid {
+			return &d
+		}
+	}
+	t.Fatalf("trace %s is not resident", tid)
+	return nil
+}
+
 // TestIngestTraceSpanTree is the acceptance scenario end to end: a traced
 // ingest crossing a stride boundary records ingest → advance → {collect,
-// cluster, finalize} → publish under the client's traceparent id, and a
-// checkpoint joins the same trace as checkpoint → {snapshot, save}. Run
-// under -race this exercises concurrent span writes from the fan-out
-// workers against /debug/traces readers.
+// cluster, finalize} → publish under the client's traceparent id, the
+// phase spans cut exactly from the stride record the stream observed, and
+// a checkpoint joins the same trace as checkpoint → {snapshot, save}. Run
+// under -race this exercises the ingest handler's span writes, and the
+// checkpoint fragment's merge, against /debug/traces readers.
 func TestIngestTraceSpanTree(t *testing.T) {
 	s, err := New(Config{
 		Cluster: model.Config{Dims: 2, Eps: 2, MinPts: 4},
@@ -135,23 +174,49 @@ func TestIngestTraceSpanTree(t *testing.T) {
 
 	const tid = "4bf92f3577b34da6a3ce929d0e0e4736"
 	rng := rand.New(rand.NewSource(3))
-	body, _ := json.Marshal(clusteredBatch(rng, 0, 200))
-	req, err := http.NewRequest(http.MethodPost, ts.URL+"/ingest", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	if code := postTraced(t, ts, clusteredBatch(rng, 0, 200), tid); code != http.StatusOK {
+		t.Fatalf("ingest status %d", code)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set("traceparent", "00-"+tid+"-00f067aa0ba902b7-01")
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
+
+	// The phase spans are the stride record's own clock reads: each phase
+	// starts at rec.Start plus the running sum of the durations before it
+	// and ends at that plus its own duration, exactly.
+	s.mu.Lock()
+	rec := s.lastStride
+	s.mu.Unlock()
+	if rec.Stride != 1 {
+		t.Fatalf("stream observed stride %d, want 1", rec.Stride)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("ingest status %d", resp.StatusCode)
-	}
-	if got := resp.Header.Get("X-Disc-Trace"); got != tid {
-		t.Fatalf("X-Disc-Trace = %q, want client trace id %q", got, tid)
+	d := residentTrace(t, s.tracer, tid)
+	at := rec.Start
+	for _, ph := range []struct {
+		name string
+		dur  time.Duration
+	}{
+		{"advance", 0},
+		{"collect", rec.Collect},
+		{"cluster.excores", rec.ExCorePhase},
+		{"cluster.neocores", rec.NeoCorePhase},
+		{"finalize", rec.Finalize},
+	} {
+		var sp *trace.Span
+		for i := range d.Spans {
+			if d.Spans[i].Name == ph.name {
+				sp = &d.Spans[i]
+				break
+			}
+		}
+		if sp == nil {
+			t.Fatalf("span %q missing", ph.name)
+		}
+		end := at.Add(ph.dur)
+		if ph.name == "advance" {
+			end = rec.Start.Add(rec.Total)
+		}
+		if !sp.Start.Equal(at) || !sp.End.Equal(end) {
+			t.Fatalf("%q spans %v..%v, record gives %v..%v", ph.name, sp.Start, sp.End, at, end)
+		}
+		at = at.Add(ph.dur)
 	}
 
 	// An immediate checkpoint joins the stride's trace by id.
@@ -208,6 +273,59 @@ func TestIngestTraceSpanTree(t *testing.T) {
 			t.Fatalf("%q parent = %q, want checkpoint %q", child, parent[child], spanID["checkpoint"])
 		}
 	}
+}
+
+// TestIngestTraceRejectedStride: a stride the engine refuses is not
+// rendered. After a successful stride 1 the stream still holds stride 1's
+// record; a request whose stride fails through the advance seam must not
+// render that stale record as its own advance.
+func TestIngestTraceRejectedStride(t *testing.T) {
+	s, err := New(Config{
+		Cluster: model.Config{Dims: 2, Eps: 2, MinPts: 4},
+		Window:  200,
+		Stride:  50,
+		Tracing: &TraceConfig{},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	const ok, rejected = "0af7651916cd43dd8448eb211c80319c", "5b8aa5a2d2c872e8321cf37308d69df2"
+	rng := rand.New(rand.NewSource(11))
+	if code := postTraced(t, ts, clusteredBatch(rng, 0, 200), ok); code != http.StatusOK {
+		t.Fatalf("stride 1 ingest status %d", code)
+	}
+	if d := residentTrace(t, s.tracer, ok); spanCount(d, "advance") != 1 {
+		t.Fatalf("stride 1 trace has %d advance spans, want 1", spanCount(d, "advance"))
+	}
+
+	s.mu.Lock()
+	s.testAdvanceErr = func(*window.Step) error { return errors.New("injected advance failure") }
+	s.mu.Unlock()
+	if code := postTraced(t, ts, clusteredBatch(rng, 200, 50), rejected); code != http.StatusConflict {
+		t.Fatalf("rejected ingest status %d, want 409", code)
+	}
+	d := residentTrace(t, s.tracer, rejected)
+	for _, name := range []string{"advance", "collect", "publish"} {
+		if n := spanCount(d, name); n != 0 {
+			t.Fatalf("rejected stride's trace has %d %q spans, want none", n, name)
+		}
+	}
+	if spanCount(d, "ingest") != 1 {
+		t.Fatal("rejected stride's trace lost its ingest root")
+	}
+}
+
+func spanCount(d *trace.TraceData, name string) int {
+	n := 0
+	for i := range d.Spans {
+		if d.Spans[i].Name == name {
+			n++
+		}
+	}
+	return n
 }
 
 func keysOf(m map[string]string) []string {

@@ -1,7 +1,7 @@
 // Package trace is a stdlib-only, allocation-conscious span recorder for
 // following one ingest batch through the full write path: HTTP handler →
-// slider advance → COLLECT/CLUSTER fan-out → view publish → checkpoint
-// write. It is deliberately not OpenTelemetry: there is no exporter, no
+// engine advance (its phases rendered from the stride record) → view
+// publish → checkpoint write. It is deliberately not OpenTelemetry: there is no exporter, no
 // sampler tree, no context.Context plumbing through the hot loop. A Trace
 // is a mutex-guarded span list owned by one request; completed traces land
 // in fixed-size ring buffers (a "recent" ring plus a "slow" ring that
@@ -160,9 +160,9 @@ func (s *Span) Duration() time.Duration {
 }
 
 // Trace is one in-flight trace fragment: a span list plus the id counter
-// that names new spans. StartSpan is mutex-guarded so parallel fan-out
-// workers can open per-worker spans concurrently; everything else (Finish,
-// JSON rendering) happens after those workers are joined.
+// that names new spans. StartSpan is mutex-guarded so concurrent
+// goroutines may open spans in one trace; everything else (Finish, JSON
+// rendering) happens after they are done.
 //
 // A fragment either starts a new trace (zero SpanContext) or joins an
 // existing one (same TraceID, roots parented under SpanContext.SpanID).

@@ -6,7 +6,7 @@ import (
 )
 
 // Defaults for NewTracer sizing; chosen so a tracer's steady-state
-// footprint stays a few hundred KB even with deep per-worker span trees.
+// footprint stays a few hundred KB.
 const (
 	// DefRecent is the default capacity of the recent-trace ring.
 	DefRecent = 64
