@@ -50,15 +50,14 @@
 // applied. Batches may carry an X-Disc-Seq (plus X-Disc-Client) header;
 // re-delivering an acknowledged (client, seq) answers 200 with the
 // original body and X-Disc-Deduped: 1 instead of re-applying, making
-// at-least-once delivery exactly-once. With -ingest-high-water the ingest
-// path sheds load (429 + Retry-After) while the slider backlog exceeds
-// the mark. With -follow <dir> the process runs as a read-only replica:
-// it tails the leader's log, replays every batch through its own engine
-// (bit-identical state), serves the full GET surface, and becomes the
-// leader on POST /promote — a leader like any other: given the leader's
-// -checkpoint-dir it checkpoints there every -checkpoint-every strides and
-// prunes the log. Every process recovers before it listens, so /readyz has
-// no recovery gate.
+// at-least-once delivery exactly-once. With -follow <dir> the process
+// runs as a read-only replica: it tails the leader's log, replays every
+// batch through its own engine (bit-identical state), serves the full GET
+// surface, and becomes the leader on POST /promote — a leader like any
+// other: given the leader's -checkpoint-dir it checkpoints there every
+// -checkpoint-every strides and prunes the log. Every process recovers
+// before it listens, and a stride is applied inside the ingest that
+// completes it, so /readyz has neither a recovery gate nor a backlog gate.
 //
 // On SIGINT/SIGTERM the server shuts down gracefully: in-flight requests
 // (including a final checkpoint download or metrics scrape) get up to
@@ -99,19 +98,13 @@ func main() {
 	ckptEvery := flag.Uint64("checkpoint-every", 20, "checkpoint every N strides")
 	walDir := flag.String("wal-dir", "",
 		"directory for per-stream write-ahead logs: every acknowledged ingest batch is fsynced before its 200 (empty = off)")
-	ingestHW := flag.Int("ingest-high-water", 0,
-		"POST .../ingest answers 429 + Retry-After while the slider backlog exceeds this many points (0 = disabled)")
 	follow := flag.String("follow", "",
 		"run as a read-only follower tailing this write-ahead log directory (serves the GET surface and POST /promote; single stream)")
-	ckptMax := flag.Int64("checkpoint-max-bytes", server.DefaultMaxCheckpointBytes,
-		"largest checkpoint accepted on restore (POST /checkpoint and recovery)")
 	traceOn := flag.Bool("trace", true, "record ingest span trees and serve GET /debug/traces")
 	traceRecent := flag.Int("trace-recent", trace.DefRecent, "traces retained in the recent ring")
 	traceSlow := flag.Int("trace-slow", trace.DefSlow, "slow traces retained in the slow ring")
 	traceSlowAt := flag.Duration("trace-slow-threshold", 250*time.Millisecond,
 		"ingest latency beyond which a trace is retained in the slow ring")
-	readyHW := flag.Int("ready-high-water", 0,
-		"GET /readyz reports 503 while the slider backlog exceeds this many points (0 = disabled)")
 	maxStreams := flag.Int("max-streams", server.DefaultMaxStreams,
 		"streams the registry will host (POST /streams beyond it gets 429)")
 	metricStreams := flag.Int("metric-streams", server.DefaultMetricStreams,
@@ -137,14 +130,11 @@ func main() {
 		tc = &server.TraceConfig{Recent: *traceRecent, Slow: *traceSlow, SlowThreshold: *traceSlowAt}
 	}
 	cfg := server.Config{
-		Cluster:            model.Config{Dims: *dims, Eps: *eps, MinPts: *minPts},
-		Window:             *win,
-		Stride:             *stride,
-		EnablePprof:        *pprofOn,
-		MaxCheckpointBytes: *ckptMax,
-		Tracing:            tc,
-		ReadyHighWater:     *readyHW,
-		IngestHighWater:    *ingestHW,
+		Cluster:     model.Config{Dims: *dims, Eps: *eps, MinPts: *minPts},
+		Window:      *win,
+		Stride:      *stride,
+		EnablePprof: *pprofOn,
+		Tracing:     tc,
 	}
 	if *follow != "" {
 		// Read-only replica mode: tail the leader's write-ahead log, serve

@@ -224,14 +224,22 @@ func (s *Store) prune() {
 	}
 }
 
-// Load reads and verifies one specific generation.
+// Load reads and verifies one specific generation. ErrTooLarge means the
+// file really holds a payload over the limit, not just a length field.
 func (s *Store) Load(gen uint64) ([]byte, error) {
 	f, err := os.Open(s.genPath(gen))
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: opening generation %d: %w", gen, err)
 	}
 	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: generation %d: %w", gen, err)
+	}
 	payload, err := ReadFrame(f, s.maxPayload)
+	if errors.Is(err, ErrTooLarge) && fi.Size()-HeaderSize <= s.maxPayload { // the length field lies
+		err = fmt.Errorf("ckpt: frame length exceeds the %d-byte file: %w", fi.Size(), io.ErrUnexpectedEOF)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: generation %d: %w", gen, err)
 	}
@@ -247,9 +255,10 @@ func (s *Store) Load(gen uint64) ([]byte, error) {
 // Recover returns the payload of the newest generation that passes frame
 // validation, trying older generations when newer ones are torn or
 // corrupt and logging every generation it skips. It returns
-// ErrNoCheckpoint when the directory holds no generations, and an error
-// wrapping ErrNoValidCheckpoint (with every per-generation failure
-// attached) when generations exist but none validates.
+// ErrNoCheckpoint when the directory holds no generations, an error
+// wrapping ErrTooLarge at a generation over the limit (falling back would
+// roll the state back), and an error wrapping ErrNoValidCheckpoint (with
+// every per-generation failure attached) when none validates.
 func (s *Store) Recover() (payload []byte, gen uint64, err error) {
 	gens, err := s.Generations()
 	if err != nil {
@@ -261,6 +270,9 @@ func (s *Store) Recover() (payload []byte, gen uint64, err error) {
 	var failures []error
 	for i := len(gens) - 1; i >= 0; i-- {
 		payload, err := s.Load(gens[i])
+		if errors.Is(err, ErrTooLarge) {
+			return nil, 0, err
+		}
 		if err != nil {
 			if s.slogger != nil {
 				s.slogger.Warn("skipping corrupt checkpoint generation", "generation", gens[i], "err", err)

@@ -93,6 +93,37 @@ func TestStoreCorruptNewestFallsBack(t *testing.T) {
 	}
 }
 
+// TestStoreOverLimit: a generation whose payload really is over the limit
+// stops Recover with ErrTooLarge, without falling back to an older one (that
+// would roll the state back); a length field that only claims an over-limit
+// payload is corruption, and Recover falls back past it.
+func TestStoreOverLimit(t *testing.T) {
+	dir := t.TempDir()
+	s := mustOpen(t, dir, WithMaxPayload(100))
+	p1 := testPayload(100)
+	g1 := mustSave(t, s, p1)
+	g2 := mustSave(t, s, testPayload(101))
+	if _, _, err := s.Recover(); !errors.Is(err, ErrTooLarge) || errors.Is(err, ErrNoValidCheckpoint) {
+		t.Fatalf("recover over an over-limit generation = %v, want ErrTooLarge alone", err)
+	}
+
+	raw, err := os.ReadFile(s.genPath(g2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw = raw[:HeaderSize+50] // the header still declares 101 bytes
+	if err := os.WriteFile(s.genPath(g2), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Load(g2); errors.Is(err, ErrTooLarge) || !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("load of a frame declaring more than its file = %v, want a torn frame", err)
+	}
+	got, gen, err := s.Recover()
+	if err != nil || gen != g1 || !bytes.Equal(got, p1) {
+		t.Fatalf("recover after a lying length = gen %d err %v, want fallback to %d", gen, err, g1)
+	}
+}
+
 // TestStoreTruncatedNewestFallsBack: the newest generation truncated at
 // every byte offset (all frame boundaries included) is rejected and the
 // previous generation is served instead.

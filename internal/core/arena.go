@@ -21,9 +21,10 @@ import (
 // noSlot is the "no point" slot value (an absent border hint).
 const noSlot int32 = -1
 
-// maxSlots bounds the arena: search captures pack a slot and its tag bits
-// into one 32-bit word (cluster_parallel.go).
-const maxSlots = 1 << 27
+// MaxPoints is the most points an engine can hold resident, and so the
+// largest window a stream can run: search captures pack a slot and its tag
+// bits into one 32-bit word (cluster_parallel.go).
+const MaxPoints = 1 << 27
 
 // hotState is the part of a point's state the search callbacks and the fold
 // loops touch for every neighbour: 16 bytes, so a neighbour costs one cache
@@ -74,8 +75,8 @@ func (a *arena) alloc() int32 {
 		return s
 	}
 	s := len(a.hot)
-	if s == maxSlots {
-		panic(fmt.Sprintf("disc: more than %d points resident", maxSlots))
+	if s == MaxPoints {
+		panic(fmt.Sprintf("disc: more than %d points resident", MaxPoints))
 	}
 	a.hot = append(a.hot, hotState{})
 	a.pos = append(a.pos, geom.Vec{})

@@ -60,7 +60,7 @@ type capture struct {
 }
 
 const (
-	slotBits = 27 // maxSlots == 1 << slotBits
+	slotBits = 27 // MaxPoints == 1 << slotBits
 	slotMask = 1<<slotBits - 1
 
 	// COLLECT arrival words.

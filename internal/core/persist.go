@@ -295,8 +295,8 @@ func LoadEngine(r io.Reader, opts ...Option) (*Engine, error) {
 	if err := ps.Cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("disc: snapshot carries invalid config: %w", err)
 	}
-	if len(ps.Points) > maxSlots {
-		return nil, fmt.Errorf("disc: snapshot holds %d points, more than the %d an engine can", len(ps.Points), maxSlots)
+	if len(ps.Points) > MaxPoints {
+		return nil, fmt.Errorf("disc: snapshot holds %d points, more than the %d an engine can", len(ps.Points), MaxPoints)
 	}
 	e := New(ps.Cfg, opts...)
 	e.nextCID = ps.NextCID

@@ -237,6 +237,27 @@ func appendEnvelope(b []byte, env *checkpointEnvelope) []byte {
 	return appendSeqs(b, env.Seqs)
 }
 
+// checkpointMaxBytes bounds one checkpoint of this stream — POST /checkpoint
+// bodies and the generations recovery reads — as the widest checkpoint of
+// Window points either generation writes: magic, flags, ingested, eventSeq
+// and a full dedup table (seqClients names of maxClientName bytes, each with
+// seqWindow acks of maxAckBytes, two bytes more in gob), then per point at
+// most gobPointBytes (a gob model.Point and engine row, every coordinate of
+// geom.MaxDims), and the gob type preambles under 2 KiB. The codec envelope
+// is narrower on both counts: a point takes at most 56+16·dims bytes (its
+// snapshot row and window entry), the snapshot header 120. So every
+// checkpoint a stream writes is one it can recover, and one of an earlier
+// binary restores too.
+func (s *Server) checkpointMaxBytes() int64 {
+	const (
+		gobPointBytes = 75 + 18*geom.MaxDims
+		entry         = binary.MaxVarintLen64 + (2 + maxAckBytes) + 2                   // seq delta, ack
+		client        = (2 + maxClientName) + 2*binary.MaxVarintLen64 + seqWindow*entry // name, lastUsed, count
+		header        = 2 + 5*binary.MaxVarintLen64 + seqClients*client                 // and the point and client counts
+	)
+	return header + 2<<10 + int64(s.cfg.Window)*gobPointBytes
+}
+
 // decodeEnvelope decodes a checkpoint in either generation's form. A gob
 // envelope does not say how many dimensions its window has; Dims is 0 then.
 // The contents are the caller's to validate.

@@ -2,10 +2,12 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"net/http"
@@ -18,6 +20,7 @@ import (
 	"testing"
 
 	"disc/internal/ckpt"
+	"disc/internal/geom"
 	"disc/internal/model"
 	"disc/internal/wire"
 )
@@ -472,5 +475,225 @@ func TestWALRecordBound(t *testing.T) {
 		if (over == 1) != (grew < bound) {
 			t.Fatalf("a frame %d bytes past the bound: replay allocated %d bytes (bound %d)", over, grew, bound)
 		}
+	}
+}
+
+// TestCheckpointBound: a stream's checkpoint bound is its envelope at the
+// widest for its window and dims. The widest envelope of either generation —
+// ten-byte ids, times and counters, every coordinate, every hint, a full
+// dedup table — fits it with little to spare; the checkpoints earlier binaries
+// recorded go through POST /checkpoint and a store under it; a body or a
+// generation one byte past it is refused; and a stream restarted over its own
+// checkpoints keeps its state.
+func TestCheckpointBound(t *testing.T) {
+	wideVec := func(i int) (v geom.Vec) { // full eight-byte mantissas, gob cannot shorten them
+		for d := range v {
+			v[d] = math.Float64frombits(math.Float64bits(math.Pi) + uint64(i*geom.MaxDims+d))
+		}
+		return v
+	}
+	seqs := make([]persistedClient, seqClients)
+	for i := range seqs {
+		seqs[i] = persistedClient{Client: fmt.Sprintf("%0*d", maxClientName, i), LastUsed: math.MaxUint64}
+		for j := uint64(1); j <= seqWindow; j++ {
+			seqs[i].Entries = append(seqs[i].Entries, seqEntry{Seq: j << 58, Resp: make([]byte, maxAckBytes)})
+		}
+	}
+	for _, dims := range []int{1, 4} {
+		cfg := Config{Cluster: model.Config{Dims: dims, Eps: 1, MinPts: 2}, Window: 4096, Stride: 64}
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound := s.checkpointMaxBytes()
+		// The widest engine snapshot: a 120-byte header (every integer ten
+		// bytes), then per row a ten-byte id and cid, the coordinates, two
+		// five-byte counts, a five-byte hint and the state byte.
+		widestSnapshot := 120 + cfg.Window*(36+8*dims)
+		env := checkpointEnvelope{Dims: dims, Engine: make([]byte, widestSnapshot),
+			Window: make([]model.Point, cfg.Window), Ingested: math.MaxUint64, EventSeq: math.MaxUint64, Seqs: seqs}
+		snap := settingsEraSnapshot{Version: math.MinInt, Cfg: model.Config{Dims: math.MinInt, Eps: math.Pi, MinPts: math.MinInt},
+			UseMSBFS: true, UseEpoch: true, Workers: math.MinInt, ConnStrategy: math.MaxUint8, NextCID: math.MinInt,
+			Stride: math.MaxUint64, HintFlags: true}
+		snap.Stats = model.Stats{RangeSearches: math.MinInt64, NodeAccesses: math.MinInt64, Strides: math.MinInt64,
+			Splits: math.MinInt64, Merges: math.MinInt64, MemoryItems: math.MinInt64}
+		snap.Points = make([]struct {
+			ID         int64
+			Pos        geom.Vec
+			N, CoreDeg int32
+			CID        int
+			Hint       int64
+			Label      model.Label
+			WasCore    bool
+			HasHint    bool
+		}, cfg.Window)
+		for i := range env.Window {
+			// Every id and time 2^63 from the one before: ten-byte deltas.
+			p := &env.Window[i]
+			p.ID, p.Time, p.Pos = int64(i), math.MinInt64+int64(i), wideVec(i)
+			if i%2 == 1 {
+				p.ID, p.Time = p.Time, p.ID
+			}
+			r := &snap.Points[i]
+			r.ID, r.Pos, r.N, r.CoreDeg, r.CID, r.Hint = math.MinInt64+int64(i), wideVec(i), math.MaxInt32, math.MaxInt32, math.MinInt, math.MinInt64
+			r.Label, r.WasCore, r.HasHint = math.MaxUint8, true, true
+		}
+		codec := int64(len(appendEnvelope(nil, &env)))
+		var engBuf bytes.Buffer
+		if err := gob.NewEncoder(&engBuf).Encode(&snap); err != nil {
+			t.Fatal(err)
+		}
+		env.Engine = engBuf.Bytes()
+		for i := range env.Window { // gob writes each id and time whole, not as a delta
+			env.Window[i].ID, env.Window[i].Time = math.MinInt64, math.MinInt64
+		}
+		gobLen := int64(len(gobEnvelope(t, &env)))
+		t.Logf("dims %d: widest envelope %d bytes, widest gob envelope %d, bound %d", dims, codec, gobLen, bound)
+		if widest := max(codec, gobLen); widest > bound || widest < bound-3<<10 { // 3 KiB: what the preambles leave of their allowance, and counts narrower than ten bytes
+			t.Errorf("dims %d: the widest envelope is %d bytes (gob %d), the bound %d", dims, codec, gobLen, bound)
+		}
+	}
+
+	cfg := fixtureConfig()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bound := s.checkpointMaxBytes()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	post := func(body []byte) int {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/checkpoint", "application/octet-stream", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := post(make([]byte, bound)); code != http.StatusBadRequest {
+		t.Fatalf("a garbage body at the bound: status %d, want 400 (read, then refused as garbage)", code)
+	}
+	if code := post(make([]byte, bound+1)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("a body one byte past the bound: status %d, want 413", code)
+	}
+	for _, set := range []string{"pre_pr13", "pre_codec"} {
+		payload := fixtureIn(t, set, "checkpoint.bin")
+		if code := post(payload); code != http.StatusOK {
+			t.Fatalf("POST /checkpoint of %s: status %d", set, code)
+		}
+		dir := t.TempDir()
+		store, err := s.openStore(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.Save(payload); err != nil {
+			t.Fatal(err)
+		}
+		recovered, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := recovered.recoverFromStore(dir, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(checkpointBytes(t, recovered), checkpointBytes(t, s)) {
+			t.Fatalf("%s: the stream recovered from a store differs from the one it was posted to", set)
+		}
+	}
+
+	store, err := s.openStore(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, over := range []int64{0, 1} {
+		gen, err := store.Save(make([]byte, bound+over))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := store.Load(gen); (over == 1) != errors.Is(err, ckpt.ErrTooLarge) {
+			t.Fatalf("a generation %d bytes past the bound: %v", over, err)
+		}
+	}
+
+	// The scenario a fixed cap lost: checkpoint, restart, and the strides
+	// are still there.
+	mcfg := MultiConfig{Default: cfg, CheckpointDir: t.TempDir()}
+	m, err := NewMulti(mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mts := httptest.NewServer(m.Handler())
+	postPoints(t, mts, clusteredBatch(rand.New(rand.NewSource(41)), 0, 500)).Body.Close()
+	mts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m.RunCheckpoints(ctx) // the shutdown generation
+	m2, err := NewMulti(mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m2.Stream(DefaultStream).Strides(); got != 7 {
+		t.Fatalf("restarted over its own checkpoint, the stream serves %d strides, want 7", got)
+	}
+}
+
+// TestCheckpointBoundSmallerWindow: a stream re-created over its checkpoints
+// with a window too small to have written them refuses to start — POST
+// /streams answers 400 naming the bound — instead of starting fresh and
+// letting its next checkpoints prune the window away. The generations stay,
+// and the stream re-created with its own window recovers from them.
+func TestCheckpointBoundSmallerWindow(t *testing.T) {
+	dir := t.TempDir()
+	mcfg := MultiConfig{Default: fixtureConfig(), CheckpointDir: dir}
+	m, err := NewMulti(mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(m.Handler())
+	big := streamSpec{Name: "big", Window: 40000, Stride: 40000}
+	mustCreateStream(t, ts, big)
+	rng := rand.New(rand.NewSource(43))
+	pts := make([]ingestPoint, big.Window)
+	for i := range pts { // spread out, so the fill is cheap
+		pts[i] = ingestPoint{ID: int64(i), Time: int64(i), Coords: []float64{1000 * rng.Float64(), 1000 * rng.Float64()}}
+	}
+	if resp := postStreamPoints(t, ts, big.Name, pts); resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: status %d", resp.StatusCode)
+	}
+	ts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m.RunCheckpoints(ctx) // the shutdown generations
+	genDir := m.streamDir(dir, big.Name)
+	before, err := os.ReadDir(genDir)
+	if err != nil || len(before) == 0 {
+		t.Fatalf("no generations written: %v", err)
+	}
+
+	m2, err := NewMulti(mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(m2.Handler())
+	defer ts2.Close()
+	small := streamSpec{Name: big.Name, Window: 1000, Stride: 100}
+	resp := createStream(t, ts2, small)
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "larger than a window of 1000 points") {
+		t.Fatalf("re-created with a smaller window: status %d: %s", resp.StatusCode, body)
+	}
+	cfg := fixtureConfig()
+	cfg.Window, cfg.Stride = small.Window, small.Stride
+	if _, err := m2.CreateStream(big.Name, cfg); !errors.Is(err, ckpt.ErrTooLarge) {
+		t.Fatalf("re-created with a smaller window: %v, want ckpt.ErrTooLarge", err)
+	}
+	after, err := os.ReadDir(genDir)
+	if err != nil || len(after) != len(before) {
+		t.Fatalf("generations %d before the refused restart, %d after (%v)", len(before), len(after), err)
+	}
+	if info := mustCreateStream(t, ts2, big); info.Strides != 1 || info.Resident != big.Window {
+		t.Fatalf("re-created with its own window: %d strides, %d resident, want 1 and %d", info.Strides, info.Resident, big.Window)
 	}
 }

@@ -35,7 +35,6 @@ import (
 	"disc/internal/ckpt"
 	"disc/internal/model"
 	"disc/internal/obs"
-	"disc/internal/window"
 )
 
 // DefaultStream is the name of the stream the legacy single-stream routes
@@ -65,7 +64,7 @@ var streamNameRe = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9_.-]{0,63}$`)
 type MultiConfig struct {
 	// Default is the configuration of the default stream AND the template
 	// dynamically created streams inherit their operational settings from
-	// (body limits, tracing, event-log size). Clustering parameters
+	// (the ingest body limit, tracing, event-log size). Clustering parameters
 	// (Cluster, Window, Stride) act as per-field fallbacks for POST
 	// /streams requests that omit them.
 	Default Config
@@ -196,10 +195,7 @@ func (m *Multi) CreateStream(name string, cfg Config) (*Server, error) {
 	// Validate before touching the metrics pool: a dedicated stream label
 	// slot is never reclaimed, so a flood of invalid create requests must
 	// not be able to consume the cap and push real streams to "other".
-	if err := cfg.Cluster.Validate(); err != nil {
-		return nil, err
-	}
-	if _, err := window.NewCountSlider(cfg.Window, cfg.Stride); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	srv, err := newServer(cfg, m.reg, m.pool.Acquire(name))
@@ -496,8 +492,9 @@ func (m *Multi) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		case errors.Is(err, ErrTooManyStreams):
 			http.Error(w, err.Error(), http.StatusTooManyRequests)
 		default:
-			// A bad name, and newServer validation (dims/eps/minpts/window/
-			// stride): the same rules discserver enforces at startup, as 400s.
+			// A bad name, and Config.validate (dims/eps/minpts/window/stride,
+			// a window the engine can hold): the same rules discserver
+			// enforces at startup, as 400s.
 			http.Error(w, err.Error(), http.StatusBadRequest)
 		}
 		return

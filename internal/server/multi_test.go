@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"disc/internal/core"
 	"disc/internal/model"
 
 	"context"
@@ -252,6 +253,48 @@ func TestMultiCreateRejectsBadConfig(t *testing.T) {
 	// Nothing leaked into the registry.
 	if got := listStreams(t, ts); len(got) != 1 {
 		t.Fatalf("rejected creates registered streams: %+v", got)
+	}
+}
+
+// TestWindowOverEngineCapacity: a window larger than an engine can hold
+// (core.MaxPoints) is a 400 from POST /streams before anything is built for
+// it. It used to be accepted: a window of 2^34 was a 201 that allocated a
+// gigabyte of empty view pages for a stream that could never fill, and 2^62
+// panicked inside the handler after taking a dedicated metric label. The label
+// stays free for a real stream, and New, NewFollower and NewMulti refuse the
+// same window.
+func TestWindowOverEngineCapacity(t *testing.T) {
+	mcfg := testMultiConfig()
+	mcfg.MetricStreams = 2 // the default stream's label and one more
+	ts, _ := newTestMulti(t, mcfg)
+	for i, w := range []int{core.MaxPoints + 1, 1 << 34, 1 << 62} {
+		var resp *http.Response
+		grew := allocated(func() { resp = createStream(t, ts, streamSpec{Name: fmt.Sprintf("big%d", i), Window: w, Stride: 10}) })
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "engine can hold") {
+			t.Fatalf("window %d: status %d %q, want a 400 naming the engine's capacity", w, resp.StatusCode, body)
+		}
+		if grew > 1<<20 {
+			t.Fatalf("window %d: the refused create allocated %d bytes", w, grew)
+		}
+	}
+	mustCreateStream(t, ts, streamSpec{Name: "small", Window: 100, Stride: 10})
+	postStreamPoints(t, ts, "small", clusteredBatch(rand.New(rand.NewSource(5)), 0, 3)).Body.Close()
+	if body := getBodyString(t, ts.URL+"/metrics"); !strings.Contains(body, `disc_ingested_points_total{stream="small"} 3`) {
+		t.Fatal("a refused create took the last dedicated metric label")
+	}
+
+	cfg := mcfg.Default
+	cfg.Window = core.MaxPoints + 1
+	if _, err := New(cfg); err == nil {
+		t.Error("New accepted a window over the engine's capacity")
+	}
+	if _, err := NewFollower(FollowerConfig{Server: cfg, WALDir: t.TempDir()}); err == nil {
+		t.Error("NewFollower accepted a window over the engine's capacity")
+	}
+	if _, err := NewMulti(MultiConfig{Default: cfg}); err == nil {
+		t.Error("NewMulti accepted a window over the engine's capacity")
 	}
 }
 

@@ -40,13 +40,10 @@ import (
 	"disc/internal/wire"
 )
 
-// Default request-body bounds. Both paths decode untrusted input into
-// memory, so they must be capped; the checkpoint default is generous
-// because a checkpoint carries the full window.
-const (
-	DefaultMaxIngestBytes     = 8 << 20   // 8 MiB of JSON points per POST /ingest
-	DefaultMaxCheckpointBytes = 256 << 20 // 256 MiB per POST /checkpoint
-)
+// DefaultMaxIngestBytes bounds the request body of POST /ingest: 8 MiB of
+// JSON points. POST /checkpoint is bounded by what the stream can write
+// (checkpointMaxBytes).
+const DefaultMaxIngestBytes = 8 << 20
 
 // Config configures the service.
 type Config struct {
@@ -63,21 +60,10 @@ type Config struct {
 	// MaxIngestBytes caps the request body of POST /ingest; 0 selects
 	// DefaultMaxIngestBytes. Oversized requests get 413.
 	MaxIngestBytes int64
-	// MaxCheckpointBytes caps the request body of POST /checkpoint; 0
-	// selects DefaultMaxCheckpointBytes. Oversized requests get 413.
-	MaxCheckpointBytes int64
 	// Tracing enables the span recorder and GET /debug/traces; nil
 	// disables tracing entirely (the write path then pays one nil check
 	// per hook).
 	Tracing *TraceConfig
-	// ReadyHighWater makes GET /readyz report 503 while the slider's
-	// pending backlog (points buffered below the next stride boundary)
-	// exceeds this many points; 0 disables the backlog gate.
-	ReadyHighWater int
-	// IngestHighWater makes POST /ingest shed load with 429 + Retry-After
-	// while the slider backlog exceeds this many points, instead of
-	// queueing writes without bound; 0 disables backpressure.
-	IngestHighWater int
 }
 
 // TraceConfig sizes the server's trace recorder.
@@ -109,13 +95,11 @@ type Server struct {
 	// tracer records ingest span trees when Config.Tracing is set; nil
 	// otherwise. lastStride is the engine's record of the stride it last
 	// completed, kept by the stream's observer under mu; a traced ingest
-	// renders it into the request's trace. pending backs GET /readyz: an
-	// atomic, so the probe never touches mu. strideCtx holds the
+	// renders it into the request's trace. strideCtx holds the
 	// SpanContext of the most recent traced stride, the join point for the
 	// checkpoint runner's asynchronous trace fragment.
 	tracer     *trace.Tracer
 	lastStride core.StrideRecord
-	pending    atomic.Int64
 	strideCtx  atomic.Pointer[trace.SpanContext]
 
 	// view is the immutable read-path snapshot, replaced after every
@@ -178,7 +162,7 @@ func New(cfg Config) (*Server, error) {
 // bundle — the seam the multi-tenant registry uses to share one registry
 // (with per-stream labels) across every tenant's engine.
 func newServer(cfg Config, reg *obs.Registry, sm *obs.StreamMetrics) (*Server, error) {
-	if err := cfg.Cluster.Validate(); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	slider, err := window.NewCountSlider(cfg.Window, cfg.Stride)
@@ -190,9 +174,6 @@ func newServer(cfg Config, reg *obs.Registry, sm *obs.StreamMetrics) (*Server, e
 	}
 	if cfg.MaxIngestBytes <= 0 {
 		cfg.MaxIngestBytes = DefaultMaxIngestBytes
-	}
-	if cfg.MaxCheckpointBytes <= 0 {
-		cfg.MaxCheckpointBytes = DefaultMaxCheckpointBytes
 	}
 	s := &Server{cfg: cfg, slider: slider, reg: reg, sm: sm,
 		seqs: newSeqTable(seqWindow, seqClients)}
@@ -212,6 +193,23 @@ func newServer(cfg Config, reg *obs.Registry, sm *obs.StreamMetrics) (*Server, e
 	// consistent) answers before the first stride completes.
 	s.publish()
 	return s, nil
+}
+
+// validate rejects a configuration no stream can run: invalid clustering
+// parameters, a window and stride the slider refuses, or a window larger than
+// an engine can hold. The last also keeps every size derived from the window
+// (checkpointMaxBytes, the view's tables) far from overflow.
+func (c Config) validate() error {
+	if err := c.Cluster.Validate(); err != nil {
+		return err
+	}
+	if c.Window > core.MaxPoints {
+		return fmt.Errorf("window %d exceeds the %d points an engine can hold", c.Window, core.MaxPoints)
+	}
+	if c.Window <= 0 || c.Stride <= 0 || c.Stride > c.Window {
+		return fmt.Errorf("window %d and stride %d must be positive, the stride no larger", c.Window, c.Stride)
+	}
+	return nil
 }
 
 // engineOptions is how this server builds its engine, fresh or restored:
@@ -317,18 +315,10 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// handleReady is the readiness probe, distinct from /healthz liveness: 503
-// while the slider backlog exceeds Config.ReadyHighWater. There is no
-// recovery gate: a stream recovers before any handler can reach it. It reads
-// only an atomic, so probes never contend with ingest.
+// handleReady is the readiness probe, distinct from /healthz liveness. A
+// stream recovers before any handler can reach it, and apply leaves no
+// backlog behind the engine, so a stream that answers is ready.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
-	if hw := s.cfg.ReadyHighWater; hw > 0 {
-		if backlog := s.pending.Load(); backlog > int64(hw) {
-			http.Error(w, fmt.Sprintf("not ready: slider backlog %d exceeds high-water mark %d",
-				backlog, hw), http.StatusServiceUnavailable)
-			return
-		}
-	}
 	w.WriteHeader(http.StatusOK)
 	fmt.Fprintln(w, "ready")
 }
@@ -495,9 +485,6 @@ func (s *Server) ReadCheckpoint(r io.Reader) (int, error) {
 	// a trace of strides the restore just discarded — the trace-level twin
 	// of serving a restored view under a pre-restore X-Disc-Stride.
 	s.strideCtx.Store(nil)
-	// A restore discards any pending partial stride, so the readiness
-	// backlog gauge resets with it.
-	s.pending.Store(int64(s.slider.PendingLen()))
 	return eng.WindowSize(), nil
 }
 
@@ -505,7 +492,7 @@ func (s *Server) ReadCheckpoint(r io.Reader) (int, error) {
 // recovery reads at the server's checkpoint bound. Opening only reads the
 // directory, so a follower may open a live leader's.
 func (s *Server) openStore(dir string, logger *slog.Logger) (*ckpt.Store, error) {
-	store, err := ckpt.Open(dir, ckpt.WithMaxPayload(s.cfg.MaxCheckpointBytes), ckpt.WithStoreLogger(logger))
+	store, err := ckpt.Open(dir, ckpt.WithMaxPayload(s.checkpointMaxBytes()), ckpt.WithStoreLogger(logger))
 	if err != nil {
 		return nil, fmt.Errorf("opening checkpoint store: %w", err)
 	}
@@ -515,8 +502,9 @@ func (s *Server) openStore(dir string, logger *slog.Logger) (*ckpt.Store, error)
 // recoverFromStore restores the server from the newest valid generation in
 // the store in dir — the start-up policy of a stream and of a follower
 // alike: no checkpoint → fresh, no valid checkpoint → warn and fresh, a
-// checkpoint that fails to restore → hard error (starting fresh would
-// silently discard the window the operator meant to keep).
+// checkpoint that fails to restore or exceeds this stream's bound → hard
+// error (starting fresh would silently discard the window the operator
+// meant to keep, and the next checkpoints would prune it).
 func (s *Server) recoverFromStore(dir string, logger *slog.Logger) error {
 	store, err := s.openStore(dir, logger)
 	if err != nil {
@@ -533,6 +521,8 @@ func (s *Server) recoverFromStore(dir string, logger *slog.Logger) error {
 			logger.Info("recovered from checkpoint",
 				"generation", gen, "bytes", len(payload), "window_points", restored, "stride", s.Strides())
 		}
+	case errors.Is(err, ckpt.ErrTooLarge):
+		return fmt.Errorf("checkpoint is larger than a window of %d points can write: %w", s.cfg.Window, err)
 	case errors.Is(err, ckpt.ErrNoCheckpoint):
 		if logger != nil {
 			logger.Info("no checkpoint found, starting fresh")
@@ -569,9 +559,10 @@ func (s *Server) handleCheckpointSave(w http.ResponseWriter, _ *http.Request) {
 
 // handleCheckpointLoad restores the service from a posted checkpoint:
 // 400 for undecodable input, 409 for a configuration mismatch or a stream
-// with a write-ahead log attached, 413 for a body over the configured limit.
+// with a write-ahead log attached, 413 for a body larger than any checkpoint
+// the stream can write.
 func (s *Server) handleCheckpointLoad(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxCheckpointBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.checkpointMaxBytes()))
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
@@ -640,19 +631,6 @@ const maxClientName = 128
 // echoed in the X-Disc-Trace response header and the completed trace is
 // queryable at GET /debug/traces.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	// Backpressure: shed load before reading the body. The gauge is an
-	// atomic, so an overloaded stream answers 429 without touching the
-	// mutex the backlog is queued behind.
-	if hw := s.cfg.IngestHighWater; hw > 0 {
-		if backlog := s.pending.Load(); backlog > int64(hw) {
-			w.Header().Set("Retry-After", "1")
-			writeJSONStatus(w, http.StatusTooManyRequests, ingestError{
-				Error: fmt.Sprintf("slider backlog %d exceeds ingest high-water mark %d; retry after the backlog drains",
-					backlog, hw),
-			})
-			return
-		}
-	}
 	var tr *trace.Trace
 	var root *trace.Span
 	if s.tracer != nil {
@@ -830,15 +808,15 @@ func (s *Server) commitIngest(w http.ResponseWriter, rec *walRecord, tr *trace.T
 // the slider; a point that completes a stride advances the engine and, once
 // the engine has accepted the stride, publishes the new view before the next
 // point is touched — that view is the one the paper's exactness guarantee is
-// about. If the engine refuses a stride the triggering point is rolled back
-// out of the slider, leaving both at the pre-push stream position (without
-// that the slider runs one stride ahead of the engine forever), and apply
-// returns how many points went in before it. With a trace active each
-// accepted stride's record is rendered under root in tr; a refused stride
-// renders nothing. Caller holds s.mu.
+// about. So no backlog builds up behind the engine: between calls the
+// slider's partial stride is shorter than the window while it fills and
+// shorter than the stride after. If the engine refuses a stride the
+// triggering point is rolled back out of the slider, leaving both at the
+// pre-push stream position (without that the slider runs one stride ahead of
+// the engine forever), and apply returns how many points went in before it.
+// With a trace active each accepted stride's record is rendered under root in
+// tr; a refused stride renders nothing. Caller holds s.mu.
 func (s *Server) apply(pts []model.Point, tr *trace.Trace, root *trace.Span) (applied int, err error) {
-	// The probe gauge tracks the slider backlog.
-	defer func() { s.pending.Store(int64(s.slider.PendingLen())) }()
 	for _, p := range pts {
 		step := s.slider.Push(p)
 		if step != nil {

@@ -298,8 +298,7 @@ func TestIngestBatchAtomicValidation(t *testing.T) {
 	ts, s, dir := newWALServer(t, cfg)
 	s.seqs = newSeqTable(2, seqClients)
 	rng := rand.New(rand.NewSource(12))
-	// 230 points — a full window and 30 pending, under the high-water mark —
-	// as sequence numbers 1-3, of which the dedup window keeps {2, 3}.
+	// 230 points — a full window and 30 pending — as sequence numbers 1-3, of which the dedup window keeps {2, 3}.
 	for seq, n := range []int{100, 100, 30} {
 		resp := postPointsSeq(t, ts.URL, clusteredBatch(rng, int64(seq)*1000, n), "loader", uint64(seq+1))
 		if resp.StatusCode != http.StatusOK {
@@ -307,7 +306,6 @@ func TestIngestBatchAtomicValidation(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	s.cfg.IngestHighWater = 40 // set now: the filling window counts as backlog
 
 	dirSize := func() (n int64) {
 		filepath.Walk(dir, func(_ string, fi os.FileInfo, err error) error {
@@ -372,21 +370,16 @@ func TestIngestBatchAtomicValidation(t *testing.T) {
 	reject("seq below the dedup window", fresh, map[string]string{"X-Disc-Seq": "1", "X-Disc-Client": "loader"}, http.StatusConflict)
 
 	// The same points without the bad one are still ingestible (nothing was
-	// pushed into the slider on the failed attempt), and take the backlog
-	// over the high-water mark.
+	// pushed into the slider on the failed attempt).
 	resp := postPoints(t, ts, append(midBatchDims[:2:2], midBatchDims[3]))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("clean retry status %d, want 200", resp.StatusCode)
 	}
-	resp = postPoints(t, ts, clusteredBatch(rng, 60_000, 10))
-	resp.Body.Close()
-	reject("backlog over the high-water mark", fresh, nil, http.StatusTooManyRequests)
 
 	// Break the log out from under the server. The append that discovers it
 	// answers 503 after applying its batch (apply comes before log); every
 	// request after that meets the latch and touches nothing.
-	s.cfg.IngestHighWater = 0
 	s.mu.Lock()
 	s.wal.Close()
 	s.mu.Unlock()
@@ -559,15 +552,15 @@ func TestEventsEmptyIsArray(t *testing.T) {
 	}
 }
 
-// TestRequestBodyLimits: oversized ingest and checkpoint bodies get 413,
-// and the configured checkpoint limit is honored.
+// TestRequestBodyLimits: oversized ingest and checkpoint bodies get 413 —
+// the configured ingest limit, and for a checkpoint anything larger than the
+// stream could have written.
 func TestRequestBodyLimits(t *testing.T) {
 	s, err := New(Config{
-		Cluster:            model.Config{Dims: 2, Eps: 2, MinPts: 4},
-		Window:             200,
-		Stride:             50,
-		MaxIngestBytes:     512,
-		MaxCheckpointBytes: 1024,
+		Cluster:        model.Config{Dims: 2, Eps: 2, MinPts: 4},
+		Window:         200,
+		Stride:         50,
+		MaxIngestBytes: 512,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -584,7 +577,7 @@ func TestRequestBodyLimits(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized ingest status %d, want 413", resp.StatusCode)
 	}
-	resp, err = http.Post(ts.URL+"/checkpoint", "application/octet-stream", bytes.NewReader(big))
+	resp, err = http.Post(ts.URL+"/checkpoint", "application/octet-stream", bytes.NewReader(make([]byte, s.checkpointMaxBytes()+1)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,6 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"testing"
 	"time"
 
@@ -71,37 +70,35 @@ func TestReadyzRecoveryGate(t *testing.T) {
 	}
 }
 
-// TestReadyzBacklogHighWater covers the second transition: /readyz trips
-// while the slider's pending backlog exceeds the high-water mark and
-// recovers once a stride boundary drains it.
+// TestReadyzBacklogHighWater: readiness has no backlog gate. /readyz answers
+// 200 at every step of a window fill and of the partial strides after it —
+// apply drains a partial stride in the ingest that completes it, so there is
+// no backlog for the probe to report and nothing a load balancer could shed
+// that would drain it.
 func TestReadyzBacklogHighWater(t *testing.T) {
-	s, err := New(Config{
-		Cluster:        model.Config{Dims: 2, Eps: 2, MinPts: 4},
-		Window:         200,
-		Stride:         50,
-		ReadyHighWater: 10,
-	})
+	s, err := New(Config{Cluster: model.Config{Dims: 2, Eps: 2, MinPts: 4}, Window: 200, Stride: 50})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	if code, _ := getBody(t, ts.URL+"/readyz"); code != http.StatusOK {
-		t.Fatalf("fresh readyz = %d, want 200", code)
-	}
-
-	// 20 points buffered below the 200-point fill boundary: backlog 20 > 10.
 	rng := rand.New(rand.NewSource(7))
-	postPoints(t, ts, clusteredBatch(rng, 0, 20)).Body.Close()
-	if code, body := getBody(t, ts.URL+"/readyz"); code != http.StatusServiceUnavailable || !strings.Contains(body, "backlog") {
-		t.Fatalf("backlogged readyz = %d %q, want 503 mentioning backlog", code, body)
-	}
-
-	// Filling the window crosses the boundary; the backlog drains to zero.
-	postPoints(t, ts, clusteredBatch(rng, 20, 180)).Body.Close()
-	if code, _ := getBody(t, ts.URL+"/readyz"); code != http.StatusOK {
-		t.Fatalf("readyz = %d after boundary drained backlog, want 200", code)
+	id := int64(0)
+	// 199 points of fill, the fill's last point, then strides and the partial
+	// strides between them.
+	for step, n := range []int{0, 20, 90, 89, 1, 30, 19, 49, 1, 7} {
+		if n > 0 {
+			resp := postPoints(t, ts, clusteredBatch(rng, id, n))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("step %d: ingest status %d: %s", step, resp.StatusCode, readBody(t, resp))
+			}
+			resp.Body.Close()
+			id += int64(n)
+		}
+		if code, body := getBody(t, ts.URL+"/readyz"); code != http.StatusOK {
+			t.Fatalf("step %d (%d points ingested): readyz = %d %q, want 200", step, id, code, body)
+		}
 	}
 }
 

@@ -101,7 +101,7 @@ func rebuildOracle(t testing.TB, s *Server) oracleBodies {
 			Config:    s.cfg.Cluster,
 			Window:    s.cfg.Window,
 			Stride:    s.cfg.Stride,
-			Ingested:  s.ingested - uint64(s.slider.PendingLen()), // as of the stride boundary
+			Ingested:  s.ingested - uint64(len(s.slider.Pending())), // as of the stride boundary
 			Resident:  len(snap),
 			Stats:     stats,
 			EventSeq:  s.eventSeq,

@@ -183,8 +183,11 @@ func TestIngestSeqDedup(t *testing.T) {
 	if ingested != 60 {
 		t.Fatalf("ingested = %d after dedup, want 60 (nothing applied twice)", ingested)
 	}
-	if got := s.pending.Load(); got != 60 {
-		t.Fatalf("pending = %d, want 60 (window not yet warm)", got)
+	s.mu.Lock()
+	pending := len(s.slider.Pending())
+	s.mu.Unlock()
+	if pending != 60 {
+		t.Fatalf("pending = %d, want 60 (window not yet warm)", pending)
 	}
 }
 
@@ -258,50 +261,70 @@ func TestIngestRetryWedgeWithoutSeq(t *testing.T) {
 	}
 }
 
-// TestIngestBackpressure: past the high-water mark the server sheds load
-// with 429 + Retry-After instead of queueing without bound.
+// TestIngestBackpressure: the geometry that makes a backlog gate
+// unnecessary. apply advances the engine inside the ingest that completes a
+// stride, so after every accepted batch, however large, the slider's partial
+// stride is shorter than the window while it fills and shorter than the stride
+// after. The bound holds on a stream restored from its checkpoint and on one
+// recovered from its log, and no batch is ever shed.
 func TestIngestBackpressure(t *testing.T) {
 	cfg := testWALConfig()
-	cfg.IngestHighWater = 10
-	s, err := New(cfg)
+	checkBound := func(what string, s *Server) int {
+		t.Helper()
+		s.mu.Lock()
+		pending, strides := len(s.slider.Pending()), s.eng.Stats().Strides
+		s.mu.Unlock()
+		limit := cfg.Stride
+		if strides == 0 {
+			limit = cfg.Window
+		}
+		if pending >= limit {
+			t.Fatalf("%s: %d points pending after %d strides, want fewer than %d", what, pending, strides, limit)
+		}
+		return pending
+	}
+	rng := rand.New(rand.NewSource(10))
+	var id int64
+	script := func(ts *httptest.Server, s *Server, batches int) {
+		t.Helper()
+		for i := 0; i < batches; i++ {
+			n := 1 + rng.Intn(3*cfg.Stride)
+			resp := postPoints(t, ts, clusteredBatch(rng, id, n))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("batch %d of %d points: status %d: %s", i, n, resp.StatusCode, readBody(t, resp))
+			}
+			resp.Body.Close()
+			id += int64(n)
+			checkBound(fmt.Sprintf("batch %d of %d points", i, n), s)
+		}
+	}
+
+	ts, live, dir := newWALServer(t, cfg)
+	script(ts, live, 40)
+	livePending := checkBound("live", live)
+
+	restored, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	rng := rand.New(rand.NewSource(10))
+	if _, err := restored.ReadCheckpoint(bytes.NewReader(checkpointBytes(t, live))); err != nil {
+		t.Fatal(err)
+	}
+	checkBound("after a checkpoint restore", restored)
+	restoredTS := httptest.NewServer(restored.Handler())
+	defer restoredTS.Close()
+	script(restoredTS, restored, 10)
 
-	// 20 points, no stride boundary: backlog 20 > high water 10.
-	resp := postPoints(t, ts, clusteredBatch(rng, 0, 20))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("filling batch: status %d", resp.StatusCode)
+	recovered, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	resp.Body.Close()
-
-	resp = postPoints(t, ts, clusteredBatch(rng, 1000, 1))
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("over high water: status %d, want 429", resp.StatusCode)
+	if _, err := recovered.RecoverWAL(dir, nil); err != nil {
+		t.Fatal(err)
 	}
-	if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 without Retry-After")
+	if got := checkBound("after log recovery", recovered); got != livePending {
+		t.Fatalf("log recovery left %d points pending, the live stream %d", got, livePending)
 	}
-	var ie ingestError
-	if err := json.NewDecoder(resp.Body).Decode(&ie); err != nil {
-		t.Fatalf("429 body: %v", err)
-	}
-	resp.Body.Close()
-	if !strings.Contains(ie.Error, "high-water mark") {
-		t.Fatalf("429 body does not explain the shed: %q", ie.Error)
-	}
-
-	// Raising the mark (an operator intervention) reopens ingest — the
-	// shed is a pure function of backlog vs mark, with no latch.
-	s.cfg.IngestHighWater = 100
-	resp = postPoints(t, ts, clusteredBatch(rng, 2000, 30))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("below raised mark: status %d", resp.StatusCode)
-	}
-	resp.Body.Close()
 }
 
 // --- leader restart and follower replay ----------------------------------

@@ -166,11 +166,6 @@ func (s *CountSlider) Window() []model.Point { return s.buf }
 // arrival order (aliased): accepted by Push but not yet part of any step.
 func (s *CountSlider) Pending() []model.Point { return s.pending }
 
-// PendingLen reports how many points are buffered below the next stride
-// boundary — the slider's backlog. Readiness probes compare it against a
-// high-water mark without materializing the slice.
-func (s *CountSlider) PendingLen() int { return len(s.pending) }
-
 // RestoreWindow primes the slider with an already-full window in arrival
 // order (resuming from a checkpoint). Any pending partial stride is
 // discarded. The slice must be empty (reset to cold start) or exactly one
