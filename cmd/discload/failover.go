@@ -55,7 +55,7 @@ func runFailover(cfg config, out io.Writer) error {
 		return err
 	}
 	defer os.RemoveAll(dir)
-	walDir, ckptDir := filepath.Join(dir, "wal"), filepath.Join(dir, "ckpt")
+	walDir := filepath.Join(dir, "wal")
 
 	serverCfg := server.Config{
 		Cluster: model.Config{Dims: cfg.dims, Eps: cfg.eps, MinPts: cfg.minPts},
@@ -207,8 +207,7 @@ func runFailover(cfg config, out io.Writer) error {
 	}
 
 	fol, err := server.NewFollower(server.FollowerConfig{
-		Server: serverCfg, WALDir: walDir, Poll: 2 * time.Millisecond,
-		CheckpointDir: ckptDir, CheckpointEvery: 2,
+		Server: serverCfg, WALDir: walDir, Poll: 2 * time.Millisecond, CheckpointEvery: 2,
 	})
 	if err != nil {
 		return fmt.Errorf("failover: follower: %w", err)
@@ -285,7 +284,7 @@ func runFailover(cfg config, out io.Writer) error {
 	// The promoted follower is a leader like any other: it checkpoints
 	// every other stride and prunes the log behind the previous generation.
 	// Keep the script flowing until it has done both.
-	store, err := ckpt.Open(ckptDir)
+	store, err := ckpt.Open(walDir)
 	if err != nil {
 		return fmt.Errorf("failover: %w", err)
 	}

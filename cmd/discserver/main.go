@@ -2,16 +2,18 @@
 // points, query clusters and their evolution over a sliding window, and
 // scrape live telemetry. The process is multi-tenant — it hosts many
 // independent streams, each with its own engine, window, clustering
-// parameters, and checkpoint directory; the flags configure the always-on
+// parameters, and durable directory; the flags configure the always-on
 // "default" stream, which also serves as the template for streams created
-// at runtime. With -checkpoint-dir every stream checkpoints itself durably
-// every -checkpoint-every strides (one shared scheduler goroutine) and
-// recovers from its newest valid checkpoint when registered.
+// at runtime. With -wal-dir every stream logs each acknowledged batch,
+// checkpoints itself into the same directory every -checkpoint-every
+// strides (one shared scheduler goroutine), prunes the log behind its
+// checkpoints, and recovers from its newest valid checkpoint and the log
+// past it when registered.
 //
 // Usage:
 //
 //	discserver -addr :8080 -dims 2 -eps 0.5 -minpts 5 -window 10000 -stride 500 \
-//	    -checkpoint-dir /var/lib/discserver -checkpoint-every 20
+//	    -wal-dir /var/lib/discserver -checkpoint-every 20
 //
 // Stream registry:
 //
@@ -47,23 +49,24 @@
 // Durability and replication: with -wal-dir every acknowledged ingest
 // batch is framed and fsynced to a per-stream write-ahead log before its
 // 200, so a crash between checkpoints loses nothing a client was told was
-// applied. Batches may carry an X-Disc-Seq (plus X-Disc-Client) header;
-// re-delivering an acknowledged (client, seq) answers 200 with the
-// original body and X-Disc-Deduped: 1 instead of re-applying, making
-// at-least-once delivery exactly-once. With -follow <dir> the process
-// runs as a read-only replica: it tails the leader's log, replays every
-// batch through its own engine (bit-identical state), serves the full GET
-// surface, and becomes the leader on POST /promote — a leader like any
-// other: given the leader's -checkpoint-dir it checkpoints there every
-// -checkpoint-every strides and prunes the log. Every process recovers
-// before it listens, and a stride is applied inside the ingest that
+// applied, and the checkpoints beside it keep the log bounded. Batches may
+// carry an X-Disc-Seq (plus X-Disc-Client) header; re-delivering an
+// acknowledged (client, seq) answers 200 with the original body and
+// X-Disc-Deduped: 1 instead of re-applying, making at-least-once delivery
+// exactly-once. With -follow <dir> the process runs as a read-only replica:
+// it restores the newest checkpoint in the leader's directory, tails the log
+// from there, replays every batch through its own engine (bit-identical
+// state), serves the full GET surface, and becomes the leader on POST
+// /promote — a leader like any other: it checkpoints into that directory
+// every -checkpoint-every strides and prunes the log. Every process
+// recovers before it listens, and a stride is applied inside the ingest that
 // completes it, so /readyz has neither a recovery gate nor a backlog gate.
 //
 // On SIGINT/SIGTERM the server shuts down gracefully: in-flight requests
 // (including a final checkpoint download or metrics scrape) get up to
-// -drain to complete before the listener closes, and — when durable
-// checkpointing is on — a final checkpoint generation is written for every
-// stream so no completed stride is lost.
+// -drain to complete before the listener closes, and — with -wal-dir — a
+// final checkpoint generation is written for every stream so a restart
+// replays as little of the log as possible.
 package main
 
 import (
@@ -94,12 +97,11 @@ func main() {
 	stride := flag.Int("stride", 500, "stride size in points")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
-	ckptDir := flag.String("checkpoint-dir", "", "directory for durable checkpoints (empty = durability off)")
-	ckptEvery := flag.Uint64("checkpoint-every", 20, "checkpoint every N strides")
+	ckptEvery := flag.Uint64("checkpoint-every", 20, "checkpoint every N strides, pruning the log behind the previous checkpoint")
 	walDir := flag.String("wal-dir", "",
-		"directory for per-stream write-ahead logs: every acknowledged ingest batch is fsynced before its 200 (empty = off)")
+		"durable directory: per-stream write-ahead logs (every acknowledged ingest batch is fsynced before its 200) and their checkpoints (empty = in memory)")
 	follow := flag.String("follow", "",
-		"run as a read-only follower tailing this write-ahead log directory (serves the GET surface and POST /promote; single stream)")
+		"run as a read-only follower of this leader directory: restore its newest checkpoint, tail its log (serves the GET surface and POST /promote; single stream)")
 	traceOn := flag.Bool("trace", true, "record ingest span trees and serve GET /debug/traces")
 	traceRecent := flag.Int("trace-recent", trace.DefRecent, "traces retained in the recent ring")
 	traceSlow := flag.Int("trace-slow", trace.DefSlow, "slow traces retained in the slow ring")
@@ -121,7 +123,7 @@ func main() {
 	// typo'd -dims or a negative -eps must die here with the offending flag
 	// named, not as a downstream construction error (or, worse, a NaN that
 	// slips past a bare positivity check into distance comparisons).
-	if err := validateFlags(*dims, *eps, *minPts, *win, *stride, *maxStreams, *metricStreams, *follow, *walDir); err != nil {
+	if err := validateFlags(*dims, *eps, *minPts, *win, *stride, *maxStreams, *metricStreams, *ckptEvery, *follow, *walDir); err != nil {
 		fatal("discserver: invalid flags", "err", err)
 	}
 
@@ -141,16 +143,14 @@ func main() {
 		// the GET surface from replayed state, and turn into a leader on POST
 		// /promote. A definitively corrupt log is fatal (the replica must not
 		// silently serve a prefix of the stream forever). Once promoted, Run
-		// drives the checkpoints (final generation included) or, without
-		// -checkpoint-dir, returns nil while the listener keeps serving.
+		// drives the checkpoints, final generation included.
 		f, err := server.NewFollower(server.FollowerConfig{
-			Server: cfg, WALDir: *follow, CheckpointDir: *ckptDir, CheckpointEvery: *ckptEvery, Logger: logger,
+			Server: cfg, WALDir: *follow, CheckpointEvery: *ckptEvery, Logger: logger,
 		})
 		if err != nil {
 			fatal("discserver: starting follower", "err", err)
 		}
-		logger.Info("discserver following", "addr", *addr, "wal", *follow,
-			"checkpoints", describeCkpt(*ckptDir, *ckptEvery))
+		logger.Info("discserver following", "addr", *addr, "dir", *follow, "checkpoint_every", *ckptEvery)
 		if err := serve(logger, *addr, f.Handler(), *drain, f.Run); err != nil {
 			fatal("discserver: follower", "err", err)
 		}
@@ -164,7 +164,6 @@ func main() {
 		Default:         cfg,
 		MaxStreams:      *maxStreams,
 		MetricStreams:   *metricStreams,
-		CheckpointDir:   *ckptDir,
 		CheckpointEvery: *ckptEvery,
 		WALDir:          *walDir,
 		Logger:          logger,
@@ -175,9 +174,9 @@ func main() {
 	logger.Info("discserver listening",
 		"addr", *addr, "eps", *eps, "minpts", *minPts, "window", *win, "stride", *stride,
 		"max_streams", *maxStreams, "pprof", *pprofOn, "trace", *traceOn,
-		"checkpoints", describeCkpt(*ckptDir, *ckptEvery), "wal", describeWAL(*walDir))
+		"durability", describeDurability(*walDir, *ckptEvery))
 	// The background task is the checkpoint scheduler (a no-op without
-	// -checkpoint-dir): waiting for it after the drain lets it write its
+	// -wal-dir): waiting for it after the drain lets it write its
 	// final shutdown checkpoints — the listener is closed by then, so no new
 	// strides can arrive while they are written.
 	err = serve(logger, *addr, m.Handler(), *drain, func(ctx context.Context) error {
@@ -237,7 +236,7 @@ func serve(logger *slog.Logger, addr string, h http.Handler, drain time.Duration
 
 // validateFlags rejects unusable clustering and registry parameters with
 // messages that name the offending flag.
-func validateFlags(dims int, eps float64, minPts, win, stride, maxStreams, metricStreams int, follow, walDir string) error {
+func validateFlags(dims int, eps float64, minPts, win, stride, maxStreams, metricStreams int, ckptEvery uint64, follow, walDir string) error {
 	if dims < 1 || dims > geom.MaxDims {
 		return fmt.Errorf("-dims must be 1-%d, got %d", geom.MaxDims, dims)
 	}
@@ -262,22 +261,18 @@ func validateFlags(dims int, eps float64, minPts, win, stride, maxStreams, metri
 	if metricStreams < 1 {
 		return fmt.Errorf("-metric-streams must be at least 1, got %d", metricStreams)
 	}
+	if ckptEvery == 0 {
+		return errors.New("-checkpoint-every must be at least 1: checkpoints are what bound the log")
+	}
 	if follow != "" && walDir != "" {
 		return fmt.Errorf("-follow and -wal-dir are mutually exclusive: a follower reads the leader's log (-follow %s) and appends to that same log once promoted", follow)
 	}
 	return nil
 }
 
-func describeCkpt(dir string, every uint64) string {
+func describeDurability(dir string, every uint64) string {
 	if dir == "" {
 		return "off"
 	}
-	return fmt.Sprintf("%s every %d strides", dir, every)
-}
-
-func describeWAL(dir string) string {
-	if dir == "" {
-		return "off"
-	}
-	return dir
+	return fmt.Sprintf("%s, checkpoint every %d strides", dir, every)
 }

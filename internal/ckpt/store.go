@@ -130,15 +130,19 @@ func (s *Store) Save(payload []byte) (gen uint64, err error) {
 	if !s.swept {
 		// The first Save removes the temps of writes a crash cut short: never
 		// generations, and only the directory's one writer can tell them from
-		// a write in flight. A leftover temp is harmless; a failed removal is
-		// ignored.
+		// a write in flight. Only its own ckpt-<gen>.disc.tmp names: the
+		// directory is shared with the log and with operators. A leftover
+		// temp is harmless; a failed removal is ignored.
 		s.swept = true
 		entries, _ := os.ReadDir(s.dir)
 		for _, ent := range entries {
-			if name := ent.Name(); strings.HasSuffix(name, tmpSuffix) {
-				if os.Remove(filepath.Join(s.dir, name)) == nil && s.slogger != nil {
-					s.slogger.Warn("removed stale temp checkpoint (crash mid-write)", "file", name)
-				}
+			name := ent.Name()
+			base, isTemp := strings.CutSuffix(name, tmpSuffix)
+			if _, own := parseGen(base); !isTemp || !own {
+				continue
+			}
+			if os.Remove(filepath.Join(s.dir, name)) == nil && s.slogger != nil {
+				s.slogger.Warn("removed stale temp checkpoint (crash mid-write)", "file", name)
 			}
 		}
 	}

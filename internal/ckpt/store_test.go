@@ -273,6 +273,30 @@ func TestStoreOpenSweepsStaleTemp(t *testing.T) {
 	}
 }
 
+// TestStoreSweepsOnlyOwnTemps: the directory a store lives in is shared with
+// the stream's log and with operators, so the first Save's sweep removes a
+// stale generation temp and nothing else — not a foreign *.tmp, not a log
+// segment.
+func TestStoreSweepsOnlyOwnTemps(t *testing.T) {
+	dir := t.TempDir()
+	stale := filepath.Base(mustOpen(t, dir).genPath(7)) + tmpSuffix
+	foreign := []string{"x.tmp", "wal-00000000000000000000.wseg", "ckpt-notagen.disc.tmp"}
+	for _, name := range append([]string{stale}, foreign...) {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("left behind"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustSave(t, mustOpen(t, dir), testPayload(27))
+	if _, err := os.Stat(filepath.Join(dir, stale)); !os.IsNotExist(err) {
+		t.Fatalf("stale generation temp %s survived the first Save (stat err %v)", stale, err)
+	}
+	for _, name := range foreign {
+		if _, err := os.Stat(filepath.Join(dir, name)); err != nil {
+			t.Fatalf("the sweep removed %s, which is not the store's: %v", name, err)
+		}
+	}
+}
+
 // TestStoreReaderOpenKeepsInFlightSave is the regression for a reader
 // deleting a writer's checkpoint: Open used to remove every temp file in
 // the directory, so a follower opening a live leader's store to restore

@@ -617,8 +617,8 @@ func TestCheckpointBound(t *testing.T) {
 	}
 
 	// The scenario a fixed cap lost: checkpoint, restart, and the strides
-	// are still there.
-	mcfg := MultiConfig{Default: cfg, CheckpointDir: t.TempDir()}
+	// are still there — from the generation, the log it covers cut away.
+	mcfg := MultiConfig{Default: cfg, WALDir: t.TempDir()}
 	m, err := NewMulti(mcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -629,6 +629,7 @@ func TestCheckpointBound(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	m.RunCheckpoints(ctx) // the shutdown generation
+	cutLogToNewestGeneration(t, mcfg.WALDir, cfg)
 	m2, err := NewMulti(mcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -642,10 +643,11 @@ func TestCheckpointBound(t *testing.T) {
 // with a window too small to have written them refuses to start — POST
 // /streams answers 400 naming the bound — instead of starting fresh and
 // letting its next checkpoints prune the window away. The generations stay,
-// and the stream re-created with its own window recovers from them.
+// and the stream re-created with its own window recovers from them: the log
+// they cover is cut before the restarts, so a replay cannot stand in.
 func TestCheckpointBoundSmallerWindow(t *testing.T) {
 	dir := t.TempDir()
-	mcfg := MultiConfig{Default: fixtureConfig(), CheckpointDir: dir}
+	mcfg := MultiConfig{Default: fixtureConfig(), WALDir: dir}
 	m, err := NewMulti(mcfg)
 	if err != nil {
 		t.Fatal(err)
@@ -665,10 +667,13 @@ func TestCheckpointBoundSmallerWindow(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	m.RunCheckpoints(ctx) // the shutdown generations
-	genDir := m.streamDir(dir, big.Name)
-	before, err := os.ReadDir(genDir)
-	if err != nil || len(before) == 0 {
-		t.Fatalf("no generations written: %v", err)
+	genDir := m.streamDir(big.Name)
+	bigCfg := fixtureConfig()
+	bigCfg.Window, bigCfg.Stride = big.Window, big.Stride
+	cutLogToNewestGeneration(t, genDir, bigCfg)
+	before := generationFiles(t, genDir)
+	if len(before) == 0 {
+		t.Fatal("no generations written")
 	}
 
 	m2, err := NewMulti(mcfg)
@@ -689,9 +694,8 @@ func TestCheckpointBoundSmallerWindow(t *testing.T) {
 	if _, err := m2.CreateStream(big.Name, cfg); !errors.Is(err, ckpt.ErrTooLarge) {
 		t.Fatalf("re-created with a smaller window: %v, want ckpt.ErrTooLarge", err)
 	}
-	after, err := os.ReadDir(genDir)
-	if err != nil || len(after) != len(before) {
-		t.Fatalf("generations %d before the refused restart, %d after (%v)", len(before), len(after), err)
+	if after := generationFiles(t, genDir); len(after) != len(before) {
+		t.Fatalf("generations %d before the refused restart, %d after", len(before), len(after))
 	}
 	if info := mustCreateStream(t, ts2, big); info.Strides != 1 || info.Resident != big.Window {
 		t.Fatalf("re-created with its own window: %d strides, %d resident, want 1 and %d", info.Strides, info.Resident, big.Window)

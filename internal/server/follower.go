@@ -1,6 +1,7 @@
-// Follower replay: a read-only replica that tails a leader's write-ahead
-// log and replays every acknowledged batch through its own slider and
-// engine. Because DISC is deterministic — same points in, same strides
+// Follower replay: a read-only replica that restores the newest checkpoint
+// generation in a leader's directory, tails the write-ahead log beside it
+// and replays every acknowledged batch through its own slider and engine.
+// Because DISC is deterministic — same points in, same strides
 // out — the follower's published views (assignments, census, stats,
 // events) are bit-identical to the leader's at every stride boundary it
 // has replayed; the full GET surface serves from those views exactly as
@@ -28,14 +29,14 @@ type FollowerConfig struct {
 	// (a mismatched window or stride would replay the same points into
 	// different strides).
 	Server Config
-	// WALDir is the leader's write-ahead log directory (shared
-	// filesystem or a synchronized copy).
+	// WALDir is the leader's durable directory (shared filesystem or a
+	// synchronized copy). The follower restores its newest checkpoint
+	// generation and tails the log from there, so it replays the log's tail
+	// rather than the stream's whole history, which a pruning leader no
+	// longer keeps.
 	WALDir string
-	// CheckpointDir, when set, restores the newest valid checkpoint
-	// generation before tailing, so the follower only replays the log's
-	// tail instead of the stream's whole history; once promoted, the
-	// follower checkpoints there every CheckpointEvery strides (0 selects 20).
-	CheckpointDir   string
+	// CheckpointEvery is the promoted leader's checkpoint cadence in
+	// strides (0 selects 20).
 	CheckpointEvery uint64
 	// Poll is how often the tailer re-checks the log when it is caught
 	// up; 0 selects 25ms.
@@ -54,7 +55,7 @@ type Follower struct {
 	logger *slog.Logger
 
 	promoted atomic.Bool
-	runner   *ckpt.Runner // the promoted leader's; nil without a CheckpointDir
+	runner   *ckpt.Runner // the promoted leader's; nil until promotion
 
 	mu      sync.Mutex // guards reader/cancel/done across Run and Promote
 	reader  *ckpt.WALReader
@@ -63,8 +64,8 @@ type Follower struct {
 	running bool
 }
 
-// NewFollower builds the replica and, when CheckpointDir is set,
-// restores it from the newest valid checkpoint generation.
+// NewFollower builds the replica and restores it from the newest valid
+// checkpoint generation in WALDir, if there is one.
 func NewFollower(fc FollowerConfig) (*Follower, error) {
 	if fc.WALDir == "" {
 		return nil, errors.New("follower: WALDir is required")
@@ -78,10 +79,8 @@ func NewFollower(fc FollowerConfig) (*Follower, error) {
 	}
 	f := &Follower{srv: srv, cfg: fc, logger: fc.Logger,
 		rep: obs.NewReplicationMetrics(srv.Registry())}
-	if fc.CheckpointDir != "" {
-		if err := srv.recoverFromStore(fc.CheckpointDir, fc.Logger); err != nil {
-			return nil, fmt.Errorf("follower: %w", err)
-		}
+	if err := srv.recoverFromStore(fc.WALDir, fc.Logger); err != nil {
+		return nil, fmt.Errorf("follower: %w", err)
 	}
 	return f, nil
 }
@@ -89,14 +88,14 @@ func NewFollower(fc FollowerConfig) (*Follower, error) {
 // Run tails the log until ctx is canceled, Promote stops it, or the log
 // turns definitively corrupt, applying each record as it becomes durable.
 // After promotion it drives the new leader's checkpoints until ctx is
-// canceled, final generation included (with no CheckpointDir it returns).
-// It is meant to be run in its own goroutine; GET handlers serve
-// concurrently from the published views throughout.
+// canceled, final generation included. It is meant to be run in its own
+// goroutine; GET handlers serve concurrently from the published views
+// throughout.
 func (f *Follower) Run(ctx context.Context) error {
 	if err := f.tail(ctx); err != nil {
 		return err
 	}
-	if f.promoted.Load() && f.runner != nil {
+	if f.promoted.Load() {
 		sched := ckpt.NewScheduler()
 		sched.Add(DefaultStream, f.runner)
 		sched.Run(ctx)
@@ -177,11 +176,10 @@ func (f *Follower) applyRecord(rec *walRecord) error {
 
 // Promote turns the follower into a leader: stop tailing, drain whatever
 // complete records remain, and run attachLeader — the log's torn tail
-// repaired and the log reopened for appending, plus, with a CheckpointDir,
-// the runner Run drives from then on. The store is opened only now, so
-// its generations are numbered past the dead leader's. Only call it once
-// the old leader is known dead — two appenders on one log would interleave
-// corruptly.
+// repaired and the log reopened for appending, and the runner Run drives
+// from then on. The store is opened only now, so its generations are
+// numbered past the dead leader's. Only call it once the old leader is
+// known dead — two appenders on one log would interleave corruptly.
 func (f *Follower) Promote() error {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -204,7 +202,7 @@ func (f *Follower) Promote() error {
 		return fmt.Errorf("follower: draining log for promotion: %w", err)
 	}
 	f.reader.Close()
-	_, runner, err := s.attachLeader(f.cfg.WALDir, f.cfg.CheckpointDir, f.cfg.CheckpointEvery, f.logger)
+	_, runner, err := s.attachLeader(f.cfg.WALDir, f.cfg.CheckpointEvery, f.logger)
 	if err != nil {
 		return fmt.Errorf("follower: %w", err)
 	}

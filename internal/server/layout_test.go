@@ -1,0 +1,371 @@
+package server
+
+// One durable directory per stream: the log is bounded by the checkpoints
+// beside it, a follower needs nothing but that directory, and the layouts
+// of the removed checkpoint-only and checkpoint-dir modes migrate into it.
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+	"time"
+
+	"disc/internal/ckpt"
+)
+
+// TestLogBoundedByCheckpoints: a log directory driven through RunCheckpoints
+// every k strides keeps at most 2k strides of log on disk and replays at
+// most that many records on restart, at 10x and at 20x the window alike —
+// what the stream's age adds is pruned. One record per stride, and one
+// record per segment, so segments count strides.
+func TestLogBoundedByCheckpoints(t *testing.T) {
+	setSegmentBytes(t, 1)
+	const k = 2
+	cfg := testWALConfig() // window 200, stride 50
+	dir := t.TempDir()
+	m, err := NewMulti(MultiConfig{Default: cfg, WALDir: dir, CheckpointEvery: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(m.Handler())
+	defer ts.Close()
+	leader := m.Stream(DefaultStream)
+	rng := rand.New(rand.NewSource(91))
+	ingested := 0
+	for _, length := range []int{10 * cfg.Window, 20 * cfg.Window} {
+		for ; ingested < length; ingested += cfg.Stride {
+			postPoints(t, ts, clusteredBatch(rng, int64(ingested), cfg.Stride)).Body.Close()
+			if st := leader.Strides(); st%k == 0 {
+				checkpointNow(m)
+			}
+		}
+		segs := walSegmentFiles(t, dir)
+		restarted, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := restarted.recoverFromStore(dir, nil); err != nil {
+			t.Fatal(err)
+		}
+		replayed, err := restarted.RecoverWAL(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%d points, %d strides: %d segments on disk, %d records replayed on restart",
+			length, leader.Strides(), len(segs), replayed)
+		if len(segs) > 2*k || replayed > 2*k {
+			t.Errorf("%d points: %d segments on disk and %d records replayed, want at most %d strides' worth",
+				length, len(segs), replayed, 2*k)
+		}
+		if !bytes.Equal(checkpointBytes(t, restarted), checkpointBytes(t, leader)) {
+			t.Fatalf("%d points: the restart over the pruned log diverged from the leader", length)
+		}
+	}
+}
+
+// TestFollowerRestoresPrunedLeaderDir: a follower given nothing but the
+// leader's directory, whose log no longer starts at 0, restores the newest
+// generation there, replays the log past it, and serves what the leader
+// serves. Without the restore it would stop at the pruned head with a wal
+// gap.
+func TestFollowerRestoresPrunedLeaderDir(t *testing.T) {
+	setSegmentBytes(t, 1)
+	cfg := testWALConfig()
+	dir := t.TempDir()
+	m, err := NewMulti(MultiConfig{Default: cfg, WALDir: dir, CheckpointEvery: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lts := httptest.NewServer(m.Handler())
+	defer lts.Close()
+	leader := m.Stream(DefaultStream)
+	rng := rand.New(rand.NewSource(95))
+	// 40-point batches straddle the stride boundaries. The last one lands
+	// past the newest generation, so the follower matches the leader only
+	// once it has replayed the log.
+	for seq := uint64(1); seq <= 25; seq++ {
+		resp := postPointsSeq(t, lts.URL, clusteredBatch(rng, int64(seq)*1000, 40), "script", seq)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("batch %d: status %d", seq, resp.StatusCode)
+		}
+		resp.Body.Close()
+		if seq < 25 && leader.Strides()%2 == 0 {
+			checkpointNow(m)
+		}
+	}
+	if segs := walSegmentFiles(t, dir); segs[0] == fixtureSegment {
+		t.Fatalf("the leader's log still starts at 0 (%d segments): nothing was pruned", len(segs))
+	}
+
+	f, err := NewFollower(FollowerConfig{Server: cfg, WALDir: dir, Poll: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	runDone := make(chan error, 1)
+	go func() { runDone <- f.Run(ctx) }()
+	waitUntil(t, "follower catch-up", func() bool {
+		leader.mu.Lock()
+		lead := leader.ingested
+		leader.mu.Unlock()
+		f.srv.mu.Lock()
+		defer f.srv.mu.Unlock()
+		return f.srv.ingested == lead
+	})
+	cancel()
+	if err := <-runDone; err != nil {
+		t.Fatalf("follower's Run: %v", err)
+	}
+	fts := httptest.NewServer(f.Handler())
+	defer fts.Close()
+	assertSameBodies(t, lts.URL, fts.URL, "/checkpoint", "/clusters", "/stats", "/points/25039")
+}
+
+// TestLegacyCheckpointOnlyDirAsLogDir: a directory the removed
+// checkpoint-only mode wrote — generations and no log — restarted as a log
+// directory restores its newest generation and keeps ingesting. The log
+// starts beside the generations at the restored position, and a second
+// restart recovers generation and log together.
+func TestLegacyCheckpointOnlyDirAsLogDir(t *testing.T) {
+	cfg := testWALConfig()
+	dir := t.TempDir()
+	ref, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rts := httptest.NewServer(ref.Handler())
+	defer rts.Close()
+	post := func(ts *httptest.Server, from, to int) {
+		t.Helper()
+		for i := from; i < to; i++ { // batch i is the same on every stream
+			resp := postPoints(t, ts, clusteredBatch(rand.New(rand.NewSource(int64(i))), int64(i)*1000, cfg.Stride))
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("batch %d: status %d", i, resp.StatusCode)
+			}
+			resp.Body.Close()
+		}
+	}
+	// The checkpoint-only mode: an in-memory stream, checkpointed into dir
+	// at a stride boundary.
+	post(rts, 0, 5)
+	store, err := ckpt.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Save(checkpointBytes(t, ref)); err != nil {
+		t.Fatal(err)
+	}
+
+	mcfg := MultiConfig{Default: cfg, WALDir: dir}
+	m, err := NewMulti(mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mts := httptest.NewServer(m.Handler())
+	defer mts.Close()
+	assertSameBodies(t, rts.URL, mts.URL, "/checkpoint", "/clusters")
+	post(rts, 5, 12)
+	post(mts, 5, 12)
+	assertSameBodies(t, rts.URL, mts.URL, "/checkpoint", "/clusters", "/stats")
+	if segs := walSegmentFiles(t, dir); len(segs) == 0 || segs[0] != fmt.Sprintf("wal-%020d.wseg", 5*cfg.Stride) {
+		t.Fatalf("log segments %v, want the log to start at the restored position %d", segs, 5*cfg.Stride)
+	}
+
+	m2, err := NewMulti(mcfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mts2 := httptest.NewServer(m2.Handler())
+	defer mts2.Close()
+	assertSameBodies(t, rts.URL, mts2.URL, "/checkpoint", "/clusters", "/stats")
+}
+
+// TestLegacyPairLayout: the pair the removed checkpoint-dir mode left — the
+// generations in a directory of their own, the log they bound in the log
+// directory. File names and formats are unchanged, so the pair is a
+// one-directory stream with its generations moved out. Moved back into the
+// log tree, they recover the stream byte for byte; left behind, the pruned
+// log fails stream creation with a wal gap instead of starting fresh.
+func TestLegacyPairLayout(t *testing.T) {
+	setSegmentBytes(t, 1)
+	cfg := testWALConfig()
+	paths := []string{"/checkpoint", "/stats", "/clusters"}
+	pair := func(t *testing.T) (logDir, ckptDir string, want map[string]string) {
+		logDir, ckptDir = t.TempDir(), t.TempDir()
+		mcfg := MultiConfig{Default: cfg, WALDir: logDir, CheckpointEvery: 2}
+		m, err := NewMulti(mcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(m.Handler())
+		rng := rand.New(rand.NewSource(99))
+		for seq := uint64(1); seq <= 16; seq++ {
+			postPointsSeq(t, ts.URL, clusteredBatch(rng, int64(seq)*1000, 40), "script", seq).Body.Close()
+			if m.Stream(DefaultStream).Strides()%2 == 0 {
+				checkpointNow(m)
+			}
+		}
+		ts.Close()
+		if walSegmentFiles(t, logDir)[0] == fixtureSegment {
+			t.Fatal("the log still starts at 0: nothing was pruned")
+		}
+		// What the stream serves restarted over its one directory.
+		one, err := NewMulti(mcfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ots := httptest.NewServer(one.Handler())
+		defer ots.Close()
+		want = map[string]string{}
+		for _, path := range paths {
+			want[path] = getBodyString(t, ots.URL+path)
+		}
+		moveGenerations(t, logDir, ckptDir)
+		return logDir, ckptDir, want
+	}
+
+	t.Run("generations moved into the log tree", func(t *testing.T) {
+		logDir, ckptDir, want := pair(t)
+		moveGenerations(t, ckptDir, logDir)
+		m, err := NewMulti(MultiConfig{Default: cfg, WALDir: logDir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(m.Handler())
+		defer ts.Close()
+		for _, path := range paths {
+			if got := getBodyString(t, ts.URL+path); got != want[path] {
+				t.Fatalf("%s after the migration:\n got %.300s\nwant %.300s", path, got, want[path])
+			}
+		}
+	})
+	t.Run("generations left behind", func(t *testing.T) {
+		logDir, _, _ := pair(t)
+		if _, err := NewMulti(MultiConfig{Default: cfg, WALDir: logDir}); err == nil || !strings.Contains(err.Error(), "wal gap") {
+			t.Fatalf("a pruned log without its generations: %v, want a wal gap", err)
+		}
+	})
+}
+
+// setSegmentBytes lowers the segment size of every log a leader opens for
+// the rest of the test.
+func setSegmentBytes(t *testing.T, n int64) {
+	old := walSegmentBytes
+	walSegmentBytes = n
+	t.Cleanup(func() { walSegmentBytes = old })
+}
+
+// checkpointNow runs the registry's checkpoint scheduler with a canceled
+// context: one shutdown generation for every stream with unsaved strides,
+// and the log pruned behind the previous one.
+func checkpointNow(m *Multi) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m.RunCheckpoints(ctx)
+}
+
+// moveGenerations moves every checkpoint generation in from into to.
+func moveGenerations(t *testing.T, from, to string) {
+	t.Helper()
+	for _, gen := range generationFiles(t, from) {
+		if err := os.Rename(gen, filepath.Join(to, filepath.Base(gen))); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// eventKept matches /stats's size of the in-memory event ring, which a
+// restore does not carry: a restore keeps eventSeq, not the ring.
+var eventKept = regexp.MustCompile(`,"eventKept":\d+`)
+
+// assertSameBodies fails unless got serves want's bodies at every path,
+// /stats compared without its eventKept member.
+func assertSameBodies(t *testing.T, wantBase, gotBase string, paths ...string) {
+	t.Helper()
+	for _, path := range paths {
+		want, got := getBodyString(t, wantBase+path), getBodyString(t, gotBase+path)
+		if path == "/stats" {
+			want, got = eventKept.ReplaceAllString(want, ""), eventKept.ReplaceAllString(got, "")
+		}
+		if got != want {
+			t.Fatalf("%s diverged:\n got %.300s\nwant %.300s", path, got, want)
+		}
+	}
+}
+
+// generationFiles lists the checkpoint generation paths in dir, oldest first.
+func generationFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	gens, err := filepath.Glob(filepath.Join(dir, "ckpt-*.disc"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return gens
+}
+
+// cutLogToNewestGeneration drops every log record in dir that ends at or
+// before the stride boundary of dir's newest checkpoint generation, as a
+// leader's pruning does given enough checkpoints. What those records carried
+// is then recoverable from the generation alone, so a restart that passes
+// after the cut did restore it: log replay alone stops with a wal gap.
+func cutLogToNewestGeneration(t *testing.T, dir string, cfg Config) {
+	t.Helper()
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.recoverFromStore(dir, nil); err != nil {
+		t.Fatal(err)
+	}
+	pos := cfg.boundaryPos(s.Strides())
+	type record struct {
+		pos     uint64
+		payload []byte
+	}
+	var keep []record
+	r := ckpt.OpenWALReader(dir, 0, s.walRecordMaxPayload())
+	for {
+		at, payload, err := r.Next()
+		if errors.Is(err, ckpt.ErrWALWait) {
+			break
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec, err := decodeWALRecord(payload, cfg.Cluster.Dims)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rec.end() > pos {
+			keep = append(keep, record{at, append([]byte(nil), payload...)})
+		}
+	}
+	r.Close()
+	if pos == 0 || len(keep) > 0 && keep[0].pos == 0 {
+		t.Fatalf("no log record ends at or before the newest generation's position %d: the cut cannot tell a restore from a replay", pos)
+	}
+	for _, seg := range walSegmentFiles(t, dir) {
+		if err := os.Remove(filepath.Join(dir, seg)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w, err := ckpt.OpenWAL(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	for _, rec := range keep {
+		if err := w.Append(rec.pos, rec.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+}

@@ -1,10 +1,9 @@
 // Multi-tenant stream registry: one process hosting many independent DISC
 // streams. Each stream owns the full single-stream stack — engine, slider,
-// published view, write mutex, optional tracer, and checkpoint generation
-// directory — so writes to different streams proceed concurrently (there
-// is no global write lock; the registry's own mutex guards only the
-// name→stream map and is held for map operations, never across engine
-// work). The single-stream HTTP surface moves under /streams/{name}/...;
+// published view, write mutex, optional tracer, and durable directory — so
+// writes to different streams proceed concurrently (there is no global
+// write lock; the registry's own mutex guards only the name→stream map and
+// is held for map operations, never across engine work). The single-stream HTTP surface moves under /streams/{name}/...;
 // the historical routes remain as aliases for the undeletable "default"
 // stream, so existing clients, disccli, and discload keep working
 // unchanged.
@@ -13,10 +12,11 @@
 // {stream="<name>"}-labeled instrument bundle. The label's cardinality is
 // hard-capped (MetricStreams); tenants beyond the cap share one
 // {stream="other"} bundle, so scrape size is bounded no matter how many
-// streams a tenant storm registers. Durability: per-stream ckpt stores
-// under <dir>/streams/<name> (the default stream keeps <dir> itself — the
+// streams a tenant storm registers. Durability: one directory per stream,
+// <dir>/streams/<name> (the default stream keeps <dir> itself — the
 // pre-multi-tenant layout — so existing deployments recover their data),
-// all driven by one shared ckpt.Scheduler goroutine.
+// holding its log segments and the checkpoint generations that bound them,
+// all checkpointed by one shared ckpt.Scheduler goroutine.
 package server
 
 import (
@@ -74,24 +74,18 @@ type MultiConfig struct {
 	// (0 selects DefaultMetricStreams); streams beyond it share one
 	// {stream="other"} instrument bundle.
 	MetricStreams int
-	// CheckpointDir enables per-stream durable checkpointing under this
-	// directory; empty disables durability. The default stream stores its
-	// generations in CheckpointDir itself (the pre-registry layout, so
-	// existing single-stream deployments recover in place); stream X uses
-	// CheckpointDir/streams/X.
-	CheckpointDir string
 	// CheckpointEvery is the stride cadence of the shared checkpoint
 	// scheduler (0 selects 20).
 	CheckpointEvery uint64
-	// WALDir enables per-stream write-ahead logging under this directory;
-	// empty disables it. Layout mirrors CheckpointDir: the default stream
-	// logs into WALDir itself, stream X into WALDir/streams/X. With a log
-	// attached every acknowledged ingest batch is fsynced before its 200,
-	// so a crash between checkpoints loses nothing a client was told was
-	// applied. Log segments older than the previous successful checkpoint
-	// are pruned automatically (only when CheckpointDir is also set —
-	// without checkpoints the log is the only durable history and is kept
-	// whole).
+	// WALDir makes every stream durable; empty keeps streams in memory.
+	// Each stream has one directory: the default stream WALDir itself (the
+	// pre-registry layout, so existing single-stream deployments recover in
+	// place), stream X WALDir/streams/X. It holds the stream's write-ahead
+	// log, where every acknowledged ingest batch is fsynced before its 200,
+	// and the checkpoint generations RunCheckpoints writes every
+	// CheckpointEvery strides; log segments older than the previous
+	// generation are pruned, so the log stays bounded. A stream recovers
+	// its newest generation, then the log past it.
 	WALDir string
 	// Logger receives stream lifecycle and recovery log lines; nil
 	// discards them.
@@ -119,13 +113,13 @@ type Multi struct {
 type stream struct {
 	name string
 	srv  *Server
-	wal  *ckpt.WAL // nil when write-ahead logging is off
+	wal  *ckpt.WAL // nil when the stream is in memory only
 }
 
 // NewMulti returns a registry hosting the default stream built from
-// cfg.Default. With CheckpointDir or WALDir set, the default stream has
-// recovered before NewMulti returns, so no handler ever serves a window
-// about to be replaced by a restore.
+// cfg.Default. With WALDir set, the default stream has recovered before
+// NewMulti returns, so no handler ever serves a window about to be replaced
+// by a restore. It writes no checkpoint until RunCheckpoints is driven.
 func NewMulti(cfg MultiConfig) (*Multi, error) {
 	if cfg.MaxStreams <= 0 {
 		cfg.MaxStreams = DefaultMaxStreams
@@ -145,7 +139,7 @@ func NewMulti(cfg MultiConfig) (*Multi, error) {
 			"Streams registered over the process lifetime (including the default stream).", nil),
 		streams: make(map[string]*stream),
 	}
-	if cfg.CheckpointDir != "" {
+	if cfg.WALDir != "" {
 		m.sched = ckpt.NewScheduler()
 	}
 	if _, err := m.CreateStream(DefaultStream, cfg.Default); err != nil {
@@ -210,16 +204,13 @@ func (m *Multi) CreateStream(name string, cfg Config) (*Server, error) {
 	// Recovery: the newest valid checkpoint generation, then every log
 	// record past it. Replay stops at a torn or corrupt tail, the boundary
 	// attachLeader repairs the log to, so log and state agree.
-	var ckptDir, walDir string
-	if m.cfg.CheckpointDir != "" {
-		ckptDir = m.streamDir(m.cfg.CheckpointDir, name)
-		if err := srv.recoverFromStore(ckptDir, logger); err != nil {
+	var dir string
+	if m.cfg.WALDir != "" {
+		dir = m.streamDir(name)
+		if err := srv.recoverFromStore(dir, logger); err != nil {
 			return nil, fmt.Errorf("stream %q: %w", name, err)
 		}
-	}
-	if m.cfg.WALDir != "" {
-		walDir = m.streamDir(m.cfg.WALDir, name)
-		replayed, err := srv.RecoverWAL(walDir, logger)
+		replayed, err := srv.RecoverWAL(dir, logger)
 		if err != nil {
 			return nil, fmt.Errorf("stream %q: replaying write-ahead log: %w", name, err)
 		}
@@ -227,7 +218,7 @@ func (m *Multi) CreateStream(name string, cfg Config) (*Server, error) {
 			logger.Info("stream replayed write-ahead log", "records", replayed, "stride", srv.Strides())
 		}
 	}
-	wal, runner, err := srv.attachLeader(walDir, ckptDir, m.cfg.CheckpointEvery, logger)
+	wal, runner, err := srv.attachLeader(dir, m.cfg.CheckpointEvery, logger)
 	if err != nil {
 		return nil, fmt.Errorf("stream %q: %w", name, err)
 	}
@@ -256,52 +247,46 @@ func (m *Multi) CreateStream(name string, cfg Config) (*Server, error) {
 	return srv, nil
 }
 
-// streamDir maps a stream name into a durability root: the default stream
-// keeps the root itself (the pre-multi-tenant layout, so existing
-// deployments recover in place), stream X uses root/streams/X. The same
-// layout serves both the checkpoint and write-ahead log trees.
-func (m *Multi) streamDir(root, name string) string {
+// streamDir maps a stream name to its durable directory under WALDir: the
+// default stream keeps the root itself (the pre-multi-tenant layout, so
+// existing deployments recover in place), stream X uses WALDir/streams/X.
+func (m *Multi) streamDir(name string) string {
 	if name == DefaultStream {
-		return root
+		return m.cfg.WALDir
 	}
-	return filepath.Join(root, "streams", name)
+	return filepath.Join(m.cfg.WALDir, "streams", name)
 }
 
+// walSegmentBytes is the segment rotation threshold of every log a leader
+// opens. Tests lower it so a short stream has whole segments to prune.
+var walSegmentBytes int64 = ckpt.DefaultWALSegmentBytes
+
 // attachLeader is the one step that makes a recovered stream, registered or
-// promoted, a durable leader: open and attach the log in walDir (repairing a
-// torn tail), and build the runner that checkpoints into ckptDir every
-// `every` strides (0 selects 20) and prunes the log. An empty directory
-// skips its half; the caller drives the runner from a ckpt.Scheduler.
-func (s *Server) attachLeader(walDir, ckptDir string, every uint64, logger *slog.Logger) (*ckpt.WAL, *ckpt.Runner, error) {
+// promoted, a durable leader: open and attach the log in dir (repairing a
+// torn tail), and build the runner that checkpoints into the same directory
+// every `every` strides (0 selects 20) and prunes the log behind it. An
+// empty dir leaves the stream in memory; the caller drives the runner from
+// a ckpt.Scheduler.
+func (s *Server) attachLeader(dir string, every uint64, logger *slog.Logger) (*ckpt.WAL, *ckpt.Runner, error) {
+	if dir == "" {
+		return nil, nil, nil
+	}
 	// Opened after recovery: new generations number past every one on disk.
-	var store *ckpt.Store
-	if ckptDir != "" {
-		var err error
-		if store, err = s.openStore(ckptDir, logger); err != nil {
-			return nil, nil, err
-		}
+	store, err := s.openStore(dir, logger)
+	if err != nil {
+		return nil, nil, err
 	}
-	var wal *ckpt.WAL
-	if walDir != "" {
-		var err error
-		wal, err = ckpt.OpenWAL(walDir,
-			ckpt.WithWALObserver(s.sm.WAL), ckpt.WithWALLogger(logger),
-			ckpt.WithWALMaxPayload(s.walRecordMaxPayload()))
-		if err != nil {
-			return nil, nil, fmt.Errorf("opening write-ahead log: %w", err)
-		}
-		s.AttachWAL(wal)
+	wal, err := ckpt.OpenWAL(dir,
+		ckpt.WithWALObserver(s.sm.WAL), ckpt.WithWALLogger(logger),
+		ckpt.WithWALMaxPayload(s.walRecordMaxPayload()), ckpt.WithWALSegmentBytes(walSegmentBytes))
+	if err != nil {
+		return nil, nil, fmt.Errorf("opening write-ahead log: %w", err)
 	}
-	if store == nil {
-		return wal, nil, nil
-	}
+	s.AttachWAL(wal)
 	if every == 0 {
 		every = 20
 	}
-	var observer ckpt.Observer = s.sm.Checkpoint
-	if wal != nil {
-		observer = &walTruncatingObserver{inner: observer, wal: wal, logger: logger, cfg: s.cfg}
-	}
+	observer := &walTruncatingObserver{inner: s.sm.Checkpoint, wal: wal, logger: logger, cfg: s.cfg}
 	return wal, ckpt.NewRunner(store, s, every,
 		ckpt.WithObserver(observer),
 		ckpt.WithRunnerLogger(logger),
@@ -335,9 +320,8 @@ func (o *walTruncatingObserver) ObserveCheckpoint(rec ckpt.Record) {
 	o.prev = o.cfg.boundaryPos(rec.Strides)
 }
 
-// DeleteStream unregisters a stream and removes its durable state — the
-// checkpoint generations under CheckpointDir/streams/<name> and the
-// write-ahead log under WALDir/streams/<name>. The default stream cannot
+// DeleteStream unregisters a stream and removes its durable directory,
+// WALDir/streams/<name>: its log and checkpoint generations. The default stream cannot
 // be deleted (the legacy aliases must always resolve). In-flight requests
 // on the stream complete against its (now orphaned) server. Deletion is
 // destructive by contract: re-creating the stream under the same name
@@ -365,24 +349,15 @@ func (m *Multi) DeleteStream(name string) error {
 	if st.wal != nil {
 		st.wal.Close()
 	}
-	var errs []error
-	// name != DefaultStream here, so both paths are guaranteed to be the
-	// tenant's own streams/<name> subdirectory, never the shared root.
-	if m.cfg.CheckpointDir != "" {
-		if err := os.RemoveAll(m.streamDir(m.cfg.CheckpointDir, name)); err != nil {
-			errs = append(errs, fmt.Errorf("removing checkpoints: %w", err))
-		}
-	}
-	if m.cfg.WALDir != "" {
-		if err := os.RemoveAll(m.streamDir(m.cfg.WALDir, name)); err != nil {
-			errs = append(errs, fmt.Errorf("removing write-ahead log: %w", err))
-		}
-	}
 	if m.logger != nil {
 		m.logger.Info("stream deleted", "stream", name)
 	}
-	if len(errs) > 0 {
-		return fmt.Errorf("stream %q deleted but its durable state remains: %w", name, errors.Join(errs...))
+	// name != DefaultStream here, so the path is guaranteed to be the
+	// tenant's own streams/<name> subdirectory, never the shared root.
+	if m.cfg.WALDir != "" {
+		if err := os.RemoveAll(m.streamDir(name)); err != nil {
+			return fmt.Errorf("stream %q deleted but its durable state remains: %w", name, err)
+		}
 	}
 	return nil
 }

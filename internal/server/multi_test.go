@@ -509,11 +509,12 @@ func TestMultiNoGlobalWriteLock(t *testing.T) {
 // recover in place), tenants get streams/<name> subdirectories, the shared
 // scheduler writes shutdown finals for every stream, and a re-created
 // registry (or re-created stream) recovers its own window, never a
-// neighbor's.
+// neighbor's. The log records the finals cover are cut before the restart,
+// so only a restore from the generations can pass.
 func TestMultiCheckpointLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testMultiConfig()
-	cfg.CheckpointDir = dir
+	cfg.WALDir = dir
 	cfg.CheckpointEvery = 2
 	m, err := NewMulti(cfg)
 	if err != nil {
@@ -539,6 +540,8 @@ func TestMultiCheckpointLifecycle(t *testing.T) {
 	if fi, err := os.Stat(filepath.Join(dir, "streams", "tenant")); err != nil || !fi.IsDir() {
 		t.Fatalf("tenant checkpoint directory missing: %v", err)
 	}
+	cutLogToNewestGeneration(t, dir, cfg.Default)
+	cutLogToNewestGeneration(t, filepath.Join(dir, "streams", "tenant"), cfg.Default)
 
 	// Rebirth: the default stream recovers during NewMulti; the tenant
 	// recovers when re-registered under its old name.

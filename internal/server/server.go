@@ -367,7 +367,7 @@ var errBadCheckpoint = errors.New("bad checkpoint")
 // records, so batches acknowledged afterwards would be appended at positions
 // the log already covers and skipped by every later replay. Start-up recovery
 // restores before it attaches the log and never meets this.
-var errLogAttached = errors.New("stream has a write-ahead log attached: restoring a checkpoint under it would fork the log (later batches would land at positions it already covers and be lost on replay); stop the process, replace the checkpoint directory (and remove the log if the checkpoint predates it), and restart")
+var errLogAttached = errors.New("stream has a write-ahead log attached: restoring a checkpoint under it would fork the log (later batches would land at positions it already covers and be lost on replay); stop the process, make the checkpoint the newest generation in the stream's log directory (removing the log segments if the checkpoint predates them), and restart")
 
 // Strides returns the number of window advances processed. Together with
 // WriteCheckpoint this makes the server a ckpt.Source for the durable

@@ -36,9 +36,8 @@ func getBody(t *testing.T, url string) (int, string) {
 // they vouch for is the recovered window.
 func TestReadyzRecoveryGate(t *testing.T) {
 	cfg := MultiConfig{
-		Default:       Config{Cluster: model.Config{Dims: 2, Eps: 2, MinPts: 4}, Window: 200, Stride: 50},
-		CheckpointDir: t.TempDir(),
-		WALDir:        t.TempDir(),
+		Default: Config{Cluster: model.Config{Dims: 2, Eps: 2, MinPts: 4}, Window: 200, Stride: 50},
+		WALDir:  t.TempDir(),
 	}
 	m, err := NewMulti(cfg)
 	if err != nil {
@@ -46,11 +45,13 @@ func TestReadyzRecoveryGate(t *testing.T) {
 	}
 	ts := httptest.NewServer(m.Handler())
 	rng := rand.New(rand.NewSource(31))
-	postPoints(t, ts, clusteredBatch(rng, 0, 270)).Body.Close() // 2 strides + 20 pending
+	postPoints(t, ts, clusteredBatch(rng, 0, 250)).Body.Close()  // 2 strides
+	postPoints(t, ts, clusteredBatch(rng, 250, 20)).Body.Close() // 20 pending
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	m.RunCheckpoints(ctx) // the shutdown final at stride 2; the log holds the pending 20
 	ts.Close()
+	cutLogToNewestGeneration(t, cfg.WALDir, cfg.Default) // only the pending 20 are left to replay
 
 	m2, err := NewMulti(cfg)
 	if err != nil {

@@ -535,6 +535,8 @@ func TestFollowerDifferential(t *testing.T) {
 				t.Fatalf("promote: status %d: %s", resp.StatusCode, readBody(t, resp))
 			}
 			resp.Body.Close()
+			// A promoted follower's Run drives its checkpoints until canceled.
+			cancel()
 			if err := <-runDone; err != nil {
 				t.Fatalf("follower run: %v", err)
 			}
@@ -594,7 +596,7 @@ func TestCheckpointLoadRefusedUnderWAL(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("restore under an attached log: status %d, want 409: %s", resp.StatusCode, body)
 	}
-	for _, want := range []string{"write-ahead log", "stop the process", "checkpoint directory"} {
+	for _, want := range []string{"write-ahead log", "stop the process", "newest generation in the stream's log directory"} {
 		if !strings.Contains(body, want) {
 			t.Errorf("409 body does not mention %q:\n%s", want, body)
 		}
@@ -659,13 +661,12 @@ func TestIngestClientNameLimit(t *testing.T) {
 
 // TestMultiDeleteStreamRemovesDurableState is the regression for the
 // delete/recreate resurrection bug: deleting a stream must remove its
-// checkpoint generations and write-ahead log, so a tenant re-created
-// under the same name starts empty instead of inheriting the deleted
-// tenant's window.
+// directory, checkpoint generations and write-ahead log alike, so a tenant
+// re-created under the same name starts empty instead of inheriting the
+// deleted tenant's window.
 func TestMultiDeleteStreamRemovesDurableState(t *testing.T) {
-	ckptDir, walDir := t.TempDir(), t.TempDir()
+	walDir := t.TempDir()
 	mcfg := testMultiConfig()
-	mcfg.CheckpointDir = ckptDir
 	mcfg.WALDir = walDir
 	ts, m := newTestMulti(t, mcfg)
 
@@ -682,13 +683,9 @@ func TestMultiDeleteStreamRemovesDurableState(t *testing.T) {
 	cancel()
 	m.RunCheckpoints(ctx)
 
-	tenantCkpt := filepath.Join(ckptDir, "streams", "tenant")
-	tenantWAL := filepath.Join(walDir, "streams", "tenant")
-	if _, err := os.Stat(tenantCkpt); err != nil {
-		t.Fatalf("tenant checkpoint dir missing before delete: %v", err)
-	}
-	if _, err := os.Stat(tenantWAL); err != nil {
-		t.Fatalf("tenant wal dir missing before delete: %v", err)
+	tenantDir := filepath.Join(walDir, "streams", "tenant")
+	if len(generationFiles(t, tenantDir)) == 0 || len(walSegmentFiles(t, tenantDir)) == 0 {
+		t.Fatal("tenant directory lacks a generation or a log segment before delete")
 	}
 
 	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/streams/tenant", nil)
@@ -701,15 +698,12 @@ func TestMultiDeleteStreamRemovesDurableState(t *testing.T) {
 	}
 	resp.Body.Close()
 
-	if _, err := os.Stat(tenantCkpt); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("tenant checkpoint dir survived deletion: %v", err)
+	if _, err := os.Stat(tenantDir); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("tenant directory survived deletion: %v", err)
 	}
-	if _, err := os.Stat(tenantWAL); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("tenant wal dir survived deletion: %v", err)
-	}
-	// The shared roots (default stream's layout) must be untouched.
-	if _, err := os.Stat(ckptDir); err != nil {
-		t.Fatalf("checkpoint root damaged by tenant delete: %v", err)
+	// The shared root (the default stream's layout) must be untouched.
+	if _, err := os.Stat(walDir); err != nil {
+		t.Fatalf("root damaged by tenant delete: %v", err)
 	}
 
 	// Recreate under the same name: a fresh, empty stream.
