@@ -207,7 +207,7 @@ func runFailover(cfg config, out io.Writer) error {
 	}
 
 	fol, err := server.NewFollower(server.FollowerConfig{
-		Server: serverCfg, WALDir: walDir, Poll: 2 * time.Millisecond, CheckpointEvery: 2,
+		Server: serverCfg, WALDir: walDir, Poll: 2 * time.Millisecond,
 	})
 	if err != nil {
 		return fmt.Errorf("failover: follower: %w", err)
@@ -281,8 +281,9 @@ func runFailover(cfg config, out io.Writer) error {
 		}
 	}
 
-	// The promoted follower is a leader like any other: it checkpoints
-	// every other stride and prunes the log behind the previous generation.
+	// The promoted follower is a leader like any other: it checkpoints once
+	// per window turnover, ceil(window/stride) strides, and prunes the log
+	// behind the previous generation.
 	// Keep the script flowing until it has done both.
 	store, err := ckpt.Open(walDir)
 	if err != nil {

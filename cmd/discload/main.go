@@ -167,7 +167,7 @@ func run(cfg config) (*results, error) {
 			Stride:  cfg.stride,
 			// Record ingest traces so the trace ids this run reports are
 			// resolvable at /debug/traces in the zero-setup mode too.
-			Tracing: &server.TraceConfig{SlowThreshold: 250 * time.Millisecond},
+			Tracing: true,
 		}
 		var handler http.Handler
 		if cfg.streams > 1 {

@@ -5,15 +5,16 @@
 // parameters, and durable directory; the flags configure the always-on
 // "default" stream, which also serves as the template for streams created
 // at runtime. With -wal-dir every stream logs each acknowledged batch,
-// checkpoints itself into the same directory every -checkpoint-every
-// strides (one shared scheduler goroutine), prunes the log behind its
-// checkpoints, and recovers from its newest valid checkpoint and the log
-// past it when registered.
+// checkpoints itself into the same directory once per window turnover
+// (ceil(window/stride) strides, one shared scheduler goroutine), prunes the
+// log behind its checkpoints, and recovers from its newest valid checkpoint
+// and the log past it when registered. The registry hosts at most 1024
+// streams, the first 32 with a metric label of their own.
 //
 // Usage:
 //
 //	discserver -addr :8080 -dims 2 -eps 0.5 -minpts 5 -window 10000 -stride 500 \
-//	    -wal-dir /var/lib/discserver -checkpoint-every 20
+//	    -wal-dir /var/lib/discserver
 //
 // Stream registry:
 //
@@ -58,7 +59,7 @@
 // from there, replays every batch through its own engine (bit-identical
 // state), serves the full GET surface, and becomes the leader on POST
 // /promote — a leader like any other: it checkpoints into that directory
-// every -checkpoint-every strides and prunes the log. Every process
+// once per window turnover and prunes the log. Every process
 // recovers before it listens, and a stride is applied inside the ingest that
 // completes it, so /readyz has neither a recovery gate nor a backlog gate.
 //
@@ -85,7 +86,6 @@ import (
 	"disc/internal/geom"
 	"disc/internal/model"
 	"disc/internal/server"
-	"disc/internal/trace"
 )
 
 func main() {
@@ -97,20 +97,11 @@ func main() {
 	stride := flag.Int("stride", 500, "stride size in points")
 	pprofOn := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown deadline for in-flight requests")
-	ckptEvery := flag.Uint64("checkpoint-every", 20, "checkpoint every N strides, pruning the log behind the previous checkpoint")
 	walDir := flag.String("wal-dir", "",
 		"durable directory: per-stream write-ahead logs (every acknowledged ingest batch is fsynced before its 200) and their checkpoints (empty = in memory)")
 	follow := flag.String("follow", "",
 		"run as a read-only follower of this leader directory: restore its newest checkpoint, tail its log (serves the GET surface and POST /promote; single stream)")
 	traceOn := flag.Bool("trace", true, "record ingest span trees and serve GET /debug/traces")
-	traceRecent := flag.Int("trace-recent", trace.DefRecent, "traces retained in the recent ring")
-	traceSlow := flag.Int("trace-slow", trace.DefSlow, "slow traces retained in the slow ring")
-	traceSlowAt := flag.Duration("trace-slow-threshold", 250*time.Millisecond,
-		"ingest latency beyond which a trace is retained in the slow ring")
-	maxStreams := flag.Int("max-streams", server.DefaultMaxStreams,
-		"streams the registry will host (POST /streams beyond it gets 429)")
-	metricStreams := flag.Int("metric-streams", server.DefaultMetricStreams,
-		"streams with a dedicated {stream=...} metric label; the rest share {stream=\"other\"}")
 	flag.Parse()
 
 	logger := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -123,20 +114,16 @@ func main() {
 	// typo'd -dims or a negative -eps must die here with the offending flag
 	// named, not as a downstream construction error (or, worse, a NaN that
 	// slips past a bare positivity check into distance comparisons).
-	if err := validateFlags(*dims, *eps, *minPts, *win, *stride, *maxStreams, *metricStreams, *ckptEvery, *follow, *walDir); err != nil {
+	if err := validateFlags(*dims, *eps, *minPts, *win, *stride, *follow, *walDir); err != nil {
 		fatal("discserver: invalid flags", "err", err)
 	}
 
-	var tc *server.TraceConfig
-	if *traceOn {
-		tc = &server.TraceConfig{Recent: *traceRecent, Slow: *traceSlow, SlowThreshold: *traceSlowAt}
-	}
 	cfg := server.Config{
 		Cluster:     model.Config{Dims: *dims, Eps: *eps, MinPts: *minPts},
 		Window:      *win,
 		Stride:      *stride,
 		EnablePprof: *pprofOn,
-		Tracing:     tc,
+		Tracing:     *traceOn,
 	}
 	if *follow != "" {
 		// Read-only replica mode: tail the leader's write-ahead log, serve
@@ -145,12 +132,12 @@ func main() {
 		// silently serve a prefix of the stream forever). Once promoted, Run
 		// drives the checkpoints, final generation included.
 		f, err := server.NewFollower(server.FollowerConfig{
-			Server: cfg, WALDir: *follow, CheckpointEvery: *ckptEvery, Logger: logger,
+			Server: cfg, WALDir: *follow, Logger: logger,
 		})
 		if err != nil {
 			fatal("discserver: starting follower", "err", err)
 		}
-		logger.Info("discserver following", "addr", *addr, "dir", *follow, "checkpoint_every", *ckptEvery)
+		logger.Info("discserver following", "addr", *addr, "dir", *follow)
 		if err := serve(logger, *addr, f.Handler(), *drain, f.Run); err != nil {
 			fatal("discserver: follower", "err", err)
 		}
@@ -160,21 +147,13 @@ func main() {
 	// and its log before returning (hard error if a checkpoint exists but
 	// does not restore — starting fresh would silently discard the window
 	// the operator meant to keep), before the listener opens.
-	m, err := server.NewMulti(server.MultiConfig{
-		Default:         cfg,
-		MaxStreams:      *maxStreams,
-		MetricStreams:   *metricStreams,
-		CheckpointEvery: *ckptEvery,
-		WALDir:          *walDir,
-		Logger:          logger,
-	})
+	m, err := server.NewMulti(server.MultiConfig{Default: cfg, WALDir: *walDir, Logger: logger})
 	if err != nil {
 		fatal("discserver: starting service", "err", err)
 	}
 	logger.Info("discserver listening",
 		"addr", *addr, "eps", *eps, "minpts", *minPts, "window", *win, "stride", *stride,
-		"max_streams", *maxStreams, "pprof", *pprofOn, "trace", *traceOn,
-		"durability", describeDurability(*walDir, *ckptEvery))
+		"pprof", *pprofOn, "trace", *traceOn, "wal_dir", *walDir)
 	// The background task is the checkpoint scheduler (a no-op without
 	// -wal-dir): waiting for it after the drain lets it write its
 	// final shutdown checkpoints — the listener is closed by then, so no new
@@ -234,9 +213,9 @@ func serve(logger *slog.Logger, addr string, h http.Handler, drain time.Duration
 	return nil
 }
 
-// validateFlags rejects unusable clustering and registry parameters with
-// messages that name the offending flag.
-func validateFlags(dims int, eps float64, minPts, win, stride, maxStreams, metricStreams int, ckptEvery uint64, follow, walDir string) error {
+// validateFlags rejects unusable clustering parameters and flag combinations
+// with messages that name the offending flag.
+func validateFlags(dims int, eps float64, minPts, win, stride int, follow, walDir string) error {
 	if dims < 1 || dims > geom.MaxDims {
 		return fmt.Errorf("-dims must be 1-%d, got %d", geom.MaxDims, dims)
 	}
@@ -255,24 +234,8 @@ func validateFlags(dims int, eps float64, minPts, win, stride, maxStreams, metri
 	if stride > win {
 		return fmt.Errorf("-stride (%d) must not exceed -window (%d)", stride, win)
 	}
-	if maxStreams < 1 {
-		return fmt.Errorf("-max-streams must be at least 1, got %d", maxStreams)
-	}
-	if metricStreams < 1 {
-		return fmt.Errorf("-metric-streams must be at least 1, got %d", metricStreams)
-	}
-	if ckptEvery == 0 {
-		return errors.New("-checkpoint-every must be at least 1: checkpoints are what bound the log")
-	}
 	if follow != "" && walDir != "" {
 		return fmt.Errorf("-follow and -wal-dir are mutually exclusive: a follower reads the leader's log (-follow %s) and appends to that same log once promoted", follow)
 	}
 	return nil
-}
-
-func describeDurability(dir string, every uint64) string {
-	if dir == "" {
-		return "off"
-	}
-	return fmt.Sprintf("%s, checkpoint every %d strides", dir, every)
 }

@@ -12,7 +12,7 @@ import (
 // -eps sailed through into distance comparisons.
 func TestValidateFlags(t *testing.T) {
 	ok := func(dims int, eps float64, minPts, win, stride int) error {
-		return validateFlags(dims, eps, minPts, win, stride, 16, 8, 20, "", "")
+		return validateFlags(dims, eps, minPts, win, stride, "", "")
 	}
 	if err := ok(2, 1.0, 5, 10000, 500); err != nil {
 		t.Fatalf("default-shaped flags rejected: %v", err)
@@ -46,19 +46,10 @@ func TestValidateFlags(t *testing.T) {
 		}
 	}
 
-	if err := validateFlags(2, 1, 5, 100, 10, 0, 8, 20, "", ""); err == nil || !strings.Contains(err.Error(), "-max-streams") {
-		t.Errorf("max-streams zero: %v", err)
-	}
-	if err := validateFlags(2, 1, 5, 100, 10, 16, 0, 20, "", ""); err == nil || !strings.Contains(err.Error(), "-metric-streams") {
-		t.Errorf("metric-streams zero: %v", err)
-	}
-	if err := validateFlags(2, 1, 5, 100, 10, 16, 8, 0, "", "/wal"); err == nil || !strings.Contains(err.Error(), "-checkpoint-every") {
-		t.Errorf("checkpoint-every zero: %v", err)
-	}
-	if err := validateFlags(2, 1, 5, 100, 10, 16, 8, 20, "/wal", "/wal"); err == nil || !strings.Contains(err.Error(), "-wal-dir") {
+	if err := validateFlags(2, 1, 5, 100, 10, "/wal", "/wal"); err == nil || !strings.Contains(err.Error(), "-wal-dir") {
 		t.Errorf("-follow with -wal-dir: %v", err)
 	}
-	if err := validateFlags(2, 1, 5, 100, 10, 16, 8, 20, "/wal", ""); err != nil {
+	if err := validateFlags(2, 1, 5, 100, 10, "/wal", ""); err != nil {
 		t.Errorf("-follow alone rejected: %v", err)
 	}
 }

@@ -23,7 +23,7 @@ const noSlot int32 = -1
 
 // MaxPoints is the most points an engine can hold resident, and so the
 // largest window a stream can run: search captures pack a slot and its tag
-// bits into one 32-bit word (cluster_parallel.go).
+// bits into one 32-bit word (cluster.go).
 const MaxPoints = 1 << 27
 
 // hotState is the part of a point's state the search callbacks and the fold

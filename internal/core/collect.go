@@ -66,7 +66,7 @@ const (
 	// COLLECT arrival words.
 	tagPair uint32 = 1 << slotBits // co-arriving neighbour with a larger id
 
-	// CLUSTER capture words (cluster_parallel.go).
+	// CLUSTER capture words (cluster.go).
 	tagBond     uint32 = 1 << slotBits       // surviving core: M⁻ / M⁺ candidate
 	tagFrontier uint32 = 1 << (slotBits + 1) // fellow ex-core (neo-core): R⁻ (R⁺) edge
 	tagCore     uint32 = 1 << (slotBits + 2) // ex-core ball: a current core, a hint for the ex-core itself

@@ -19,7 +19,7 @@
 //     inspect the cluster ids of their bonding cores M⁺ to decide emergence,
 //     expansion, or merger — no connectivity search is ever needed for them.
 //     Both phases fan their searches over the WithWorkers pool and fold the
-//     results deterministically (cluster_parallel.go).
+//     results deterministically (cluster.go).
 //
 // Label maintenance (§V of the paper) is folded into the same range searches:
 // every point keeps the count of its current core ε-neighbors, which changes
@@ -78,7 +78,7 @@ func WithEpochProbing(on bool) Option { return func(e *Engine) { e.useEpoch = on
 // default) runs everything inline. Every worker count produces bit-identical
 // engine state, event streams, and statistics: the parallel work is
 // read-only and fills private buffers that are folded single-threaded in a
-// fixed order (see collect.go and cluster_parallel.go).
+// fixed order (see collect.go and cluster.go).
 func WithWorkers(n int) Option { return func(e *Engine) { e.workers = defaultWorkers(n) } }
 
 // WithAllocTracking enables per-phase heap-allocation accounting: Advance
@@ -171,7 +171,7 @@ type Engine struct {
 	// buffer; pooled so repeated censuses allocate nothing.
 	censusIdx map[int]int32
 
-	// CLUSTER pipeline scratch (cluster_parallel.go, msbfs.go).
+	// CLUSTER pipeline scratch (cluster.go, msbfs.go).
 	exCaps      []capture
 	neoCaps     []capture
 	exComps     []exComponent

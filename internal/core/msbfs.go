@@ -12,7 +12,7 @@ import (
 //
 // # Read-only traversal and the scratch pool contract
 //
-// Since the CLUSTER phase went parallel (cluster_parallel.go), connectivity
+// Since the CLUSTER phase went parallel (cluster.go), connectivity
 // checks for independent components may run concurrently, so a check must
 // not write anything another check could read: every expansion search uses
 // SearchBallRO, the visited set lives outside the index, and the check's

@@ -80,7 +80,7 @@ func BenchmarkAdvanceWAL(b *testing.B) {
 }
 
 // BenchmarkIngestTrace measures the ingest path with tracing off
-// (Config.Tracing nil) and on: every request then records its ingest span
+// (Config.Tracing false) and on: every request then records its ingest span
 // tree, the stride's record is rendered under it, and the finished trace
 // enters the rings. CI A/B-gates the pair: tracing must not cost the
 // ingest path more than the benchdiff threshold.
@@ -99,7 +99,7 @@ func BenchmarkIngestTrace(b *testing.B) {
 	})
 	b.Run("on", func(b *testing.B) {
 		cfg := cfg
-		cfg.Tracing = &TraceConfig{}
+		cfg.Tracing = true
 		s, err := New(cfg)
 		if err != nil {
 			b.Fatal(err)

@@ -376,7 +376,8 @@ func TestCheckpointBytesReproducible(t *testing.T) {
 // nothing to spare beyond the gob allowance; and a frame one byte past it is
 // corruption to the reader, not a buffer.
 func TestWALRecordBound(t *testing.T) {
-	cfg := Config{Cluster: model.Config{Dims: 1, Eps: 1, MinPts: 2}, Window: 50, Stride: 10, MaxIngestBytes: 4096}
+	setForTest(t, &maxIngestBytes, 4096)
+	cfg := Config{Cluster: model.Config{Dims: 1, Eps: 1, MinPts: 2}, Window: 50, Stride: 10}
 	dense := func(i int) string { return fmt.Sprintf(`{"id":%d,"coords":[0]}`, i) }
 	wide := func(i int) string { // every id and time 2^63 from the one before: ten-byte deltas
 		id, tm := int64(i), math.MinInt64+int64(i)
@@ -391,7 +392,7 @@ func TestWALRecordBound(t *testing.T) {
 			body := []byte("[")
 			for i := 0; ; i++ {
 				p := point(i)
-				if len(body)+len(p)+2 > int(cfg.MaxIngestBytes) {
+				if len(body)+len(p)+2 > int(maxIngestBytes) {
 					break
 				}
 				if i > 0 {
@@ -400,7 +401,7 @@ func TestWALRecordBound(t *testing.T) {
 				body = append(body, p...)
 			}
 			body = append(body, ']')
-			body = append(body, bytes.Repeat([]byte{' '}, int(cfg.MaxIngestBytes)-len(body))...)
+			body = append(body, bytes.Repeat([]byte{' '}, int(maxIngestBytes)-len(body))...)
 			for i, b := range [][]byte{body, append(bytes.Clone(body), ' ')} {
 				req, _ := http.NewRequest(http.MethodPost, ts.URL+"/ingest", bytes.NewReader(b))
 				req.Header.Set("X-Disc-Client", strings.Repeat("n", maxClientName))
@@ -436,14 +437,14 @@ func TestWALRecordBound(t *testing.T) {
 
 	// A larger cap for the rest, so that a frame at the bound dwarfs whatever
 	// else the process allocates meanwhile.
-	cfg.MaxIngestBytes = 1 << 20
+	maxIngestBytes = 1 << 20
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	bound := s.walRecordMaxPayload()
 	widest := &walRecord{Start: math.MaxUint64, Client: strings.Repeat("n", maxClientName), Seq: math.MaxUint64, HasSeq: true,
-		Resp: make([]byte, maxAckBytes), Points: make([]model.Point, cfg.MaxIngestBytes/int64(minPointJSON))}
+		Resp: make([]byte, maxAckBytes), Points: make([]model.Point, maxIngestBytes/int64(minPointJSON))}
 	for i := 0; i < len(widest.Points); i += 2 {
 		widest.Points[i].ID, widest.Points[i].Time = math.MinInt64, math.MinInt64
 	}

@@ -202,7 +202,7 @@ func TestRestoreClearsStrideTraceContext(t *testing.T) {
 		Cluster: model.Config{Dims: 2, Eps: 2, MinPts: 4},
 		Window:  200,
 		Stride:  50,
-		Tracing: &TraceConfig{},
+		Tracing: true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -35,9 +35,6 @@ type FollowerConfig struct {
 	// rather than the stream's whole history, which a pruning leader no
 	// longer keeps.
 	WALDir string
-	// CheckpointEvery is the promoted leader's checkpoint cadence in
-	// strides (0 selects 20).
-	CheckpointEvery uint64
 	// Poll is how often the tailer re-checks the log when it is caught
 	// up; 0 selects 25ms.
 	Poll time.Duration
@@ -73,12 +70,18 @@ func NewFollower(fc FollowerConfig) (*Follower, error) {
 	if fc.Poll <= 0 {
 		fc.Poll = 25 * time.Millisecond
 	}
-	srv, err := New(fc.Server)
+	// The replica's series are its leader's: the default stream's
+	// {stream="default"} bundle and the stream counts, so dashboards keep
+	// working across a failover.
+	reg := obs.NewRegistry()
+	srv, err := newServer(fc.Server, reg, obs.NewStreamMetricsPool(reg, 1).Acquire(DefaultStream))
 	if err != nil {
 		return nil, err
 	}
-	f := &Follower{srv: srv, cfg: fc, logger: fc.Logger,
-		rep: obs.NewReplicationMetrics(srv.Registry())}
+	streams, created := newRegistryMetrics(reg)
+	streams.Set(1)
+	created.Inc()
+	f := &Follower{srv: srv, cfg: fc, logger: fc.Logger, rep: obs.NewReplicationMetrics(reg)}
 	if err := srv.recoverFromStore(fc.WALDir, fc.Logger); err != nil {
 		return nil, fmt.Errorf("follower: %w", err)
 	}
@@ -202,7 +205,7 @@ func (f *Follower) Promote() error {
 		return fmt.Errorf("follower: draining log for promotion: %w", err)
 	}
 	f.reader.Close()
-	_, runner, err := s.attachLeader(f.cfg.WALDir, f.cfg.CheckpointEvery, f.logger)
+	_, runner, err := s.attachLeader(f.cfg.WALDir, f.logger)
 	if err != nil {
 		return fmt.Errorf("follower: %w", err)
 	}

@@ -16,23 +16,152 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"disc/internal/ckpt"
 )
 
-// TestLogBoundedByCheckpoints: a log directory driven through RunCheckpoints
-// every k strides keeps at most 2k strides of log on disk and replays at
-// most that many records on restart, at 10x and at 20x the window alike —
-// what the stream's age adds is pruned. One record per stride, and one
-// record per segment, so segments count strides.
+// TestCheckpointInterval: a stream checkpoints once per window turnover,
+// ceil(W/S) strides, whatever its geometry.
+func TestCheckpointInterval(t *testing.T) {
+	for _, c := range []struct {
+		window, stride int
+		want           uint64
+	}{
+		{100, 100, 1},     // W = S: every stride replaces the whole window
+		{250, 100, 3},     // W not a multiple of S: rounded up
+		{20000, 1000, 20}, // dtg_stride5
+		{50000, 50, 1000}, // hires_smallstride
+		{5000, 250, 20},   // smallbatch_durable
+		{500, 100, 5},     // discload -failover
+		{200, 50, 4},      // testWALConfig
+	} {
+		cfg := Config{Window: c.window, Stride: c.stride}
+		if got := cfg.checkpointInterval(); got != c.want {
+			t.Errorf("window %d, stride %d: interval %d strides, want %d", c.window, c.stride, got, c.want)
+		}
+	}
+}
+
+// TestCheckpointCadence: every runner a leader gets writes a generation once
+// its stream has advanced checkpointInterval strides, and not before — a
+// stream registered fresh, one restarted over its directory, and a promoted
+// follower alike. Each stream is left one stride short over more than one
+// scheduler poll, then given the last stride.
+func TestCheckpointCadence(t *testing.T) {
+	cfg := Config{Cluster: testWALConfig().Cluster, Window: 150, Stride: 50}
+	k := cfg.checkpointInterval() // 3
+	rng := rand.New(rand.NewSource(97))
+	var seq uint64
+	// advance posts stride-sized batches until srv has completed n more
+	// strides (a fresh window's first stride takes a window of points).
+	advance := func(url string, srv *Server, n uint64) {
+		t.Helper()
+		for target := srv.Strides() + n; srv.Strides() < target; {
+			seq++
+			resp := postPointsSeq(t, url, clusteredBatch(rng, int64(seq)*1000, cfg.Stride), "script", seq)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("batch %d: status %d: %s", seq, resp.StatusCode, readBody(t, resp))
+			}
+			resp.Body.Close()
+		}
+	}
+	// leaderDir runs a leader for a few strides and abandons it, with a
+	// generation or without.
+	leaderDir := func(checkpointed bool) string {
+		dir := t.TempDir()
+		m, err := NewMulti(MultiConfig{Default: cfg, WALDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(m.Handler())
+		defer ts.Close()
+		advance(ts.URL, m.Stream(DefaultStream), k+1)
+		if checkpointed {
+			checkpointNow(m)
+		}
+		return dir
+	}
+
+	m, err := NewMulti(MultiConfig{Default: cfg, WALDir: leaderDir(true)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	mts := httptest.NewServer(m.Handler())
+	defer mts.Close()
+	fresh, err := m.CreateStream("fresh", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := NewFollower(FollowerConfig{Server: cfg, WALDir: leaderDir(false)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	pts := httptest.NewServer(f.Handler())
+	defer pts.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	var running sync.WaitGroup
+	running.Add(2)
+	go func() { defer running.Done(); m.RunCheckpoints(ctx) }()
+	go func() {
+		defer running.Done()
+		if err := f.Run(ctx); err != nil {
+			t.Errorf("promoted follower's Run: %v", err)
+		}
+	}()
+	defer running.Wait() // the shutdown finals land before the directories go
+	defer cancel()
+
+	streams := []struct {
+		name, url, metrics, stream string
+		srv                        *Server
+		from                       uint64 // strides when the runner was built
+	}{
+		{"registered", mts.URL + "/streams/fresh", mts.URL, "fresh", fresh, fresh.Strides()},
+		{"restarted", mts.URL, mts.URL, DefaultStream, m.Stream(DefaultStream), m.Stream(DefaultStream).Strides()},
+		{"promoted", pts.URL, pts.URL, DefaultStream, f.srv, f.srv.Strides()},
+	}
+	lastStrides := func(i int) float64 {
+		st := streams[i]
+		return metricValue(t, st.metrics, `disc_checkpoint_last_strides{stream="`+st.stream+`"}`)
+	}
+	for _, st := range streams {
+		advance(st.url, st.srv, k-1)
+	}
+	time.Sleep(ckpt.DefaultPoll + ckpt.DefaultPoll/4) // at least one tick
+	for i, st := range streams {
+		if got := lastStrides(i); got != 0 {
+			t.Errorf("%s stream: a generation at stride %g, %d strides past %d; want none before %d",
+				st.name, got, k-1, st.from, k)
+		}
+		advance(st.url, st.srv, 1)
+	}
+	for i, st := range streams {
+		want := float64(st.from + k)
+		waitUntil(t, st.name+" stream's generation", func() bool { return lastStrides(i) == want })
+	}
+}
+
+// TestLogBoundedByCheckpoints: a stream checkpointed every ceil(W/S)
+// strides, its own interval, keeps at most two intervals of log on disk and
+// replays at most that many records on restart, at 10x and at 20x the
+// window alike — what the stream's age adds is pruned. The scheduler gives a
+// runner at most one generation per poll (ckpt.DefaultPoll), so in service an
+// interval is ceil(W/S) strides or one poll, whichever is longer; this test
+// writes each generation itself, on the stride count. One record per
+// stride, and one record per segment, so segments count strides.
 func TestLogBoundedByCheckpoints(t *testing.T) {
-	setSegmentBytes(t, 1)
-	const k = 2
-	cfg := testWALConfig() // window 200, stride 50
+	setForTest(t, &walSegmentBytes, 1)
+	cfg := testWALConfig()
+	cfg.Window = 2 * cfg.Stride // W/S = 2: interval 2, bound 4
+	k := cfg.checkpointInterval()
 	dir := t.TempDir()
-	m, err := NewMulti(MultiConfig{Default: cfg, WALDir: dir, CheckpointEvery: k})
+	m, err := NewMulti(MultiConfig{Default: cfg, WALDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +173,7 @@ func TestLogBoundedByCheckpoints(t *testing.T) {
 	for _, length := range []int{10 * cfg.Window, 20 * cfg.Window} {
 		for ; ingested < length; ingested += cfg.Stride {
 			postPoints(t, ts, clusteredBatch(rng, int64(ingested), cfg.Stride)).Body.Close()
-			if st := leader.Strides(); st%k == 0 {
+			if leader.Strides()%k == 0 {
 				checkpointNow(m)
 			}
 		}
@@ -62,7 +191,7 @@ func TestLogBoundedByCheckpoints(t *testing.T) {
 		}
 		t.Logf("%d points, %d strides: %d segments on disk, %d records replayed on restart",
 			length, leader.Strides(), len(segs), replayed)
-		if len(segs) > 2*k || replayed > 2*k {
+		if uint64(len(segs)) > 2*k || uint64(replayed) > 2*k {
 			t.Errorf("%d points: %d segments on disk and %d records replayed, want at most %d strides' worth",
 				length, len(segs), replayed, 2*k)
 		}
@@ -78,10 +207,10 @@ func TestLogBoundedByCheckpoints(t *testing.T) {
 // serves. Without the restore it would stop at the pruned head with a wal
 // gap.
 func TestFollowerRestoresPrunedLeaderDir(t *testing.T) {
-	setSegmentBytes(t, 1)
+	setForTest(t, &walSegmentBytes, 1)
 	cfg := testWALConfig()
 	dir := t.TempDir()
-	m, err := NewMulti(MultiConfig{Default: cfg, WALDir: dir, CheckpointEvery: 2})
+	m, err := NewMulti(MultiConfig{Default: cfg, WALDir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +325,12 @@ func TestLegacyCheckpointOnlyDirAsLogDir(t *testing.T) {
 // log tree, they recover the stream byte for byte; left behind, the pruned
 // log fails stream creation with a wal gap instead of starting fresh.
 func TestLegacyPairLayout(t *testing.T) {
-	setSegmentBytes(t, 1)
+	setForTest(t, &walSegmentBytes, 1)
 	cfg := testWALConfig()
 	paths := []string{"/checkpoint", "/stats", "/clusters"}
 	pair := func(t *testing.T) (logDir, ckptDir string, want map[string]string) {
 		logDir, ckptDir = t.TempDir(), t.TempDir()
-		mcfg := MultiConfig{Default: cfg, WALDir: logDir, CheckpointEvery: 2}
+		mcfg := MultiConfig{Default: cfg, WALDir: logDir}
 		m, err := NewMulti(mcfg)
 		if err != nil {
 			t.Fatal(err)
@@ -256,12 +385,13 @@ func TestLegacyPairLayout(t *testing.T) {
 	})
 }
 
-// setSegmentBytes lowers the segment size of every log a leader opens for
-// the rest of the test.
-func setSegmentBytes(t *testing.T, n int64) {
-	old := walSegmentBytes
-	walSegmentBytes = n
-	t.Cleanup(func() { walSegmentBytes = old })
+// setForTest sets one of the package's settings (walSegmentBytes,
+// eventLogCap, maxIngestBytes, maxStreams, metricStreams) for the rest of
+// the test.
+func setForTest[T any](t testing.TB, setting *T, v T) {
+	old := *setting
+	*setting = v
+	t.Cleanup(func() { *setting = old })
 }
 
 // checkpointNow runs the registry's checkpoint scheduler with a canceled

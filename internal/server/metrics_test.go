@@ -217,16 +217,16 @@ func TestMetricsSurviveCheckpointRestore(t *testing.T) {
 		t.Fatalf("restore: %d", resp.StatusCode)
 	}
 
-	stridesBefore := metricValue(t, ts, "disc_strides_total")
+	stridesBefore := metricValue(t, ts.URL, "disc_strides_total")
 	postPoints(t, ts, clusteredBatch(rng, 10_000, 100)).Body.Close()
-	if after := metricValue(t, ts, "disc_strides_total"); after <= stridesBefore {
+	if after := metricValue(t, ts.URL, "disc_strides_total"); after <= stridesBefore {
 		t.Fatalf("strides_total stuck at %g after restore+ingest", after)
 	}
 }
 
-func metricValue(t *testing.T, ts *httptest.Server, name string) float64 {
+func metricValue(t *testing.T, base, name string) float64 {
 	t.Helper()
-	resp, err := http.Get(ts.URL + "/metrics")
+	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

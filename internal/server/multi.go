@@ -10,7 +10,7 @@
 //
 // Telemetry: every stream records into one shared registry through a
 // {stream="<name>"}-labeled instrument bundle. The label's cardinality is
-// hard-capped (MetricStreams); tenants beyond the cap share one
+// hard-capped (metricStreams); tenants beyond the cap share one
 // {stream="other"} bundle, so scrape size is bounded no matter how many
 // streams a tenant storm registers. Durability: one directory per stream,
 // <dir>/streams/<name> (the default stream keeps <dir> itself — the
@@ -41,10 +41,11 @@ import (
 // alias. It always exists and cannot be deleted.
 const DefaultStream = "default"
 
-// Registry limits.
-const (
-	DefaultMaxStreams    = 1024 // registered streams per process
-	DefaultMetricStreams = 32   // dedicated stream label values (then "other")
+// Registry limits: one value in every deployment, package variables only so
+// tests can lower them.
+var (
+	maxStreams    = 1024 // registered streams per process; POST /streams beyond it gets 429
+	metricStreams = 32   // dedicated stream label values (then "other")
 )
 
 // Errors of the registry lifecycle, mapped to HTTP statuses by the
@@ -63,27 +64,17 @@ var streamNameRe = regexp.MustCompile(`^[a-zA-Z0-9][a-zA-Z0-9_.-]{0,63}$`)
 // MultiConfig configures the multi-tenant service.
 type MultiConfig struct {
 	// Default is the configuration of the default stream AND the template
-	// dynamically created streams inherit their operational settings from
-	// (the ingest body limit, tracing, event-log size). Clustering parameters
-	// (Cluster, Window, Stride) act as per-field fallbacks for POST
-	// /streams requests that omit them.
+	// dynamically created streams inherit tracing from. Clustering
+	// parameters (Cluster, Window, Stride) act as per-field fallbacks for
+	// POST /streams requests that omit them.
 	Default Config
-	// MaxStreams caps registered streams (0 selects DefaultMaxStreams).
-	MaxStreams int
-	// MetricStreams caps the cardinality of the `stream` metric label
-	// (0 selects DefaultMetricStreams); streams beyond it share one
-	// {stream="other"} instrument bundle.
-	MetricStreams int
-	// CheckpointEvery is the stride cadence of the shared checkpoint
-	// scheduler (0 selects 20).
-	CheckpointEvery uint64
 	// WALDir makes every stream durable; empty keeps streams in memory.
 	// Each stream has one directory: the default stream WALDir itself (the
 	// pre-registry layout, so existing single-stream deployments recover in
 	// place), stream X WALDir/streams/X. It holds the stream's write-ahead
 	// log, where every acknowledged ingest batch is fsynced before its 200,
-	// and the checkpoint generations RunCheckpoints writes every
-	// CheckpointEvery strides; log segments older than the previous
+	// and the checkpoint generations RunCheckpoints writes once per window
+	// turnover (checkpointInterval); log segments older than the previous
 	// generation are pruned, so the log stays bounded. A stream recovers
 	// its newest generation, then the log past it.
 	WALDir string
@@ -121,24 +112,15 @@ type stream struct {
 // NewMulti returns, so no handler ever serves a window about to be replaced
 // by a restore. It writes no checkpoint until RunCheckpoints is driven.
 func NewMulti(cfg MultiConfig) (*Multi, error) {
-	if cfg.MaxStreams <= 0 {
-		cfg.MaxStreams = DefaultMaxStreams
-	}
-	if cfg.MetricStreams <= 0 {
-		cfg.MetricStreams = DefaultMetricStreams
-	}
 	reg := obs.NewRegistry()
 	m := &Multi{
-		cfg:    cfg,
-		reg:    reg,
-		pool:   obs.NewStreamMetricsPool(reg, cfg.MetricStreams),
-		logger: cfg.Logger,
-		streamsGauge: reg.Gauge("disc_streams",
-			"Streams currently registered.", nil),
-		createdMx: reg.Counter("disc_streams_created_total",
-			"Streams registered over the process lifetime (including the default stream).", nil),
+		cfg:     cfg,
+		reg:     reg,
+		pool:    obs.NewStreamMetricsPool(reg, metricStreams),
+		logger:  cfg.Logger,
 		streams: make(map[string]*stream),
 	}
+	m.streamsGauge, m.createdMx = newRegistryMetrics(reg)
 	if cfg.WALDir != "" {
 		m.sched = ckpt.NewScheduler()
 	}
@@ -146,6 +128,15 @@ func NewMulti(cfg MultiConfig) (*Multi, error) {
 		return nil, fmt.Errorf("creating default stream: %w", err)
 	}
 	return m, nil
+}
+
+// newRegistryMetrics registers the process's stream-count instruments. A
+// follower, which hosts the one default stream, registers them too, so its
+// series are a leader's.
+func newRegistryMetrics(reg *obs.Registry) (*obs.Gauge, *obs.Counter) {
+	return reg.Gauge("disc_streams", "Streams currently registered.", nil),
+		reg.Counter("disc_streams_created_total",
+			"Streams registered over the process lifetime (including the default stream).", nil)
 }
 
 // Registry exposes the shared metrics registry.
@@ -182,8 +173,8 @@ func (m *Multi) CreateStream(name string, cfg Config) (*Server, error) {
 	if exists {
 		return nil, fmt.Errorf("%w: %q", ErrStreamExists, name)
 	}
-	if n >= m.cfg.MaxStreams {
-		return nil, fmt.Errorf("%w: %d streams registered, limit %d", ErrTooManyStreams, n, m.cfg.MaxStreams)
+	if n >= maxStreams {
+		return nil, fmt.Errorf("%w: %d streams registered, limit %d", ErrTooManyStreams, n, maxStreams)
 	}
 
 	// Validate before touching the metrics pool: a dedicated stream label
@@ -218,7 +209,7 @@ func (m *Multi) CreateStream(name string, cfg Config) (*Server, error) {
 			logger.Info("stream replayed write-ahead log", "records", replayed, "stride", srv.Strides())
 		}
 	}
-	wal, runner, err := srv.attachLeader(dir, m.cfg.CheckpointEvery, logger)
+	wal, runner, err := srv.attachLeader(dir, logger)
 	if err != nil {
 		return nil, fmt.Errorf("stream %q: %w", name, err)
 	}
@@ -261,13 +252,23 @@ func (m *Multi) streamDir(name string) string {
 // opens. Tests lower it so a short stream has whole segments to prune.
 var walSegmentBytes int64 = ckpt.DefaultWALSegmentBytes
 
-// attachLeader is the one step that makes a recovered stream, registered or
-// promoted, a durable leader: open and attach the log in dir (repairing a
-// torn tail), and build the runner that checkpoints into the same directory
-// every `every` strides (0 selects 20) and prunes the log behind it. An
-// empty dir leaves the stream in memory; the caller drives the runner from
-// a ckpt.Scheduler.
-func (s *Server) attachLeader(dir string, every uint64, logger *slog.Logger) (*ckpt.WAL, *ckpt.Runner, error) {
+// checkpointInterval is a stream's checkpoint cadence in strides: one window
+// turnover, ceil(W/S). DISC's state after a stride depends only on the
+// window, so a generation stands in for one window of log, and a restart
+// replays at most two. A runner writes at most one generation per scheduler
+// poll (ckpt.DefaultPoll), so on a stream that turns its window over faster
+// than that, the interval is one poll.
+func (c Config) checkpointInterval() uint64 {
+	return uint64((c.Window + c.Stride - 1) / c.Stride)
+}
+
+// attachLeader is the one step that makes a recovered stream, registered,
+// restarted or promoted, a durable leader: open and attach the log in dir
+// (repairing a torn tail), and build the runner that checkpoints into the
+// same directory every checkpointInterval strides and prunes the log behind
+// it. An empty dir leaves the stream in memory; the caller drives the runner
+// from a ckpt.Scheduler.
+func (s *Server) attachLeader(dir string, logger *slog.Logger) (*ckpt.WAL, *ckpt.Runner, error) {
 	if dir == "" {
 		return nil, nil, nil
 	}
@@ -283,11 +284,8 @@ func (s *Server) attachLeader(dir string, every uint64, logger *slog.Logger) (*c
 		return nil, nil, fmt.Errorf("opening write-ahead log: %w", err)
 	}
 	s.AttachWAL(wal)
-	if every == 0 {
-		every = 20
-	}
 	observer := &walTruncatingObserver{inner: s.sm.Checkpoint, wal: wal, logger: logger, cfg: s.cfg}
-	return wal, ckpt.NewRunner(store, s, every,
+	return wal, ckpt.NewRunner(store, s, s.cfg.checkpointInterval(),
 		ckpt.WithObserver(observer),
 		ckpt.WithRunnerLogger(logger),
 		ckpt.WithRunnerTracer(s.tracer)), nil

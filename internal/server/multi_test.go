@@ -167,9 +167,8 @@ func TestMultiStreamCRUD(t *testing.T) {
 }
 
 func TestMultiStreamLimit(t *testing.T) {
-	cfg := testMultiConfig()
-	cfg.MaxStreams = 2 // default + one tenant
-	ts, _ := newTestMulti(t, cfg)
+	setForTest(t, &maxStreams, 2) // default + one tenant
+	ts, _ := newTestMulti(t, testMultiConfig())
 	mustCreateStream(t, ts, streamSpec{Name: "one"})
 	resp := createStream(t, ts, streamSpec{Name: "two"})
 	resp.Body.Close()
@@ -264,8 +263,8 @@ func TestMultiCreateRejectsBadConfig(t *testing.T) {
 // stays free for a real stream, and New, NewFollower and NewMulti refuse the
 // same window.
 func TestWindowOverEngineCapacity(t *testing.T) {
+	setForTest(t, &metricStreams, 2) // the default stream's label and one more
 	mcfg := testMultiConfig()
-	mcfg.MetricStreams = 2 // the default stream's label and one more
 	ts, _ := newTestMulti(t, mcfg)
 	for i, w := range []int{core.MaxPoints + 1, 1 << 34, 1 << 62} {
 		var resp *http.Response
@@ -515,7 +514,6 @@ func TestMultiCheckpointLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	cfg := testMultiConfig()
 	cfg.WALDir = dir
-	cfg.CheckpointEvery = 2
 	m, err := NewMulti(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -9,6 +9,8 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -72,8 +74,8 @@ func TestFollowerPromotionCheckpointsAndPrunes(t *testing.T) {
 	}
 	ingest(lts.URL, 4, 40) // past the newest generation: only the log has these
 
-	const every = 2
-	f, err := NewFollower(FollowerConfig{Server: cfg, WALDir: walDir, CheckpointEvery: every, Poll: time.Millisecond})
+	every := int(cfg.checkpointInterval())
+	f, err := NewFollower(FollowerConfig{Server: cfg, WALDir: walDir, Poll: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,11 +133,11 @@ func TestFollowerPromotionCheckpointsAndPrunes(t *testing.T) {
 	}
 	for _, name := range []string{"disc_checkpoint_attempts_total", "disc_checkpoint_bytes_total",
 		"disc_checkpoint_generation", "disc_checkpoint_last_strides", "disc_wal_truncated_segments_total"} {
-		if v := metricValue(t, fts, name); v <= 0 {
+		if v := metricValue(t, fts.URL, name+`{stream="default"}`); v <= 0 {
 			t.Errorf("promoted leader's /metrics: %s = %g, want > 0", name, v)
 		}
 	}
-	if got := metricValue(t, fts, "disc_checkpoint_generation"); got != float64(deadGen+2) {
+	if got := metricValue(t, fts.URL, `disc_checkpoint_generation{stream="default"}`); got != float64(deadGen+2) {
 		t.Errorf("disc_checkpoint_generation = %g, want %d", got, deadGen+2)
 	}
 
@@ -169,6 +171,56 @@ func TestFollowerPromotionCheckpointsAndPrunes(t *testing.T) {
 	rts := httptest.NewServer(m.Handler())
 	defer rts.Close()
 	assertSameBodies(t, fts.URL, rts.URL, "/clusters", "/stats", "/checkpoint")
+}
+
+// TestFollowerMetricsMatchLeader: a follower's disc_* series have the names
+// and labels of its leader's, before and after promotion, apart from its own
+// disc_replica_* family, so dashboards keep working across a failover. The
+// follower used to record into the unlabeled single-stream bundle while the
+// leader's default stream carries {stream="default"}.
+func TestFollowerMetricsMatchLeader(t *testing.T) {
+	cfg := testWALConfig()
+	dir := t.TempDir()
+	m, err := NewMulti(MultiConfig{Default: cfg, WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	lts := httptest.NewServer(m.Handler())
+	defer lts.Close()
+	postPoints(t, lts, clusteredBatch(rand.New(rand.NewSource(85)), 0, 300)).Body.Close()
+	want := seriesKeys(t, lts.URL)
+
+	f, err := NewFollower(FollowerConfig{Server: cfg, WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fts := httptest.NewServer(f.Handler())
+	defer fts.Close()
+	for _, stage := range []string{"following", "promoted"} {
+		if stage == "promoted" {
+			if err := f.Promote(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := seriesKeys(t, fts.URL); !slices.Equal(got, want) {
+			t.Errorf("%s follower's disc_* series differ from the leader's:\n got %q\nwant %q", stage, got, want)
+		}
+	}
+}
+
+// seriesKeys returns the sorted series (name and labels) of base's /metrics
+// in the disc_* namespace, the replica's own disc_replica_* family excluded.
+func seriesKeys(t *testing.T, base string) []string {
+	t.Helper()
+	var keys []string
+	for _, line := range strings.Split(getBodyString(t, base+"/metrics"), "\n") {
+		key, _, ok := strings.Cut(line, " ")
+		if ok && strings.HasPrefix(key, "disc_") && !strings.HasPrefix(key, "disc_replica_") {
+			keys = append(keys, key)
+		}
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // TestMultiWALOnlyWritesOnlyLogSegments pins the path the end-to-end

@@ -40,41 +40,34 @@ import (
 	"disc/internal/wire"
 )
 
-// DefaultMaxIngestBytes bounds the request body of POST /ingest: 8 MiB of
-// JSON points. POST /checkpoint is bounded by what the stream can write
-// (checkpointMaxBytes).
-const DefaultMaxIngestBytes = 8 << 20
+// Settings with one value in every deployment. They are package variables
+// only so tests can lower them, like walSegmentBytes.
+var (
+	// eventLogCap bounds the in-memory cluster-evolution event ring.
+	eventLogCap = 1024
+	// maxIngestBytes bounds the request body of POST /ingest: 8 MiB of JSON
+	// points; larger requests get 413. POST /checkpoint is bounded by what
+	// the stream can write (checkpointMaxBytes).
+	maxIngestBytes int64 = 8 << 20
+)
+
+// traceSlowThreshold retains any ingest trace at least this slow in the
+// tracer's slow ring (trace.DefSlow traces; the recent ring keeps
+// trace.DefRecent).
+const traceSlowThreshold = 250 * time.Millisecond
 
 // Config configures the service.
 type Config struct {
 	Cluster model.Config
 	Window  int // sliding-window extent in points
 	Stride  int // points per window advance
-	// EventLog bounds the in-memory cluster-evolution event ring; 0 keeps
-	// the default of 1024.
-	EventLog int
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
 	// default: profiling endpoints expose heap contents and should only be
 	// reachable on trusted networks.
 	EnablePprof bool
-	// MaxIngestBytes caps the request body of POST /ingest; 0 selects
-	// DefaultMaxIngestBytes. Oversized requests get 413.
-	MaxIngestBytes int64
-	// Tracing enables the span recorder and GET /debug/traces; nil
-	// disables tracing entirely (the write path then pays one nil check
-	// per hook).
-	Tracing *TraceConfig
-}
-
-// TraceConfig sizes the server's trace recorder.
-type TraceConfig struct {
-	// Recent and Slow are the ring capacities (trace.DefRecent /
-	// trace.DefSlow when <= 0).
-	Recent int
-	Slow   int
-	// SlowThreshold retains any ingest trace at least this slow in the
-	// slow ring; <= 0 disables slow capture.
-	SlowThreshold time.Duration
+	// Tracing enables the span recorder and GET /debug/traces; off, the
+	// write path pays one nil check per hook.
+	Tracing bool
 }
 
 // Server is the HTTP handler set. Create with New, mount via Handler.
@@ -169,18 +162,10 @@ func newServer(cfg Config, reg *obs.Registry, sm *obs.StreamMetrics) (*Server, e
 	if err != nil {
 		return nil, err
 	}
-	if cfg.EventLog <= 0 {
-		cfg.EventLog = 1024
-	}
-	if cfg.MaxIngestBytes <= 0 {
-		cfg.MaxIngestBytes = DefaultMaxIngestBytes
-	}
 	s := &Server{cfg: cfg, slider: slider, reg: reg, sm: sm,
 		seqs: newSeqTable(seqWindow, seqClients)}
-	if tc := cfg.Tracing; tc != nil {
-		s.tracer = trace.NewTracer(trace.Config{
-			Recent: tc.Recent, Slow: tc.Slow, SlowThreshold: tc.SlowThreshold,
-		})
+	if cfg.Tracing {
+		s.tracer = trace.NewTracer(trace.Config{SlowThreshold: traceSlowThreshold})
 	}
 	s.metrics = sm.Engine
 	s.ingestMx = sm.Ingested
@@ -246,8 +231,8 @@ func (s *Server) recordEvent(ev core.Event) {
 		rec.Extra = ev.NewClusters
 	}
 	s.events = append(s.events, rec)
-	if len(s.events) > s.cfg.EventLog {
-		s.events = s.events[len(s.events)-s.cfg.EventLog:]
+	if len(s.events) > eventLogCap {
+		s.events = s.events[len(s.events)-eventLogCap:]
 	}
 }
 
@@ -678,7 +663,7 @@ func (s *Server) decodeIngest(w http.ResponseWriter, r *http.Request) (rec walRe
 			rec.Client = "default"
 		}
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxIngestBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxIngestBytes))
 	if err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {

@@ -293,8 +293,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 // handler validated and pushed per point, so points before a bad one were
 // silently ingested (and strides advanced) behind the 400.
 func TestIngestBatchAtomicValidation(t *testing.T) {
+	setForTest(t, &maxIngestBytes, 64<<10)
 	cfg := testWALConfig()
-	cfg.MaxIngestBytes = 64 << 10
 	ts, s, dir := newWALServer(t, cfg)
 	s.seqs = newSeqTable(2, seqClients)
 	rng := rand.New(rand.NewSource(12))
@@ -556,11 +556,11 @@ func TestEventsEmptyIsArray(t *testing.T) {
 // the configured ingest limit, and for a checkpoint anything larger than the
 // stream could have written.
 func TestRequestBodyLimits(t *testing.T) {
+	setForTest(t, &maxIngestBytes, 512)
 	s, err := New(Config{
-		Cluster:        model.Config{Dims: 2, Eps: 2, MinPts: 4},
-		Window:         200,
-		Stride:         50,
-		MaxIngestBytes: 512,
+		Cluster: model.Config{Dims: 2, Eps: 2, MinPts: 4},
+		Window:  200,
+		Stride:  50,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -162,7 +162,7 @@ func TestIngestTraceSpanTree(t *testing.T) {
 		Cluster: model.Config{Dims: 2, Eps: 2, MinPts: 4},
 		Window:  200,
 		Stride:  50,
-		Tracing: &TraceConfig{},
+		Tracing: true,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +282,7 @@ func TestIngestTraceRejectedStride(t *testing.T) {
 		Cluster: model.Config{Dims: 2, Eps: 2, MinPts: 4},
 		Window:  200,
 		Stride:  50,
-		Tracing: &TraceConfig{},
+		Tracing: true,
 	})
 	if err != nil {
 		t.Fatal(err)

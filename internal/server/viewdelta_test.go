@@ -267,6 +267,7 @@ var deltaCorpus = map[string]struct {
 // from the engine's Snapshot would — across a mid-stream checkpoint restore,
 // a compaction stride, a multi-cut split, WAL replay and a follower.
 func TestViewDeltaMatchesRebuild(t *testing.T) {
+	setForTest(t, &eventLogCap, 1<<20) // count keeps every event
 	seen := map[string]int{}
 	count := func(s *Server) {
 		for _, ev := range s.events {
@@ -288,8 +289,7 @@ func TestViewDeltaMatchesRebuild(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				s := newDeltaServer(t, Config{Cluster: dc.cfg, Window: dc.window, Stride: stride,
-					EventLog: 1 << 20}, workers)
+				s := newDeltaServer(t, Config{Cluster: dc.cfg, Window: dc.window, Stride: stride}, workers)
 				driveStream(t, s, ds.Points, func(n int) {
 					if n == 9 {
 						count(s) // a restore clears the log
@@ -306,7 +306,7 @@ func TestViewDeltaMatchesRebuild(t *testing.T) {
 	// of small clusters, so mergers, splits and dissipations every few
 	// strides, borders re-homed by both.
 	t.Run("hires", func(t *testing.T) {
-		cfg := Config{Cluster: model.Config{Dims: 2, Eps: 0.15, MinPts: 4}, Window: 6000, Stride: 40, EventLog: 1 << 20}
+		cfg := Config{Cluster: model.Config{Dims: 2, Eps: 0.15, MinPts: 4}, Window: 6000, Stride: 40}
 		s := newDeltaServer(t, cfg, 1)
 		driveStream(t, s, datasets.Maze(cfg.Window+60*cfg.Stride, 7).Points, nil)
 		count(s)
@@ -467,7 +467,8 @@ func TestClustersEncodingMatchesEncodingJSON(t *testing.T) {
 // rendering the pinned view while the writer runs, so under -race an
 // in-place write to a shared chunk is a reported race as well as a diff.
 func TestPinnedViewImmutable(t *testing.T) {
-	cfg := Config{Cluster: model.Config{Dims: 2, Eps: 0.15, MinPts: 4}, Window: 3000, Stride: 30, EventLog: 16}
+	setForTest(t, &eventLogCap, 16)
+	cfg := Config{Cluster: model.Config{Dims: 2, Eps: 0.15, MinPts: 4}, Window: 3000, Stride: 30}
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -523,8 +524,8 @@ func TestPinnedViewImmutable(t *testing.T) {
 	if got := s.view.Load().strides - pinned.v.strides; got != 50 {
 		t.Fatalf("advanced %d strides past the pin, want 50", got)
 	}
-	if s.eventSeq-pinned.v.stats.EventSeq <= uint64(cfg.EventLog) {
-		t.Fatalf("only %d events since the pin; the %d-record log did not wrap", s.eventSeq-pinned.v.stats.EventSeq, cfg.EventLog)
+	if s.eventSeq-pinned.v.stats.EventSeq <= uint64(eventLogCap) {
+		t.Fatalf("only %d events since the pin; the %d-record log did not wrap", s.eventSeq-pinned.v.stats.EventSeq, eventLogCap)
 	}
 	pinned.check(t, want, nil, "50 strides after the pin")
 	checkView(t, s, nil, "head view")

@@ -276,7 +276,7 @@ const minPointJSON = len(`{"coords":[0]},`)
 // walRecordMaxPayload bounds one framed WAL record — the 8-byte position the
 // log prefixes, then the record layout of codec.go at its widest: magic and
 // flags, start, the dedup row (client name, sequence number, ack), the point
-// count, and as many points as a MaxIngestBytes body can carry at the most
+// count, and as many points as a maxIngestBytes body can carry at the most
 // bytes a point can encode to. A gob record of an earlier binary fits too: its
 // type preamble is under 400 bytes and its points are smaller than their JSON.
 func (s *Server) walRecordMaxPayload() int64 {
@@ -284,7 +284,7 @@ func (s *Server) walRecordMaxPayload() int64 {
 		(2 + maxClientName) + binary.MaxVarintLen64 + (1 + maxAckBytes) + // dedup row
 		binary.MaxVarintLen64 + // point count
 		400 // a gob record's preamble
-	return header + s.cfg.MaxIngestBytes/int64(minPointJSON)*maxPointBytes(s.cfg.Cluster.Dims)
+	return header + maxIngestBytes/int64(minPointJSON)*maxPointBytes(s.cfg.Cluster.Dims)
 }
 
 // boundaryPos returns the stream position — points applied since the stream
