@@ -8,15 +8,15 @@ import (
 )
 
 // TestCollectZeroAlloc pins the Advance-path pooling contract: once the
-// stride buffers, the per-worker word slabs and the grid's cell slabs have
+// stride buffers, the per-worker word slabs and the grid's point slabs have
 // warmed past their high-water marks — and with the release rule
 // (trimScratch) holding still, as it must on steady strides — sliding the
 // window one stride performs (almost) no heap allocations. Before the pooled
 // hot path and the bound-once search callbacks, the same workload cost ~7,700
 // allocs per Advance; the budget below is ~1% of that, while leaving room for
 // the irreducible jitter of a live workload — occasional split/merger event
-// slices, a cell slab or queue-pool node growing past its previous high-water
-// mark, the id table rehashing as window ids churn through it.
+// slices, the grid's slabs or a queue-pool node growing past a previous
+// high-water mark, the id table rehashing as window ids churn through it.
 func TestCollectZeroAlloc(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	const win, stride = 4000, 200

@@ -32,11 +32,8 @@ const idTableBytes = 28
 func (e *Engine) footprint() int {
 	b := slabBytes(e.hot) + slabBytes(e.pos) + slabBytes(e.cid) + slabBytes(e.capIdx) +
 		slabBytes(e.ids) + slabBytes(e.free) + len(e.slotOf)*idTableBytes
-	g := e.tree.(*epsGrid)
-	b += slabBytes(g.table) + slabBytes(g.cells) + slabBytes(g.free)
-	for _, c := range g.cells[:cap(g.cells)] {
-		b += slabBytes(c.slots) + slabBytes(c.coords)
-	}
+	slab, records, table := e.tree.(*epsGrid).footprint()
+	b += slab + records + table
 	for _, c := range e.searchCtxs {
 		b += slabBytes(c.words)
 	}

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"math"
+	"slices"
 
 	"disc/internal/geom"
 )
@@ -27,8 +29,15 @@ import (
 //
 // Deterministic. The visit order is axis-0-major over the cell range and
 // slab order within a cell, and slab order is a function of the sequence of
-// Insert/Delete calls alone. The table's layout (growth, probe order) never
-// influences what a search reports, and no Go map is involved.
+// Insert/Delete calls alone. The table's layout (growth, probe order) and
+// where in the slabs a cell's range sits (moves, repacks) never influence
+// what a search reports, and no Go map is involved.
+//
+// Bounded by the window. Every cell's points live in one range of two
+// grid-wide slabs. A cell that fills moves its range to the slabs' end with
+// room to double, leaving a hole; once holes and unused room exceed the
+// indexed points, one pass repacks every range. So the slabs hold about
+// twice the indexed points at most, however old the stream.
 type epsGrid struct {
 	dims int
 	side float64 // cell side: reachOf(ε), finite
@@ -39,9 +48,19 @@ type epsGrid struct {
 	// following run back, so there are no tombstones.
 	table []gridEntry
 	cells []gridCell // slab of cell records, addressed by entry refs
-	free  []uint32   // emptied cell records (slabs kept) awaiting reuse
+	free  []uint32   // emptied cell records awaiting reuse
 	live  int        // occupied entries
 	size  int        // indexed points
+
+	// slots and coords hold every cell's points in struct-of-arrays form,
+	// the same layout as an R-tree leaf: the point at slab position i has
+	// arena slot slots[i] and coordinates coords[i*dims : (i+1)*dims].
+	// Positions below len(slots) that no cell's range covers are holes.
+	// Both are only ever allocated by resize, so cap(coords) is always
+	// dims*cap(slots).
+	slots  []int32
+	coords []float64
+	order  []uint32 // repack's scratch: live cell refs in slab order
 }
 
 type gridEntry struct {
@@ -49,13 +68,11 @@ type gridEntry struct {
 	ref  uint32
 }
 
-// gridCell is one occupied cell in struct-of-arrays form, the same layout as
-// an R-tree leaf: the i-th point's arena slot is slots[i] and its coordinates
-// are coords[i*dims : (i+1)*dims].
+// gridCell is one occupied cell: its points are slab positions
+// [off, off+len), and the range reaches on to off+cap.
 type gridCell struct {
-	key    [geom.MaxDims]int64
-	slots  []int32
-	coords []float64
+	key           [geom.MaxDims]int64
+	off, len, cap uint32
 }
 
 const (
@@ -144,11 +161,11 @@ func (g *epsGrid) findEntry(k *[geom.MaxDims]int64, h uint32) int {
 	}
 }
 
-// cellFor returns the cell with key k, creating it if absent.
-func (g *epsGrid) cellFor(k *[geom.MaxDims]int64) *gridCell {
+// cellFor returns the ref of the cell with key k, creating it if absent.
+func (g *epsGrid) cellFor(k *[geom.MaxDims]int64) uint32 {
 	h := g.hashOf(k)
 	if i := g.findEntry(k, h); i >= 0 {
-		return &g.cells[g.table[i].ref-1]
+		return g.table[i].ref
 	}
 	if 2*(g.live+1) > len(g.table) {
 		g.rehash(2 * len(g.table))
@@ -163,9 +180,8 @@ func (g *epsGrid) cellFor(k *[geom.MaxDims]int64) *gridCell {
 	}
 	g.place(gridEntry{hash: h, ref: ref})
 	g.live++
-	c := &g.cells[ref-1]
-	c.key = *k
-	return c
+	g.cells[ref-1] = gridCell{key: *k}
+	return ref
 }
 
 // place stores s in the first empty entry of its probe run.
@@ -191,9 +207,9 @@ func (g *epsGrid) rehash(n int) {
 }
 
 // dropEntry empties entry i, whose cell holds no points any more, and queues
-// the cell record (slabs included) for reuse. The run of entries after the
-// hole is shifted back wherever that keeps each entry reachable from its
-// home entry, so the table never carries tombstones.
+// the cell record for reuse; its range becomes a hole. The run of entries
+// after the emptied entry is shifted back wherever that keeps each entry
+// reachable from its home entry, so the table never carries tombstones.
 func (g *epsGrid) dropEntry(i uint32) {
 	g.free = append(g.free, g.table[i].ref)
 	g.live--
@@ -217,10 +233,71 @@ func (g *epsGrid) Len() int { return g.size }
 
 func (g *epsGrid) Insert(slot int32, p geom.Vec) {
 	k := g.keyOf(p)
-	c := g.cellFor(&k)
-	c.slots = append(c.slots, slot)
-	c.coords = append(c.coords, p[:g.dims]...)
+	c := &g.cells[g.cellFor(&k)-1]
+	if c.len == c.cap {
+		g.move(c)
+	}
+	i := int(c.off + c.len)
+	g.slots[i] = slot
+	copy(g.coords[i*g.dims:], p[:g.dims])
+	c.len++
 	g.size++
+}
+
+// move gives the full cell c a range at the slabs' end with room for twice
+// its points, copying them in order; the range it leaves is a hole. First,
+// if holes and unused room exceed the indexed points, it repacks.
+func (g *epsGrid) move(c *gridCell) {
+	if len(g.slots)-g.size > g.size {
+		g.repack()
+	}
+	d, end := g.dims, len(g.slots)
+	room := max(2*int(c.len), 1)
+	if end+room > cap(g.slots) {
+		// The repack rule keeps the slabs' end within twice the indexed
+		// points plus one move's room: grow to that, and by at least an
+		// eighth, so that a fill grows the slabs geometrically.
+		n := max(2*g.size+room, cap(g.slots)+cap(g.slots)/8)
+		g.slots, g.coords = resize(g.slots, n), resize(g.coords, n*d)
+	}
+	g.slots, g.coords = g.slots[:end+room], g.coords[:(end+room)*d]
+	copy(g.slots[end:], g.slots[c.off:c.off+c.len])
+	copy(g.coords[end*d:], g.coords[int(c.off)*d:int(c.off+c.len)*d])
+	c.off, c.cap = uint32(end), uint32(room)
+}
+
+// resize returns s's contents in a new array of capacity n.
+func resize[T any](s []T, n int) []T {
+	t := make([]T, len(s), n)
+	copy(t, s)
+	return t
+}
+
+// repack slides every cell's range down over the holes before it, in slab
+// order, and trims its unused room to at most a quarter of its points. A
+// range never grows and only ever moves towards the slabs' start, so one
+// in-place pass suffices, and a cell's points keep their order. Afterwards
+// holes and room come to at most a quarter of the indexed points, so at
+// least three quarters' worth of deletes and moves, each of which paid for
+// the waste it made, come before the next repack: amortised O(1) per
+// operation.
+func (g *epsGrid) repack() {
+	g.order = g.order[:0]
+	for _, e := range g.table {
+		if e.ref != 0 {
+			g.order = append(g.order, e.ref)
+		}
+	}
+	slices.SortFunc(g.order, func(a, b uint32) int { return cmp.Compare(g.cells[a-1].off, g.cells[b-1].off) })
+	d, end := g.dims, uint32(0)
+	for _, ref := range g.order {
+		c := &g.cells[ref-1]
+		copy(g.slots[end:], g.slots[c.off:c.off+c.len])
+		copy(g.coords[int(end)*d:], g.coords[int(c.off)*d:int(c.off+c.len)*d])
+		c.off, c.cap = end, min(c.cap, c.len+c.len/4)
+		end += c.cap
+	}
+	g.slots, g.coords = g.slots[:end], g.coords[:int(end)*d]
 }
 
 // Delete removes the point in the given slot from the cell holding p,
@@ -233,17 +310,16 @@ func (g *epsGrid) Delete(slot int32, p geom.Vec) bool {
 	}
 	c := &g.cells[g.table[ti].ref-1]
 	d := g.dims
-	last := len(c.slots) - 1
-	for i, cs := range c.slots {
-		if cs != slot {
+	last := int(c.off + c.len - 1)
+	for i := int(c.off); i <= last; i++ {
+		if g.slots[i] != slot {
 			continue
 		}
-		c.slots[i] = c.slots[last]
-		copy(c.coords[i*d:(i+1)*d], c.coords[last*d:])
-		c.slots = c.slots[:last]
-		c.coords = c.coords[:last*d]
+		g.slots[i] = g.slots[last]
+		copy(g.coords[i*d:(i+1)*d], g.coords[last*d:])
+		c.len--
 		g.size--
-		if last == 0 {
+		if c.len == 0 {
 			g.dropEntry(uint32(ti))
 		}
 		return true
@@ -259,18 +335,40 @@ func (g *epsGrid) BulkInsert(slots []int32, pos []geom.Vec) {
 	}
 }
 
-// BulkLoad replaces the contents with the given points. Cell records and
-// their slabs are recycled; the table keeps its size.
+// BulkLoad replaces the contents with the given points in three passes: open
+// the cells and count their points, give each cell a range of exactly that
+// size, and copy the points into the ranges in input order. A cell's points
+// are then in input order, as an Insert loop would leave them. Cell records
+// and slabs are reused; the table keeps its size.
 func (g *epsGrid) BulkLoad(slots []int32, pos []geom.Vec) {
 	clear(g.table)
-	g.free = g.free[:0]
-	for i := len(g.cells); i > 0; i-- {
-		c := &g.cells[i-1]
-		c.slots, c.coords = c.slots[:0], c.coords[:0]
-		g.free = append(g.free, uint32(i))
+	g.cells, g.free = g.cells[:0], g.free[:0]
+	g.live = 0
+	refs := make([]uint32, len(slots))
+	for i := range slots {
+		k := g.keyOf(pos[i])
+		refs[i] = g.cellFor(&k)
+		g.cells[refs[i]-1].len++
 	}
-	g.live, g.size = 0, 0
-	g.BulkInsert(slots, pos)
+	off := uint32(0)
+	for i := range g.cells {
+		c := &g.cells[i]
+		c.off, c.cap, c.len = off, c.len, 0
+		off += c.cap
+	}
+	d, n := g.dims, len(slots)
+	if n > cap(g.slots) {
+		g.slots, g.coords = resize(g.slots[:0], n), resize(g.coords[:0], n*d)
+	}
+	g.slots, g.coords = g.slots[:n], g.coords[:n*d]
+	for i, r := range refs {
+		c := &g.cells[r-1]
+		j := int(c.off + c.len)
+		g.slots[j] = slots[i]
+		copy(g.coords[j*d:], pos[i][:d])
+		c.len++
+	}
+	g.size = n
 }
 
 // SearchBallRO calls fn with the slot of every point within eps of c, until
@@ -320,15 +418,15 @@ func (g *epsGrid) SearchBallRO(c geom.Vec, eps float64, fn func(slot int32) bool
 				gap = 1 - frac[i] + float64(k-1) - pruneSlack
 			}
 			if gap > 0 {
-				gap2 += gap * gap
+				gap2 += float64(gap * gap) // rounded: no fused multiply-add
 			}
 		}
 		if gap2 <= lim2 {
 			if ti := g.findEntry(&cur, g.hashOf(&cur)); ti >= 0 {
 				cl := &g.cells[g.table[ti].ref-1]
 				cells++
-				for j, base := 0, 0; j < len(cl.slots); j, base = j+1, base+d {
-					if geom.Dist2Slab(cl.coords[base:base+d], c, d) <= eps2 && !fn(cl.slots[j]) {
+				for j := int(cl.off); j < int(cl.off+cl.len); j++ {
+					if geom.Dist2Slab(g.coords[j*d:(j+1)*d], c, d) <= eps2 && !fn(g.slots[j]) {
 						return cells
 					}
 				}

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"cmp"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
 	"testing"
 
+	"disc/internal/datasets"
 	"disc/internal/geom"
+	"disc/internal/window"
 )
 
 // bruteBall is the reference the grid is held to: a scan of every point with
@@ -22,14 +26,53 @@ func bruteBall(ids []int32, pos []geom.Vec, dims int, c geom.Vec, eps float64) [
 	return out
 }
 
-// visitOrder returns the ids a search reports, in the order it reports them.
-func visitOrder(g *epsGrid, c geom.Vec, eps float64) []int32 {
-	var out []int32
-	g.SearchBallRO(c, eps, func(id int32) bool {
-		out = append(out, id)
+// footprint is the memory the grid retains, from slab capacities: the two
+// point slabs; the cell records with their free list and repack's scratch;
+// and the hash table.
+func (g *epsGrid) footprint() (slab, records, table int) {
+	return slabBytes(g.slots) + slabBytes(g.coords),
+		slabBytes(g.cells) + slabBytes(g.free) + slabBytes(g.order),
+		slabBytes(g.table)
+}
+
+// visitOrder returns the ids a search reports, in the order it reports them,
+// and the number of cells it probed.
+func visitOrder(g *epsGrid, c geom.Vec, eps float64) (ids []int32, cells int64) {
+	cells = g.SearchBallRO(c, eps, func(id int32) bool {
+		ids = append(ids, id)
 		return true
 	})
-	return out
+	return ids, cells
+}
+
+// checkRanges verifies the slab bookkeeping: every live cell holds at least
+// one point, its range lies inside the slabs without overlapping another's,
+// and the ranges' points add up to Len.
+func (g *epsGrid) checkRanges() error {
+	type span struct{ lo, hi uint32 }
+	var spans []span
+	n := 0
+	for _, e := range g.table {
+		if e.ref == 0 {
+			continue
+		}
+		c := g.cells[e.ref-1]
+		if c.len == 0 || c.len > c.cap || int(c.off+c.cap) > len(g.slots) {
+			return fmt.Errorf("cell %v: range off %d len %d cap %d in a slab of %d", c.key[:g.dims], c.off, c.len, c.cap, len(g.slots))
+		}
+		spans = append(spans, span{c.off, c.off + c.cap})
+		n += int(c.len)
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.lo, b.lo) })
+	for i := 1; i < len(spans); i++ {
+		if spans[i].lo < spans[i-1].hi {
+			return fmt.Errorf("ranges %v and %v overlap", spans[i-1], spans[i])
+		}
+	}
+	if n != g.size || len(g.coords) != len(g.slots)*g.dims {
+		return fmt.Errorf("ranges hold %d points, Len %d; slabs %d slots, %d coordinates", n, g.size, len(g.slots), len(g.coords))
+	}
+	return nil
 }
 
 // fuzzEps are the ε values FuzzGridVsBrute draws from: ordinary ones, one
@@ -80,9 +123,11 @@ func finite(x float64) float64 {
 
 // FuzzGridVsBrute interleaves Insert, Delete, BulkInsert and BulkLoad with
 // searches, in 1 to 4 dimensions, and after every step holds the grid to a
-// brute-force scan: same visit set, Len and Delete results. A second grid
-// fed the same history through a pre-grown table must report every search in
-// the same order — the table's layout may not show in the output.
+// brute-force scan: same visit set, Len and Delete results. Two more grids
+// are fed the same history, one through a pre-grown table and one repacked
+// after every step; each must report every search in the same order and
+// probe the same number of cells — neither the table's layout nor where the
+// cells' ranges sit in the slabs may show in the output.
 func FuzzGridVsBrute(f *testing.F) {
 	f.Add(uint8(2), uint8(0), []byte("\x00\x00\x01\x00\x02\x05\x00\x00\x02\x00\x00\x05\x00\x01\x00\x01"))
 	f.Add(uint8(1), uint8(1), []byte("\x00\x04\x01\x00\x04\x02\x05\x04\x01\x00\x05\x7f\x05\x05\x81"))
@@ -108,16 +153,19 @@ func FuzzGridVsBrute(f *testing.F) {
 			return v
 		}
 
-		g, grown := newEpsGrid(dims, eps), newEpsGrid(dims, eps)
+		g, grown, packed := newEpsGrid(dims, eps), newEpsGrid(dims, eps), newEpsGrid(dims, eps)
 		grown.rehash(1 << 10)
+		grids := []*epsGrid{g, grown, packed}
 		var ids []int32
 		var pos []geom.Vec
 		nextID := int32(-3) // slots are opaque to the index, negative ones included
 		check := func(c geom.Vec, r float64) {
 			t.Helper()
-			got := visitOrder(g, c, r)
-			if other := visitOrder(grown, c, r); !slices.Equal(got, other) {
-				t.Fatalf("visit order depends on table layout:\n%v\n%v", got, other)
+			got, cells := visitOrder(g, c, r)
+			for _, o := range grids[1:] {
+				if other, oc := visitOrder(o, c, r); !slices.Equal(got, other) || oc != cells {
+					t.Fatalf("search depends on table layout or slab placement:\n%v (%d cells)\n%v (%d cells)", got, cells, other, oc)
+				}
 			}
 			slices.Sort(got)
 			if want := bruteBall(ids, pos, dims, c, r); !slices.Equal(got, want) {
@@ -128,8 +176,9 @@ func FuzzGridVsBrute(f *testing.F) {
 			switch op := next(); op % 6 {
 			case 0: // Insert
 				p := vec()
-				g.Insert(nextID, p)
-				grown.Insert(nextID, p)
+				for _, o := range grids {
+					o.Insert(nextID, p)
+				}
 				ids, pos = append(ids, nextID), append(pos, p)
 				nextID++
 				check(p, eps)
@@ -138,8 +187,10 @@ func FuzzGridVsBrute(f *testing.F) {
 					continue
 				}
 				i := int(next()) % len(ids)
-				if !g.Delete(ids[i], pos[i]) || !grown.Delete(ids[i], pos[i]) {
-					t.Fatalf("Delete(%d, %v) = false for a resident point", ids[i], pos[i][:dims])
+				for _, o := range grids {
+					if !o.Delete(ids[i], pos[i]) {
+						t.Fatalf("Delete(%d, %v) = false for a resident point", ids[i], pos[i][:dims])
+					}
 				}
 				c := pos[i]
 				ids, pos = slices.Delete(ids, i, i+1), slices.Delete(pos, i, i+1)
@@ -164,8 +215,9 @@ func FuzzGridVsBrute(f *testing.F) {
 					bi[i], bp[i] = nextID, vec()
 					nextID++
 				}
-				g.BulkInsert(bi, bp)
-				grown.BulkInsert(bi, bp)
+				for _, o := range grids {
+					o.BulkInsert(bi, bp)
+				}
 				ids, pos = append(ids, bi...), append(pos, bp...)
 			case 4: // BulkLoad a subset of the residents
 				keep := int(next())%4 + 1
@@ -176,16 +228,23 @@ func FuzzGridVsBrute(f *testing.F) {
 						li, lp = append(li, ids[i]), append(lp, pos[i])
 					}
 				}
-				g.BulkLoad(li, lp)
-				grown.BulkLoad(li, lp)
+				for _, o := range grids {
+					o.BulkLoad(li, lp)
+				}
 				ids, pos = li, lp
 			case 5: // Search somewhere, at ε and at another radius
 				c := vec()
 				check(c, eps)
 				check(c, eps*float64(next()%5+1)/2)
 			}
-			if g.Len() != len(ids) || grown.Len() != len(ids) {
-				t.Fatalf("Len = %d (pre-grown %d), want %d", g.Len(), grown.Len(), len(ids))
+			packed.repack()
+			for _, o := range grids {
+				if o.Len() != len(ids) {
+					t.Fatalf("Len = %d, want %d", o.Len(), len(ids))
+				}
+				if err := o.checkRanges(); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
 		for i := range pos {
@@ -242,7 +301,8 @@ func TestGridBoundaryPairs(t *testing.T) {
 				from  geom.Vec
 				other int32
 			}{{pa, 2}, {pb, 1}} {
-				if got := slices.Contains(visitOrder(g, q.from, tc.eps), q.other); got != tc.want {
+				ids, _ := visitOrder(g, q.from, tc.eps)
+				if got := slices.Contains(ids, q.other); got != tc.want {
 					t.Errorf("%s (dims %d): search from %v finds point %d = %v, want %v",
 						tc.name, dims, q.from[:dims], q.other, got, tc.want)
 				}
@@ -281,7 +341,7 @@ func TestGridTableChurn(t *testing.T) {
 		}
 		if round%500 == 0 {
 			for _, p := range live {
-				if !slices.Contains(visitOrder(g, p.p, 0.25), p.id) {
+				if ids, _ := visitOrder(g, p.p, 0.25); !slices.Contains(ids, p.id) {
 					t.Fatalf("round %d: point %d lost", round, p.id)
 				}
 			}
@@ -299,6 +359,9 @@ func TestGridTableChurn(t *testing.T) {
 	if occupied != g.live || g.live+len(g.free) != len(g.cells) {
 		t.Fatalf("table accounting: %d occupied entries, live %d, %d free of %d records",
 			occupied, g.live, len(g.free), len(g.cells))
+	}
+	if err := g.checkRanges(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -318,4 +381,79 @@ func TestGridSearchZeroAlloc(t *testing.T) {
 	if n == 0 {
 		t.Fatal("search visited nothing")
 	}
+}
+
+// TestGridMemoryBoundedByWindow: what the grid retains follows the window,
+// not the stream's age. Bytes are slab capacities (footprint), so the figures
+// are exact. A bare grid plays each stream's strides: the arrivals, then the
+// departures, which is the engine's order for departing cores and the most
+// room a stride can ask for. When cells kept their slabs at peak capacity,
+// the DTG stream read 76 B of point slabs per resident point at stride 100
+// and 176 B at stride 400, against 20 B used.
+func TestGridMemoryBoundedByWindow(t *testing.T) {
+	play := func(t *testing.T, g *epsGrid, steps []window.Step, sample func(stride int)) {
+		t.Helper()
+		for i, st := range steps {
+			for _, p := range st.In {
+				g.Insert(int32(p.ID), p.Pos)
+			}
+			for _, p := range st.Out {
+				if !g.Delete(int32(p.ID), p.Pos) {
+					t.Fatalf("stride %d: point %d not found", i, p.ID)
+				}
+			}
+			sample(i)
+		}
+	}
+	// perPoint logs and returns the grid's bytes per indexed point: its
+	// point slabs, and everything.
+	perPoint := func(t *testing.T, g *epsGrid, stride int) (slab, total float64) {
+		s, r, tb := g.footprint()
+		n := float64(g.Len())
+		t.Logf("stride %4d: %5.1f B per point: point slabs %.1f, cell records %.1f, table %.1f",
+			stride, float64(s+r+tb)/n, float64(s)/n, float64(r)/n, float64(tb)/n)
+		return float64(s) / n, float64(s+r+tb) / n
+	}
+
+	t.Run("dtg", func(t *testing.T) {
+		const win, stride, strides = 20000, 1000, 400
+		steps, err := window.Steps(datasets.DTG(win+stride*strides, 1).Points, win, stride)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := newEpsGrid(2, 0.002)
+		used := float64(4 + 8*g.dims) // one slot and one coordinate row
+		var at100 float64
+		play(t, g, steps, func(i int) {
+			if i%50 != 0 && i != 10 {
+				return
+			}
+			slab, total := perPoint(t, g, i)
+			if slab > 2.5*used {
+				t.Errorf("stride %d: point slabs hold %.1f B per point, %.2fx the %.0f B used", i, slab, slab/used, used)
+			}
+			switch i {
+			case 100:
+				at100 = total
+			case strides:
+				if total > 1.25*at100 {
+					t.Errorf("grid grew with stream age: %.1f B per point at stride %d, %.1f at stride 100", total, i, at100)
+				}
+			}
+		})
+	})
+
+	t.Run("hires", func(t *testing.T) {
+		const strides = 2400
+		_, steps := hiresStream(t, strides)
+		g := newEpsGrid(2, 0.15)
+		play(t, g, steps, func(i int) {
+			if i != strides {
+				return
+			}
+			if _, total := perPoint(t, g, i); total > 114 {
+				t.Errorf("stride %d: grid holds %.1f B per point, want at most 114", i, total)
+			}
+		})
+	})
 }

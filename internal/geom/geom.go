@@ -33,11 +33,17 @@ func NewVec(coords ...float64) Vec {
 
 // Dist2 returns the squared Euclidean distance between a and b over the first
 // dims components. Squared distances avoid math.Sqrt on hot paths.
+//
+// Every square in this file is rounded before it is summed — the explicit
+// float64 conversion forbids the compiler to fuse d*d into the addition —
+// because arm64 and other targets would otherwise compute the sum with fused
+// multiply-adds, and a pair at distance ε could then be a neighbour on one
+// architecture and not on another.
 func Dist2(a, b Vec, dims int) float64 {
 	var s float64
 	for i := 0; i < dims; i++ {
 		d := a[i] - b[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
@@ -61,7 +67,7 @@ func Dist2Slab(coords []float64, c Vec, dims int) float64 {
 	var s float64
 	for i := 0; i < dims; i++ {
 		d := coords[i] - c[i]
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }
@@ -174,14 +180,16 @@ func (r Rect) EnlargementArea(s Rect, dims int) float64 {
 func (r Rect) MinDist2(p Vec, dims int) float64 {
 	var s float64
 	for i := 0; i < dims; i++ {
+		var d float64
 		switch {
 		case p[i] < r.Min[i]:
-			d := r.Min[i] - p[i]
-			s += d * d
+			d = r.Min[i] - p[i]
 		case p[i] > r.Max[i]:
-			d := p[i] - r.Max[i]
-			s += d * d
+			d = p[i] - r.Max[i]
+		default:
+			continue
 		}
+		s += float64(d * d)
 	}
 	return s
 }
@@ -194,7 +202,7 @@ func (r Rect) MaxDist2(p Vec, dims int) float64 {
 		d1 := math.Abs(p[i] - r.Min[i])
 		d2 := math.Abs(p[i] - r.Max[i])
 		d := math.Max(d1, d2)
-		s += d * d
+		s += float64(d * d)
 	}
 	return s
 }

@@ -201,6 +201,109 @@ func TestLogBoundedByCheckpoints(t *testing.T) {
 	}
 }
 
+// TestLogBoundedAcrossLeaderChange: a leader that takes over a directory,
+// restarted over it or promoted from a follower of it, counts the generation
+// it recovered from as its previous checkpoint. So its first generation
+// already prunes the log back to that one, and the log stays within
+// TestLogBoundedByCheckpoints' two intervals across the change. (When the
+// prune point started at 0 on every attach, that first generation pruned
+// nothing: the restarted leader's left 5 segments, the promoted one's 8.)
+// The pruned log must still serve a recovery that falls back to the older
+// generation.
+func TestLogBoundedAcrossLeaderChange(t *testing.T) {
+	setForTest(t, &walSegmentBytes, 1)
+	cfg := testWALConfig()
+	cfg.Window = 2 * cfg.Stride // W/S = 2: interval 2, bound 4
+	k := cfg.checkpointInterval()
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(93))
+	ingested := 0
+	// post advances a leader by n strides.
+	post := func(ts *httptest.Server, srv *Server, n uint64) {
+		t.Helper()
+		for target := srv.Strides() + n; srv.Strides() < target; ingested += cfg.Stride {
+			postPoints(t, ts, clusteredBatch(rng, int64(ingested), cfg.Stride)).Body.Close()
+		}
+	}
+	bounded := func(when string, srv *Server) {
+		t.Helper()
+		segs := walSegmentFiles(t, dir)
+		t.Logf("%s: stride %d, %d segments on disk", when, srv.Strides(), len(segs))
+		if uint64(len(segs)) > 2*k {
+			t.Errorf("%s: %d segments on disk, want at most %d strides' worth", when, len(segs), 2*k)
+		}
+		// Recover as if the newest generation were lost: from the older
+		// one, the generation the prune point was taken from, and the log.
+		gens := generationFiles(t, dir)
+		newest, err := os.ReadFile(gens[len(gens)-1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Remove(gens[len(gens)-1]); err != nil {
+			t.Fatal(err)
+		}
+		defer os.WriteFile(gens[len(gens)-1], newest, 0o644)
+		fallback, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fallback.recoverFromStore(dir, nil); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := fallback.RecoverWAL(dir, nil); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(checkpointBytes(t, fallback), checkpointBytes(t, srv)) {
+			t.Fatalf("%s: recovery from the older generation diverged from the leader", when)
+		}
+	}
+
+	m, err := NewMulti(MultiConfig{Default: cfg, WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(m.Handler())
+	for ingested < 10*cfg.Window {
+		post(ts, m.Stream(DefaultStream), k)
+		checkpointNow(m)
+	}
+	bounded("first leader", m.Stream(DefaultStream))
+	// Each leader dies a stride past its newest generation, with no final
+	// one: the stride survives in the log alone.
+	post(ts, m.Stream(DefaultStream), 1)
+	ts.Close()
+
+	m, err = NewMulti(MultiConfig{Default: cfg, WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts = httptest.NewServer(m.Handler())
+	post(ts, m.Stream(DefaultStream), k)
+	checkpointNow(m)
+	bounded("restarted leader's first generation", m.Stream(DefaultStream))
+	post(ts, m.Stream(DefaultStream), 1)
+	ts.Close()
+
+	f, err := NewFollower(FollowerConfig{Server: cfg, WALDir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	ts = httptest.NewServer(f.Handler())
+	defer ts.Close()
+	post(ts, f.srv, k)
+	// A canceled context: Run drives the promoted leader's runner to its
+	// shutdown generation and returns.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := f.Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	bounded("promoted leader's first generation", f.srv)
+}
+
 // TestFollowerRestoresPrunedLeaderDir: a follower given nothing but the
 // leader's directory, whose log no longer starts at 0, restores the newest
 // generation there, replays the log past it, and serves what the leader

@@ -284,7 +284,8 @@ func (s *Server) attachLeader(dir string, logger *slog.Logger) (*ckpt.WAL, *ckpt
 		return nil, nil, fmt.Errorf("opening write-ahead log: %w", err)
 	}
 	s.AttachWAL(wal)
-	observer := &walTruncatingObserver{inner: s.sm.Checkpoint, wal: wal, logger: logger, cfg: s.cfg}
+	observer := &walTruncatingObserver{inner: s.sm.Checkpoint, wal: wal, logger: logger, cfg: s.cfg,
+		prev: s.cfg.boundaryPos(s.restored)}
 	return wal, ckpt.NewRunner(store, s, s.cfg.checkpointInterval(),
 		ckpt.WithObserver(observer),
 		ckpt.WithRunnerLogger(logger),
@@ -295,8 +296,10 @@ func (s *Server) attachLeader(dir string, logger *slog.Logger) (*ckpt.WAL, *ckpt
 // land. After a successful generation it truncates the log to the
 // PREVIOUS successful checkpoint's stream position — the store retains
 // two generations, and recovery may fall back to the older one, so the
-// log must stay replayable from there. Truncate(0), the first call,
-// removes nothing. The runner's one driving goroutine is the only caller.
+// log must stay replayable from there. A restarted or promoted leader's
+// previous checkpoint is the generation it recovered from; a fresh
+// stream's first Truncate(0) removes nothing. The runner's one driving
+// goroutine is the only caller.
 type walTruncatingObserver struct {
 	inner  ckpt.Observer
 	wal    *ckpt.WAL

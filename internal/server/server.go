@@ -122,6 +122,10 @@ type Server struct {
 	// restore can rewind the stride counter to a value whose content
 	// differs from what a client cached under the same stride number.
 	viewEpoch uint64
+	// restored is the stride count of the generation recoverFromStore
+	// restored, 0 if none: the log position attachLeader's first prune
+	// keeps, since that generation stays in the store as a fallback.
+	restored uint64
 
 	// handlers holds the stream's handler for each streamRoutes entry, built
 	// once: the serveView adapters close over the per-stream query metrics.
@@ -502,6 +506,7 @@ func (s *Server) recoverFromStore(dir string, logger *slog.Logger) error {
 		if err != nil {
 			return fmt.Errorf("checkpoint generation %d does not restore: %w", gen, err)
 		}
+		s.restored = s.Strides()
 		if logger != nil {
 			logger.Info("recovered from checkpoint",
 				"generation", gen, "bytes", len(payload), "window_points", restored, "stride", s.Strides())
