@@ -5,10 +5,11 @@
 // parameters, and durable directory; the flags configure the always-on
 // "default" stream, which also serves as the template for streams created
 // at runtime. With -wal-dir every stream logs each acknowledged batch,
-// checkpoints itself into the same directory once per window turnover
-// (ceil(window/stride) strides, one shared scheduler goroutine), prunes the
-// log behind its checkpoints, and recovers from its newest valid checkpoint
-// and the log past it when registered. The registry hosts at most 1024
+// checkpoints itself into the same directory once per window turnover (the
+// batch that completes every ceil(window/stride)th stride captures it, one
+// shared writer goroutine persists it), prunes the log behind its
+// checkpoints, and recovers from its newest valid checkpoint and the log
+// past it when registered. The registry hosts at most 1024
 // streams, the first 32 with a metric label of their own.
 //
 // Usage:
@@ -154,7 +155,7 @@ func main() {
 	logger.Info("discserver listening",
 		"addr", *addr, "eps", *eps, "minpts", *minPts, "window", *win, "stride", *stride,
 		"pprof", *pprofOn, "trace", *traceOn, "wal_dir", *walDir)
-	// The background task is the checkpoint scheduler (a no-op without
+	// The background task is the checkpoint writer (a no-op without
 	// -wal-dir): waiting for it after the drain lets it write its
 	// final shutdown checkpoints — the listener is closed by then, so no new
 	// strides can arrive while they are written.

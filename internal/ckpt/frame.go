@@ -11,10 +11,10 @@
 //     to a temp file, fsynced, and renamed into place as the next
 //     generation; the previous generation is retained, so recovery can
 //     fall back when the newest file is torn or corrupt.
-//   - A periodic runner (runner.go): checkpoints a Source every N strides,
-//     with retry/backoff on I/O failure and an Observer hook for the
-//     disc_checkpoint_* metrics family; one Scheduler (scheduler.go)
-//     drives every runner of a process.
+//   - A runner per stream (runner.go): the batch that crosses every Nth
+//     stride hands it a capture, with backoff after a failed save and an
+//     Observer hook for the disc_checkpoint_* metrics family; one Writer
+//     goroutine persists the captures of every runner of a process.
 //
 // Everything is stdlib-only, matching the repository rule.
 package ckpt

@@ -1,111 +1,128 @@
 package ckpt
 
 import (
-	"context"
-	"encoding/binary"
+	"sync"
 	"testing"
 	"time"
 )
 
-// TestSchedulerDrivesManyRunners: one scheduler goroutine checkpoints two
-// independent sources into two independent stores, each on its own stride
-// cadence.
+// TestSchedulerDrivesManyRunners: one Writer goroutine persists the captures
+// of many streams, each into its own store on its own interval, while their
+// batches arrive concurrently.
 func TestSchedulerDrivesManyRunners(t *testing.T) {
-	storeA := mustOpen(t, t.TempDir())
-	storeB := mustOpen(t, t.TempDir())
-	srcA, srcB := &fakeSource{}, &fakeSource{}
-	recA, recB := &recorder{}, &recorder{}
-
-	sched := NewScheduler(WithSchedulerPoll(time.Millisecond))
-	sched.Add("a", NewRunner(storeA, srcA, 5, WithObserver(recA)))
-	sched.Add("b", NewRunner(storeB, srcB, 2, WithObserver(recB)))
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { sched.Run(ctx); close(done) }()
-
-	srcA.strides.Store(5)
-	srcB.strides.Store(2)
-	waitFor(t, "both streams checkpointed", func() bool {
-		return len(recA.snapshot()) >= 1 && len(recB.snapshot()) >= 1
-	})
-	// B's tighter cadence keeps producing without A advancing.
-	srcB.strides.Store(4)
-	waitFor(t, "second checkpoint of b", func() bool { return len(recB.snapshot()) >= 2 })
-	if got := len(recA.snapshot()); got != 1 {
-		t.Fatalf("stream a checkpointed %d times without stride progress, want 1", got)
+	const streams, crossings = 8, 5
+	stores := make([]*Store, streams)
+	srcs := make([]*fakeSource, streams)
+	recs := make([]*recorder, streams)
+	runners := make([]*Runner, streams)
+	for i := range runners {
+		stores[i] = mustOpen(t, t.TempDir())
+		srcs[i], recs[i] = &fakeSource{}, &recorder{}
+		runners[i] = NewRunner(stores[i], srcs[i], uint64(i+1), WithObserver(recs[i]))
 	}
+	_, stop := drive(t, runners...)
+	defer stop()
 
-	// Each store holds its own source's payload, not the other's.
-	payloadA, _, err := storeA.Recover()
-	if err != nil {
-		t.Fatal(err)
+	// Stream i crosses a multiple of i+1 on every batch, and waits for each
+	// attempt before its next batch, so none is skipped.
+	var wg sync.WaitGroup
+	for i := range runners {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			every := uint64(i + 1)
+			for gen := 1; gen <= crossings; gen++ {
+				if !batch(runners[i], srcs[i], uint64(gen)*every) {
+					t.Errorf("stream %d: crossing %d not captured", i, gen)
+					return
+				}
+				for deadline := time.Now().Add(10 * time.Second); len(recs[i].snapshot()) < gen; time.Sleep(time.Millisecond) {
+					if time.Now().After(deadline) {
+						t.Errorf("stream %d: attempt %d never reported", i, gen)
+						return
+					}
+				}
+			}
+		}()
 	}
-	if got := binary.BigEndian.Uint64(payloadA); got != 5 {
-		t.Fatalf("store a captured stride %d, want 5", got)
-	}
-	payloadB, _, err := storeB.Recover()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := binary.BigEndian.Uint64(payloadB); got != 4 {
-		t.Fatalf("store b captured stride %d, want 4", got)
-	}
-
-	cancel()
-	<-done
-}
-
-// TestSchedulerShutdownFinals: cancellation writes a final generation for
-// every registered runner with unsaved progress — the multi-stream
-// equivalent of the single Runner's shutdown final.
-func TestSchedulerShutdownFinals(t *testing.T) {
-	storeA := mustOpen(t, t.TempDir())
-	storeB := mustOpen(t, t.TempDir())
-	srcA, srcB := &fakeSource{}, &fakeSource{}
-
-	sched := NewScheduler(WithSchedulerPoll(time.Hour)) // never ticks organically
-	sched.Add("a", NewRunner(storeA, srcA, 100))
-	sched.Add("b", NewRunner(storeB, srcB, 100))
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { sched.Run(ctx); close(done) }()
-
-	srcA.strides.Store(7)
-	srcB.strides.Store(9)
-	cancel()
-	<-done
-
-	for name, st := range map[string]*Store{"a": storeA, "b": storeB} {
-		if _, _, err := st.Recover(); err != nil {
-			t.Fatalf("stream %s: no final checkpoint on shutdown: %v", name, err)
+	wg.Wait()
+	// Each store holds its own stream's payload, not another's.
+	for i, s := range stores {
+		if got, want := newestPayload(t, s, crossings), uint64(crossings*(i+1)); got != want {
+			t.Errorf("store %d captured stride %d, want %d", i, got, want)
 		}
 	}
 }
 
-// TestSchedulerRemove: a removed runner is never ticked again and gets no
-// shutdown final.
-func TestSchedulerRemove(t *testing.T) {
-	store := mustOpen(t, t.TempDir())
-	src := &fakeSource{}
-	sched := NewScheduler(WithSchedulerPoll(time.Millisecond))
-	r := NewRunner(store, src, 1)
-	sched.Add("x", r)
-	sched.Add("y", NewRunner(mustOpen(t, t.TempDir()), &fakeSource{}, 1))
-	if removed := sched.Remove("x"); removed != r {
-		t.Fatal("Remove did not return the registered runner")
+// TestSchedulerShutdownFinals: cancellation writes a final generation for
+// every registered runner with progress since its last one, and none for a
+// runner without.
+func TestSchedulerShutdownFinals(t *testing.T) {
+	stores := map[string]*Store{}
+	var runners []*Runner
+	for _, c := range []struct {
+		name    string
+		strides uint64
+	}{{"a", 7}, {"b", 9}, {"idle", 0}} {
+		stores[c.name] = mustOpen(t, t.TempDir())
+		src := &fakeSource{}
+		runners = append(runners, NewRunner(stores[c.name], src, 100))
+		src.strides.Store(c.strides)
 	}
-	if removed := sched.Remove("x"); removed != nil {
-		t.Fatal("second Remove must be a nil no-op")
-	}
+	_, stop := drive(t, runners...)
+	stop()
 
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() { sched.Run(ctx); close(done) }()
-	src.strides.Store(50)
-	time.Sleep(20 * time.Millisecond)
-	cancel()
-	<-done
-	if _, _, err := store.Recover(); err == nil {
-		t.Fatal("removed runner still produced checkpoints")
+	for name, want := range map[string]uint64{"a": 7, "b": 9} {
+		if got := newestPayload(t, stores[name], 1); got != want {
+			t.Errorf("stream %s: final captured stride %d, want %d", name, got, want)
+		}
+	}
+	if gens, _ := stores["idle"].Generations(); len(gens) != 0 {
+		t.Errorf("a runner without progress got a final: %v", gens)
+	}
+}
+
+// TestSchedulerRemove: Remove waits out the removed runner's write in
+// progress; after it returns, the runner's crossings take no capture and it
+// gets no shutdown final, while the writer keeps serving the others.
+// Removing it again is a no-op.
+func TestSchedulerRemove(t *testing.T) {
+	store, other := mustOpen(t, t.TempDir()), mustOpen(t, t.TempDir())
+	src, otherSrc := &fakeSource{}, &fakeSource{}
+	r, kept := NewRunner(store, src, 1), NewRunner(other, otherSrc, 1)
+	w, stop := drive(t, r, kept)
+
+	encoding, release := make(chan struct{}), make(chan struct{})
+	r.Offer(0, 1, func() Capture {
+		return Capture{Strides: 1, Encode: func() ([]byte, error) {
+			close(encoding)
+			<-release
+			return []byte("in flight"), nil
+		}}
+	})
+	<-encoding
+	removed := make(chan struct{})
+	go func() { w.Remove(r); close(removed) }()
+	select {
+	case <-removed:
+		t.Fatal("Remove returned while the runner's write was in progress")
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	<-removed
+	if gens, _ := store.Generations(); len(gens) != 1 {
+		t.Fatalf("generations %v, want the one in progress at Remove", gens)
+	}
+	w.Remove(r)
+
+	if batch(r, src, 5) {
+		t.Fatal("a removed runner's crossing took a capture")
+	}
+	if !batch(kept, otherSrc, 1) || newestPayload(t, other, 1) != 1 {
+		t.Fatal("the remaining runner stopped being written")
+	}
+	stop()
+	if gens, _ := store.Generations(); len(gens) != 1 {
+		t.Fatalf("a removed runner got a shutdown final: generations %v", gens)
 	}
 }

@@ -76,7 +76,7 @@ func Open(dir string, opts ...StoreOption) (*Store, error) {
 	for _, o := range opts {
 		o(s)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := mkdirDurable(dir); err != nil {
 		return nil, fmt.Errorf("ckpt: creating checkpoint dir: %w", err)
 	}
 	gens, err := s.Generations()
@@ -193,16 +193,33 @@ func (s *Store) writeTemp(path string, payload []byte) error {
 	return nil
 }
 
-func syncDir(dir string) error {
+// syncDir flushes dir's entries to stable storage (a variable for tests).
+var syncDir = func(dir string) error {
 	d, err := os.Open(dir)
 	if err != nil {
 		return fmt.Errorf("ckpt: opening dir for fsync: %w", err)
 	}
 	defer d.Close()
 	if err := d.Sync(); err != nil {
-		return fmt.Errorf("ckpt: fsync checkpoint dir: %w", err)
+		return fmt.Errorf("ckpt: fsync dir %s: %w", dir, err)
 	}
 	return nil
+}
+
+// mkdirDurable is os.MkdirAll that also syncs the parent of every directory
+// it creates, so a new stream's directory survives a crash with its first
+// segment or generation in it.
+func mkdirDurable(dir string) error {
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		return err
+	}
+	if err := mkdirDurable(filepath.Dir(dir)); err != nil {
+		return err
+	}
+	if err := os.Mkdir(dir, 0o755); err != nil && !os.IsExist(err) {
+		return err
+	}
+	return syncDir(filepath.Dir(dir))
 }
 
 // prune removes generations beyond the newest DefaultKeep. Failures only log:

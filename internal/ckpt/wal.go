@@ -96,7 +96,7 @@ func WithWALLogger(l *slog.Logger) WALOption {
 
 // WAL is an append handle on a write-ahead log directory. Methods are
 // safe for concurrent use — the server appends under its write mutex
-// while the checkpoint scheduler truncates from its own goroutine.
+// while the checkpoint writer truncates from its own goroutine.
 type WAL struct {
 	dir        string
 	maxSeg     int64
@@ -124,7 +124,7 @@ func OpenWAL(dir string, opts ...WALOption) (*WAL, error) {
 	for _, o := range opts {
 		o(w)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := mkdirDurable(dir); err != nil {
 		return nil, fmt.Errorf("ckpt: creating wal dir: %w", err)
 	}
 	starts, err := walSegments(dir)
@@ -164,6 +164,10 @@ func OpenWAL(dir string, opts ...WALOption) (*WAL, error) {
 			}
 			starts = starts[:i]
 		}
+		// Make the removals durable; the next Sync flushes the truncation.
+		if err := syncDir(dir); err != nil {
+			return nil, err
+		}
 		break
 	}
 	w.segs = len(starts)
@@ -183,9 +187,6 @@ func OpenWAL(dir string, opts ...WALOption) (*WAL, error) {
 	return w, nil
 }
 
-// Dir returns the log directory.
-func (w *WAL) Dir() string { return w.dir }
-
 // Append frames one record at the given stream position and writes it to
 // the active segment, rotating first when the segment has reached the
 // size threshold. The record is not durable until Sync returns.
@@ -202,6 +203,12 @@ func (w *WAL) Append(pos uint64, payload []byte) error {
 		f, err := os.OpenFile(walSegPath(w.dir, pos), os.O_WRONLY|os.O_CREATE|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("ckpt: creating wal segment: %w", err)
+		}
+		// A new file's directory entry is durable only once the directory
+		// is synced (fsync(2)): once per segment, never per record.
+		if err := syncDir(w.dir); err != nil {
+			f.Close()
+			return err
 		}
 		w.f, w.segStart, w.segSize = f, pos, 0
 		w.segs++

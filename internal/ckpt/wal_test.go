@@ -124,6 +124,77 @@ func TestWALRotation(t *testing.T) {
 	}
 }
 
+// countDirSyncs replaces syncDir for the rest of the test with one that
+// also counts its calls per directory.
+func countDirSyncs(t *testing.T) map[string]int {
+	t.Helper()
+	counts := map[string]int{}
+	orig := syncDir
+	syncDir = func(dir string) error {
+		counts[filepath.Clean(dir)]++
+		return orig(dir)
+	}
+	t.Cleanup(func() { syncDir = orig })
+	return counts
+}
+
+// TestWALSyncsDirectoryPerSegment: a new segment's directory entry is made
+// durable by one directory fsync when the segment is created, and an append
+// to an open segment syncs only the file. Creating the log's directory syncs
+// its parent, and a repair that drops segments syncs the directory.
+func TestWALSyncsDirectoryPerSegment(t *testing.T) {
+	parent := t.TempDir()
+	dir := filepath.Join(parent, "streams", "x")
+	counts := countDirSyncs(t)
+	w, err := OpenWAL(dir, WithWALSegmentBytes(150))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if counts[filepath.Join(parent, "streams")] != 1 || counts[parent] != 1 || counts[dir] != 0 {
+		t.Fatalf("creating the log directory synced %v, want its two new entries' parents once each", counts)
+	}
+	for _, rec := range testRecs(40) { // rotation every couple of records
+		if err := w.Append(rec.pos, rec.payload); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Sync(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	w.Close()
+	starts, err := walSegments(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(starts) < 10 {
+		t.Fatalf("%d segments: the run did not rotate enough to tell", len(starts))
+	}
+	if counts[dir] != len(starts) {
+		t.Fatalf("%d directory syncs for %d segments created by 40 appends, want one per segment", counts[dir], len(starts))
+	}
+
+	// Reopening an intact log syncs nothing; a repair that drops the segments
+	// after a torn one syncs the directory once.
+	counts[dir] = 0
+	if w, err = OpenWAL(dir, WithWALSegmentBytes(150)); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if counts[dir] != 0 {
+		t.Fatalf("reopening an intact log synced its directory %d times", counts[dir])
+	}
+	if err := os.Truncate(walSegPath(dir, starts[1]), 5); err != nil {
+		t.Fatal(err)
+	}
+	if w, err = OpenWAL(dir, WithWALSegmentBytes(150)); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if after, _ := walSegments(dir); len(after) != 1 || counts[dir] != 1 {
+		t.Fatalf("repair left %d segments and synced the directory %d times, want 1 and 1", len(after), counts[dir])
+	}
+}
+
 func TestWALTruncate(t *testing.T) {
 	dir := t.TempDir()
 	recs := testRecs(20)

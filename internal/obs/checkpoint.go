@@ -17,6 +17,7 @@ import (
 //	duration_seconds  histogram  wall-clock time per attempt
 //	generation        gauge      newest generation number written
 //	last_strides      gauge      stride count the newest checkpoint captured
+//	skipped_total     counter    crossings not captured: the previous one was in flight
 type CheckpointMetrics struct {
 	attempts *Counter
 	failures *Counter
@@ -24,20 +25,14 @@ type CheckpointMetrics struct {
 	dur      *Histogram
 	gen      *Gauge
 	strides  *Gauge
+	skipped  *Counter
 }
 
-// NewCheckpointMetrics registers the disc_checkpoint_* instruments on r
-// and returns the observer. Register at most once per registry (duplicate
-// names panic).
-func NewCheckpointMetrics(r *Registry) *CheckpointMetrics {
-	return NewCheckpointMetricsLabeled(r, nil)
-}
-
-// NewCheckpointMetricsLabeled registers the disc_checkpoint_* instruments
-// with the given constant base labels (the multi-tenant server passes
-// {stream="<name>"}). With a nil base it is identical to
-// NewCheckpointMetrics.
-func NewCheckpointMetricsLabeled(r *Registry, base Labels) *CheckpointMetrics {
+// NewCheckpointMetrics registers the disc_checkpoint_* instruments on r with
+// the given constant base labels (the multi-tenant server passes
+// {stream="<name>"}; nil for none) and returns the observer. Register at most
+// once per registry and base (duplicate series panic).
+func NewCheckpointMetrics(r *Registry, base Labels) *CheckpointMetrics {
 	return &CheckpointMetrics{
 		attempts: r.Counter("disc_checkpoint_attempts_total",
 			"Durable checkpoint attempts, successful or not.", base),
@@ -51,6 +46,8 @@ func NewCheckpointMetricsLabeled(r *Registry, base Labels) *CheckpointMetrics {
 			"Newest checkpoint generation number written by this process.", base),
 		strides: r.Gauge("disc_checkpoint_last_strides",
 			"Stride count captured by the newest successful checkpoint.", base),
+		skipped: r.Counter("disc_checkpoint_skipped_total",
+			"Checkpoint boundaries crossed while the stream's previous checkpoint was still queued or being written, so not captured.", base),
 	}
 }
 
@@ -66,3 +63,6 @@ func (m *CheckpointMetrics) ObserveCheckpoint(rec ckpt.Record) {
 	m.gen.Set(float64(rec.Gen))
 	m.strides.Set(float64(rec.Strides))
 }
+
+// ObserveSkipped implements ckpt.Observer.
+func (m *CheckpointMetrics) ObserveSkipped() { m.skipped.Inc() }

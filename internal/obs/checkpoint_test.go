@@ -10,12 +10,13 @@ import (
 
 func TestCheckpointMetrics(t *testing.T) {
 	r := NewRegistry()
-	m := NewCheckpointMetrics(r)
+	m := NewCheckpointMetrics(r, nil)
 	var _ ckpt.Observer = m
 
 	m.ObserveCheckpoint(ckpt.Record{Gen: 1, Strides: 10, Bytes: 500, Duration: 2 * time.Millisecond})
 	m.ObserveCheckpoint(ckpt.Record{Duration: time.Millisecond, Err: errFake{}})
 	m.ObserveCheckpoint(ckpt.Record{Gen: 2, Strides: 20, Bytes: 700, Duration: 3 * time.Millisecond})
+	m.ObserveSkipped()
 
 	if got := m.attempts.Value(); got != 3 {
 		t.Errorf("attempts = %d, want 3", got)
@@ -47,6 +48,7 @@ func TestCheckpointMetrics(t *testing.T) {
 		"disc_checkpoint_duration_seconds_count 3",
 		"disc_checkpoint_generation 2",
 		"disc_checkpoint_last_strides 20",
+		"disc_checkpoint_skipped_total 1",
 	} {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("exposition missing %q", want)

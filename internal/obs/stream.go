@@ -86,7 +86,7 @@ func newStreamMetrics(r *Registry, label string, dedicated bool) *StreamMetrics 
 		Dedicated:  dedicated,
 		Engine:     NewEngineMetricsLabeled(r, base),
 		Query:      NewQueryMetricsLabeled(r, base),
-		Checkpoint: NewCheckpointMetricsLabeled(r, base),
+		Checkpoint: NewCheckpointMetrics(r, base),
 		WAL:        NewWALMetricsLabeled(r, base),
 		Ingested: r.Counter("disc_ingested_points_total",
 			"Points accepted by POST .../ingest (including those still buffered below a stride boundary).", base),
@@ -103,7 +103,7 @@ func SingleStreamMetrics(r *Registry) *StreamMetrics {
 		Dedicated:  true,
 		Engine:     NewEngineMetrics(r),
 		Query:      NewQueryMetrics(r),
-		Checkpoint: NewCheckpointMetrics(r),
+		Checkpoint: NewCheckpointMetrics(r, nil),
 		WAL:        NewWALMetrics(r),
 		Ingested: r.Counter("disc_ingested_points_total",
 			"Points accepted by POST /ingest (including those still buffered below a stride boundary).", nil),

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"disc/internal/model"
-	"disc/internal/trace"
 )
 
 // takeCheckpoint ingests n points into a throwaway server with the default
@@ -190,13 +189,14 @@ func TestRestoreReadConsistencyUnderLoad(t *testing.T) {
 	wg.Wait()
 }
 
-// TestRestoreClearsStrideTraceContext: the trace context of the most
-// recent pre-restore stride must not survive a restore — the checkpoint
-// runner would otherwise stitch its next write span onto a trace of
-// strides the restore just discarded. Before the fix TraceContext kept
-// returning the stale pre-restore context.
+// TestRestoreClearsStrideTraceContext: a generation written after a restore
+// joins the trace of the post-restore batch that captured it, and none of
+// the pre-restore stride's. The checkpoint used to join a stashed "most
+// recent stride" context, which a restore had to clear or the next
+// generation was stitched onto a trace of strides the restore discarded; a
+// capture now carries its batch's trace, so there is nothing to clear.
 func TestRestoreClearsStrideTraceContext(t *testing.T) {
-	blob := takeCheckpoint(t, 93, 250)
+	blob := takeCheckpoint(t, 93, 250) // two strides
 
 	s, err := New(Config{
 		Cluster: model.Config{Dims: 2, Eps: 2, MinPts: 4},
@@ -209,18 +209,24 @@ func TestRestoreClearsStrideTraceContext(t *testing.T) {
 	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
+	const before, after = "0b1c2d3e4f5061728394a5b6c7d8e9f0", "f0e9d8c7b6a5948372615f4e3d2c1b0a"
 	rng := rand.New(rand.NewSource(94))
-	resp := postPoints(t, ts, clusteredBatch(rng, 50_000, 200))
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if s.TraceContext() == (trace.SpanContext{}) {
-		t.Fatal("no stride trace context after a traced stride")
+	if code := postTraced(t, ts, clusteredBatch(rng, 50_000, 200), before); code != http.StatusOK {
+		t.Fatalf("pre-restore ingest status %d", code)
 	}
 
 	if _, err := s.ReadCheckpoint(bytes.NewReader(blob)); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.TraceContext(); got != (trace.SpanContext{}) {
-		t.Fatalf("stale pre-restore stride trace context survived the restore: %+v", got)
+	defer runLeader(t, s)()
+	// Strides 2 → 4 cross the interval, ceil(200/50) = 4.
+	if code := postTraced(t, ts, clusteredBatch(rng, 60_000, 100), after); code != http.StatusOK {
+		t.Fatalf("post-restore ingest status %d", code)
+	}
+	awaitCheckpointSpans(t, s, after)
+	for _, d := range s.tracer.Snapshot() {
+		if d.TraceID.String() == before && spanCount(&d, "checkpoint") > 0 {
+			t.Fatal("the post-restore generation joined the pre-restore stride's trace")
+		}
 	}
 }

@@ -52,7 +52,7 @@ type Follower struct {
 	logger *slog.Logger
 
 	promoted atomic.Bool
-	runner   *ckpt.Runner // the promoted leader's; nil until promotion
+	writer   *ckpt.Writer // writes the promoted leader's checkpoints
 
 	mu      sync.Mutex // guards reader/cancel/done across Run and Promote
 	reader  *ckpt.WALReader
@@ -81,7 +81,7 @@ func NewFollower(fc FollowerConfig) (*Follower, error) {
 	streams, created := newRegistryMetrics(reg)
 	streams.Set(1)
 	created.Inc()
-	f := &Follower{srv: srv, cfg: fc, logger: fc.Logger, rep: obs.NewReplicationMetrics(reg)}
+	f := &Follower{srv: srv, cfg: fc, logger: fc.Logger, rep: obs.NewReplicationMetrics(reg), writer: ckpt.NewWriter()}
 	if err := srv.recoverFromStore(fc.WALDir, fc.Logger); err != nil {
 		return nil, fmt.Errorf("follower: %w", err)
 	}
@@ -90,7 +90,7 @@ func NewFollower(fc FollowerConfig) (*Follower, error) {
 
 // Run tails the log until ctx is canceled, Promote stops it, or the log
 // turns definitively corrupt, applying each record as it becomes durable.
-// After promotion it drives the new leader's checkpoints until ctx is
+// After promotion it runs the new leader's checkpoint writer until ctx is
 // canceled, final generation included. It is meant to be run in its own
 // goroutine; GET handlers serve concurrently from the published views
 // throughout.
@@ -99,9 +99,7 @@ func (f *Follower) Run(ctx context.Context) error {
 		return err
 	}
 	if f.promoted.Load() {
-		sched := ckpt.NewScheduler()
-		sched.Add(DefaultStream, f.runner)
-		sched.Run(ctx)
+		f.writer.Run(ctx)
 	}
 	return nil
 }
@@ -179,9 +177,9 @@ func (f *Follower) applyRecord(rec *walRecord) error {
 
 // Promote turns the follower into a leader: stop tailing, drain whatever
 // complete records remain, and run attachLeader — the log's torn tail
-// repaired and the log reopened for appending, and the runner Run drives
-// from then on. The store is opened only now, so its generations are
-// numbered past the dead leader's. Only call it once the old leader is
+// repaired and the log reopened for appending, and the checkpoint runner
+// added to the writer Run runs from then on. The store is opened only now,
+// so its generations are numbered past the dead leader's. Only call it once the old leader is
 // known dead — two appenders on one log would interleave corruptly.
 func (f *Follower) Promote() error {
 	f.mu.Lock()
@@ -205,11 +203,9 @@ func (f *Follower) Promote() error {
 		return fmt.Errorf("follower: draining log for promotion: %w", err)
 	}
 	f.reader.Close()
-	_, runner, err := s.attachLeader(f.cfg.WALDir, f.logger)
-	if err != nil {
+	if err := s.attachLeader(f.cfg.WALDir, f.logger, f.writer); err != nil {
 		return fmt.Errorf("follower: %w", err)
 	}
-	f.runner = runner
 	f.promoted.Store(true)
 	if f.logger != nil {
 		f.logger.Info("follower promoted to leader", "stride", s.Strides())

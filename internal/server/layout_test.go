@@ -45,11 +45,12 @@ func TestCheckpointInterval(t *testing.T) {
 	}
 }
 
-// TestCheckpointCadence: every runner a leader gets writes a generation once
-// its stream has advanced checkpointInterval strides, and not before — a
-// stream registered fresh, one restarted over its directory, and a promoted
-// follower alike. Each stream is left one stride short over more than one
-// scheduler poll, then given the last stride.
+// TestCheckpointCadence: every runner a leader gets writes a generation when
+// its stream's stride count crosses the next multiple of checkpointInterval,
+// and not before — a stream registered fresh, one restarted over its
+// directory, and a promoted follower alike. Each stream starts at a multiple
+// of the interval, is left one stride short of the next, then given the last
+// stride; the generation that lands is the stream's first.
 func TestCheckpointCadence(t *testing.T) {
 	cfg := Config{Cluster: testWALConfig().Cluster, Window: 150, Stride: 50}
 	k := cfg.checkpointInterval() // 3
@@ -68,8 +69,8 @@ func TestCheckpointCadence(t *testing.T) {
 			resp.Body.Close()
 		}
 	}
-	// leaderDir runs a leader for a few strides and abandons it, with a
-	// generation or without.
+	// leaderDir runs a leader for two intervals, its writer never driven,
+	// and abandons it, with a shutdown generation or without.
 	leaderDir := func(checkpointed bool) string {
 		dir := t.TempDir()
 		m, err := NewMulti(MultiConfig{Default: cfg, WALDir: dir})
@@ -78,7 +79,7 @@ func TestCheckpointCadence(t *testing.T) {
 		}
 		ts := httptest.NewServer(m.Handler())
 		defer ts.Close()
-		advance(ts.URL, m.Stream(DefaultStream), k+1)
+		advance(ts.URL, m.Stream(DefaultStream), 2*k)
 		if checkpointed {
 			checkpointNow(m)
 		}
@@ -116,6 +117,7 @@ func TestCheckpointCadence(t *testing.T) {
 	}()
 	defer running.Wait() // the shutdown finals land before the directories go
 	defer cancel()
+	waitUntil(t, "both checkpoint writers", func() bool { return m.writer.Running() && f.writer.Running() })
 
 	streams := []struct {
 		name, url, metrics, stream string
@@ -131,9 +133,11 @@ func TestCheckpointCadence(t *testing.T) {
 		return metricValue(t, st.metrics, `disc_checkpoint_last_strides{stream="`+st.stream+`"}`)
 	}
 	for _, st := range streams {
+		if st.from%k != 0 {
+			t.Fatalf("%s stream starts at stride %d, not a multiple of %d", st.name, st.from, k)
+		}
 		advance(st.url, st.srv, k-1)
 	}
-	time.Sleep(ckpt.DefaultPoll + ckpt.DefaultPoll/4) // at least one tick
 	for i, st := range streams {
 		if got := lastStrides(i); got != 0 {
 			t.Errorf("%s stream: a generation at stride %g, %d strides past %d; want none before %d",
@@ -144,17 +148,20 @@ func TestCheckpointCadence(t *testing.T) {
 	for i, st := range streams {
 		want := float64(st.from + k)
 		waitUntil(t, st.name+" stream's generation", func() bool { return lastStrides(i) == want })
+		if got := metricValue(t, st.metrics, `disc_checkpoint_attempts_total{stream="`+st.stream+`"}`); got != 1 {
+			t.Errorf("%s stream: %g checkpoint attempts by stride %g, want the one", st.name, got, want)
+		}
 	}
 }
 
 // TestLogBoundedByCheckpoints: a stream checkpointed every ceil(W/S)
-// strides, its own interval, keeps at most two intervals of log on disk and
-// replays at most that many records on restart, at 10x and at 20x the
-// window alike — what the stream's age adds is pruned. The scheduler gives a
-// runner at most one generation per poll (ckpt.DefaultPoll), so in service an
-// interval is ceil(W/S) strides or one poll, whichever is longer; this test
-// writes each generation itself, on the stride count. One record per
-// stride, and one record per segment, so segments count strides.
+// strides, its own interval, by the running writer keeps at most two
+// intervals of log on disk and replays at most that many records on
+// restart, at 10x and at 20x the window alike — what the stream's age adds
+// is pruned. In general the bound is two intervals plus the strides of one
+// batch; here a batch is one stride, one record, and one segment, so
+// segments count strides, and each generation is waited for before the next
+// batch, so none is skipped.
 func TestLogBoundedByCheckpoints(t *testing.T) {
 	setForTest(t, &walSegmentBytes, 1)
 	cfg := testWALConfig()
@@ -167,14 +174,15 @@ func TestLogBoundedByCheckpoints(t *testing.T) {
 	}
 	ts := httptest.NewServer(m.Handler())
 	defer ts.Close()
+	defer driveCheckpoints(t, m)()
 	leader := m.Stream(DefaultStream)
 	rng := rand.New(rand.NewSource(91))
 	ingested := 0
 	for _, length := range []int{10 * cfg.Window, 20 * cfg.Window} {
 		for ; ingested < length; ingested += cfg.Stride {
 			postPoints(t, ts, clusteredBatch(rng, int64(ingested), cfg.Stride)).Body.Close()
-			if leader.Strides()%k == 0 {
-				checkpointNow(m)
+			if strides := leader.Strides(); strides > 0 && strides%k == 0 {
+				awaitGeneration(t, ts.URL, DefaultStream, strides)
 			}
 		}
 		segs := walSegmentFiles(t, dir)
@@ -198,6 +206,73 @@ func TestLogBoundedByCheckpoints(t *testing.T) {
 		if !bytes.Equal(checkpointBytes(t, restarted), checkpointBytes(t, leader)) {
 			t.Fatalf("%d points: the restart over the pruned log diverged from the leader", length)
 		}
+	}
+}
+
+// TestCheckpointGenerationsFollowTheStream: a generation is a function of
+// the stream, not of when it was written. Two leaders in separate
+// directories, fed the same batches — sizes that straddle stride boundaries,
+// some crossing two intervals at once — with every generation waited for
+// before the next batch, write the same generations: byte-identical files
+// under identical names, each captured at the stride count that ends the
+// first batch to cross a multiple of the interval.
+func TestCheckpointGenerationsFollowTheStream(t *testing.T) {
+	cfg := testWALConfig() // window 200, stride 50: interval 4
+	k := cfg.checkpointInterval()
+	type leader struct {
+		dir string
+		url string
+		srv *Server
+	}
+	leaders := make([]leader, 2)
+	for i := range leaders {
+		dir := t.TempDir()
+		m, err := NewMulti(MultiConfig{Default: cfg, WALDir: dir})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ts := httptest.NewServer(m.Handler())
+		defer ts.Close()
+		defer driveCheckpoints(t, m)()
+		leaders[i] = leader{dir, ts.URL, m.Stream(DefaultStream)}
+	}
+	rng := rand.New(rand.NewSource(101))
+	generations := 0
+	for seq := uint64(1); generations < 8; seq++ {
+		pts := clusteredBatch(rng, int64(seq)*1000, 20+rng.Intn(250))
+		before := leaders[0].srv.Strides()
+		for _, l := range leaders {
+			resp := postPointsSeq(t, l.url, pts, "script", seq)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("batch %d: status %d: %s", seq, resp.StatusCode, readBody(t, resp))
+			}
+			resp.Body.Close()
+		}
+		after := leaders[0].srv.Strides()
+		if after/k == before/k {
+			continue
+		}
+		generations++
+		for _, l := range leaders {
+			awaitGeneration(t, l.url, DefaultStream, after)
+		}
+		name := fmt.Sprintf("ckpt-%016d.disc", generations)
+		var files [2][]byte
+		for i, l := range leaders {
+			gens := generationFiles(t, l.dir)
+			if got := filepath.Base(gens[len(gens)-1]); got != name {
+				t.Fatalf("leader %d: newest generation %s after crossing %d, want %s", i, got, generations, name)
+			}
+			b, err := os.ReadFile(gens[len(gens)-1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			files[i] = b
+		}
+		if !bytes.Equal(files[0], files[1]) {
+			t.Fatalf("%s differs between the two leaders (%d vs %d bytes)", name, len(files[0]), len(files[1]))
+		}
+		t.Logf("batch %d: strides %d → %d, %s", seq, before, after, name)
 	}
 }
 
@@ -497,13 +572,35 @@ func setForTest[T any](t testing.TB, setting *T, v T) {
 	t.Cleanup(func() { *setting = old })
 }
 
-// checkpointNow runs the registry's checkpoint scheduler with a canceled
+// checkpointNow runs the registry's checkpoint writer with a canceled
 // context: one shutdown generation for every stream with unsaved strides,
 // and the log pruned behind the previous one.
 func checkpointNow(m *Multi) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	m.RunCheckpoints(ctx)
+}
+
+// driveCheckpoints runs m's checkpoint writer until the returned stop, which
+// waits for its shutdown finals. It returns once the writer accepts
+// captures, so the next crossing batch takes one.
+func driveCheckpoints(t *testing.T, m *Multi) (stop func()) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { m.RunCheckpoints(ctx); close(done) }()
+	waitUntil(t, "the checkpoint writer", m.writer.Running)
+	return func() { cancel(); <-done }
+}
+
+// awaitGeneration waits until the stream served at base has reported a
+// generation at the given stride count: written, its log pruned, and the
+// stream's next crossing free to capture again.
+func awaitGeneration(t *testing.T, base, stream string, strides uint64) {
+	t.Helper()
+	waitUntil(t, fmt.Sprintf("the generation at stride %d", strides), func() bool {
+		return metricValue(t, base, `disc_checkpoint_last_strides{stream="`+stream+`"}`) == float64(strides)
+	})
 }
 
 // moveGenerations moves every checkpoint generation in from into to.

@@ -16,7 +16,7 @@
 // <dir>/streams/<name> (the default stream keeps <dir> itself — the
 // pre-multi-tenant layout — so existing deployments recover their data),
 // holding its log segments and the checkpoint generations that bound them,
-// all checkpointed by one shared ckpt.Scheduler goroutine.
+// all written by one shared ckpt.Writer goroutine.
 package server
 
 import (
@@ -73,10 +73,11 @@ type MultiConfig struct {
 	// pre-registry layout, so existing single-stream deployments recover in
 	// place), stream X WALDir/streams/X. It holds the stream's write-ahead
 	// log, where every acknowledged ingest batch is fsynced before its 200,
-	// and the checkpoint generations RunCheckpoints writes once per window
-	// turnover (checkpointInterval); log segments older than the previous
-	// generation are pruned, so the log stays bounded. A stream recovers
-	// its newest generation, then the log past it.
+	// and the checkpoint generations written while RunCheckpoints runs: one
+	// per window turnover (checkpointInterval), captured by the batch that
+	// completes it. Log segments older than the previous generation are
+	// pruned, so the log stays bounded. A stream recovers its newest
+	// generation, then the log past it.
 	WALDir string
 	// Logger receives stream lifecycle and recovery log lines; nil
 	// discards them.
@@ -89,7 +90,7 @@ type Multi struct {
 	cfg    MultiConfig
 	reg    *obs.Registry
 	pool   *obs.StreamMetricsPool
-	sched  *ckpt.Scheduler
+	writer *ckpt.Writer // nil when streams are in memory
 	logger *slog.Logger
 
 	streamsGauge *obs.Gauge   // disc_streams
@@ -99,18 +100,16 @@ type Multi struct {
 	streams map[string]*stream
 }
 
-// stream is one registered tenant: its server plus the log attached at
-// registration.
+// stream is one registered tenant.
 type stream struct {
 	name string
 	srv  *Server
-	wal  *ckpt.WAL // nil when the stream is in memory only
 }
 
 // NewMulti returns a registry hosting the default stream built from
 // cfg.Default. With WALDir set, the default stream has recovered before
 // NewMulti returns, so no handler ever serves a window about to be replaced
-// by a restore. It writes no checkpoint until RunCheckpoints is driven.
+// by a restore. It writes no checkpoint unless RunCheckpoints runs.
 func NewMulti(cfg MultiConfig) (*Multi, error) {
 	reg := obs.NewRegistry()
 	m := &Multi{
@@ -122,7 +121,7 @@ func NewMulti(cfg MultiConfig) (*Multi, error) {
 	}
 	m.streamsGauge, m.createdMx = newRegistryMetrics(reg)
 	if cfg.WALDir != "" {
-		m.sched = ckpt.NewScheduler()
+		m.writer = ckpt.NewWriter()
 	}
 	if _, err := m.CreateStream(DefaultStream, cfg.Default); err != nil {
 		return nil, fmt.Errorf("creating default stream: %w", err)
@@ -209,27 +208,21 @@ func (m *Multi) CreateStream(name string, cfg Config) (*Server, error) {
 			logger.Info("stream replayed write-ahead log", "records", replayed, "stride", srv.Strides())
 		}
 	}
-	wal, runner, err := srv.attachLeader(dir, logger)
-	if err != nil {
+	if err := srv.attachLeader(dir, logger, m.writer); err != nil {
 		return nil, fmt.Errorf("stream %q: %w", name, err)
 	}
-	st := &stream{name: name, srv: srv, wal: wal}
+	st := &stream{name: name, srv: srv}
 
 	m.mu.Lock()
 	if _, raced := m.streams[name]; raced {
 		m.mu.Unlock()
-		if st.wal != nil {
-			st.wal.Close()
-		}
+		srv.detach(m.writer)
 		return nil, fmt.Errorf("%w: %q", ErrStreamExists, name)
 	}
 	m.streams[name] = st
 	m.streamsGauge.Set(float64(len(m.streams)))
 	m.mu.Unlock()
 	m.createdMx.Inc()
-	if runner != nil {
-		m.sched.Add(name, runner)
-	}
 	if logger != nil {
 		logger.Info("stream registered",
 			"dims", cfg.Cluster.Dims, "eps", cfg.Cluster.Eps, "minpts", cfg.Cluster.MinPts,
@@ -253,55 +246,72 @@ func (m *Multi) streamDir(name string) string {
 var walSegmentBytes int64 = ckpt.DefaultWALSegmentBytes
 
 // checkpointInterval is a stream's checkpoint cadence in strides: one window
-// turnover, ceil(W/S). DISC's state after a stride depends only on the
-// window, so a generation stands in for one window of log, and a restart
-// replays at most two. A runner writes at most one generation per scheduler
-// poll (ckpt.DefaultPoll), so on a stream that turns its window over faster
-// than that, the interval is one poll.
+// turnover, ceil(W/S). The batch that moves the stride count across a
+// multiple of it captures a generation. DISC's state after a stride depends
+// only on the window, so a generation stands in for one window of log, and
+// a restart replays at most two intervals plus the strides of one batch.
 func (c Config) checkpointInterval() uint64 {
 	return uint64((c.Window + c.Stride - 1) / c.Stride)
 }
 
 // attachLeader is the one step that makes a recovered stream, registered,
 // restarted or promoted, a durable leader: open and attach the log in dir
-// (repairing a torn tail), and build the runner that checkpoints into the
-// same directory every checkpointInterval strides and prunes the log behind
-// it. An empty dir leaves the stream in memory; the caller drives the runner
-// from a ckpt.Scheduler.
-func (s *Server) attachLeader(dir string, logger *slog.Logger) (*ckpt.WAL, *ckpt.Runner, error) {
+// (repairing a torn tail), and attach the runner, added to w, that
+// checkpoints into the same directory every checkpointInterval strides and
+// prunes the log behind it. An empty dir leaves the stream in memory.
+func (s *Server) attachLeader(dir string, logger *slog.Logger, w *ckpt.Writer) error {
 	if dir == "" {
-		return nil, nil, nil
+		return nil
 	}
 	// Opened after recovery: new generations number past every one on disk.
 	store, err := s.openStore(dir, logger)
 	if err != nil {
-		return nil, nil, err
+		return err
 	}
 	wal, err := ckpt.OpenWAL(dir,
 		ckpt.WithWALObserver(s.sm.WAL), ckpt.WithWALLogger(logger),
 		ckpt.WithWALMaxPayload(s.walRecordMaxPayload()), ckpt.WithWALSegmentBytes(walSegmentBytes))
 	if err != nil {
-		return nil, nil, fmt.Errorf("opening write-ahead log: %w", err)
+		return fmt.Errorf("opening write-ahead log: %w", err)
 	}
 	s.AttachWAL(wal)
-	observer := &walTruncatingObserver{inner: s.sm.Checkpoint, wal: wal, logger: logger, cfg: s.cfg,
+	observer := &walTruncatingObserver{Observer: s.sm.Checkpoint, wal: wal, logger: logger, cfg: s.cfg,
 		prev: s.cfg.boundaryPos(s.restored)}
-	return wal, ckpt.NewRunner(store, s, s.cfg.checkpointInterval(),
+	runner := ckpt.NewRunner(store, s, s.cfg.checkpointInterval(),
 		ckpt.WithObserver(observer),
 		ckpt.WithRunnerLogger(logger),
-		ckpt.WithRunnerTracer(s.tracer)), nil
+		ckpt.WithRunnerTracer(s.tracer))
+	w.Add(runner)
+	s.mu.Lock()
+	s.runner = runner
+	s.mu.Unlock()
+	return nil
+}
+
+// detach takes a durable stream's log and runner out of service before its
+// directory goes: the runner leaves w, which returns once no write of it is
+// in progress — so none can re-create the directory — and the log closes.
+func (s *Server) detach(w *ckpt.Writer) {
+	s.mu.Lock()
+	wal, runner := s.wal, s.runner
+	s.mu.Unlock() // a shutdown final being written takes it
+	if runner != nil {
+		w.Remove(runner)
+		wal.Close()
+	}
 }
 
 // walTruncatingObserver prunes write-ahead log segments as checkpoints
 // land. After a successful generation it truncates the log to the
 // PREVIOUS successful checkpoint's stream position — the store retains
 // two generations, and recovery may fall back to the older one, so the
-// log must stay replayable from there. A restarted or promoted leader's
+// log must stay replayable from there — and then reports the attempt, so a
+// reported generation's prune is done. A restarted or promoted leader's
 // previous checkpoint is the generation it recovered from; a fresh
-// stream's first Truncate(0) removes nothing. The runner's one driving
-// goroutine is the only caller.
+// stream's first Truncate(0) removes nothing. ObserveCheckpoint's one caller
+// is the writer's goroutine; skips pass straight through.
 type walTruncatingObserver struct {
-	inner  ckpt.Observer
+	ckpt.Observer
 	wal    *ckpt.WAL
 	logger *slog.Logger
 	cfg    Config
@@ -309,23 +319,23 @@ type walTruncatingObserver struct {
 }
 
 func (o *walTruncatingObserver) ObserveCheckpoint(rec ckpt.Record) {
-	o.inner.ObserveCheckpoint(rec)
-	if rec.Err != nil {
-		return
+	if rec.Err == nil {
+		if err := o.wal.Truncate(o.prev); err != nil && o.logger != nil {
+			// Pruning is best-effort: a failed removal wastes disk but never
+			// loses data, so log and keep checkpointing.
+			o.logger.Warn("wal truncation failed", "keep_from", o.prev, "err", err)
+		}
+		o.prev = o.cfg.boundaryPos(rec.Strides)
 	}
-	if err := o.wal.Truncate(o.prev); err != nil && o.logger != nil {
-		// Pruning is best-effort: a failed removal wastes disk but never
-		// loses data, so log and keep checkpointing.
-		o.logger.Warn("wal truncation failed", "keep_from", o.prev, "err", err)
-	}
-	o.prev = o.cfg.boundaryPos(rec.Strides)
+	o.Observer.ObserveCheckpoint(rec)
 }
 
 // DeleteStream unregisters a stream and removes its durable directory,
 // WALDir/streams/<name>: its log and checkpoint generations. The default stream cannot
 // be deleted (the legacy aliases must always resolve). In-flight requests
-// on the stream complete against its (now orphaned) server. Deletion is
-// destructive by contract: re-creating the stream under the same name
+// on the stream complete against its (now orphaned) server. It waits out a
+// checkpoint write in progress, so no save re-creates the directory. Deletion
+// is destructive by contract: re-creating the stream under the same name
 // starts empty, never resurrecting the deleted tenant's window.
 func (m *Multi) DeleteStream(name string) error {
 	if name == DefaultStream {
@@ -341,15 +351,7 @@ func (m *Multi) DeleteStream(name string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownStream, name)
 	}
-	if m.sched != nil {
-		// Remove before deleting the directory: a scheduler tick racing the
-		// removal would otherwise re-create the generation dir with a fresh
-		// checkpoint of the orphaned server.
-		m.sched.Remove(name)
-	}
-	if st.wal != nil {
-		st.wal.Close()
-	}
+	st.srv.detach(m.writer)
 	if m.logger != nil {
 		m.logger.Info("stream deleted", "stream", name)
 	}
@@ -363,14 +365,15 @@ func (m *Multi) DeleteStream(name string) error {
 	return nil
 }
 
-// RunCheckpoints drives the shared checkpoint scheduler until ctx is
-// canceled, then writes final generations for every stream with unsaved
-// stride progress. It returns immediately when durability is off.
+// RunCheckpoints runs the shared checkpoint writer — without it no stream
+// writes a generation — until ctx is canceled, then writes final generations
+// for every stream with unsaved stride progress. It returns immediately when
+// durability is off.
 func (m *Multi) RunCheckpoints(ctx context.Context) {
-	if m.sched == nil {
+	if m.writer == nil {
 		return
 	}
-	m.sched.Run(ctx)
+	m.writer.Run(ctx)
 }
 
 // lookup resolves a stream by name under the read lock, which is held only

@@ -506,7 +506,7 @@ func TestMultiNoGlobalWriteLock(t *testing.T) {
 // TestMultiCheckpointLifecycle: per-stream durability — the default stream
 // keeps the legacy directory layout at the root (existing deployments
 // recover in place), tenants get streams/<name> subdirectories, the shared
-// scheduler writes shutdown finals for every stream, and a re-created
+// writer writes shutdown finals for every stream, and a re-created
 // registry (or re-created stream) recovers its own window, never a
 // neighbor's. The log records the finals cover are cut before the restart,
 // so only a restore from the generations can pass.

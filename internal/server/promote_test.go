@@ -109,7 +109,9 @@ func TestFollowerPromotionCheckpointsAndPrunes(t *testing.T) {
 	resp.Body.Close()
 
 	// Two rounds of `every` strides each, every round waited out until the
-	// scheduler has checkpointed it: two generations of the promoted leader.
+	// writer has reported its checkpoint: two generations of the promoted
+	// leader.
+	waitUntil(t, "the promoted leader's checkpoint writer", f.writer.Running)
 	newest := func() uint64 {
 		gens, err := store.Generations()
 		if err != nil || len(gens) == 0 {
@@ -119,7 +121,9 @@ func TestFollowerPromotionCheckpointsAndPrunes(t *testing.T) {
 	}
 	for round := 1; round <= 2; round++ {
 		ingest(fts.URL, every, cfg.Stride)
-		waitUntil(t, "promoted leader's checkpoint", func() bool { return newest() == deadGen+uint64(round) })
+		waitUntil(t, "promoted leader's checkpoint", func() bool {
+			return metricValue(t, fts.URL, `disc_checkpoint_generation{stream="default"}`) == float64(deadGen+uint64(round))
+		})
 	}
 	// Save publishes a generation before it prunes the old ones, so the
 	// newest can be seen while the dead leader's are still there.
@@ -225,7 +229,7 @@ func seriesKeys(t *testing.T, base string) []string {
 
 // TestMultiWALOnlyWritesOnlyLogSegments pins the path the end-to-end
 // benchmark's durable workload runs: a registry with a log directory whose
-// checkpoint scheduler is never driven (RunCheckpoints is not called)
+// checkpoint writer is never run (RunCheckpoints is not called)
 // writes nothing into the directory but log segments, fresh and on
 // recovery.
 func TestMultiWALOnlyWritesOnlyLogSegments(t *testing.T) {

@@ -88,12 +88,9 @@ type Server struct {
 	// tracer records ingest span trees when Config.Tracing is set; nil
 	// otherwise. lastStride is the engine's record of the stride it last
 	// completed, kept by the stream's observer under mu; a traced ingest
-	// renders it into the request's trace. strideCtx holds the
-	// SpanContext of the most recent traced stride, the join point for the
-	// checkpoint runner's asynchronous trace fragment.
+	// renders it into the request's trace.
 	tracer     *trace.Tracer
 	lastStride core.StrideRecord
-	strideCtx  atomic.Pointer[trace.SpanContext]
 
 	// view is the immutable read-path snapshot, replaced after every
 	// successful stride and every restore (view.go). GET handlers only ever
@@ -118,6 +115,9 @@ type Server struct {
 	walBroken bool
 	walBuf    []byte // walAppend's encode buffer, reused across batches
 	seqs      *seqTable
+	// runner, on a durable leader, takes a capture from the logged batch
+	// that crosses a checkpoint boundary (attachLeader).
+	runner *ckpt.Runner
 	// viewEpoch distinguishes pre- and post-restore views in the ETag: a
 	// restore can rewind the stride counter to a value whose content
 	// differs from what a client cached under the same stride number.
@@ -312,16 +312,6 @@ func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprintln(w, "ready")
 }
 
-// TraceContext returns the span context of the most recent traced stride
-// (zero before the first one). The checkpoint runner joins its write
-// spans to this context, completing the ingest → … → checkpoint trace.
-func (s *Server) TraceContext() trace.SpanContext {
-	if ctx := s.strideCtx.Load(); ctx != nil {
-		return *ctx
-	}
-	return trace.SpanContext{}
-}
-
 // checkpointEnvelope carries the engine snapshot plus the service's own
 // stream position: the window contents in arrival order (pending partial
 // strides are dropped — checkpoints represent the last stride boundary).
@@ -359,21 +349,35 @@ var errBadCheckpoint = errors.New("bad checkpoint")
 var errLogAttached = errors.New("stream has a write-ahead log attached: restoring a checkpoint under it would fork the log (later batches would land at positions it already covers and be lost on replay); stop the process, make the checkpoint the newest generation in the stream's log directory (removing the log segments if the checkpoint predates them), and restart")
 
 // Strides returns the number of window advances processed. Together with
-// WriteCheckpoint this makes the server a ckpt.Source for the durable
-// auto-checkpointer. It reads the published view, so polling it (the
-// checkpoint Runner does, often) never contends with ingest.
+// WriteCheckpoint this makes the server a ckpt.Source, which the checkpoint
+// runner reads for its shutdown final. It reads the published view, so it
+// never contends with ingest.
 func (s *Server) Strides() uint64 { return s.view.Load().strides }
 
 // WriteCheckpoint writes a restorable snapshot of the service — engine
-// state plus stream position — to w. The state is captured under the server
-// mutex, which costs the engine's snapshot encode and a copy of the window;
-// the envelope is assembled and written outside it. Equal states write equal
-// bytes.
+// state plus stream position — to w: capture under the server mutex, encode
+// outside it. Equal states write equal bytes.
 func (s *Server) WriteCheckpoint(w io.Writer) error {
 	s.mu.Lock()
+	encode := s.capture()
+	s.mu.Unlock()
+	b, err := encode()
+	if err == nil {
+		_, err = w.Write(b)
+	}
+	return err
+}
+
+// capture is the locked half of a checkpoint, shared by WriteCheckpoint and
+// the batch that crosses a checkpoint boundary: the engine's snapshot encode
+// and a copy of the window and stream position. It returns the unlocked
+// half, which assembles the envelope's bytes. Caller holds s.mu.
+func (s *Server) capture() (encode func() ([]byte, error)) {
 	var engBuf bytes.Buffer
-	err := s.eng.SaveSnapshot(&engBuf)
-	env := checkpointEnvelope{
+	if err := s.eng.SaveSnapshot(&engBuf); err != nil {
+		return func() ([]byte, error) { return nil, err }
+	}
+	env := &checkpointEnvelope{
 		Dims:     s.cfg.Cluster.Dims,
 		Engine:   engBuf.Bytes(),
 		Window:   append([]model.Point(nil), s.slider.Window()...),
@@ -381,14 +385,11 @@ func (s *Server) WriteCheckpoint(w io.Writer) error {
 		EventSeq: s.eventSeq,
 		Seqs:     s.seqs.persist(),
 	}
-	s.mu.Unlock()
-	if err != nil {
-		return err
+	return func() ([]byte, error) {
+		// Sized for the usual case: ids and times that take two bytes a row.
+		size := len(env.Engine) + len(env.Window)*(4+8*env.Dims) + 1024
+		return appendEnvelope(make([]byte, 0, size), env), nil
 	}
-	// Sized for the usual case: ids and times that take two bytes a row.
-	size := len(env.Engine) + len(env.Window)*(4+8*env.Dims) + 1024
-	_, err = w.Write(appendEnvelope(make([]byte, 0, size), &env))
-	return err
 }
 
 // ReadCheckpoint replaces the engine and stream position with the
@@ -468,12 +469,6 @@ func (s *Server) ReadCheckpoint(r io.Reader) (int, error) {
 	// counter rewound to a number they already cached, hence the epoch.
 	s.viewEpoch++
 	s.publish()
-	// The pre-restore stride's trace context must not outlive the world it
-	// belongs to: the checkpoint runner joins its next write spans to this
-	// context, and a stale one would stitch a post-restore checkpoint onto
-	// a trace of strides the restore just discarded — the trace-level twin
-	// of serving a restored view under a pre-restore X-Disc-Stride.
-	s.strideCtx.Store(nil)
 	return eng.WindowSize(), nil
 }
 
@@ -755,6 +750,7 @@ func (s *Server) commitIngest(w http.ResponseWriter, rec *walRecord, tr *trace.T
 		return
 	}
 	rec.Start = s.ingested
+	before := uint64(s.eng.Stats().Strides)
 	applied, err := s.apply(rec.Points, tr, root)
 	if err != nil {
 		// The applied prefix is in the stream, so it must be in the log too,
@@ -768,9 +764,10 @@ func (s *Server) commitIngest(w http.ResponseWriter, rec *walRecord, tr *trace.T
 		writeJSONStatus(w, http.StatusConflict, ingestError{Error: err.Error(), Applied: applied})
 		return
 	}
+	after := uint64(s.eng.Stats().Strides)
 	rec.Resp, err = json.Marshal(ingestResponse{
 		Accepted: len(rec.Points),
-		Strides:  uint64(s.eng.Stats().Strides),
+		Strides:  after,
 		Window:   s.eng.WindowSize(),
 	})
 	if err != nil {
@@ -780,8 +777,7 @@ func (s *Server) commitIngest(w http.ResponseWriter, rec *walRecord, tr *trace.T
 	rec.Resp = append(rec.Resp, '\n') // match the writeJSON encoder framing
 	// Durability before acknowledgment: the record (including the exact
 	// body about to be sent) is framed and fsynced while the mutex is
-	// still held, so a checkpoint can never capture un-logged state and
-	// an acknowledged batch can always be replayed.
+	// still held, and an acknowledged batch can always be replayed.
 	if len(rec.Points) > 0 || rec.HasSeq {
 		if s.walAppend(rec) != nil {
 			http.Error(w, logFailed, http.StatusServiceUnavailable)
@@ -789,6 +785,14 @@ func (s *Server) commitIngest(w http.ResponseWriter, rec *walRecord, tr *trace.T
 		}
 	}
 	s.recordSeq(rec)
+	// A batch that crossed a checkpoint boundary hands the runner its
+	// capture. Logged and in the dedup table by now, so a checkpoint can
+	// never capture un-logged state.
+	if s.runner != nil {
+		s.runner.Offer(before, after, func() ckpt.Capture {
+			return ckpt.Capture{Strides: after, Trace: tr.Context(root), Encode: s.capture()}
+		})
+	}
 	writeBody(w, http.StatusOK, rec.Resp)
 }
 
@@ -825,12 +829,6 @@ func (s *Server) apply(pts []model.Point, tr *trace.Trace, root *trace.Span) (ap
 		spPub := tr.StartSpan("publish", root)
 		s.publish()
 		spPub.EndNow()
-		if tr != nil {
-			// Remember where the stride's trace can be joined; the
-			// checkpoint runner parents its write spans here.
-			ctx := tr.Context(root)
-			s.strideCtx.Store(&ctx)
-		}
 	}
 	return applied, nil
 }

@@ -154,19 +154,22 @@ func residentTrace(t *testing.T, tc *trace.Tracer, tid string) *trace.TraceData 
 // ingest crossing a stride boundary records ingest → advance → {collect,
 // cluster, finalize} → publish under the client's traceparent id, the
 // phase spans cut exactly from the stride record the stream observed, and
-// a checkpoint joins the same trace as checkpoint → {snapshot, save}. Run
-// under -race this exercises the ingest handler's span writes, and the
-// checkpoint fragment's merge, against /debug/traces readers.
+// the checkpoint that stride completes (W = S, so every stride is one
+// interval) joins the same trace as checkpoint → {snapshot, save}, written
+// by the durable leader's checkpoint writer. Run under -race this exercises
+// the ingest handler's span writes, and the checkpoint fragment's merge,
+// against /debug/traces readers.
 func TestIngestTraceSpanTree(t *testing.T) {
 	s, err := New(Config{
 		Cluster: model.Config{Dims: 2, Eps: 2, MinPts: 4},
 		Window:  200,
-		Stride:  50,
+		Stride:  200,
 		Tracing: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer runLeader(t, s)()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -217,16 +220,8 @@ func TestIngestTraceSpanTree(t *testing.T) {
 		at = at.Add(ph.dur)
 	}
 
-	// An immediate checkpoint joins the stride's trace by id.
-	store, err := ckpt.Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	runner := ckpt.NewRunner(store, s, 1, ckpt.WithRunnerTracer(s.tracer))
-	if _, err := runner.CheckpointNow(); err != nil {
-		t.Fatal(err)
-	}
-
+	// The checkpoint the stride captured joins its trace by id.
+	awaitCheckpointSpans(t, s, tid)
 	var payload tracesPayload
 	getJSON(t, ts.URL+"/debug/traces?trace="+tid, &payload)
 	if len(payload.Traces) != 1 {
@@ -271,6 +266,35 @@ func TestIngestTraceSpanTree(t *testing.T) {
 			t.Fatalf("%q parent = %q, want checkpoint %q", child, parent[child], spanID["checkpoint"])
 		}
 	}
+}
+
+// runLeader makes s a durable leader over a fresh directory and runs its
+// checkpoint writer until the returned stop, which waits for the shutdown
+// final. It returns once the writer accepts captures.
+func runLeader(t *testing.T, s *Server) (stop func()) {
+	t.Helper()
+	w := ckpt.NewWriter()
+	if err := s.attachLeader(t.TempDir(), nil, w); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { w.Run(ctx); close(done) }()
+	waitUntil(t, "the checkpoint writer", w.Running)
+	return func() { cancel(); <-done; s.detach(w) }
+}
+
+// awaitCheckpointSpans waits until trace tid holds a checkpoint fragment.
+func awaitCheckpointSpans(t *testing.T, s *Server, tid string) {
+	t.Helper()
+	waitUntil(t, "the checkpoint spans in trace "+tid, func() bool {
+		for _, d := range s.tracer.Snapshot() {
+			if d.TraceID.String() == tid {
+				return spanCount(&d, "checkpoint.save") > 0
+			}
+		}
+		return false
+	})
 }
 
 // TestIngestTraceRejectedStride: a stride the engine refuses is not

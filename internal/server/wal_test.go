@@ -719,6 +719,76 @@ func TestMultiDeleteStreamRemovesDurableState(t *testing.T) {
 	}
 }
 
+// TestDeleteStreamWithCaptureQueued: a stream deleted while its checkpoint
+// capture waits for the writer (busy with another stream's save) stays
+// deleted. Its directory is gone when DeleteStream returns and stays gone
+// through the writer's shutdown, which writes it no final, and the name
+// re-created starts empty. The capture is dropped, or written before the
+// directory goes; never after.
+func TestDeleteStreamWithCaptureQueued(t *testing.T) {
+	walDir := t.TempDir()
+	mcfg := testMultiConfig()
+	mcfg.WALDir = walDir
+	ts, m := newTestMulti(t, mcfg)
+	stop := driveCheckpoints(t, m)
+	mustCreateStream(t, ts, streamSpec{Name: "tenant"})
+
+	// Occupy the writer with a save that waits for release.
+	store, err := ckpt.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocker := ckpt.NewRunner(store, m.Stream(DefaultStream), 1)
+	m.writer.Add(blocker)
+	encoding, release := make(chan struct{}), make(chan struct{})
+	blocker.Offer(0, 1, func() ckpt.Capture {
+		return ckpt.Capture{Strides: 1, Encode: func() ([]byte, error) {
+			close(encoding)
+			<-release
+			return []byte("busy"), nil
+		}}
+	})
+	<-encoding
+
+	// 400 points: strides 0 → 5, across the interval, 4.
+	resp := postStreamPoints(t, ts, "tenant", clusteredBatch(rand.New(rand.NewSource(53)), 0, 400))
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("ingest: status %d", resp.StatusCode)
+	}
+	resp.Body.Close()
+	if got := m.Stream("tenant").Strides(); got < 4 {
+		t.Fatalf("tenant at stride %d: the batch did not cross the interval", got)
+	}
+	deleted := make(chan error, 1)
+	go func() { deleted <- m.DeleteStream("tenant") }()
+	select {
+	case err := <-deleted:
+		t.Fatalf("DeleteStream returned (%v) while the writer was mid-save", err)
+	case <-time.After(20 * time.Millisecond):
+	}
+	close(release)
+	if err := <-deleted; err != nil {
+		t.Fatal(err)
+	}
+	tenantDir := filepath.Join(walDir, "streams", "tenant")
+	if _, err := os.Stat(tenantDir); !os.IsNotExist(err) {
+		t.Fatalf("tenant directory after delete: %v, want it gone", err)
+	}
+	m.writer.Remove(blocker)
+	stop()
+	if _, err := os.Stat(tenantDir); !os.IsNotExist(err) {
+		t.Fatalf("tenant directory after the writer's shutdown: %v, want it gone", err)
+	}
+
+	mustCreateStream(t, ts, streamSpec{Name: "tenant"})
+	var sr statsResponse
+	getJSON(t, ts.URL+"/streams/tenant/stats", &sr)
+	if sr.Ingested != 0 || sr.Resident != 0 {
+		t.Fatalf("recreated stream inherited the deleted tenant's state: ingested=%d resident=%d",
+			sr.Ingested, sr.Resident)
+	}
+}
+
 // shortResponseWriter fails after writing a fixed number of body bytes —
 // a client that disconnected mid-download.
 type shortResponseWriter struct {
