@@ -33,15 +33,15 @@
 //	GET  /streams/{name}/points/{id}   assignment of one point
 //	GET  /streams/{name}/events        cluster-evolution log (?since=<seq>)
 //	GET  /streams/{name}/stats         engine work counters and configuration
-//	GET  /streams/{name}/checkpoint    binary stream checkpoint
-//	POST /streams/{name}/checkpoint    restore the stream and resume
+//	GET  /streams/{name}/checkpoint    binary stream checkpoint (restored only
+//	                                   at start-up, as a -wal-dir generation)
 //	GET  /streams/{name}/readyz        per-stream readiness
 //	GET  /streams/{name}/debug/traces  recorded ingest span trees (with -trace)
 //
 // The query endpoints are lock-free: they serve an immutable per-stride
-// view (reads never block ingestion, and streams never block each other)
-// and stamp each response with the stride it reflects via X-Disc-Stride
-// and a strong ETag (If-None-Match returns 304 until the next stride).
+// view (reads never block ingestion, and streams never block each other),
+// stamped with its stride (X-Disc-Stride) and a strong ETag unique to the
+// stream's incarnation (If-None-Match returns 304 until the next stride).
 //
 //	GET  /metrics       Prometheus text exposition, stream-labeled series
 //	GET  /debug/vars    expvar JSON (registry published as "disc")

@@ -180,10 +180,10 @@ func newPublishFixture(tb testing.TB, window int) *publishFixture {
 	for f.next < window {
 		f.advance()
 	}
-	s.publish()
+	s.st.publish()
 	for i := 0; i < 50; i++ {
 		f.advance()
-		s.publish()
+		s.st.publish()
 	}
 	return f
 }
@@ -192,10 +192,10 @@ func newPublishFixture(tb testing.TB, window int) *publishFixture {
 // publication to the caller. It reports false when the stream is used up.
 func (f *publishFixture) advance() bool {
 	for f.next < len(f.pts) {
-		step := f.s.slider.Push(f.pts[f.next])
+		step := f.s.st.slider.Push(f.pts[f.next])
 		f.next++
 		if step != nil {
-			f.s.eng.Advance(step.In, step.Out)
+			f.s.st.eng.Advance(step.In, step.Out)
 			return true
 		}
 	}
@@ -221,7 +221,7 @@ func BenchmarkPublish(b *testing.B) {
 					f.advance()
 				}
 				b.StartTimer()
-				f.s.publish()
+				f.s.st.publish()
 			}
 		})
 	}
@@ -244,10 +244,10 @@ func TestPublishAllocsBounded(t *testing.T) {
 				t.Fatal("stream exhausted")
 			}
 			runtime.ReadMemStats(&before)
-			f.s.publish()
+			f.s.st.publish()
 			runtime.ReadMemStats(&after)
 			bytes += float64(after.TotalAlloc - before.TotalAlloc)
-			clusters += float64(len(f.s.view.Load().census))
+			clusters += float64(len(f.s.st.view.Load().census))
 		}
 		return bytes / strides, clusters / strides
 	}

@@ -237,13 +237,13 @@ func appendEnvelope(b []byte, env *checkpointEnvelope) []byte {
 	return appendSeqs(b, env.Seqs)
 }
 
-// checkpointMaxBytes bounds one checkpoint of this stream — POST /checkpoint
-// bodies and the generations recovery reads — as the widest checkpoint of
-// Window points either generation writes: magic, flags, ingested, eventSeq
-// and a full dedup table (seqClients names of maxClientName bytes, each with
-// seqWindow acks of maxAckBytes, two bytes more in gob), then per point at
-// most gobPointBytes (a gob model.Point and engine row, every coordinate of
-// geom.MaxDims), and the gob type preambles under 2 KiB. The codec envelope
+// checkpointMaxBytes bounds one checkpoint of this stream — the generations
+// recovery reads — as the widest checkpoint of Window points either
+// generation writes: magic, flags, ingested, eventSeq and a full dedup table
+// (seqClients names of maxClientName bytes, each with seqWindow acks of
+// maxAckBytes, two bytes more in gob), then per point at most gobPointBytes
+// (a gob model.Point and engine row, every coordinate of geom.MaxDims), and
+// the gob type preambles under 2 KiB. The codec envelope
 // is narrower on both counts: a point takes at most 56+16·dims bytes (its
 // snapshot row and window entry), the snapshot header 120. So every
 // checkpoint a stream writes is one it can recover, and one of an earlier

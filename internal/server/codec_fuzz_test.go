@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"disc/internal/geom"
+	"disc/internal/obs"
 	"disc/internal/wire"
 )
 
@@ -62,9 +63,10 @@ func FuzzDecodeWALRecord(f *testing.F) {
 }
 
 // FuzzReadCheckpoint does the same for a whole restore — envelope, window,
-// dedup table and the engine snapshot inside — and then saves the restored
-// stream: a checkpoint in the codec's form that restores is the one the
-// restored stream writes.
+// dedup table and the engine snapshot inside — through newStream, the
+// constructor recovery builds every restored stream with, and then saves the
+// restored stream: a checkpoint in the codec's form that restores is the one
+// the restored stream writes.
 func FuzzReadCheckpoint(f *testing.F) {
 	cfg, ck := codecServer(f)
 	f.Add(ck)
@@ -76,12 +78,10 @@ func FuzzReadCheckpoint(f *testing.F) {
 	f.Add(fixtureIn(f, "pre_codec", "checkpoint.bin"))
 	f.Add([]byte{envelopeMagic, codecFlags(2), 0, 0, 0, 0x80, 0x80, 0x80, 0x80, 0x10})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		sm := obs.SingleStreamMetrics(obs.NewRegistry())
+		var st *stream
 		var rerr error
-		grew := allocated(func() { _, rerr = s.ReadCheckpoint(bytes.NewReader(data)) })
+		grew := allocated(func() { st, rerr = newStream(cfg, sm, data) })
 		// A restore builds an engine, an index and a view over the window: a
 		// fixed cost, then well under a kilobyte a point — and a point is at
 		// least 13 bytes of snapshot and 18 of window.
@@ -94,15 +94,15 @@ func FuzzReadCheckpoint(f *testing.F) {
 			}
 			return
 		}
-		if got := len(s.seqs.m); got > seqClients {
+		if got := len(st.seqs.m); got > seqClients {
 			t.Fatalf("restored a dedup table of %d clients", got)
 		}
-		var again bytes.Buffer
-		if err := s.WriteCheckpoint(&again); err != nil {
+		again, err := st.capture()()
+		if err != nil {
 			t.Fatal(err)
 		}
-		if inner, err := decodeEnvelope(data); err == nil && !wire.IsGob(data) && !wire.IsGob(inner.Engine) && !bytes.Equal(again.Bytes(), data) {
-			t.Fatalf("restored %d bytes that the restored stream writes back as %d different ones", len(data), again.Len())
+		if inner, err := decodeEnvelope(data); err == nil && !wire.IsGob(data) && !wire.IsGob(inner.Engine) && !bytes.Equal(again, data) {
+			t.Fatalf("restored %d bytes that the restored stream writes back as %d different ones", len(data), len(again))
 		}
 	})
 }

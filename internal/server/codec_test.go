@@ -22,6 +22,7 @@ import (
 	"disc/internal/ckpt"
 	"disc/internal/geom"
 	"disc/internal/model"
+	"disc/internal/obs"
 	"disc/internal/wire"
 )
 
@@ -163,18 +164,14 @@ func codecServer(t testing.TB) (Config, []byte) {
 	return cfg, buf.Bytes()
 }
 
-// restoreAndSave reads a checkpoint into a fresh server and writes it back.
+// restoreAndSave builds a stream from a checkpoint, with the constructor
+// recovery uses, and writes it back.
 func restoreAndSave(cfg Config, ck []byte) ([]byte, error) {
-	s, err := New(cfg)
+	st, err := newStream(cfg, obs.SingleStreamMetrics(obs.NewRegistry()), ck)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := s.ReadCheckpoint(bytes.NewReader(ck)); err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	err = s.WriteCheckpoint(&buf)
-	return buf.Bytes(), err
+	return st.capture()()
 }
 
 // TestCodecFaultSweeps is the sweep of internal/ckpt/wal_test.go one layer up,
@@ -244,7 +241,7 @@ func TestCodecFaultSweeps(t *testing.T) {
 // checkpoint whose dedup table went into the live one unchecked: more clients
 // or sequence numbers than the table ever keeps, a name ingest would refuse, a
 // client listed twice, sequence numbers the lookup's binary search cannot use.
-// Each got a 200; each is a 400 now, in the codec's form and in gob.
+// Each restored; each is a bad checkpoint now, in the codec's form and in gob.
 func TestCheckpointRejectsBadDedupTable(t *testing.T) {
 	cfg, ck := codecServer(t)
 	entry := func(seq uint64) seqEntry { return seqEntry{Seq: seq, Resp: []byte("{}\n")} }
@@ -271,20 +268,6 @@ func TestCheckpointRejectsBadDedupTable(t *testing.T) {
 		"duplicate sequence number": func(env *checkpointEnvelope) { env.Seqs[0].Entries[1].Seq = env.Seqs[0].Entries[0].Seq },
 		"oversized ack":             func(env *checkpointEnvelope) { env.Seqs[0].Entries[0].Resp = make([]byte, maxAckBytes+1) },
 	}
-	s, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	post := func(body []byte) int {
-		resp, err := http.Post(ts.URL+"/checkpoint", "application/octet-stream", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
-	}
 	for name, mutate := range bad {
 		env, err := decodeEnvelope(ck)
 		if err != nil {
@@ -294,15 +277,15 @@ func TestCheckpointRejectsBadDedupTable(t *testing.T) {
 			t.Fatalf("the donor's dedup table is %+v, want two clients with several entries", env.Seqs)
 		}
 		mutate(env)
-		if got := post(appendEnvelope(nil, env)); got != http.StatusBadRequest {
-			t.Errorf("%s (codec): status %d, want 400", name, got)
+		if _, err := restoreAndSave(cfg, appendEnvelope(nil, env)); !errors.Is(err, errBadCheckpoint) {
+			t.Errorf("%s (codec): restored with %v, want errBadCheckpoint", name, err)
 		}
-		if got := post(gobEnvelope(t, env)); got != http.StatusBadRequest {
-			t.Errorf("%s (gob): status %d, want 400", name, got)
+		if _, err := restoreAndSave(cfg, gobEnvelope(t, env)); !errors.Is(err, errBadCheckpoint) {
+			t.Errorf("%s (gob): restored with %v, want errBadCheckpoint", name, err)
 		}
 	}
-	if got := post(ck); got != http.StatusOK {
-		t.Fatalf("the pristine checkpoint: status %d, want 200", got)
+	if _, err := restoreAndSave(cfg, ck); err != nil {
+		t.Fatalf("the pristine checkpoint: %v", err)
 	}
 }
 
@@ -465,7 +448,7 @@ func TestWALRecordBound(t *testing.T) {
 		w.Close()
 		grew := int64(allocated(func() {
 			r := ckpt.OpenWALReader(dir, 0, bound)
-			_, err = s.replay(r, s.applyRecord)
+			_, err = s.replay(r, s.st.applyRecord)
 			r.Close()
 		}))
 		if !errors.Is(err, ckpt.ErrWALCorrupt) {
@@ -483,9 +466,8 @@ func TestWALRecordBound(t *testing.T) {
 // widest for its window and dims. The widest envelope of either generation —
 // ten-byte ids, times and counters, every coordinate, every hint, a full
 // dedup table — fits it with little to spare; the checkpoints earlier binaries
-// recorded go through POST /checkpoint and a store under it; a body or a
-// generation one byte past it is refused; and a stream restarted over its own
-// checkpoints keeps its state.
+// recorded restore from a store under it; a generation one byte past it is
+// refused; and a stream restarted over its own checkpoints keeps its state.
 func TestCheckpointBound(t *testing.T) {
 	wideVec := func(i int) (v geom.Vec) { // full eight-byte mantissas, gob cannot shorten them
 		for d := range v {
@@ -561,45 +543,21 @@ func TestCheckpointBound(t *testing.T) {
 		t.Fatal(err)
 	}
 	bound := s.checkpointMaxBytes()
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-	post := func(body []byte) int {
-		t.Helper()
-		resp, err := http.Post(ts.URL+"/checkpoint", "application/octet-stream", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		return resp.StatusCode
+	if _, err := restoreServer(t, cfg, make([]byte, bound)); !errors.Is(err, errBadCheckpoint) {
+		t.Fatalf("a garbage generation at the bound restored with %v, want errBadCheckpoint (read, then refused as garbage)", err)
 	}
-	if code := post(make([]byte, bound)); code != http.StatusBadRequest {
-		t.Fatalf("a garbage body at the bound: status %d, want 400 (read, then refused as garbage)", code)
-	}
-	if code := post(make([]byte, bound+1)); code != http.StatusRequestEntityTooLarge {
-		t.Fatalf("a body one byte past the bound: status %d, want 413", code)
+	if _, err := restoreServer(t, cfg, make([]byte, bound+1)); !errors.Is(err, ckpt.ErrTooLarge) {
+		t.Fatalf("a generation one byte past the bound restored with %v, want ckpt.ErrTooLarge", err)
 	}
 	for _, set := range []string{"pre_pr13", "pre_codec"} {
 		payload := fixtureIn(t, set, "checkpoint.bin")
-		if code := post(payload); code != http.StatusOK {
-			t.Fatalf("POST /checkpoint of %s: status %d", set, code)
-		}
-		dir := t.TempDir()
-		store, err := s.openStore(dir, nil)
+		recovered := mustRestore(t, cfg, payload)
+		direct, err := restoreAndSave(cfg, payload)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := store.Save(payload); err != nil {
-			t.Fatal(err)
-		}
-		recovered, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := recovered.recoverFromStore(dir, nil); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(checkpointBytes(t, recovered), checkpointBytes(t, s)) {
-			t.Fatalf("%s: the stream recovered from a store differs from the one it was posted to", set)
+		if !bytes.Equal(checkpointBytes(t, recovered), direct) {
+			t.Fatalf("%s: the stream recovered from a store differs from the one built from its bytes", set)
 		}
 	}
 

@@ -74,8 +74,8 @@ func assertExact(t *testing.T, s *Server) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	win := s.slider.Window()
-	if err := metrics.SameClustering(s.eng.Snapshot(), dbscan.Run(win, s.cfg.Cluster), win, s.cfg.Cluster); err != nil {
+	win := s.st.slider.Window()
+	if err := metrics.SameClustering(s.st.eng.Snapshot(), dbscan.Run(win, s.cfg.Cluster), win, s.cfg.Cluster); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -84,14 +84,11 @@ func assertExact(t *testing.T, s *Server) {
 // today's engine (the index is not checkpoint state), serves the bodies that
 // commit served byte for byte, and stays exact over 20 more strides.
 func checkpointRestores(t *testing.T, set string) {
-	s, err := New(fixtureConfig())
-	if err != nil {
-		t.Fatal(err)
+	s := mustRestore(t, fixtureConfig(), fixtureIn(t, set, "checkpoint.bin"))
+	if n := s.st.eng.WindowSize(); n != 200 {
+		t.Fatalf("restored a %d-point window, want the 200-point window", n)
 	}
-	if n, err := s.ReadCheckpoint(bytes.NewReader(fixtureIn(t, set, "checkpoint.bin"))); err != nil || n != 200 {
-		t.Fatalf("ReadCheckpoint = %d, %v; want the 200-point window", n, err)
-	}
-	if got := s.eng.IndexName(); got != "grid" {
+	if got := s.st.eng.IndexName(); got != "grid" {
 		t.Fatalf("restored onto the %q index, want the default grid", got)
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -267,7 +264,8 @@ func engineSettings(e *core.Engine) string {
 // WithWorkers(64), WithConnectivity(ConnDynamic)) was answered 200 and left
 // the stream on sequential BFS, no epoch reuse and 64 workers — modes no
 // flag, stream spec or /stats field can set or show. A checkpoint supplies
-// state; the server builds its engine one way.
+// state; the server builds its engine one way, and a checkpoint now enters a
+// stream only from its directory, so the rule is checked there.
 func TestRestoreIgnoresPersistedSettings(t *testing.T) {
 	cfg := fixtureConfig()
 	// Only a gob snapshot has anywhere to put settings, so the donor is the
@@ -286,27 +284,21 @@ func TestRestoreIgnoresPersistedSettings(t *testing.T) {
 		t.Fatal(err)
 	}
 	env.Engine = engBuf.Bytes()
-	envBuf := bytes.NewReader(gobEnvelope(t, &env))
+	envBytes := gobEnvelope(t, &env)
 
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := engineSettings(s.eng)
+	fresh := engineSettings(s.st.eng)
 	if want := "useMSBFS=true useEpoch=true workers=1 connStrategy=0 forest=false"; fresh != want {
 		t.Fatalf("a fresh server's engine runs %s, want %s", fresh, want)
 	}
+	s = mustRestore(t, cfg, envBytes)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
-	resp, err := http.Post(ts.URL+"/checkpoint", "application/octet-stream", envBuf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if body := readBody(t, resp); resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /checkpoint: status %d: %s", resp.StatusCode, body)
-	}
-	if got := engineSettings(s.eng); got != fresh {
-		t.Fatalf("the uploaded checkpoint reconfigured the serving engine:\n got %s\nwant %s", got, fresh)
+	if got := engineSettings(s.st.eng); got != fresh {
+		t.Fatalf("the restored checkpoint reconfigured the serving engine:\n got %s\nwant %s", got, fresh)
 	}
 	if got, want := getBodyString(t, ts.URL+"/clusters"), string(fixtureIn(t, "pre_codec", "clusters.json")); got != want {
 		t.Errorf("/clusters after restore:\n%s\nthe donor served:\n%s", got, want)

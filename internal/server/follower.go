@@ -74,18 +74,14 @@ func NewFollower(fc FollowerConfig) (*Follower, error) {
 	// {stream="default"} bundle and the stream counts, so dashboards keep
 	// working across a failover.
 	reg := obs.NewRegistry()
-	srv, err := newServer(fc.Server, reg, obs.NewStreamMetricsPool(reg, 1).Acquire(DefaultStream))
+	srv, err := newServer(fc.Server, reg, obs.NewStreamMetricsPool(reg, 1).Acquire(DefaultStream), fc.WALDir, fc.Logger)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("follower: %w", err)
 	}
 	streams, created := newRegistryMetrics(reg)
 	streams.Set(1)
 	created.Inc()
-	f := &Follower{srv: srv, cfg: fc, logger: fc.Logger, rep: obs.NewReplicationMetrics(reg), writer: ckpt.NewWriter()}
-	if err := srv.recoverFromStore(fc.WALDir, fc.Logger); err != nil {
-		return nil, fmt.Errorf("follower: %w", err)
-	}
-	return f, nil
+	return &Follower{srv: srv, cfg: fc, logger: fc.Logger, rep: obs.NewReplicationMetrics(reg), writer: ckpt.NewWriter()}, nil
 }
 
 // Run tails the log until ctx is canceled, Promote stops it, or the log
@@ -158,15 +154,15 @@ func (f *Follower) tail(ctx context.Context) error {
 	}
 }
 
-// applyRecord is the server's applyRecord with the disc_replica_* instruments
+// applyRecord is the stream's applyRecord with the disc_replica_* instruments
 // around it: while a record is being applied the lag gauge shows how far it
 // reaches past the replica. Caller holds the server's mutex.
 func (f *Follower) applyRecord(rec *walRecord) error {
-	s := f.srv
-	if end := rec.end(); end > s.ingested {
-		f.rep.Lag.Set(float64(end-s.ingested) / float64(s.cfg.Stride))
+	st := f.srv.st
+	if end := rec.end(); end > st.ingested {
+		f.rep.Lag.Set(float64(end-st.ingested) / float64(st.cfg.Stride))
 	}
-	if err := s.applyRecord(rec); err != nil {
+	if err := st.applyRecord(rec); err != nil {
 		return err
 	}
 	f.rep.Lag.Set(0)

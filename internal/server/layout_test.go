@@ -186,11 +186,8 @@ func TestLogBoundedByCheckpoints(t *testing.T) {
 			}
 		}
 		segs := walSegmentFiles(t, dir)
-		restarted, err := New(cfg)
+		restarted, err := serverFrom(cfg, dir)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := restarted.recoverFromStore(dir, nil); err != nil {
 			t.Fatal(err)
 		}
 		replayed, err := restarted.RecoverWAL(dir, nil)
@@ -318,11 +315,8 @@ func TestLogBoundedAcrossLeaderChange(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer os.WriteFile(gens[len(gens)-1], newest, 0o644)
-		fallback, err := New(cfg)
+		fallback, err := serverFrom(cfg, dir)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := fallback.recoverFromStore(dir, nil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := fallback.RecoverWAL(dir, nil); err != nil {
@@ -422,11 +416,11 @@ func TestFollowerRestoresPrunedLeaderDir(t *testing.T) {
 	go func() { runDone <- f.Run(ctx) }()
 	waitUntil(t, "follower catch-up", func() bool {
 		leader.mu.Lock()
-		lead := leader.ingested
+		lead := leader.st.ingested
 		leader.mu.Unlock()
 		f.srv.mu.Lock()
 		defer f.srv.mu.Unlock()
-		return f.srv.ingested == lead
+		return f.srv.st.ingested == lead
 	})
 	cancel()
 	if err := <-runDone; err != nil {
@@ -649,11 +643,8 @@ func generationFiles(t *testing.T, dir string) []string {
 // after the cut did restore it: log replay alone stops with a wal gap.
 func cutLogToNewestGeneration(t *testing.T, dir string, cfg Config) {
 	t.Helper()
-	s, err := New(cfg)
+	s, err := serverFrom(cfg, dir)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.recoverFromStore(dir, nil); err != nil {
 		t.Fatal(err)
 	}
 	pos := cfg.boundaryPos(s.Strides())

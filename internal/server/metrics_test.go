@@ -208,14 +208,8 @@ func TestMetricsSurviveCheckpointRestore(t *testing.T) {
 	}
 	ckBytes, _ := io.ReadAll(ck.Body)
 	ck.Body.Close()
-	resp, err := http.Post(ts.URL+"/checkpoint", "application/octet-stream", strings.NewReader(string(ckBytes)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("restore: %d", resp.StatusCode)
-	}
+	ts = httptest.NewServer(mustRestore(t, testWALConfig(), ckBytes).Handler())
+	t.Cleanup(ts.Close)
 
 	stridesBefore := metricValue(t, ts.URL, "disc_strides_total")
 	postPoints(t, ts, clusteredBatch(rng, 10_000, 100)).Body.Close()

@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"maps"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -97,13 +98,7 @@ type Multi struct {
 	createdMx    *obs.Counter // disc_streams_created_total
 
 	mu      sync.RWMutex
-	streams map[string]*stream
-}
-
-// stream is one registered tenant.
-type stream struct {
-	name string
-	srv  *Server
+	streams map[string]*Server
 }
 
 // NewMulti returns a registry hosting the default stream built from
@@ -117,7 +112,7 @@ func NewMulti(cfg MultiConfig) (*Multi, error) {
 		reg:     reg,
 		pool:    obs.NewStreamMetricsPool(reg, metricStreams),
 		logger:  cfg.Logger,
-		streams: make(map[string]*stream),
+		streams: make(map[string]*Server),
 	}
 	m.streamsGauge, m.createdMx = newRegistryMetrics(reg)
 	if cfg.WALDir != "" {
@@ -141,15 +136,15 @@ func newRegistryMetrics(reg *obs.Registry) (*obs.Gauge, *obs.Counter) {
 // Registry exposes the shared metrics registry.
 func (m *Multi) Registry() *obs.Registry { return m.reg }
 
-// Stream returns the named stream's server, or nil when unknown — the
-// seam in-process drivers (discserver shutdown, tests) use.
+// Stream returns the named stream's server, or nil when unknown. The read
+// lock is held only for the map access — request handling proceeds on the
+// stream's own state, so a wedged write path on one stream never blocks
+// another stream's requests (and never blocks CreateStream/DeleteStream
+// either).
 func (m *Multi) Stream(name string) *Server {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	if st, ok := m.streams[name]; ok {
-		return st.srv
-	}
-	return nil
+	return m.streams[name]
 }
 
 // CreateStream registers a new stream. The returned server is live as soon
@@ -182,10 +177,6 @@ func (m *Multi) CreateStream(name string, cfg Config) (*Server, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	srv, err := newServer(cfg, m.reg, m.pool.Acquire(name))
-	if err != nil {
-		return nil, err
-	}
 	logger := m.logger
 	if logger != nil {
 		logger = logger.With("stream", name)
@@ -197,9 +188,12 @@ func (m *Multi) CreateStream(name string, cfg Config) (*Server, error) {
 	var dir string
 	if m.cfg.WALDir != "" {
 		dir = m.streamDir(name)
-		if err := srv.recoverFromStore(dir, logger); err != nil {
-			return nil, fmt.Errorf("stream %q: %w", name, err)
-		}
+	}
+	srv, err := newServer(cfg, m.reg, m.pool.Acquire(name), dir, logger)
+	if err != nil {
+		return nil, fmt.Errorf("stream %q: %w", name, err)
+	}
+	if dir != "" {
 		replayed, err := srv.RecoverWAL(dir, logger)
 		if err != nil {
 			return nil, fmt.Errorf("stream %q: replaying write-ahead log: %w", name, err)
@@ -211,15 +205,13 @@ func (m *Multi) CreateStream(name string, cfg Config) (*Server, error) {
 	if err := srv.attachLeader(dir, logger, m.writer); err != nil {
 		return nil, fmt.Errorf("stream %q: %w", name, err)
 	}
-	st := &stream{name: name, srv: srv}
-
 	m.mu.Lock()
 	if _, raced := m.streams[name]; raced {
 		m.mu.Unlock()
 		srv.detach(m.writer)
 		return nil, fmt.Errorf("%w: %q", ErrStreamExists, name)
 	}
-	m.streams[name] = st
+	m.streams[name] = srv
 	m.streamsGauge.Set(float64(len(m.streams)))
 	m.mu.Unlock()
 	m.createdMx.Inc()
@@ -276,7 +268,7 @@ func (s *Server) attachLeader(dir string, logger *slog.Logger, w *ckpt.Writer) e
 	}
 	s.AttachWAL(wal)
 	observer := &walTruncatingObserver{Observer: s.sm.Checkpoint, wal: wal, logger: logger, cfg: s.cfg,
-		prev: s.cfg.boundaryPos(s.restored)}
+		prev: s.cfg.boundaryPos(s.st.restored)}
 	runner := ckpt.NewRunner(store, s, s.cfg.checkpointInterval(),
 		ckpt.WithObserver(observer),
 		ckpt.WithRunnerLogger(logger),
@@ -342,7 +334,7 @@ func (m *Multi) DeleteStream(name string) error {
 		return fmt.Errorf("%w: the default stream cannot be deleted", ErrBadStreamName)
 	}
 	m.mu.Lock()
-	st, ok := m.streams[name]
+	srv, ok := m.streams[name]
 	if ok {
 		delete(m.streams, name)
 		m.streamsGauge.Set(float64(len(m.streams)))
@@ -351,7 +343,7 @@ func (m *Multi) DeleteStream(name string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownStream, name)
 	}
-	st.srv.detach(m.writer)
+	srv.detach(m.writer)
 	if m.logger != nil {
 		m.logger.Info("stream deleted", "stream", name)
 	}
@@ -376,27 +368,16 @@ func (m *Multi) RunCheckpoints(ctx context.Context) {
 	m.writer.Run(ctx)
 }
 
-// lookup resolves a stream by name under the read lock, which is held only
-// for the map access — request handling proceeds on the stream's own
-// state, so a wedged write path on one stream never blocks another
-// stream's requests (and never blocks CreateStream/DeleteStream either).
-func (m *Multi) lookup(name string) (*stream, bool) {
-	m.mu.RLock()
-	st, ok := m.streams[name]
-	m.mu.RUnlock()
-	return st, ok
-}
-
 // withStream adapts a per-stream handler into an http.HandlerFunc that
 // resolves the {stream} path value (404 on unknown names).
-func (m *Multi) withStream(h func(st *stream, w http.ResponseWriter, r *http.Request)) http.HandlerFunc {
+func (m *Multi) withStream(h func(srv *Server, w http.ResponseWriter, r *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		st, ok := m.lookup(r.PathValue("stream"))
-		if !ok {
+		srv := m.Stream(r.PathValue("stream"))
+		if srv == nil {
 			http.Error(w, fmt.Sprintf("unknown stream %q", r.PathValue("stream")), http.StatusNotFound)
 			return
 		}
-		h(st, w, r)
+		h(srv, w, r)
 	}
 }
 
@@ -422,13 +403,13 @@ type streamInfo struct {
 	Resident int          `json:"resident"`
 }
 
-func (st *stream) info() streamInfo {
-	v := st.srv.view.Load()
+func (s *Server) info(name string) streamInfo {
+	v := s.st.view.Load()
 	return streamInfo{
-		Name:     st.name,
-		Config:   st.srv.cfg.Cluster,
-		Window:   st.srv.cfg.Window,
-		Stride:   st.srv.cfg.Stride,
+		Name:     name,
+		Config:   s.cfg.Cluster,
+		Window:   s.cfg.Window,
+		Stride:   s.cfg.Stride,
 		Strides:  v.strides,
 		Ingested: v.stats.Ingested,
 		Resident: v.stats.Resident,
@@ -464,7 +445,8 @@ func (m *Multi) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 	if spec.Stride != 0 {
 		cfg.Stride = spec.Stride
 	}
-	if _, err := m.CreateStream(spec.Name, cfg); err != nil {
+	srv, err := m.CreateStream(spec.Name, cfg)
+	if err != nil {
 		switch {
 		case errors.Is(err, ErrStreamExists):
 			http.Error(w, err.Error(), http.StatusConflict)
@@ -478,21 +460,17 @@ func (m *Multi) handleStreamCreate(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	st, _ := m.lookup(spec.Name)
-	writeJSONStatus(w, http.StatusCreated, st.info())
+	writeJSONStatus(w, http.StatusCreated, srv.info(spec.Name))
 }
 
 // handleStreamList serves the sorted stream inventory.
 func (m *Multi) handleStreamList(w http.ResponseWriter, _ *http.Request) {
 	m.mu.RLock()
-	sts := make([]*stream, 0, len(m.streams))
-	for _, st := range m.streams {
-		sts = append(sts, st)
-	}
+	srvs := maps.Clone(m.streams)
 	m.mu.RUnlock()
-	infos := make([]streamInfo, 0, len(sts))
-	for _, st := range sts {
-		infos = append(infos, st.info())
+	infos := make([]streamInfo, 0, len(srvs))
+	for name, srv := range srvs {
+		infos = append(infos, srv.info(name))
 	}
 	sort.Slice(infos, func(i, j int) bool { return infos[i].Name < infos[j].Name })
 	writeJSON(w, map[string]any{"streams": infos})
@@ -516,7 +494,7 @@ func (m *Multi) handleStreamDelete(w http.ResponseWriter, r *http.Request) {
 // registry API, the per-stream endpoints, and the legacy single-stream
 // routes aliased to the default stream.
 func (m *Multi) Handler() http.Handler {
-	def, _ := m.lookup(DefaultStream) // always present; undeletable
+	def := m.Stream(DefaultStream) // always present; undeletable
 	mux := http.NewServeMux()
 
 	mux.HandleFunc("POST /streams", m.handleStreamCreate)
@@ -525,8 +503,8 @@ func (m *Multi) Handler() http.Handler {
 
 	for i, rt := range streamRoutes {
 		mux.Handle(rt.method+" /streams/{stream}"+rt.path,
-			m.withStream(func(st *stream, w http.ResponseWriter, r *http.Request) {
-				h := st.srv.handlers[i]
+			m.withStream(func(srv *Server, w http.ResponseWriter, r *http.Request) {
+				h := srv.handlers[i]
 				if h == nil { // only /debug/traces is optional
 					http.Error(w, "tracing disabled", http.StatusNotFound)
 					return
@@ -535,7 +513,7 @@ func (m *Multi) Handler() http.Handler {
 			}))
 	}
 	// Legacy single-stream aliases → the default stream.
-	def.srv.mount(mux)
+	def.mount(mux)
 	mountProcessRoutes(mux, m.reg, m.cfg.Default.EnablePprof)
 	return mux
 }

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"disc/internal/ckpt"
 	"disc/internal/core"
 	"disc/internal/model"
 
@@ -336,7 +337,8 @@ func TestMultiLegacyAliases(t *testing.T) {
 		t.Fatalf("legacy stats after scoped ingest: %d, want 400", legacy.Ingested)
 	}
 
-	// Checkpoint save/restore through both route families round-trips.
+	// The checkpoint is one through both route families, and a registry
+	// started over a directory holding it serves it back through both.
 	cresp, err := http.Get(ts.URL + "/streams/default/checkpoint")
 	if err != nil {
 		t.Fatal(err)
@@ -346,13 +348,23 @@ func TestMultiLegacyAliases(t *testing.T) {
 	if cresp.StatusCode != http.StatusOK || len(blob) == 0 {
 		t.Fatalf("scoped checkpoint save: status %d, %d bytes", cresp.StatusCode, len(blob))
 	}
-	lresp, err := http.Post(ts.URL+"/checkpoint", "application/octet-stream", bytes.NewReader(blob))
+	if got := getBodyString(t, ts.URL+"/checkpoint"); got != string(blob) {
+		t.Fatal("legacy and scoped checkpoints differ")
+	}
+	mcfg := testMultiConfig()
+	mcfg.WALDir = t.TempDir()
+	store, err := ckpt.Open(mcfg.WALDir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lresp.Body.Close()
-	if lresp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy checkpoint restore: status %d", lresp.StatusCode)
+	if _, err := store.Save(blob); err != nil {
+		t.Fatal(err)
+	}
+	ts2, _ := newTestMulti(t, mcfg)
+	for _, path := range []string{"/checkpoint", "/streams/default/checkpoint"} {
+		if got := getBodyString(t, ts2.URL+path); got != string(blob) {
+			t.Fatalf("%s of the registry restored from the directory differs from the checkpoint it restored", path)
+		}
 	}
 }
 

@@ -85,11 +85,11 @@ func TestFollowerPromotionCheckpointsAndPrunes(t *testing.T) {
 	go func() { runDone <- f.Run(ctx) }()
 	waitUntil(t, "follower catch-up", func() bool {
 		leader.mu.Lock()
-		lead := leader.ingested
+		lead := leader.st.ingested
 		leader.mu.Unlock()
 		f.srv.mu.Lock()
 		defer f.srv.mu.Unlock()
-		return f.srv.ingested == lead
+		return f.srv.st.ingested == lead
 	})
 	lts.Close() // the leader dies: no final checkpoint, no log close
 	segsBefore := walSegmentFiles(t, walDir)

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"strconv"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -23,8 +24,8 @@ func sliderEngineAgree(t *testing.T, s *Server) {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := s.eng.Snapshot()
-	win := s.slider.Window()
+	snap := s.st.eng.Snapshot()
+	win := s.st.slider.Window()
 	if len(win) != len(snap) {
 		t.Fatalf("slider window has %d points, engine %d", len(win), len(snap))
 	}
@@ -44,7 +45,7 @@ func TestAdvanceRejectionRollsBackSlider(t *testing.T) {
 	ts, s := newTestServer(t)
 	rng := rand.New(rand.NewSource(20))
 
-	s.testAdvanceErr = func(*window.Step) error {
+	s.st.testAdvanceErr = func(*window.Step) error {
 		return errors.New("injected advance failure")
 	}
 	// The very first stride (the 200-point window fill) fails: 199 points
@@ -65,7 +66,7 @@ func TestAdvanceRejectionRollsBackSlider(t *testing.T) {
 
 	// With the failure cleared, one replacement point completes the fill
 	// exactly as if the rejected trigger never arrived.
-	s.testAdvanceErr = nil
+	s.st.testAdvanceErr = nil
 	resp = postPoints(t, ts, clusteredBatch(rng, 500, 1))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("recovery ingest status %d, want 200", resp.StatusCode)
@@ -146,9 +147,9 @@ func TestIngestRejectsNonFiniteCoords(t *testing.T) {
 }
 
 // TestCheckpointRejectsCorruptWindow: a checkpoint whose window payload
-// smuggles a non-finite coordinate or a duplicated id must be refused with
-// 400 — a binary form, unlike JSON, encodes NaN happily, so this is the one
-// wire path that could plant one in the window.
+// smuggles a non-finite coordinate or a duplicated id must be refused as a
+// bad checkpoint — a binary form, unlike JSON, encodes NaN happily, so this
+// is the one path that could plant one in the window.
 func TestCheckpointRejectsCorruptWindow(t *testing.T) {
 	ts, _ := newTestServer(t)
 	rng := rand.New(rand.NewSource(22))
@@ -167,13 +168,8 @@ func TestCheckpointRejectsCorruptWindow(t *testing.T) {
 		}
 		mutate(env)
 		for form, body := range map[string][]byte{"codec": appendEnvelope(nil, env), "gob": gobEnvelope(t, env)} {
-			r, err := http.Post(ts.URL+"/checkpoint", "application/octet-stream", bytes.NewReader(body))
-			if err != nil {
-				t.Fatal(err)
-			}
-			r.Body.Close()
-			if r.StatusCode != http.StatusBadRequest {
-				t.Fatalf("%s (%s): restore status %d, want 400", name, form, r.StatusCode)
+			if _, err := restoreAndSave(testWALConfig(), body); !errors.Is(err, errBadCheckpoint) {
+				t.Fatalf("%s (%s): restored with %v, want errBadCheckpoint", name, form, err)
 			}
 		}
 	}
@@ -188,14 +184,9 @@ func TestCheckpointRejectsCorruptWindow(t *testing.T) {
 	})
 
 	// The pristine checkpoint still restores.
-	r, err := http.Post(ts.URL+"/checkpoint", "application/octet-stream", bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
+	if _, err := restoreAndSave(testWALConfig(), blob); err != nil {
+		t.Fatalf("pristine restore: %v", err)
 	}
-	if r.StatusCode != http.StatusOK {
-		t.Fatalf("pristine restore status %d, want 200", r.StatusCode)
-	}
-	r.Body.Close()
 }
 
 // failingWriter counts WriteHeader calls and fails every body write,
@@ -313,7 +304,7 @@ func TestIfNoneMatchListWeakAndWildcard(t *testing.T) {
 	ts, s := newTestServer(t)
 	rng := rand.New(rand.NewSource(26))
 	postPoints(t, ts, clusteredBatch(rng, 0, 200)).Body.Close()
-	etag := s.view.Load().etag
+	etag := s.st.view.Load().etag
 
 	for _, tc := range []struct {
 		fields []string
@@ -515,54 +506,70 @@ func TestQueryMetricsExposed(t *testing.T) {
 	}
 }
 
-// TestViewAcrossRestore: a checkpoint restore republishes the view
-// immediately and mints a new ETag epoch, so clients cannot confuse
-// pre- and post-restore state even at the same stride number.
+// TestViewAcrossRestore: a strong ETag names one body. A stream deleted and
+// registered again, or a process restarted without a log, starts again at
+// stride 0, so the stride count alone would name two different bodies at
+// the same stride and a client revalidating its cached copy would get a 304
+// over content it never saw. Each stream value mints its own incarnation for
+// its tags, so the old tag gets a 200 and a new tag.
 func TestViewAcrossRestore(t *testing.T) {
-	ts, _ := newTestServer(t)
-	rng := rand.New(rand.NewSource(27))
-	postPoints(t, ts, clusteredBatch(rng, 0, 250)).Body.Close()
+	ts, m := newTestMulti(t, testMultiConfig())
+	cfg := testMultiConfig().Default
+	get := func(url, ifNoneMatch string) (status int, etag, body string) {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodGet, url, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ifNoneMatch != "" {
+			req.Header.Set("If-None-Match", ifNoneMatch)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, resp.Header.Get("ETag"), string(readBody(t, resp))
+	}
+	incarnation := func(seed int64) (etag, body string) {
+		t.Helper()
+		if _, err := m.CreateStream("x", cfg); err != nil {
+			t.Fatal(err)
+		}
+		resp := postStreamPoints(t, ts, "x", clusteredBatch(rand.New(rand.NewSource(seed)), 0, 250))
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("ingest status %d: %s", resp.StatusCode, readBody(t, resp))
+		}
+		resp.Body.Close()
+		status, etag, body := get(ts.URL+"/streams/x/clusters", "")
+		if status != http.StatusOK || !strings.HasSuffix(etag, `-s2"`) {
+			t.Fatalf("GET /clusters: status %d, ETag %s; want 200 at stride 2", status, etag)
+		}
+		return etag, body
+	}
 
-	resp, err := http.Get(ts.URL + "/checkpoint")
-	if err != nil {
+	oldTag, oldBody := incarnation(27)
+	if err := m.DeleteStream("x"); err != nil {
 		t.Fatal(err)
 	}
-	blob, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-
-	resp, err = http.Get(ts.URL + "/clusters")
-	if err != nil {
-		t.Fatal(err)
+	newTag, newBody := incarnation(28)
+	if newBody == oldBody {
+		t.Fatal("the two incarnations serve the same census; the test needs different content")
 	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	preTag := resp.Header.Get("ETag")
-	preStride := resp.Header.Get("X-Disc-Stride")
-
-	r, err := http.Post(ts.URL+"/checkpoint", "application/octet-stream", bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
+	if newTag == oldTag {
+		t.Fatalf("ETag %s names both incarnations' different bodies", newTag)
 	}
-	r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		t.Fatalf("restore status %d", r.StatusCode)
+	status, etag, body := get(ts.URL+"/streams/x/clusters", oldTag)
+	if status != http.StatusOK || etag != newTag || body != newBody {
+		t.Fatalf("If-None-Match with the deleted incarnation's tag: status %d, ETag %s; want 200 with the current body and tag %s", status, etag, newTag)
+	}
+	if status, _, _ := get(ts.URL+"/streams/x/clusters", newTag); status != http.StatusNotModified {
+		t.Fatalf("If-None-Match with the current tag: status %d, want 304", status)
 	}
 
-	resp, err = http.Get(ts.URL + "/clusters")
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if got := resp.Header.Get("X-Disc-Stride"); got != preStride {
-		t.Fatalf("stride %s after same-position restore, want %s", got, preStride)
-	}
-	if got := resp.Header.Get("ETag"); got == preTag {
-		t.Fatalf("ETag %q unchanged across restore; epoch must bump", got)
-	}
-	var sr statsResponse
-	getJSON(t, ts.URL+"/stats", &sr)
-	if sr.Ingested != 250 {
-		t.Fatalf("restored view ingested %d, want 250", sr.Ingested)
+	// A process restarted without a log is a new stream value too.
+	_, s1 := newTestServer(t)
+	_, s2 := newTestServer(t)
+	if a, b := s1.st.view.Load().etag, s2.st.view.Load().etag; a == b {
+		t.Fatalf("two fresh streams publish the same ETag %s", a)
 	}
 }

@@ -10,6 +10,7 @@ import (
 
 	"disc/internal/ckpt"
 	"disc/internal/model"
+	"disc/internal/obs"
 )
 
 // These tests exercise the full durability loop: a serving process writes
@@ -31,27 +32,57 @@ func checkpointTo(t *testing.T, store *ckpt.Store, s *Server) uint64 {
 	return gen
 }
 
-// recoverServer opens the directory as a fresh process would and restores
-// the newest valid generation into a brand-new server.
+// serverFrom builds a server over dir the way a process does at start-up:
+// its stream is the newest valid checkpoint generation in dir, or fresh when
+// there is none. The server attaches no log.
+func serverFrom(cfg Config, dir string) (*Server, error) {
+	reg := obs.NewRegistry()
+	return newServer(cfg, reg, obs.SingleStreamMetrics(reg), dir, nil)
+}
+
+// restoreServer makes ck the one generation of a fresh directory and builds a
+// server from it: the one way a checkpoint enters a stream.
+func restoreServer(t testing.TB, cfg Config, ck []byte) (*Server, error) {
+	t.Helper()
+	dir := t.TempDir()
+	store, err := ckpt.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Save(ck); err != nil {
+		t.Fatal(err)
+	}
+	return serverFrom(cfg, dir)
+}
+
+// mustRestore is restoreServer for a checkpoint that must restore.
+func mustRestore(t testing.TB, cfg Config, ck []byte) *Server {
+	t.Helper()
+	s, err := restoreServer(t, cfg, ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// recoverServer opens the directory as a fresh process would and builds a
+// server from the newest valid generation, which it reports.
 func recoverServer(t *testing.T, dir string) (*Server, uint64) {
 	t.Helper()
 	store, err := ckpt.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload, gen, err := store.Recover()
+	_, gen, err := store.Recover()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{
+	s, err := serverFrom(Config{
 		Cluster: model.Config{Dims: 2, Eps: 2, MinPts: 4},
 		Window:  200,
 		Stride:  50,
-	})
+	}, dir)
 	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.ReadCheckpoint(bytes.NewReader(payload)); err != nil {
 		t.Fatal(err)
 	}
 	return s, gen
@@ -73,25 +104,25 @@ func TestKillAndRestartRecovery(t *testing.T) {
 	postPoints(t, ts, clusteredBatch(rng, 0, 350)).Body.Close()
 	checkpointTo(t, store, s1)
 
-	preSnap := s1.eng.Snapshot()
-	preStats := s1.eng.Stats()
-	preIngested := s1.ingested
+	preSnap := s1.st.eng.Snapshot()
+	preStats := s1.st.eng.Stats()
+	preIngested := s1.st.ingested
 	ts.Close() // the "crash"
 
 	s2, gen := recoverServer(t, dir)
 	if gen != 1 {
 		t.Fatalf("recovered generation %d, want 1", gen)
 	}
-	if !reflect.DeepEqual(s2.eng.Snapshot(), preSnap) {
+	if !reflect.DeepEqual(s2.st.eng.Snapshot(), preSnap) {
 		t.Fatal("recovered engine snapshot differs from pre-crash state")
 	}
-	if s2.eng.Stats() != preStats {
-		t.Fatalf("recovered stats %+v, want %+v", s2.eng.Stats(), preStats)
+	if s2.st.eng.Stats() != preStats {
+		t.Fatalf("recovered stats %+v, want %+v", s2.st.eng.Stats(), preStats)
 	}
-	if s2.ingested != preIngested {
-		t.Fatalf("recovered ingested %d, want %d", s2.ingested, preIngested)
+	if s2.st.ingested != preIngested {
+		t.Fatalf("recovered ingested %d, want %d", s2.st.ingested, preIngested)
 	}
-	if got := s2.ingestMx.Value(); got != int64(preIngested) {
+	if got := s2.sm.Ingested.Value(); got != int64(preIngested) {
 		t.Fatalf("recovered ingest counter %d, want %d", got, preIngested)
 	}
 
@@ -104,7 +135,7 @@ func TestKillAndRestartRecovery(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("post-recovery ingest status %d", resp.StatusCode)
 	}
-	if after := s2.eng.Stats(); after.Strides <= preStats.Strides {
+	if after := s2.st.eng.Stats(); after.Strides <= preStats.Strides {
 		t.Fatalf("recovered service stuck at stride %d", after.Strides)
 	}
 }
@@ -124,7 +155,7 @@ func TestRecoveryFallsBackToPreviousGeneration(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	postPoints(t, ts, clusteredBatch(rng, 0, 250)).Body.Close()
 	checkpointTo(t, store, s1)
-	genOneSnap := s1.eng.Snapshot() // state the fallback must restore
+	genOneSnap := s1.st.eng.Snapshot() // state the fallback must restore
 
 	postPoints(t, ts, clusteredBatch(rng, 250, 100)).Body.Close()
 	gen2 := checkpointTo(t, store, s1)
@@ -159,7 +190,7 @@ func TestRecoveryFallsBackToPreviousGeneration(t *testing.T) {
 			if gen != 1 {
 				t.Fatalf("recovered generation %d, want fallback to 1", gen)
 			}
-			if !reflect.DeepEqual(s2.eng.Snapshot(), genOneSnap) {
+			if !reflect.DeepEqual(s2.st.eng.Snapshot(), genOneSnap) {
 				t.Fatal("fallback recovery does not restore the older checkpoint's state")
 			}
 		})
@@ -196,14 +227,14 @@ func TestRunnerCheckpointsLiveServer(t *testing.T) {
 	if s1.Strides() == 0 {
 		t.Fatal("test server never advanced a stride; checkpoint would be vacuous")
 	}
-	preSnap := s1.eng.Snapshot()
+	preSnap := s1.st.eng.Snapshot()
 	ts.Close()
 
 	s2, gen := recoverServer(t, dir)
 	if gen != wrote {
 		t.Fatalf("recovered generation %d, runner wrote %d", gen, wrote)
 	}
-	if !reflect.DeepEqual(s2.eng.Snapshot(), preSnap) {
+	if !reflect.DeepEqual(s2.st.eng.Snapshot(), preSnap) {
 		t.Fatal("runner-written checkpoint restores different engine state")
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"disc/internal/ckpt"
 	"disc/internal/model"
 	"disc/internal/window"
 )
@@ -256,17 +257,9 @@ func TestCheckpointRoundTrip(t *testing.T) {
 	var before clustersResponse
 	getJSON(t, ts.URL+"/clusters", &before)
 
-	// Fresh server restores from the checkpoint and continues the stream.
-	ts2, _ := newTestServer(t)
-	r2, err := http.Post(ts2.URL+"/checkpoint", "application/octet-stream", bytes.NewReader(blob))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r2.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(r2.Body)
-		t.Fatalf("checkpoint load: status %d: %s", r2.StatusCode, body)
-	}
-	r2.Body.Close()
+	// A server built from the checkpoint continues the stream.
+	ts2 := httptest.NewServer(mustRestore(t, testWALConfig(), blob).Handler())
+	t.Cleanup(ts2.Close)
 	var after clustersResponse
 	getJSON(t, ts2.URL+"/clusters", &after)
 	if after.Window != before.Window || len(after.Clusters) != len(before.Clusters) {
@@ -296,7 +289,7 @@ func TestIngestBatchAtomicValidation(t *testing.T) {
 	setForTest(t, &maxIngestBytes, 64<<10)
 	cfg := testWALConfig()
 	ts, s, dir := newWALServer(t, cfg)
-	s.seqs = newSeqTable(2, seqClients)
+	s.st.seqs = newSeqTable(2, seqClients)
 	rng := rand.New(rand.NewSource(12))
 	// 230 points — a full window and 30 pending — as sequence numbers 1-3, of which the dedup window keeps {2, 3}.
 	for seq, n := range []int{100, 100, 30} {
@@ -329,7 +322,7 @@ func TestIngestBatchAtomicValidation(t *testing.T) {
 	}
 	reject := func(name string, body []byte, hdr map[string]string, want int) {
 		t.Helper()
-		ckptBefore, sizeBefore, viewBefore, mxBefore := checkpointBytes(t, s), dirSize(), s.view.Load(), s.ingestMx.Value()
+		ckptBefore, sizeBefore, viewBefore, mxBefore := checkpointBytes(t, s), dirSize(), s.st.view.Load(), s.sm.Ingested.Value()
 		req, err := http.NewRequest(http.MethodPost, ts.URL+"/ingest", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
@@ -350,10 +343,10 @@ func TestIngestBatchAtomicValidation(t *testing.T) {
 		if got := dirSize(); got != sizeBefore {
 			t.Errorf("%s: write-ahead log grew from %d to %d bytes behind the %d", name, sizeBefore, got, want)
 		}
-		if s.view.Load() != viewBefore {
+		if s.st.view.Load() != viewBefore {
 			t.Errorf("%s: a view was published behind the %d", name, want)
 		}
-		if got := s.ingestMx.Value(); got != mxBefore {
+		if got := s.sm.Ingested.Value(); got != mxBefore {
 			t.Errorf("%s: ingest counter moved from %d to %d behind the %d", name, mxBefore, got, want)
 		}
 	}
@@ -407,7 +400,7 @@ func TestIngestConflictReportsApplied(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	postPoints(t, ts, clusteredBatch(rng, 0, 200)).Body.Close()
 
-	s.testAdvanceErr = func(*window.Step) error {
+	s.st.testAdvanceErr = func(*window.Step) error {
 		return errors.New("injected advance failure")
 	}
 	// 100 fresh points: the stride fires on the 50th push of this batch
@@ -436,13 +429,13 @@ func TestIngestConflictReportsApplied(t *testing.T) {
 	if sr.Ingested != 200 {
 		t.Fatalf("view ingested = %d, want 200 (last published stride)", sr.Ingested)
 	}
-	if got := s.ingested; got != 249 {
+	if got := s.st.ingested; got != 249 {
 		t.Fatalf("live ingested = %d, want 200 + 49 applied", got)
 	}
 }
 
 // TestCheckpointConfigMismatchRejected: a checkpoint taken under different
-// clustering thresholds must be refused with 409, not silently adopted.
+// clustering thresholds must be refused by recovery, not silently adopted.
 func TestCheckpointConfigMismatchRejected(t *testing.T) {
 	ts, _ := newTestServer(t)
 	rng := rand.New(rand.NewSource(10))
@@ -459,30 +452,21 @@ func TestCheckpointConfigMismatchRejected(t *testing.T) {
 		{Dims: 2, Eps: 2.5, MinPts: 4}, // different eps
 		{Dims: 2, Eps: 2, MinPts: 7},   // different minPts
 	} {
-		s2, err := New(Config{Cluster: other, Window: 200, Stride: 50})
-		if err != nil {
-			t.Fatal(err)
+		_, err := restoreServer(t, Config{Cluster: other, Window: 200, Stride: 50}, blob)
+		if !errors.Is(err, ErrCheckpointMismatch) {
+			t.Fatalf("config %+v: mismatched checkpoint restored with %v, want ErrCheckpointMismatch", other, err)
 		}
-		ts2 := httptest.NewServer(s2.Handler())
-		r2, err := http.Post(ts2.URL+"/checkpoint", "application/octet-stream", bytes.NewReader(blob))
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, _ := io.ReadAll(r2.Body)
-		r2.Body.Close()
-		ts2.Close()
-		if r2.StatusCode != http.StatusConflict {
-			t.Fatalf("config %+v: mismatched checkpoint status %d, want 409 (%s)", other, r2.StatusCode, body)
-		}
-		if !strings.Contains(string(body), "mismatch") {
-			t.Fatalf("config %+v: undescriptive mismatch error: %s", other, body)
+		if !strings.Contains(err.Error(), "mismatch") {
+			t.Fatalf("config %+v: undescriptive mismatch error: %v", other, err)
 		}
 	}
 }
 
 // TestCheckpointRestoreSyncsIngestCounter: after a restore, /metrics'
 // disc_ingested_points_total must equal /stats' ingested — the original
-// code left the counter at its pre-restore value forever.
+// code left the counter at its pre-restore value forever. A stream deleted
+// and registered again keeps its metric bundle, so the re-created stream,
+// recovering a checkpoint from its directory, starts from a stale counter.
 func TestCheckpointRestoreSyncsIngestCounter(t *testing.T) {
 	ts, _ := newTestServer(t)
 	rng := rand.New(rand.NewSource(11))
@@ -494,24 +478,44 @@ func TestCheckpointRestoreSyncsIngestCounter(t *testing.T) {
 	blob, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 
-	ts2, s2 := newTestServer(t)
-	// Give the fresh server some pre-restore traffic so a stale counter
+	cfg := testWALConfig()
+	m, err := NewMulti(MultiConfig{Default: cfg, WALDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(m.Handler())
+	t.Cleanup(ts2.Close)
+	if _, err := m.CreateStream("x", cfg); err != nil {
+		t.Fatal(err)
+	}
+	// Pre-restore traffic under the same stream label, so a stale counter
 	// cannot accidentally look right.
-	postPoints(t, ts2, clusteredBatch(rng, 10_000, 250)).Body.Close()
-	r2, err := http.Post(ts2.URL+"/checkpoint", "application/octet-stream", bytes.NewReader(blob))
+	body, _ := json.Marshal(clusteredBatch(rng, 10_000, 250))
+	r2, err := http.Post(ts2.URL+"/streams/x/ingest", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	r2.Body.Close()
-	if r2.StatusCode != http.StatusOK {
-		t.Fatalf("restore status %d", r2.StatusCode)
+	if err := m.DeleteStream("x"); err != nil {
+		t.Fatal(err)
+	}
+	store, err := ckpt.Open(m.streamDir("x"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Save(blob); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := m.CreateStream("x", cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
 	var sr statsResponse
-	getJSON(t, ts2.URL+"/stats", &sr)
+	getJSON(t, ts2.URL+"/streams/x/stats", &sr)
 	if sr.Ingested != 300 {
 		t.Fatalf("stats ingested = %d, want 300", sr.Ingested)
 	}
-	if got := s2.ingestMx.Value(); got != 300 {
+	if got := s2.sm.Ingested.Value(); got != 300 {
 		t.Fatalf("metrics counter = %d after restore, want 300", got)
 	}
 	mresp, err := http.Get(ts2.URL + "/metrics")
@@ -520,7 +524,7 @@ func TestCheckpointRestoreSyncsIngestCounter(t *testing.T) {
 	}
 	mbody, _ := io.ReadAll(mresp.Body)
 	mresp.Body.Close()
-	if !strings.Contains(string(mbody), "disc_ingested_points_total 300") {
+	if !strings.Contains(string(mbody), `disc_ingested_points_total{stream="x"} 300`) {
 		t.Fatal("/metrics does not report the restored ingest total")
 	}
 }
@@ -552,9 +556,8 @@ func TestEventsEmptyIsArray(t *testing.T) {
 	}
 }
 
-// TestRequestBodyLimits: oversized ingest and checkpoint bodies get 413 —
-// the configured ingest limit, and for a checkpoint anything larger than the
-// stream could have written.
+// TestRequestBodyLimits: an oversized ingest body gets 413, and a checkpoint
+// generation larger than the stream could have written does not restore.
 func TestRequestBodyLimits(t *testing.T) {
 	setForTest(t, &maxIngestBytes, 512)
 	s, err := New(Config{
@@ -577,13 +580,8 @@ func TestRequestBodyLimits(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversized ingest status %d, want 413", resp.StatusCode)
 	}
-	resp, err = http.Post(ts.URL+"/checkpoint", "application/octet-stream", bytes.NewReader(make([]byte, s.checkpointMaxBytes()+1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusRequestEntityTooLarge {
-		t.Fatalf("oversized checkpoint status %d, want 413", resp.StatusCode)
+	if _, err := restoreServer(t, s.cfg, make([]byte, s.checkpointMaxBytes()+1)); !errors.Is(err, ckpt.ErrTooLarge) {
+		t.Fatalf("oversized checkpoint restored with %v, want ckpt.ErrTooLarge", err)
 	}
 	// Small bodies still work under the tightened limits.
 	r2 := postPoints(t, ts, []ingestPoint{{ID: 1, Coords: []float64{0, 0}}})
@@ -594,13 +592,7 @@ func TestRequestBodyLimits(t *testing.T) {
 }
 
 func TestCheckpointLoadRejectsGarbage(t *testing.T) {
-	ts, _ := newTestServer(t)
-	r, err := http.Post(ts.URL+"/checkpoint", "application/octet-stream", strings.NewReader("junk"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer r.Body.Close()
-	if r.StatusCode != http.StatusBadRequest {
-		t.Fatalf("garbage checkpoint: status %d, want 400", r.StatusCode)
+	if _, err := restoreServer(t, testWALConfig(), []byte("junk")); !errors.Is(err, errBadCheckpoint) {
+		t.Fatalf("garbage checkpoint restored with %v, want errBadCheckpoint", err)
 	}
 }

@@ -183,7 +183,7 @@ func TestIngestTraceSpanTree(t *testing.T) {
 	// starts at rec.Start plus the running sum of the durations before it
 	// and ends at that plus its own duration, exactly.
 	s.mu.Lock()
-	rec := s.lastStride
+	rec := s.st.lastStride
 	s.mu.Unlock()
 	if rec.Stride != 1 {
 		t.Fatalf("stream observed stride %d, want 1", rec.Stride)
@@ -324,7 +324,7 @@ func TestIngestTraceRejectedStride(t *testing.T) {
 	}
 
 	s.mu.Lock()
-	s.testAdvanceErr = func(*window.Step) error { return errors.New("injected advance failure") }
+	s.st.testAdvanceErr = func(*window.Step) error { return errors.New("injected advance failure") }
 	s.mu.Unlock()
 	if code := postTraced(t, ts, clusteredBatch(rng, 200, 50), rejected); code != http.StatusConflict {
 		t.Fatalf("rejected ingest status %d, want 409", code)

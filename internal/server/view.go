@@ -1,5 +1,5 @@
-// Read path: after every successful stride (and every checkpoint restore)
-// the ingest path installs ONE immutable view of everything the GET
+// Read path: after every successful stride the ingest path installs ONE
+// immutable view of everything the GET
 // endpoints serve — cluster census, per-point assignments, stats, event
 // tail, stride/window counters — with a single atomic pointer store.
 // Queries load the pointer and read; they never touch the server mutex, so
@@ -141,8 +141,10 @@ func compareRows(a, b censusRow) int {
 // read any field concurrently without synchronization.
 type publishedView struct {
 	strides uint64 // engine strides completed when this view was built
-	epoch   uint64 // restore epoch this view belongs to (s.viewEpoch)
-	etag    string // `"disc-e<epoch>-s<strides>"`; epoch bumps on restore
+	// etag is `"disc-<incarnation>-s<strides>"`: the stream value's random
+	// incarnation (hex) makes a tag name one body across recreations and
+	// restarts, the stride count one body within a stream's life.
+	etag string
 	// points and renames hold every resident point's exact assignment as of
 	// this stride, resolved at read time by assignment.
 	points  pointTable
@@ -183,6 +185,38 @@ func (v *publishedView) assignment(id int64) (model.Assignment, bool) {
 		}
 	}
 	return model.Assignment{Label: model.Noise, ClusterID: model.NoCluster}, true
+}
+
+// appendClusters renders the /clusters body byte for byte as encoding/json
+// renders a clustersResponse (a nil cluster list is null there): the body
+// runs to thousands of rows, it sits inside every ingest-to-visible sample,
+// and reflection was most of its cost.
+func (v *publishedView) appendClusters(b []byte) []byte {
+	b = append(b, `{"strides":`...)
+	b = strconv.AppendUint(b, v.strides, 10)
+	b = append(b, `,"window":`...)
+	b = strconv.AppendInt(b, int64(v.stats.Resident), 10)
+	b = append(b, `,"noise":`...)
+	b = strconv.AppendInt(b, int64(v.noise), 10)
+	b = append(b, `,"clusters":`...)
+	if len(v.census) == 0 {
+		return append(b, "null}\n"...)
+	}
+	sep := byte('[')
+	for _, r := range v.census {
+		b = append(b, sep)
+		sep = ','
+		b = append(b, `{"id":`...)
+		b = strconv.AppendInt(b, int64(r.id), 10)
+		b = append(b, `,"size":`...)
+		b = strconv.AppendInt(b, int64(r.size()), 10)
+		b = append(b, `,"cores":`...)
+		b = strconv.AppendInt(b, int64(r.cores), 10)
+		b = append(b, `,"borders":`...)
+		b = strconv.AppendInt(b, int64(r.borders), 10)
+		b = append(b, '}')
+	}
+	return append(b, "]}\n"...)
 }
 
 // clusterCount is a census row under maintenance: its current counts, and
@@ -406,16 +440,16 @@ func (vs *viewState) sealCensus() {
 	vs.census = append(out, rest...)
 }
 
-// publish folds the engine's delta of the stride just completed (or, after
-// a restore or on a fresh engine, its full state) into the view state and
-// atomically installs the resulting view. Callers must hold s.mu (or have
-// exclusive access, as in New).
-func (s *Server) publish() {
-	vs := &s.vs
+// publish folds the engine's delta of the stride just completed (or, on a
+// fresh or restored engine, its full state) into the view state and
+// atomically installs the resulting view. Callers must hold the server's mu
+// (or have exclusive access, as in newStream).
+func (st *stream) publish() {
+	vs := &st.vs
 	vs.gen++
-	d := s.eng.Delta()
+	d := st.eng.Delta()
 	if d.Full {
-		vs.reset(s.cfg.Window)
+		vs.reset(st.cfg.Window)
 	} else {
 		vs.points.pages = slices.Clone(vs.points.pages) // the last view keeps the old root
 	}
@@ -423,26 +457,25 @@ func (s *Server) publish() {
 	d.Points(vs.set)
 	vs.sealCensus()
 
-	stats := s.eng.Stats()
+	stats := st.eng.Stats()
 	strides := uint64(stats.Strides)
-	n := len(s.events)
-	s.view.Store(&publishedView{
+	n := len(st.events)
+	st.view.Store(&publishedView{
 		strides: strides,
-		epoch:   s.viewEpoch,
-		etag:    fmt.Sprintf("\"disc-e%d-s%d\"", s.viewEpoch, strides),
+		etag:    fmt.Sprintf("\"disc-%x-s%d\"", st.incarnation, strides),
 		points:  vs.points,
 		renames: vs.renames,
 		census:  vs.census,
 		noise:   vs.noise,
-		events:  s.events[:n:n],
+		events:  st.events[:n:n],
 		stats: statsResponse{
-			Config:    s.cfg.Cluster,
-			Window:    s.cfg.Window,
-			Stride:    s.cfg.Stride,
-			Ingested:  s.ingested,
+			Config:    st.cfg.Cluster,
+			Window:    st.cfg.Window,
+			Stride:    st.cfg.Stride,
+			Ingested:  st.ingested,
 			Resident:  vs.resident,
 			Stats:     stats,
-			EventSeq:  s.eventSeq,
+			EventSeq:  st.eventSeq,
 			EventKept: n,
 		},
 	})
@@ -486,7 +519,7 @@ func etagMatches(field, etag string) bool {
 func (s *Server) serveView(endpoint string, h func(v *publishedView, w http.ResponseWriter, r *http.Request)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
-		v := s.view.Load()
+		v := s.st.view.Load()
 		w.Header().Set("X-Disc-Stride", strconv.FormatUint(v.strides, 10))
 		w.Header().Set("ETag", v.etag)
 		fresh := false
@@ -499,15 +532,9 @@ func (s *Server) serveView(endpoint string, h func(v *publishedView, w http.Resp
 			h(v, w, r)
 		}
 		// Lag = strides published while this request was being served,
-		// measured against the served instance v. The epoch guard keeps the
-		// comparison within v's own restore epoch: a checkpoint restored
-		// mid-request installs a view whose stride counter belongs to a
-		// different history, and diffing across epochs would charge this
-		// (perfectly fresh) read with an arbitrary fabricated lag.
-		lag := float64(0)
-		if now := s.view.Load(); now.epoch == v.epoch && now.strides > v.strides {
-			lag = float64(now.strides - v.strides)
-		}
+		// measured against the served instance v. A stream's stride count
+		// only moves forward.
+		lag := float64(s.st.view.Load().strides - v.strides)
 		s.qm.ObserveQuery(endpoint, time.Since(start).Seconds(), lag)
 	}
 }

@@ -62,8 +62,8 @@ func rebuildOracle(t testing.TB, s *Server) oracleBodies {
 	t.Helper()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := s.eng.Snapshot()
-	stats := s.eng.Stats()
+	snap := s.st.eng.Snapshot()
+	stats := s.st.eng.Stats()
 	strides := uint64(stats.Strides)
 	byID := map[int]*clusterSummary{}
 	noise := 0
@@ -94,17 +94,17 @@ func rebuildOracle(t testing.TB, s *Server) oracleBodies {
 		}
 		return cr.Clusters[i].ID < cr.Clusters[j].ID
 	})
-	events := append([]eventRecord{}, s.events...)
+	events := append([]eventRecord{}, s.st.events...)
 	o := oracleBodies{
 		clusters: encodeJSON(t, cr),
 		stats: encodeJSON(t, statsResponse{
 			Config:    s.cfg.Cluster,
 			Window:    s.cfg.Window,
 			Stride:    s.cfg.Stride,
-			Ingested:  s.ingested - uint64(len(s.slider.Pending())), // as of the stride boundary
+			Ingested:  s.st.ingested - uint64(len(s.st.slider.Pending())), // as of the stride boundary
 			Resident:  len(snap),
 			Stats:     stats,
-			EventSeq:  s.eventSeq,
+			EventSeq:  s.st.eventSeq,
 			EventKept: len(events),
 		}),
 		events: encodeJSON(t, events),
@@ -120,7 +120,6 @@ func rebuildOracle(t testing.TB, s *Server) oracleBodies {
 // handlers the mux routes to.
 type viewBodies struct {
 	v *publishedView
-	s *Server
 }
 
 func (vb viewBodies) get(t testing.TB, h func(*publishedView, http.ResponseWriter, *http.Request), pointID string) (int, []byte) {
@@ -143,16 +142,16 @@ func (vb viewBodies) check(t testing.TB, want oracleBodies, departed []int64, wh
 		h    func(*publishedView, http.ResponseWriter, *http.Request)
 		want []byte
 	}{
-		{"/clusters", vb.s.handleClusters, want.clusters},
-		{"/stats", vb.s.handleStats, want.stats},
-		{"/events", vb.s.handleEvents, want.events},
+		{"/clusters", handleClusters, want.clusters},
+		{"/stats", handleStats, want.stats},
+		{"/events", handleEvents, want.events},
 	} {
 		if code, got := vb.get(t, ep.h, ""); code != http.StatusOK || !bytes.Equal(got, ep.want) {
 			t.Fatalf("%s: %s diverged from the rebuild (status %d):\n got %s\nwant %s", when, ep.name, code, got, ep.want)
 		}
 	}
 	for id, w := range want.points {
-		if code, got := vb.get(t, vb.s.handlePoint, strconv.FormatInt(id, 10)); code != http.StatusOK || !bytes.Equal(got, w) {
+		if code, got := vb.get(t, handlePoint, strconv.FormatInt(id, 10)); code != http.StatusOK || !bytes.Equal(got, w) {
 			t.Fatalf("%s: /points/%d diverged from the rebuild (status %d):\n got %s\nwant %s", when, id, code, got, w)
 		}
 	}
@@ -163,7 +162,7 @@ func (vb viewBodies) check(t testing.TB, want oracleBodies, departed []int64, wh
 		if _, resident := want.points[id]; resident {
 			continue
 		}
-		if code, _ := vb.get(t, vb.s.handlePoint, strconv.FormatInt(id, 10)); code != http.StatusNotFound {
+		if code, _ := vb.get(t, handlePoint, strconv.FormatInt(id, 10)); code != http.StatusNotFound {
 			t.Fatalf("%s: departed point %d answered %d, want 404", when, id, code)
 		}
 	}
@@ -171,7 +170,7 @@ func (vb viewBodies) check(t testing.TB, want oracleBodies, departed []int64, wh
 
 func checkView(t testing.TB, s *Server, departed []int64, when string) {
 	t.Helper()
-	viewBodies{s.view.Load(), s}.check(t, rebuildOracle(t, s), departed, when)
+	viewBodies{s.st.view.Load()}.check(t, rebuildOracle(t, s), departed, when)
 }
 
 // newDeltaServer is New with the engine's worker count set, which Config
@@ -183,8 +182,8 @@ func newDeltaServer(t testing.TB, cfg Config, workers int) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.eng = core.New(cfg.Cluster, append(s.engineOptions(), core.WithWorkers(workers))...)
-	s.publish()
+	s.st.eng = core.New(cfg.Cluster, append(s.st.engineOptions(), core.WithWorkers(workers))...)
+	s.st.publish()
 	return s
 }
 
@@ -235,17 +234,17 @@ func driveStream(t testing.TB, s *Server, pts []model.Point, after func(stride i
 	}
 }
 
-// restoreSelf round-trips the server through its own checkpoint, the
-// POST /checkpoint path.
+// restoreSelf round-trips the server's stream through its own checkpoint:
+// saved as a generation in a fresh directory and recovered from there, the
+// way a restarting stream is. The server keeps its handlers and serves the
+// recovered stream from then on.
 func restoreSelf(t testing.TB, s *Server) {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := s.WriteCheckpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.ReadCheckpoint(&buf); err != nil {
-		t.Fatal(err)
-	}
+	s.st = mustRestore(t, s.cfg, buf.Bytes()).st
 }
 
 // deltaCorpus is the differential corpus of the connectivity-strategy tests
@@ -270,7 +269,7 @@ func TestViewDeltaMatchesRebuild(t *testing.T) {
 	setForTest(t, &eventLogCap, 1<<20) // count keeps every event
 	seen := map[string]int{}
 	count := func(s *Server) {
-		for _, ev := range s.events {
+		for _, ev := range s.st.events {
 			seen[ev.Type]++
 		}
 	}
@@ -348,11 +347,11 @@ func TestViewDeltaMatchesRebuild(t *testing.T) {
 		}
 		s := newDeltaServer(t, Config{Cluster: model.Config{Dims: 2, Eps: 1.2, MinPts: 5}, Window: 200, Stride: 2}, 1)
 		driveStream(t, s, pts, nil)
-		if got := s.view.Load().strides; got < 1100 {
+		if got := s.st.view.Load().strides; got < 1100 {
 			t.Fatalf("only %d strides ran; the compaction boundary at 1024 was not crossed", got)
 		}
-		if len(s.vs.renames) > 40 {
-			t.Fatalf("rename map holds %d cids 76 strides after a compaction; it is not being reset", len(s.vs.renames))
+		if len(s.st.vs.renames) > 40 {
+			t.Fatalf("rename map holds %d cids 76 strides after a compaction; it is not being reset", len(s.st.vs.renames))
 		}
 	})
 
@@ -404,19 +403,19 @@ func TestViewDeltaMatchesRebuild(t *testing.T) {
 				t.Fatal(err)
 			}
 			replayed.mu.Lock()
-			err = replayed.applyRecord(rec)
+			err = replayed.st.applyRecord(rec)
 			replayed.mu.Unlock()
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkView(t, replayed, nil, fmt.Sprintf("replayed record %d", n))
 		}
-		viewBodies{replayed.view.Load(), replayed}.check(t, want, nil, "replayed log against the leader")
+		viewBodies{replayed.st.view.Load()}.check(t, want, nil, "replayed log against the leader")
 
 		deadline := time.Now().Add(10 * time.Second)
-		for f.srv.view.Load().strides != leader.view.Load().strides {
+		for f.srv.st.view.Load().strides != leader.st.view.Load().strides {
 			if time.Now().After(deadline) {
-				t.Fatalf("follower stuck at stride %d of %d", f.srv.view.Load().strides, leader.view.Load().strides)
+				t.Fatalf("follower stuck at stride %d of %d", f.srv.st.view.Load().strides, leader.st.view.Load().strides)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -427,8 +426,8 @@ func TestViewDeltaMatchesRebuild(t *testing.T) {
 		checkView(t, f.srv, nil, "follower")
 		// The follower's pending tail may trail the leader's by a poll, so
 		// compare what a stride boundary pins: the census and the points.
-		fv := f.srv.view.Load()
-		if code, got := (viewBodies{fv, f.srv}).get(t, f.srv.handleClusters, ""); code != http.StatusOK || !bytes.Equal(got, want.clusters) {
+		fv := f.srv.st.view.Load()
+		if code, got := (viewBodies{fv}).get(t, handleClusters, ""); code != http.StatusOK || !bytes.Equal(got, want.clusters) {
 			t.Fatalf("follower /clusters diverged from the leader:\n got %s\nwant %s", got, want.clusters)
 		}
 	})
@@ -480,7 +479,7 @@ func TestPinnedViewImmutable(t *testing.T) {
 	for lo := cfg.Window; lo < warm; lo += cfg.Stride {
 		ingest(t, h, toIngest(pts[lo:lo+cfg.Stride], 2))
 	}
-	pinned := viewBodies{s.view.Load(), s}
+	pinned := viewBodies{s.st.view.Load()}
 	want := rebuildOracle(t, s)
 	pinned.check(t, want, nil, "at pin time")
 	if len(pinned.v.events) == 0 {
@@ -500,16 +499,16 @@ func TestPinnedViewImmutable(t *testing.T) {
 				default:
 				}
 				id := pts[warm-cfg.Window+i%cfg.Window].ID
-				_, got := pinned.get(t, s.handlePoint, strconv.FormatInt(id, 10))
+				_, got := pinned.get(t, handlePoint, strconv.FormatInt(id, 10))
 				if !bytes.Equal(got, want.points[id]) {
 					t.Errorf("pinned /points/%d changed under the writer: %s", id, got)
 					return
 				}
-				if _, got := pinned.get(t, s.handleClusters, ""); !bytes.Equal(got, want.clusters) {
+				if _, got := pinned.get(t, handleClusters, ""); !bytes.Equal(got, want.clusters) {
 					t.Error("pinned /clusters changed under the writer")
 					return
 				}
-				if _, got := pinned.get(t, s.handleEvents, ""); !bytes.Equal(got, want.events) {
+				if _, got := pinned.get(t, handleEvents, ""); !bytes.Equal(got, want.events) {
 					t.Error("pinned /events changed under the writer")
 					return
 				}
@@ -521,11 +520,11 @@ func TestPinnedViewImmutable(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if got := s.view.Load().strides - pinned.v.strides; got != 50 {
+	if got := s.st.view.Load().strides - pinned.v.strides; got != 50 {
 		t.Fatalf("advanced %d strides past the pin, want 50", got)
 	}
-	if s.eventSeq-pinned.v.stats.EventSeq <= uint64(eventLogCap) {
-		t.Fatalf("only %d events since the pin; the %d-record log did not wrap", s.eventSeq-pinned.v.stats.EventSeq, eventLogCap)
+	if s.st.eventSeq-pinned.v.stats.EventSeq <= uint64(eventLogCap) {
+		t.Fatalf("only %d events since the pin; the %d-record log did not wrap", s.st.eventSeq-pinned.v.stats.EventSeq, eventLogCap)
 	}
 	pinned.check(t, want, nil, "50 strides after the pin")
 	checkView(t, s, nil, "head view")

@@ -75,8 +75,8 @@ type persistedClient struct {
 	Entries  []seqEntry
 }
 
-// seqTable is the per-client dedup state. All methods require the
-// server mutex (or exclusive access).
+// seqTable is the per-client dedup state, part of a stream. All methods
+// require the server mutex (or exclusive access).
 type seqTable struct {
 	window  int // sequence numbers remembered per client
 	clients int // clients tracked before deterministic eviction
@@ -243,31 +243,6 @@ func (s *Server) walAppend(rec *walRecord) error {
 	return err
 }
 
-// recordSeq folds an applied record's sequence number, if it has one, into
-// the dedup window. Caller holds s.mu.
-func (s *Server) recordSeq(rec *walRecord) {
-	if rec.HasSeq {
-		s.seqs.record(rec.Client, rec.Seq, rec.Resp, rec.end())
-	}
-}
-
-// applyRecord replays one WAL record: points the stream has already
-// applied (below s.ingested) are skipped, the rest go through apply, and the
-// record's sequence number is folded into the dedup window. Caller holds
-// s.mu.
-func (s *Server) applyRecord(rec *walRecord) error {
-	if rec.Start > s.ingested {
-		return fmt.Errorf("wal gap: record starts at position %d but the stream has only applied %d", rec.Start, s.ingested)
-	}
-	if skip := s.ingested - rec.Start; skip < uint64(len(rec.Points)) {
-		if _, err := s.apply(rec.Points[skip:], nil, nil); err != nil {
-			return fmt.Errorf("replaying stride at position %d: %w", s.ingested, err)
-		}
-	}
-	s.recordSeq(rec)
-	return nil
-}
-
 // minPointJSON is the fewest body bytes one ingested point can take: the
 // shortest object decodeBatch accepts for a one-dimensional stream and the
 // comma after it.
@@ -297,26 +272,18 @@ func (c Config) boundaryPos(strides uint64) uint64 {
 	return uint64(c.Window) + (strides-1)*uint64(c.Stride)
 }
 
-// openReplay positions the stream for replay and opens the log in dir at
-// that position: the ingested counter is aligned with the last stride
-// boundary first, because a checkpoint stores the counter as of snapshot time
-// — including the pending points it dropped — and the records that carry
-// those points are about to re-increment through them.
+// openReplay positions the stream for replay at its last stride boundary
+// (toBoundary) and opens the log in dir at that position.
 func (s *Server) openReplay(dir string) *ckpt.WALReader {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	pos := s.cfg.boundaryPos(uint64(s.eng.Stats().Strides))
-	s.ingested = pos
-	if s.sm.Dedicated {
-		s.ingestMx.Set(int64(pos))
-	}
-	return ckpt.OpenWALReader(dir, pos, s.walRecordMaxPayload())
+	return ckpt.OpenWALReader(dir, s.st.toBoundary(), s.walRecordMaxPayload())
 }
 
 // replay drains r: each record is decoded and handed to apply under s.mu —
-// applyRecord, or a caller's wrapper around it — until the log ends for now
-// (a nil error: a tailer polls again, a one-shot replay is done) or a record
-// cannot be applied. A damaged or undecodable record is reported wrapping
+// the stream's applyRecord, or a caller's wrapper around it — until the log
+// ends for now (a nil error: a tailer polls again, a one-shot replay is done)
+// or a record cannot be applied. A damaged or undecodable record is reported wrapping
 // ckpt.ErrWALCorrupt, and what that means is the caller's decision: crash
 // recovery and promotion stop there — it is exactly the boundary OpenWAL
 // repairs the log to — while a tailing follower must not guess past damage a
@@ -369,5 +336,5 @@ func (s *Server) replayToDamage(r *ckpt.WALReader, apply func(*walRecord) error,
 func (s *Server) RecoverWAL(dir string, logger *slog.Logger) (int, error) {
 	r := s.openReplay(dir)
 	defer r.Close()
-	return s.replayToDamage(r, s.applyRecord, logger)
+	return s.replayToDamage(r, s.st.applyRecord, logger)
 }

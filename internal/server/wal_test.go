@@ -178,13 +178,13 @@ func TestIngestSeqDedup(t *testing.T) {
 		t.Fatalf("dedup body diverged:\n%s\nvs\n%s", firstBody, retryBody)
 	}
 	s.mu.Lock()
-	ingested := s.ingested
+	ingested := s.st.ingested
 	s.mu.Unlock()
 	if ingested != 60 {
 		t.Fatalf("ingested = %d after dedup, want 60 (nothing applied twice)", ingested)
 	}
 	s.mu.Lock()
-	pending := len(s.slider.Pending())
+	pending := len(s.st.slider.Pending())
 	s.mu.Unlock()
 	if pending != 60 {
 		t.Fatalf("pending = %d, want 60 (window not yet warm)", pending)
@@ -196,7 +196,7 @@ func TestIngestSeqDedup(t *testing.T) {
 // re-apply and not a misleading 400.
 func TestIngestSeqBelowWindow(t *testing.T) {
 	ts, s, _ := newWALServer(t, testWALConfig())
-	s.seqs = newSeqTable(2, seqClients)
+	s.st.seqs = newSeqTable(2, seqClients)
 	rng := rand.New(rand.NewSource(8))
 	for seq := uint64(1); seq <= 3; seq++ {
 		resp := postPointsSeq(t, ts.URL, clusteredBatch(rng, int64(seq)*1000, 10), "loader", seq)
@@ -272,7 +272,7 @@ func TestIngestBackpressure(t *testing.T) {
 	checkBound := func(what string, s *Server) int {
 		t.Helper()
 		s.mu.Lock()
-		pending, strides := len(s.slider.Pending()), s.eng.Stats().Strides
+		pending, strides := len(s.st.slider.Pending()), s.st.eng.Stats().Strides
 		s.mu.Unlock()
 		limit := cfg.Stride
 		if strides == 0 {
@@ -303,13 +303,7 @@ func TestIngestBackpressure(t *testing.T) {
 	script(ts, live, 40)
 	livePending := checkBound("live", live)
 
-	restored, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := restored.ReadCheckpoint(bytes.NewReader(checkpointBytes(t, live))); err != nil {
-		t.Fatal(err)
-	}
+	restored := mustRestore(t, cfg, checkpointBytes(t, live))
 	checkBound("after a checkpoint restore", restored)
 	restoredTS := httptest.NewServer(restored.Handler())
 	defer restoredTS.Close()
@@ -428,13 +422,7 @@ func TestCheckpointPlusWALRecovery(t *testing.T) {
 	}
 	want := checkpointBytes(t, s1)
 
-	s2, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s2.ReadCheckpoint(bytes.NewReader(mid)); err != nil {
-		t.Fatalf("ReadCheckpoint: %v", err)
-	}
+	s2 := mustRestore(t, cfg, mid)
 	if _, err := s2.RecoverWAL(dir, nil); err != nil {
 		t.Fatalf("RecoverWAL: %v", err)
 	}
@@ -480,10 +468,10 @@ func TestFollowerDifferential(t *testing.T) {
 			deadline := time.Now().Add(10 * time.Second)
 			for {
 				leader.mu.Lock()
-				lead := leader.ingested
+				lead := leader.st.ingested
 				leader.mu.Unlock()
 				f.srv.mu.Lock()
-				repl := f.srv.ingested
+				repl := f.srv.st.ingested
 				f.srv.mu.Unlock()
 				if repl == lead {
 					break
@@ -571,8 +559,9 @@ func TestFollowerDifferential(t *testing.T) {
 // POST /checkpoint on a write-ahead-logged stream rewound the stream position
 // while the attached log kept its records, so a batch acknowledged after the
 // restore was appended at a position the log already covered and silently
-// skipped by the next replay. The restore is refused (409, nothing touched),
-// and everything acknowledged around it survives a crash.
+// skipped by the next replay. No stream restores at runtime any more: POST
+// /checkpoint is 405 on a durable stream and on an in-memory one, touching
+// nothing, and everything acknowledged around it survives a crash.
 func TestCheckpointLoadRefusedUnderWAL(t *testing.T) {
 	cfg := testWALConfig()
 	ts, leader, dir := newWALServer(t, cfg)
@@ -586,28 +575,25 @@ func TestCheckpointLoadRefusedUnderWAL(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	before := checkpointBytes(t, leader)
-
-	resp, err := http.Post(ts.URL+"/checkpoint", "application/octet-stream", bytes.NewReader(early))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := string(readBody(t, resp))
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("restore under an attached log: status %d, want 409: %s", resp.StatusCode, body)
-	}
-	for _, want := range []string{"write-ahead log", "stop the process", "newest generation in the stream's log directory"} {
-		if !strings.Contains(body, want) {
-			t.Errorf("409 body does not mention %q:\n%s", want, body)
+	refused := func(name, url string, s *Server) {
+		t.Helper()
+		before := checkpointBytes(t, s)
+		resp, err := http.Post(url+"/checkpoint", "application/octet-stream", bytes.NewReader(early))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if body := readBody(t, resp); resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Fatalf("POST /checkpoint on %s: status %d, want 405: %s", name, resp.StatusCode, body)
+		}
+		if !bytes.Equal(checkpointBytes(t, s), before) {
+			t.Fatalf("POST /checkpoint on %s changed the stream", name)
 		}
 	}
-	if !bytes.Equal(checkpointBytes(t, leader), before) {
-		t.Fatal("the refused restore changed the stream")
-	}
+	refused("a durable stream", ts.URL, leader)
 
 	// One more acknowledged batch, then a crash: the log alone brings back
 	// the leader's state, that batch included.
-	resp = postPointsSeq(t, ts.URL, clusteredBatch(rng, 900_000, 120), "script", 13)
+	resp := postPointsSeq(t, ts.URL, clusteredBatch(rng, 900_000, 120), "script", 13)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("batch after the refused restore: status %d: %s", resp.StatusCode, readBody(t, resp))
 	}
@@ -623,17 +609,11 @@ func TestCheckpointLoadRefusedUnderWAL(t *testing.T) {
 		t.Fatal("the stream recovered from the log diverged from the leader")
 	}
 
-	// Without a log attached (and at start-up, before AttachWAL) a restore
-	// is still the way back to a checkpoint.
-	ts2, _ := newTestServer(t)
-	resp, err = http.Post(ts2.URL+"/checkpoint", "application/octet-stream", bytes.NewReader(early))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("restore without a log: status %d, want 200", resp.StatusCode)
-	}
+	// Without a log attached there is no runtime restore either: a
+	// checkpoint enters a stream from its directory, at start-up.
+	ts2, s2 := newTestServer(t)
+	postPoints(t, ts2, clusteredBatch(rng, 950_000, 120)).Body.Close()
+	refused("an in-memory stream", ts2.URL, s2)
 }
 
 // TestIngestClientNameLimit: X-Disc-Client is stored in the dedup table, in
@@ -654,8 +634,8 @@ func TestIngestClientNameLimit(t *testing.T) {
 	resp.Body.Close()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, stored := s.seqs.m[long]; stored || len(s.seqs.m) != 1 {
-		t.Fatalf("dedup table holds %d clients (over-long one stored: %v), want only the 128-byte one", len(s.seqs.m), stored)
+	if _, stored := s.st.seqs.m[long]; stored || len(s.st.seqs.m) != 1 {
+		t.Fatalf("dedup table holds %d clients (over-long one stored: %v), want only the 128-byte one", len(s.st.seqs.m), stored)
 	}
 }
 
